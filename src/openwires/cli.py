@@ -470,31 +470,41 @@ def _cmd_sfg_controllable(args) -> int:
     return 0 if controllable else 1
 
 
-def _parse_vector(text: str, what: str) -> list[Fraction]:
+def _parse_json(text: str, what: str):
     try:
-        data = json.loads(text)
-        return [Fraction(str(v)) for v in data]
-    except (json.JSONDecodeError, ValueError, TypeError) as err:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
         raise DocumentError(f"invalid {what}: {err}") from None
+
+
+def _parse_vector(data, what: str) -> list[Fraction]:
+    """Rationals from a decoded JSON list of numbers or strings like "1/2"."""
+    if not isinstance(data, list):
+        raise DocumentError(f"invalid {what}: expected a JSON list")
+    try:
+        return [Fraction(str(v)) for v in data]
+    except ValueError as err:
+        raise DocumentError(f"invalid {what}: {err}") from None
+    except ZeroDivisionError:
+        raise DocumentError(f"invalid {what}: zero denominator") from None
 
 
 def _cmd_sfg_check_trace(args) -> int:
     term = load_term(args.term)
     m, n = term_type(term)
-    try:
-        data = json.loads(args.window)
-    except json.JSONDecodeError as err:
-        raise DocumentError(f"invalid window: {err}") from None
+    data = _parse_json(args.window, "window")
+    if not isinstance(data, list):
+        raise DocumentError("invalid window: expected a JSON list of ticks")
     window = []
     for tick in data:
         if not isinstance(tick, list) or len(tick) != 2:
             raise DocumentError("window ticks must be [left, right] pairs")
-        u = [Fraction(str(v)) for v in tick[0]]
-        v = [Fraction(str(v)) for v in tick[1]]
+        u = _parse_vector(tick[0], "left boundary in window")
+        v = _parse_vector(tick[1], "right boundary in window")
         if len(u) != m or len(v) != n:
             raise DocumentError(f"tick dimensions must be ({m}, {n})")
         window.append((u, v))
-    init = _parse_vector(args.init, "init") if args.init else None
+    init = _parse_vector(_parse_json(args.init, "init"), "init") if args.init else None
     realizable = check_trace(term, window, init)
     if args.json:
         print(json.dumps({"realizable": realizable}))
@@ -505,9 +515,9 @@ def _cmd_sfg_check_trace(args) -> int:
 
 def _cmd_sfg_step(args) -> int:
     term = load_term(args.term)
-    state = _parse_vector(args.state, "state") if args.state else []
-    u = _parse_vector(args.left, "left boundary") if args.left else []
-    v = _parse_vector(args.right, "right boundary") if args.right else []
+    state = _parse_vector(_parse_json(args.state, "state"), "state") if args.state else []
+    u = _parse_vector(_parse_json(args.left, "left"), "left") if args.left else []
+    v = _parse_vector(_parse_json(args.right, "right"), "right") if args.right else []
     outcome = step(term, state, (u, v))
     if outcome == INFEASIBLE:
         print(json.dumps({"result": "infeasible"}) if args.json else "infeasible")

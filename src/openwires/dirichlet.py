@@ -271,39 +271,14 @@ def realizable_extension(
 
 def _solve_pinned(rows: list[list], num_vars: int, field: Field):
     """Gaussian elimination; free variables pinned to 0; None if inconsistent."""
-    zero = field.zero
-    matrix = [list(row) for row in rows]
-    pivots: list[tuple[int, int]] = []
-    row_at = 0
-    for col in range(num_vars):
-        sel = None
-        for r in range(row_at, len(matrix)):
-            if matrix[r][col] != zero:
-                sel = r
-                break
-        if sel is None:
-            continue
-        matrix[row_at], matrix[sel] = matrix[sel], matrix[row_at]
-        pivot = matrix[row_at][col]
-        matrix[row_at] = [v / pivot for v in matrix[row_at]]
-        for r in range(len(matrix)):
-            if r != row_at and matrix[r][col] != zero:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    a - factor * b for a, b in zip(matrix[r], matrix[row_at])
-                ]
-        pivots.append((row_at, col))
-        row_at += 1
-    for r in range(row_at, len(matrix)):
-        if matrix[r][num_vars] != zero:
+    from .symplectic import _pivot_column, _rref  # symplectic imports this module
+
+    solution = [field.zero] * num_vars
+    for row in _rref(field, rows, num_vars + 1):
+        col = _pivot_column(row, field.zero)
+        if col == num_vars:
             return None
-    solution = [zero] * num_vars
-    for r, col in pivots:
-        value = matrix[r][num_vars]
-        for c in range(col + 1, num_vars):
-            if matrix[r][c] != zero:
-                value = value - matrix[r][c] * solution[c]
-        solution[col] = value
+        solution[col] = row[num_vars]
     return solution
 
 

@@ -14,9 +14,10 @@ carries a rational, each generator constrains its adjacent wires, and each
 delay reads out its register and stores its other side for the next tick.
 The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
-extends to a trace that is infinite in both directions (the padding
-horizons stabilize after one step per register, which makes the
-biinfinite condition finitely checkable).
+extends to a trace that is infinite in both directions.  The tick
+relation merges equal wires before its one elimination, and the padding
+horizons stop at the first repeated image, within one step per register,
+which makes the biinfinite condition finitely checkable.
 
 Registers are numbered in left-to-right traversal order of the term;
 both delays and mirrored delays hold one register each.
@@ -31,7 +32,8 @@ from typing import Optional, Sequence, Union
 
 from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
 from .scalars import LaurentPoly, QQ
-from .symplectic import Subspace, kernel_of_matrix
+from .finset import UnionFind
+from .symplectic import Subspace, _null_vectors, _pivot_column, _rref, kernel_of_matrix
 
 _S = LaurentPoly.variable()
 
@@ -338,33 +340,53 @@ def step(
 def tick_relation(term: Term) -> Subspace:
     """The one-tick relation over (regs_in, left, right, regs_out).
 
-    Internal wires are eliminated; what remains is the exact linear
-    relation the term imposes between its stored state, its boundary
-    observations, and its next state.
+    Equations x = y between wires (or a wire and a register) are merged
+    first.  A class holding register or port columns is represented by
+    the first of them and tied to the others by equality rows.  One
+    elimination with the internal classes first leaves the rows that
+    vanish on every internal column: the relation's annihilator.
     """
     network = _build_network(term)
     w = network.num_wires
     d = network.num_registers
-    nvars = w + 2 * d
-    rows = []
+    offset = {"w": 0, "rin": w, "rout": w + d}
+    classes = UnionFind(w + 2 * d)
+    remaining = []
     for eq in network.equations:
-        row = [Fraction(0)] * nvars
-        for (kind, idx), coeff in eq.items():
-            if kind == "w":
-                row[idx] += coeff
-            elif kind == "rin":
-                row[w + idx] += coeff
-            else:
-                row[w + d + idx] += coeff
-        rows.append(row)
-    solutions = kernel_of_matrix(QQ, rows, nvars)
+        if len(eq) == 2:
+            (a, ca), (b, cb) = eq.items()
+            if ca == -cb:
+                classes.union(offset[a[0]] + a[1], offset[b[0]] + b[1])
+                continue
+        remaining.append(eq)
     columns = (
         [w + k for k in range(d)]
         + network.left_ports
         + network.right_ports
         + [w + d + k for k in range(d)]
     )
-    return solutions.project(columns)
+    roots = [classes.find(v) for v in columns]
+    first = {r: p for p, r in reversed(list(enumerate(roots)))}  # earliest column per class
+    used = {classes.find(offset[kind] + idx) for eq in remaining for kind, idx in eq}
+    internal = sorted(used - first.keys())
+    inner = len(internal)
+    width = inner + len(columns)
+    column = {root: k for k, root in enumerate(internal)}
+    column.update((root, inner + position) for root, position in first.items())
+    rows = []
+    for eq in remaining:
+        row = [Fraction(0)] * width
+        for (kind, idx), coeff in eq.items():
+            row[column[classes.find(offset[kind] + idx)]] += coeff
+        rows.append(row)
+    for position, root in enumerate(roots):
+        if first[root] != position:
+            row = [Fraction(0)] * width
+            row[column[root]], row[inner + position] = Fraction(1), Fraction(-1)
+            rows.append(row)
+    reduced = _rref(QQ, rows, width)
+    annihilator = [row[inner:] for row in reduced if _pivot_column(row, QQ.zero) >= inner]
+    return kernel_of_matrix(QQ, annihilator, len(columns))
 
 
 # -- exact affine sets -------------------------------------------------------
@@ -375,44 +397,14 @@ def _affine_solve(rows, nvars):
 
     The particular solution pins free variables to 0.
     """
-    zero = Fraction(0)
-    matrix = [list(row) + [rhs] for row, rhs in rows]
-    pivots: list[tuple[int, int]] = []
-    row_at = 0
-    for col in range(nvars):
-        sel = None
-        for r in range(row_at, len(matrix)):
-            if matrix[r][col] != zero:
-                sel = r
-                break
-        if sel is None:
-            continue
-        matrix[row_at], matrix[sel] = matrix[sel], matrix[row_at]
-        inv = 1 / matrix[row_at][col]
-        matrix[row_at] = [v * inv for v in matrix[row_at]]
-        for r in range(len(matrix)):
-            if r != row_at and matrix[r][col] != zero:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_at])]
-        pivots.append((row_at, col))
-        row_at += 1
-    for r in range(row_at, len(matrix)):
-        if matrix[r][nvars] != zero:
+    reduced = _rref(QQ, [list(coeffs) + [rhs] for coeffs, rhs in rows], nvars + 1)
+    particular = [Fraction(0)] * nvars
+    for row in reduced:
+        col = _pivot_column(row, QQ.zero)
+        if col == nvars:
             return None
-    particular = [zero] * nvars
-    for r, col in pivots:
-        particular[col] = matrix[r][nvars]
-    pivot_cols = {col for _, col in pivots}
-    free = [c for c in range(nvars) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        vec = [zero] * nvars
-        vec[f] = Fraction(1)
-        for r, col in pivots:
-            if matrix[r][f] != zero:
-                vec[col] = -matrix[r][f]
-        basis.append(vec)
-    return particular, Subspace.span(QQ, nvars, basis)
+        particular[col] = row[nvars]
+    return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
 
 
 @dataclass
@@ -515,6 +507,9 @@ def _extendable_states(relation: Subspace, d: int, m: int, n: int) -> AffineSet:
     for _ in range(d + 1):
         advanced = _relation_image(relation, d, m, n, states)
         if advanced.is_empty():
+            return advanced
+        # equal sets cut out by equal rows have equal images: the fixpoint
+        if advanced.constraint_rows() == states.constraint_rows():
             return advanced
         states = advanced
     return states

@@ -22,8 +22,9 @@ form onto the boundary first.  The two agree exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .circuit import OpenCircuit, boundary
 from .dirichlet import DirichletForm, extended_power, power_functional
@@ -43,11 +44,12 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis: tuple[tuple[object, ...], ...]
+    # the annihilator once known; not part of the value
+    _annihilator: Optional[Subspace] = dataclasses.field(default=None, compare=False, repr=False)
 
     @staticmethod
     def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
-        reduced = _rref(field, [list(r) for r in rows], ambient_dim)
-        return Subspace(field, ambient_dim, reduced)
+        return Subspace(field, ambient_dim, _rref(field, rows, ambient_dim))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -90,8 +92,11 @@ class Subspace:
         )
 
     def constraints(self) -> "Subspace":
-        """The annihilator: functionals vanishing on this subspace."""
-        return kernel_of_matrix(self.field, self.basis, self.ambient_dim)
+        """The annihilator: functionals vanishing on this subspace, computed once."""
+        if self._annihilator is None:
+            annihilator = kernel_of_matrix(self.field, self.basis, self.ambient_dim)
+            object.__setattr__(self, "_annihilator", annihilator)
+        return self._annihilator
 
     def project(self, columns: Sequence[int]) -> "Subspace":
         """Image under selection of the given coordinates."""
@@ -117,45 +122,48 @@ def _pivot_column(row, zero) -> int:
     raise ValueError("zero row in basis")
 
 
-def _rref(field: Field, rows: list[list], width: int) -> tuple[tuple, ...]:
-    zero, one = field.zero, field.one
-    matrix = [list(r) for r in rows]
-    for row in matrix:
-        if len(row) != width:
+def _rref(field: Field, rows: Sequence[Sequence], width: int) -> tuple[tuple, ...]:
+    """Reduced row echelon form, zero rows dropped.  Sparse-aware: zero is
+    falsy, a pivot row acts through its nonzero entries, and only the rows
+    it changed are tested for having vanished."""
+    one = field.one
+    matrix = []
+    for r in rows:
+        if len(r) != width:
             raise ValueError("row has wrong length")
+        if any(r):
+            matrix.append(list(r))
     pivot_rows: list[list] = []
     for col in range(width):
-        sel = None
-        for r, row in enumerate(matrix):
-            if row[col] != zero:
-                sel = r
-                break
+        sel = next((k for k, row in enumerate(matrix) if row[col]), None)
         if sel is None:
             continue
         pivot_row = matrix.pop(sel)
         inv = one / pivot_row[col]
         if inv != one:
-            pivot_row = [v * inv for v in pivot_row]
-        for r, row in enumerate(matrix):
-            if row[col] != zero:
-                factor = row[col]
-                matrix[r] = [a - factor * b for a, b in zip(row, pivot_row)]
-        for r, row in enumerate(pivot_rows):
-            if row[col] != zero:
-                factor = row[col]
-                pivot_rows[r] = [a - factor * b for a, b in zip(row, pivot_row)]
+            pivot_row = [v * inv if v else v for v in pivot_row]
+        support = [(k, pivot_row[k]) for k in range(col, width) if pivot_row[k]]
+        for row in pivot_rows:
+            _eliminate(row, col, support)
+        matrix = [row for row in matrix if not _eliminate(row, col, support) or any(row)]
         pivot_rows.append(pivot_row)
-        matrix = [row for row in matrix if any(v != zero for v in row)]
-        if not matrix:
-            break
-    pivot_rows.sort(key=lambda row: _pivot_column(row, zero))
     return tuple(tuple(row) for row in pivot_rows)
 
 
-def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
-    """Null space {x : A x = 0} of a matrix given by rows."""
+def _eliminate(row: list, col: int, support) -> bool:
+    """Clear row[col] in place with a pivot row's nonzero entries, if needed."""
+    factor = row[col]
+    if not factor:
+        return False
+    for k, value in support:
+        row[k] = row[k] - factor * value
+    return True
+
+
+def _null_vectors(field: Field, reduced, width: int) -> list[list]:
+    """One kernel vector per free column among the first ``width`` of a
+    reduced row echelon matrix (which may be augmented with [A | b])."""
     zero, one = field.zero, field.one
-    reduced = _rref(field, [list(r) for r in rows], width)
     pivots = [_pivot_column(row, zero) for row in reduced]
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
@@ -164,10 +172,18 @@ def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subs
         vec = [zero] * width
         vec[f] = one
         for row, p in zip(reduced, pivots):
-            if row[f] != zero:
+            if row[f]:
                 vec[p] = -row[f]
         basis.append(vec)
-    return Subspace.span(field, width, basis)
+    return basis
+
+
+def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
+    """Null space {x : A x = 0} of a matrix given by rows.  The reduced rows
+    of A are its annihilator, so the result keeps them."""
+    reduced = _rref(field, rows, width)
+    basis = _rref(field, _null_vectors(field, reduced, width), width)
+    return Subspace(field, width, basis, _annihilator=Subspace(field, width, reduced))
 
 
 def image_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:

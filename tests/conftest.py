@@ -9,7 +9,8 @@ from openwires.circuit import OpenCircuit, LabelledGraph
 from openwires.finset import Corelation, FinCospan, FinFunction
 from openwires.lti import PolyMatrix
 from openwires.scalars import LaurentPoly, QQ
-from openwires.sfg import GENERATOR_TYPES, Gen, Par, Seq, term_type
+from openwires.sfg import GENERATOR_TYPES, Gen, Par, Seq, _build_network, term_type
+from openwires.symplectic import kernel_of_matrix
 
 
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, nonzero=False) -> Fraction:
@@ -139,7 +140,64 @@ def rand_term(rng: random.Random, max_generators: int = 12):
     return term
 
 
+def feedback_chain(cells: int):
+    """``copy ; (delay (+) id) ; add`` repeated ``cells`` times."""
+    cell = Seq(Seq(Gen("copy"), Par(Gen("delay"), Gen("id"))), Gen("add"))
+    term = cell
+    for _ in range(cells - 1):
+        term = Seq(term, cell)
+    return term
+
+
+def rand_linear_system(rng: random.Random):
+    """(rows, rhs) over Q: consistent (rhs = A x for a random x) or not.
+
+    Rows are sparse and may repeat or combine earlier rows, so the rank
+    is often below both dimensions.
+    """
+    nvars = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rand_fraction(rng)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append(
+                [rand_fraction(rng) if rng.random() < 0.5 else Fraction(0) for _ in range(nvars)]
+            )
+    if rng.random() < 0.5:
+        x = [rand_fraction(rng) for _ in range(nvars)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = [rand_fraction(rng) for _ in rows]
+    return rows, rhs
+
+
 # -- independent oracles -----------------------------------------------------
+
+
+def reference_tick_relation(term):
+    """The one-tick relation by the dense route: the kernel of every wire
+    equation over all wires and registers, projected onto
+    (regs_in, left, right, regs_out)."""
+    network = _build_network(term)
+    w = network.num_wires
+    d = network.num_registers
+    offset = {"w": 0, "rin": w, "rout": w + d}
+    rows = []
+    for eq in network.equations:
+        row = [Fraction(0)] * (w + 2 * d)
+        for (kind, idx), coeff in eq.items():
+            row[offset[kind] + idx] += coeff
+        rows.append(row)
+    columns = (
+        [w + k for k in range(d)]
+        + network.left_ports
+        + network.right_ports
+        + [w + d + k for k in range(d)]
+    )
+    return kernel_of_matrix(QQ, rows, w + 2 * d).project(columns)
 
 
 def brute_force_pushout_classes(n: int, m: int, relation_pairs):

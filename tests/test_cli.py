@@ -187,6 +187,36 @@ class TestCommands:
             == 1
         )
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--window", "[[1,2]]"],
+            ["--window", "5"],
+            ["--window", '[[["1/0"],[0]]]'],
+            ["--window", '[[[0],["1/0"]]]'],
+            ["--window", "[[[0],[0]]]", "--init", '["1/0", 0]'],
+            ["--window", "[[[0],[0]]]", "--init", "3"],
+        ],
+    )
+    def test_check_trace_bad_input(self, capsys, extra):
+        code = main(["sfg", "check-trace", fixture("splusone.sfg")] + extra)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--state", '["1/0", 0]'), ("--left", '["1/0"]'), ("--right", '["1/0"]'), ("--left", "1")],
+    )
+    def test_step_bad_input(self, capsys, flag, value):
+        args = {"--state": "[0,1]", "--left": "[1]", "--right": "[0]", flag: value}
+        argv = ["sfg", "step", fixture("splusone.sfg")]
+        for name, text in args.items():
+            argv += [name, text]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_step(self, capsys):
         code = main(
             [

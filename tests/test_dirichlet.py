@@ -5,9 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    gauss_solve,
     oracle_min_coefficients,
     oracle_min_value,
     rand_circuit,
+    rand_linear_system,
     rand_positive_fraction,
 )
 from openwires.circuit import (
@@ -21,6 +23,7 @@ from openwires.circuit import (
 )
 from openwires.dirichlet import (
     DirichletForm,
+    _solve_pinned,
     circuits_equivalent,
     eliminate_node,
     extended_power,
@@ -215,6 +218,17 @@ class TestRealizableExtension:
             assert p.evaluate(phi) == oracle_min_value(
                 [list(r) for r in p.coeff], nodes, psi
             )
+
+    def test_pinned_solve_agrees_with_gauss_solve(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(300):
+            rows, rhs = rand_linear_system(rng)
+            augmented = [row + [b] for row, b in zip(rows, rhs)]
+            expected = gauss_solve(rows, rhs)
+            outcomes.add(expected is None)
+            assert _solve_pinned(augmented, len(rows[0]), QQ) == expected
+        assert outcomes == {True, False}
 
 
 class TestEquivalence:

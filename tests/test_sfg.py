@@ -3,7 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import kernel_residuals, rand_term
+from conftest import (
+    feedback_chain,
+    gauss_solve,
+    kernel_residuals,
+    rand_linear_system,
+    rand_term,
+    reference_tick_relation,
+)
 from openwires.cli import parse_term
 from openwires.lti import (
     MatCospan,
@@ -15,7 +22,8 @@ from openwires.lti import (
     mat_corelation,
     tensor_mat_cospans,
 )
-from openwires.scalars import LaurentPoly
+from openwires.scalars import QQ, LaurentPoly
+from openwires.symplectic import kernel_of_matrix
 from openwires.sfg import (
     INFEASIBLE,
     NONDETERMINATE,
@@ -23,6 +31,7 @@ from openwires.sfg import (
     Par,
     Seq,
     SfgTypeError,
+    _affine_solve,
     check_trace,
     count_registers,
     par,
@@ -236,3 +245,41 @@ class TestOperationalDenotationalAgreement:
             d = count_registers(term)
             rel = tick_relation(term)
             assert rel.ambient_dim == 2 * d + m + n
+
+
+class TestTickRelationOracle:
+    """The contracted elimination against the dense kernel-then-project route."""
+
+    def assert_matches_reference(self, term):
+        relation = tick_relation(term)
+        reference = reference_tick_relation(term)
+        assert repr(relation) == repr(reference)
+        assert repr(relation.constraints()) == repr(reference.constraints())
+
+    def test_random_terms(self):
+        rng = random.Random(47)
+        for _ in range(240):
+            self.assert_matches_reference(rand_term(rng, 12))
+
+    def test_feedback_chains(self):
+        for cells in range(1, 17):
+            self.assert_matches_reference(feedback_chain(cells))
+
+
+class TestAffineSolve:
+    def test_agrees_with_gauss_solve(self):
+        rng = random.Random(59)
+        outcomes = set()
+        for _ in range(300):
+            rows, rhs = rand_linear_system(rng)
+            nvars = len(rows[0])
+            solved = _affine_solve(list(zip(rows, rhs)), nvars)
+            expected = gauss_solve(rows, rhs)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert solved is None
+                continue
+            particular, homogeneous = solved
+            assert particular == expected
+            assert homogeneous == kernel_of_matrix(QQ, rows, nvars)
+        assert outcomes == {True, False}

@@ -71,6 +71,29 @@ class TestSubspace:
             w = rand_subspace(rng, 4, rng.randint(0, 4))
             assert v.add(w).dim + v.intersect(w).dim == v.dim + w.dim
 
+    def test_memoised_annihilator_is_not_part_of_the_value(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            ambient = rng.randint(1, 5)
+            rows = [[rand_fraction(rng) for _ in range(ambient)] for _ in range(rng.randint(0, 4))]
+            v = Subspace.span(QQ, ambient, rows)
+            fresh = Subspace.span(QQ, ambient, rows)
+            first = v.constraints()
+            assert v.constraints() is first
+            assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+            assert first == fresh.constraints()
+            assert first == kernel_of_matrix(QQ, v.basis, ambient)
+
+    def test_kernel_carries_its_annihilator(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            cols = rng.randint(1, 5)
+            matrix = [[rand_fraction(rng) for _ in range(cols)] for _ in range(rng.randint(0, 5))]
+            kernel = kernel_of_matrix(QQ, matrix, cols)
+            recomputed = Subspace(QQ, cols, kernel.basis).constraints()
+            assert repr(kernel.constraints()) == repr(recomputed)
+            assert kernel.constraints() == Subspace.span(QQ, cols, matrix)
+
 
 class TestComplement:
     def test_zero_complement_is_everything(self):
