@@ -3,15 +3,21 @@
 A Dirichlet form on an index set S is Q(psi) = sum over unordered pairs
 {i, j} of c_ij (psi_i - psi_j)^2, stored as the symmetric coefficient
 matrix c with zero diagonal.  The extended power functional of a circuit
-accumulates 1/(2 Z(e)) per edge; eliminating a node applies the exact
-one-step rule
+accumulates 1/(2 Z(e)) per edge; eliminating a node n applies the exact
+one-step rule (Kron reduction)
 
-    c'_ij = c_ij + c_in c_jn / sum_k c_kn
+    c'_ij = c_ij + c_in c_jn / total,    total = sum_k c_kn
 
 and iterating it over the interior computes the power functional on the
-boundary.  Over Q the coefficients stay nonnegative; over Q(s) the same
-formal-derivative calculus applies verbatim, with the degenerate case
-sum_k c_kn = 0 handled by dropping the node.
+boundary.  Elimination is sparse: it works on a map of the nonzero
+coefficients and touches only the pairs of n's neighbours, so its cost is
+set by the fill-in, not by the square of the node count.  Interior nodes
+go in ascending index order.  Over Q the coefficients stay nonnegative;
+over Q(s) the same formal calculus applies verbatim.  A node with no
+nonzero coefficient is dropped; a node whose nonzero coefficients sum to
+zero (possible over Q(s), where impedances cancel unchecked) raises
+``DegenerateFormError``, because the minimum over it is then a constraint
+on the boundary, not a Dirichlet form.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ from .scalars import Field, QQ
 
 
 class DegenerateFormError(ValueError):
-    """An interior system with no realizable extension.
+    """An interior node whose elimination has no Dirichlet-form answer:
+    its nonzero coefficients sum to zero, or its gradient system has no
+    realizable extension.
 
     Unreachable over Q with positive coefficients; possible over Q(s)
     because positivity of impedances is unchecked there.
@@ -163,57 +171,97 @@ def extended_power(c: OpenCircuit) -> DirichletForm:
 def eliminate_node(q: DirichletForm, n: int) -> DirichletForm:
     """Formal minimization over the single index n.
 
-    When sum_k c_kn = 0 (an isolated node over Q, or an exact cancellation
-    over Q(s)) the node is simply dropped.
+    Raises DegenerateFormError when n has nonzero coefficients that sum
+    to zero; an isolated node is simply dropped.
     """
     if not 0 <= n < q.size:
         raise ValueError("node index out of range")
-    field = q.field
-    zero = field.zero
-    total = zero
-    for k in range(q.size):
-        total = total + q.coeff[k][n]
-    keep = [i for i in range(q.size) if i != n]
-    if total == zero:
-        matrix = [[q.coeff[i][j] for j in keep] for i in keep]
-        return DirichletForm(field, len(keep), tuple(tuple(row) for row in matrix))
-    matrix = []
-    for i in keep:
-        row = []
-        for j in keep:
-            if i == j:
-                row.append(zero)
-            else:
-                row.append(q.coeff[i][j] + q.coeff[i][n] * q.coeff[j][n] / total)
-        matrix.append(tuple(row))
-    return DirichletForm(field, len(keep), tuple(matrix))
+    return _reduce(q.field, _adjacency(q), [i for i in range(q.size) if i != n])
 
 
 def minimize(q: DirichletForm, keep: Sequence[int]) -> DirichletForm:
-    """Iterated node elimination onto the kept index subset.
+    """Sparse node elimination onto the kept index subset.
 
-    Eliminates the complement in ascending index order; the result is
-    order independent.  Kept indices are renumbered by their order in
-    ``keep``, which must be strictly increasing.
+    Eliminates the complement in ascending index order, one Kron step per
+    node on the map of nonzero coefficients, so the cost follows the
+    fill-in rather than size^2.  The result is order independent.  Kept
+    indices are renumbered by their order in ``keep``, which must be
+    strictly increasing.  Raises DegenerateFormError when an eliminated
+    node has nonzero coefficients that sum to zero.
     """
     keep = list(keep)
     if keep != sorted(set(keep)):
         raise ValueError("keep must be a strictly increasing index subset")
     if any(not 0 <= i < q.size for i in keep):
         raise ValueError("keep contains indices out of range")
-    drop = [i for i in range(q.size) if i not in set(keep)]
-    current = q
-    for count, node in enumerate(drop):
-        current = eliminate_node(current, node - count)
-    return current
+    return _reduce(q.field, _adjacency(q), keep)
 
 
 def power_functional(c: OpenCircuit) -> DirichletForm:
     """Q = min over interior nodes of the extended power functional.
 
-    Indexed by the sorted boundary node list of the circuit.
+    Indexed by the sorted boundary node list of the circuit.  The
+    coefficients are read straight off the edges and the interior is
+    eliminated sparsely, without the dense extended form.
     """
-    return minimize(extended_power(c), boundary(c))
+    zero = c.field.zero
+    half = c.field.from_fraction(Fraction(1, 2))
+    adjacency: dict[int, dict[int, object]] = {n: {} for n in range(c.graph.num_nodes)}
+    for src, tgt, z in c.graph.edges:
+        if src == tgt:
+            continue
+        value = adjacency[src].get(tgt, zero) + half / z
+        _set_pair(adjacency, src, tgt, value)
+    return _reduce(c.field, adjacency, boundary(c))
+
+
+def _adjacency(q: DirichletForm) -> dict[int, dict[int, object]]:
+    """The nonzero coefficients of q, row by row."""
+    return {i: {j: c for j, c in enumerate(row) if c} for i, row in enumerate(q.coeff)}
+
+
+def _set_pair(adjacency: dict, i: int, j: int, value) -> None:
+    """Store c_ij = c_ji = value, removing the pair when it vanishes."""
+    if value:
+        adjacency[i][j] = adjacency[j][i] = value
+    else:
+        adjacency[i].pop(j, None)
+        adjacency[j].pop(i, None)
+
+
+def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
+    """Eliminate every index outside ``keep`` in ascending order, then
+    build (and validate) the one form on ``keep``."""
+    kept = set(keep)
+    for n in sorted(adjacency):
+        if n not in kept:
+            _eliminate(field, adjacency, n)
+    position = {node: k for k, node in enumerate(keep)}
+    matrix = [[field.zero] * len(keep) for _ in keep]
+    for node, k in position.items():
+        for other, value in adjacency[node].items():
+            matrix[k][position[other]] = value
+    return DirichletForm(field, len(keep), tuple(tuple(row) for row in matrix))
+
+
+def _eliminate(field: Field, adjacency: dict, n: int) -> None:
+    """One Kron step: remove n and update only the pairs of its neighbours,
+    c'_ij = c_ij + c_in c_jn / total."""
+    neighbours = list(adjacency.pop(n).items())
+    if not neighbours:
+        return
+    total = sum((c for _, c in neighbours), field.zero)
+    if not total:
+        raise DegenerateFormError(
+            "an interior node's coefficients sum to zero, so the power functional "
+            "is degenerate; over Q(s) this happens when unchecked impedances cancel"
+        )
+    for i, _ in neighbours:
+        del adjacency[i][n]
+    for a, (i, c_in) in enumerate(neighbours):
+        scaled = c_in / total
+        for j, c_jn in neighbours[a + 1 :]:
+            _set_pair(adjacency, i, j, adjacency[i].get(j, field.zero) + scaled * c_jn)
 
 
 def realizable_extension(

@@ -91,9 +91,6 @@ class FinFunction:
             self.domain_size, then.codomain_size, tuple(then.table[v] for v in self.table)
         )
 
-    def image(self) -> list[int]:
-        return sorted(set(self.table))
-
     def is_injective(self) -> bool:
         return len(set(self.table)) == self.domain_size
 

@@ -674,6 +674,8 @@ class _ScalarParser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("unexpected trailing input")
+        if max(value.num.degree, value.den.degree) > MAX_SCALAR_SIZE:
+            raise self.error(f"degree above the cap of {MAX_SCALAR_SIZE}")
         return value
 
     def expr(self) -> RationalFunction:
@@ -712,6 +714,8 @@ class _ScalarParser:
         exponent = self.integer()
         if negative and not is_var:
             raise self.error("negative exponents are allowed only on s")
+        if exponent * _size(base) > MAX_SCALAR_SIZE:
+            raise self.error(f"power above the size cap of {MAX_SCALAR_SIZE}")
         if negative:
             return RationalFunction(
                 Polynomial.constant(1), Polynomial.variable() ** exponent
@@ -743,11 +747,25 @@ class _ScalarParser:
         return int(self.text[start : self.pos])
 
 
+# The largest scalar the parser builds: a power may reach at most this
+# size and a parsed value at most this degree.  The size of a value is
+# its degree plus its widest coefficient in bits, less one, so s^k and
+# 2^k both have size k.  Any physical impedance fits, and arithmetic on
+# the result stays quick.
+MAX_SCALAR_SIZE = 256
+
+
+def _size(value: RationalFunction) -> int:
+    bits = max(
+        max(c.numerator.bit_length(), c.denominator.bit_length())
+        for c in value.num.coeffs + value.den.coeffs
+    )
+    return max(value.num.degree, value.den.degree) + bits - 1
+
+
 def _rf_pow(base: RationalFunction, exponent: int) -> RationalFunction:
-    result = RationalFunction.from_fraction(1)
-    for _ in range(exponent):
-        result = result * base
-    return result
+    """base^exponent by square-and-multiply."""
+    return RationalFunction(base.num ** exponent, base.den ** exponent)
 
 
 def parse_scalar_expression(text: str) -> RationalFunction:
@@ -788,11 +806,6 @@ class Field:
             self.one = RationalFunction.from_fraction(1)
         else:
             raise ValueError(f"unknown field {name!r}")
-
-    def from_int(self, n: int):
-        if self.name == "Q":
-            return Fraction(n)
-        return RationalFunction.from_fraction(n)
 
     def from_fraction(self, q: Fraction):
         if self.name == "Q":

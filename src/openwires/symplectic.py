@@ -17,7 +17,12 @@ parts to cancel (i + i' = 0) when both are recorded outward.
 ``black_box`` sends an open circuit to its behaviour two ways: the oracle
 route pairs the graph of the extended power functional with the
 symplectified boundary corelation; the fast route minimizes the Dirichlet
-form onto the boundary first.  The two agree exactly.
+form onto the boundary nodes by sparse elimination, then spans the
+relation in one row reduction: potentials constant on the terminals of
+each node, currents dQ placed on one terminal per node, and the other
+terminals' currents free against it.  The two agree exactly; when the
+minimization is degenerate (impedances cancelling over Q(s)) the fast
+route answers by the oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .circuit import OpenCircuit, boundary
-from .dirichlet import DirichletForm, extended_power, power_functional
+from .dirichlet import DegenerateFormError, DirichletForm, extended_power, power_functional
 from .finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
 from .scalars import Field, QQ
 
@@ -102,13 +107,6 @@ class Subspace:
         """Image under selection of the given coordinates."""
         rows = [[row[c] for c in columns] for row in self.basis]
         return Subspace.span(self.field, len(columns), rows)
-
-    def map_columns(self, transform) -> "Subspace":
-        """Image under a columnwise linear recombination given as a callable
-        row -> new row (must be linear for the result to be a subspace)."""
-        return Subspace.span(
-            self.field, self.ambient_dim, [transform(list(row)) for row in self.basis]
-        )
 
     def _check_compatible(self, other: "Subspace"):
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
@@ -534,11 +532,8 @@ def apply_relation(rel: LagrangianRelation, sub: Subspace) -> Subspace:
 
 def _negate_block(space: Subspace, columns: Sequence[int]) -> Subspace:
     column_set = set(columns)
-
-    def flip(row):
-        return [-v if c in column_set else v for c, v in enumerate(row)]
-
-    return space.map_columns(flip)
+    rows = [[-v if c in column_set else v for c, v in enumerate(row)] for row in space.basis]
+    return Subspace.span(space.field, space.ambient_dim, rows)
 
 
 def _boundary_corelation(cospan: FinCospan) -> Corelation:
@@ -559,39 +554,64 @@ def black_box(c: OpenCircuit, method: str = "fast") -> LagrangianRelation:
     """The behaviour of an open circuit as a Lagrangian relation.
 
     ``oracle`` pairs the graph of the extended power functional on all
-    nodes with the symplectification of the whole boundary corelation;
-    ``fast`` first minimizes the power functional onto the terminals.
-    Both finish by flipping the domain-side current signs so composition
-    is plain relational composition.
+    nodes with the symplectification of the whole boundary corelation,
+    then flips the domain-side current signs so composition is plain
+    relational composition.  ``fast`` minimizes the power functional onto
+    the boundary nodes and spans the relation directly; on a degenerate power
+    functional it answers by the oracle route.
     """
     x, y = c.num_inputs, c.num_outputs
     if method == "oracle":
         decorated = graph_of_dQ(extended_power(c))
         wires = symplectify(_boundary_corelation(c.cospan), c.field)
+        on_boundary = apply_relation(wires, decorated)
+        # conjugate the input side: currents at inputs are recorded flowing in
+        space = _negate_block(on_boundary, [x + y + k for k in range(x)])
     elif method == "fast":
-        nodes = boundary(c)
-        position = {node: k for k, node in enumerate(nodes)}
-        decorated = graph_of_dQ(power_functional(c))
-        restricted = FinCospan(
-            FinFunction.identity(len(nodes)),
-            FinFunction(
-                x + y,
-                len(nodes),
-                tuple(
-                    position[v] for v in c.cospan.left.table + c.cospan.right.table
-                ),
-            ),
-        )
-        wires = symplectify(cospan_to_corelation(restricted), c.field)
+        try:
+            space = _fast_boundary_space(c)
+        except DegenerateFormError:
+            return black_box(c, "oracle")
     else:
         raise ValueError(f"unknown black-box method {method!r}")
-    on_boundary = apply_relation(wires, decorated)
-    # conjugate the input side: currents at inputs are recorded flowing in
-    current_x = [x + y + k for k in range(x)]
-    space = _negate_block(on_boundary, current_x)
     return LagrangianRelation(
         c.field,
         SymplecticSpace(c.field, x),
         SymplecticSpace(c.field, y),
         space,
     )
+
+
+def _fast_boundary_space(c: OpenCircuit) -> Subspace:
+    """One span of x + y rows over (phi_X, phi_Y, i_X, i_Y).
+
+    Each boundary node n gives the potential e_n pulled back to the
+    terminals, with the currents dQ(e_n) on the first terminal of each
+    node's block; each other terminal gives its current against its
+    block leader's.  Input currents are recorded flowing in (sign -1).
+    """
+    field = c.field
+    zero, one = field.zero, field.one
+    q = power_functional(c)
+    terminals = c.num_inputs + c.num_outputs
+    sign = [-one if t < c.num_inputs else one for t in range(terminals)]
+    position = {node: k for k, node in enumerate(boundary(c))}
+    blocks: list[list[int]] = [[] for _ in position]
+    for t, node in enumerate(c.cospan.left.table + c.cospan.right.table):
+        blocks[position[node]].append(t)
+    rows = []
+    for n, block in enumerate(blocks):
+        row = [zero] * (2 * terminals)
+        for t in block:
+            row[t] = one
+        unit = [zero] * q.size
+        unit[n] = one
+        for (leader, *_), current in zip(blocks, q.gradient(unit)):
+            row[terminals + leader] = sign[leader] * current
+        rows.append(row)
+        for t in block[1:]:
+            row = [zero] * (2 * terminals)
+            row[terminals + t] = sign[t]
+            row[terminals + block[0]] = -sign[block[0]]
+            rows.append(row)
+    return Subspace.span(field, 2 * terminals, rows)

@@ -5,12 +5,27 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from openwires.circuit import OpenCircuit, LabelledGraph
-from openwires.finset import Corelation, FinCospan, FinFunction
+from openwires.circuit import (
+    LabelledGraph,
+    OpenCircuit,
+    boundary,
+    compose_circuits,
+    tensor_circuits,
+)
+from openwires.dirichlet import DirichletForm, extended_power
+from openwires.finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
 from openwires.lti import PolyMatrix
-from openwires.scalars import LaurentPoly, QQ
+from openwires.scalars import LaurentPoly, QQ, QS
 from openwires.sfg import GENERATOR_TYPES, Gen, Par, Seq, _build_network, term_type
-from openwires.symplectic import kernel_of_matrix
+from openwires.symplectic import (
+    LagrangianRelation,
+    SymplecticSpace,
+    _negate_block,
+    apply_relation,
+    graph_of_dQ,
+    kernel_of_matrix,
+    symplectify,
+)
 
 
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, nonzero=False) -> Fraction:
@@ -82,6 +97,100 @@ def rand_circuit(
         LabelledGraph(n, edges),
         FinCospan(rand_fin_function(rng, x, n), rand_fin_function(rng, y, n)),
     )
+
+
+def composable_circuit_pairs(rng: random.Random, count: int) -> list:
+    """``count`` pairs (a: x -> y, b: y -> z) over Q, each side of 0..3 terminals."""
+    pairs = []
+    for _ in range(count):
+        x, y, z = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        pairs.append(
+            (rand_circuit(rng, x, y, 6, 8), rand_circuit(rng, y, z, 6, 8))
+        )
+    return pairs
+
+
+def rand_qs_circuit(rng: random.Random, x: int, y: int, negative: bool = False) -> OpenCircuit:
+    """A random circuit over Q(s), at most 5 nodes and 6 edges, with
+    impedances r, r*s and 1/(r*s); with ``negative``, also -r*s, which is
+    not positive-real."""
+    s = QS.parse("s")
+    n = rng.randint(1, 5)
+    edges = []
+    for _ in range(rng.randint(0, 6)):
+        r = rand_positive_fraction(rng)
+        z = [QS.from_fraction(r), r * s, 1 / (r * s), -r * s][rng.randrange(4 if negative else 3)]
+        edges.append((rng.randrange(n), rng.randrange(n), z))
+    return OpenCircuit(
+        QS,
+        LabelledGraph(n, tuple(edges)),
+        FinCospan(rand_fin_function(rng, x, n), rand_fin_function(rng, y, n)),
+    )
+
+
+def ladder(rng: random.Random, sections: int) -> tuple[OpenCircuit, Fraction]:
+    """A two-terminal series-parallel ladder over Q and its impedance.
+
+    Section k joins main node k to main node k+1 by a resistor a_k in
+    parallel with a detour b_k, c_k through its own middle node, so the
+    impedance is sum_k 1 / (1/a_k + 1/(b_k + c_k)).
+    """
+    main = sections + 1
+    edges = []
+    impedance = Fraction(0)
+    for k in range(sections):
+        a, b, c = (rand_positive_fraction(rng) for _ in range(3))
+        middle = main + k
+        edges += [(k, k + 1, a), (k, middle, b), (middle, k + 1, c)]
+        impedance += 1 / (1 / a + 1 / (b + c))
+    nodes = main + sections
+    circuit = OpenCircuit(
+        QQ,
+        LabelledGraph(nodes, tuple(edges)),
+        FinCospan(FinFunction(1, nodes, (0,)), FinFunction(1, nodes, (sections,))),
+    )
+    return circuit, impedance
+
+
+REFERENCE_CORPORA = ("criterion5", "qs", "ladders", "negative")
+
+
+def reference_corpus(name: str) -> list[OpenCircuit]:
+    """Circuits on which the sparse and direct routes are checked against
+    the dense references, composites included.
+
+    ``criterion5`` is the criterion-5 corpus (seed 105) with its
+    composites and tensors; ``qs`` has impedances r, r*s and 1/(r*s);
+    ``ladders`` has ladders of 1 to 10 sections and their composites;
+    ``negative`` adds the impedance -r*s, so some coefficients are
+    negative (a degenerate elimination is possible there, though this
+    seed draws none).
+    """
+    circuits = []
+    if name == "criterion5":
+        rng = random.Random(105)
+        for a, b in composable_circuit_pairs(rng, 100):
+            circuits += [a, b, compose_circuits(a, b)]
+        for _ in range(50):
+            a = rand_circuit(rng, rng.randint(0, 2), rng.randint(0, 2), 6, 8)
+            b = rand_circuit(rng, rng.randint(0, 2), rng.randint(0, 2), 6, 8)
+            circuits += [a, b, tensor_circuits(a, b)]
+    elif name in ("qs", "negative"):
+        rng = random.Random(211 if name == "qs" else 213)
+        for _ in range(60):
+            x, y, z = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+            a = rand_qs_circuit(rng, x, y, negative=name == "negative")
+            b = rand_qs_circuit(rng, y, z, negative=name == "negative")
+            circuits += [a, b, compose_circuits(a, b)]
+    elif name == "ladders":
+        rng = random.Random(212)
+        for sections in range(1, 11):
+            a, _ = ladder(rng, sections)
+            b, _ = ladder(rng, 11 - sections)
+            circuits += [a, b, compose_circuits(a, b)]
+    else:
+        raise ValueError(f"unknown corpus {name!r}")
+    return circuits
 
 
 _LAYER_GENS = [
@@ -198,6 +307,63 @@ def reference_tick_relation(term):
         + [w + d + k for k in range(d)]
     )
     return kernel_of_matrix(QQ, rows, w + 2 * d).project(columns)
+
+
+def _reference_eliminate_node(q: DirichletForm, n: int) -> DirichletForm:
+    """The one-step rule over the whole dense coefficient matrix; a node
+    whose coefficients sum to zero is dropped."""
+    field = q.field
+    zero = field.zero
+    total = zero
+    for k in range(q.size):
+        total = total + q.coeff[k][n]
+    keep = [i for i in range(q.size) if i != n]
+    if total == zero:
+        matrix = [[q.coeff[i][j] for j in keep] for i in keep]
+        return DirichletForm(field, len(keep), tuple(tuple(row) for row in matrix))
+    matrix = []
+    for i in keep:
+        row = []
+        for j in keep:
+            if i == j:
+                row.append(zero)
+            else:
+                row.append(q.coeff[i][j] + q.coeff[i][n] * q.coeff[j][n] / total)
+        matrix.append(tuple(row))
+    return DirichletForm(field, len(keep), tuple(matrix))
+
+
+def reference_minimize(q: DirichletForm, keep) -> DirichletForm:
+    """Dense elimination of the complement of ``keep``, ascending, one
+    rebuilt and validated form per node."""
+    drop = [i for i in range(q.size) if i not in set(keep)]
+    current = q
+    for count, node in enumerate(drop):
+        current = _reference_eliminate_node(current, node - count)
+    return current
+
+
+def reference_fast_box(c: OpenCircuit) -> LagrangianRelation:
+    """The fast black box by the general route: the graph of dQ on the
+    boundary nodes, carried to the terminals through the symplectified
+    legs by ``apply_relation``, then the input currents negated."""
+    x, y = c.num_inputs, c.num_outputs
+    nodes = boundary(c)
+    position = {node: k for k, node in enumerate(nodes)}
+    decorated = graph_of_dQ(reference_minimize(extended_power(c), nodes))
+    legs = FinCospan(
+        FinFunction.identity(len(nodes)),
+        FinFunction(
+            x + y,
+            len(nodes),
+            tuple(position[v] for v in c.cospan.left.table + c.cospan.right.table),
+        ),
+    )
+    wires = symplectify(cospan_to_corelation(legs), c.field)
+    space = _negate_block(apply_relation(wires, decorated), [x + y + k for k in range(x)])
+    return LagrangianRelation(
+        c.field, SymplecticSpace(c.field, x), SymplecticSpace(c.field, y), space
+    )
 
 
 def brute_force_pushout_classes(n: int, m: int, relation_pairs):

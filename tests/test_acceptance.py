@@ -9,7 +9,13 @@ see the per-criterion lines.
 import random
 from fractions import Fraction as F
 
-from conftest import kernel_residuals, rand_circuit, rand_poly_matrix, rand_term
+from conftest import (
+    composable_circuit_pairs,
+    kernel_residuals,
+    rand_circuit,
+    rand_poly_matrix,
+    rand_term,
+)
 from openwires.circuit import compose_circuits, parallel, resistor, series, tensor_circuits
 from openwires.cli import parse_term
 from openwires.dirichlet import (
@@ -101,19 +107,9 @@ def test_criterion_4_ohms_law_black_box():
     print("PASS criterion 4: black_box(resistor r) = Ohm's law relation, exact subspace equality")
 
 
-def _random_composable_pairs(rng, count):
-    pairs = []
-    for _ in range(count):
-        x, y, z = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
-        pairs.append(
-            (rand_circuit(rng, x, y, 6, 8), rand_circuit(rng, y, z, 6, 8))
-        )
-    return pairs
-
-
 def test_criterion_5_black_box_functoriality():
     rng = random.Random(105)
-    pairs = _random_composable_pairs(rng, 100)
+    pairs = composable_circuit_pairs(rng, 100)
     for a, b in pairs:
         lhs = black_box(compose_circuits(a, b))
         rhs = compose_lagrangian(black_box(a), black_box(b))
@@ -135,7 +131,7 @@ def test_criterion_5_black_box_functoriality():
 def test_criterion_6_two_pipelines_agree():
     # the same corpus as criterion 5: same seed, same generation sequence
     rng = random.Random(105)
-    pairs = _random_composable_pairs(rng, 100)
+    pairs = composable_circuit_pairs(rng, 100)
     circuits = [c for pair in pairs for c in pair]
     circuits += [compose_circuits(a, b) for a, b in pairs[:50]]
     for c in circuits:

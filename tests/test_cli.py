@@ -234,6 +234,59 @@ class TestCommands:
         assert code == 0
         assert "next state: [1, 0]" in capsys.readouterr().out
 
+    def test_degenerate_pivot(self, capsys, tmp_path):
+        # s and -s in series through c: eliminating c meets a zero total
+        degenerate = tmp_path / "degenerate.json"
+        degenerate.write_text(
+            json.dumps(
+                {
+                    "field": "Q(s)",
+                    "nodes": ["a", "b", "c"],
+                    "edges": [
+                        {"src": "a", "tgt": "c", "impedance": "s"},
+                        {"src": "c", "tgt": "b", "impedance": "-s"},
+                    ],
+                    "inputs": ["a"],
+                    "outputs": ["b"],
+                }
+            )
+        )
+        open_pair = tmp_path / "open.json"
+        open_pair.write_text(
+            json.dumps(
+                {"field": "Q(s)", "nodes": ["a", "b"], "edges": [], "inputs": ["a"], "outputs": ["b"]}
+            )
+        )
+        assert main(["circuit", "blackbox", "--oracle", str(degenerate)]) == 0
+        oracle = capsys.readouterr().out
+        assert main(["circuit", "blackbox", str(degenerate)]) == 0
+        assert capsys.readouterr().out == oracle
+        # a short: equal potentials, equal currents
+        assert oracle.splitlines()[2].split() == ["1", "1", "0", "0"]
+        for argv in (["power", str(degenerate)], ["equiv", str(degenerate), str(open_pair)]):
+            assert main(["circuit"] + argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_power_exponent_cap(self, capsys, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "field": "Q(s)",
+                    "nodes": ["a", "b"],
+                    "edges": [{"src": "a", "tgt": "b", "impedance": "s^99999999"}],
+                    "inputs": ["a"],
+                    "outputs": ["b"],
+                }
+            )
+        )
+        assert main(["circuit", "power", str(doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "size cap" in err
+
     def test_usage_error(self, capsys):
         assert main(["circuit"]) == 2
 

@@ -5,23 +5,29 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    REFERENCE_CORPORA,
     gauss_solve,
+    ladder,
     oracle_min_coefficients,
     oracle_min_value,
     rand_circuit,
     rand_linear_system,
     rand_positive_fraction,
+    reference_corpus,
+    reference_minimize,
 )
 from openwires.circuit import (
     LabelledGraph,
     OpenCircuit,
     boundary,
     compose_circuits,
+    identity_circuit,
     parallel,
     resistor,
     series,
 )
 from openwires.dirichlet import (
+    DegenerateFormError,
     DirichletForm,
     _solve_pinned,
     circuits_equivalent,
@@ -33,6 +39,7 @@ from openwires.dirichlet import (
 )
 from openwires.finset import FinCospan, FinFunction, pushout_composition
 from openwires.scalars import QQ, QS
+from openwires.symplectic import black_box
 
 
 def rand_form(rng: random.Random, size: int) -> DirichletForm:
@@ -134,6 +141,78 @@ class TestElimination:
         rng = random.Random(23)
         form = rand_form(rng, 4)
         assert minimize(form, [0, 1, 2, 3]) == form
+
+
+class TestSparseElimination:
+    """The sparse elimination against the dense one-form-per-node loop."""
+
+    @pytest.mark.parametrize("corpus", REFERENCE_CORPORA)
+    def test_power_functional_matches_dense_reference(self, corpus):
+        checked = negative = 0
+        for c in reference_corpus(corpus):
+            p = extended_power(c)
+            nodes = boundary(c)
+            try:
+                q = power_functional(c)
+            except DegenerateFormError:
+                assert corpus == "negative"
+                continue
+            expected = reference_minimize(p, nodes)
+            assert q.coeff == expected.coeff
+            assert repr(q) == repr(expected)
+            assert repr(minimize(p, nodes)) == repr(expected)
+            checked += 1
+            negative += c.field == QS and any(
+                src != tgt and z.num.leading < 0 for src, tgt, z in c.graph.edges
+            )
+        assert checked >= 30
+        assert (negative > 0) == (corpus == "negative")
+
+    def test_eliminate_node_matches_dense_reference(self):
+        rng = random.Random(17)
+        for _ in range(25):
+            form = rand_form(rng, 6)
+            for n in range(6):
+                keep = [i for i in range(6) if i != n]
+                assert repr(eliminate_node(form, n)) == repr(reference_minimize(form, keep))
+
+    def test_ladder_closed_form(self):
+        rng = random.Random(53)
+        for sections in range(1, 11):
+            c, impedance = ladder(rng, sections)
+            assert power_functional(c).coeff[0][1] == 1 / (2 * impedance)
+
+
+class TestDegeneratePivot:
+    """Impedances s and -s in series: the middle node's coefficients
+    1/(2s) and -1/(2s) sum to zero, so no Dirichlet form minimizes it."""
+
+    def circuit(self):
+        return series([QS.parse("s"), QS.parse("-s")], field=QS)
+
+    def test_elimination_raises(self):
+        c = self.circuit()
+        with pytest.raises(DegenerateFormError):
+            power_functional(c)
+        with pytest.raises(DegenerateFormError):
+            eliminate_node(extended_power(c), 1)
+        with pytest.raises(DegenerateFormError):
+            minimize(extended_power(c), [0, 2])
+
+    def test_fast_black_box_is_the_oracle_short(self):
+        c = self.circuit()
+        fast = black_box(c, "fast")
+        assert fast == black_box(c, "oracle")
+        assert fast.space == black_box(identity_circuit(1, QS)).space
+
+    def test_equivalence_is_not_claimed(self):
+        open_pair = OpenCircuit(
+            QS,
+            LabelledGraph(2, ()),
+            FinCospan(FinFunction(1, 2, (0,)), FinFunction(1, 2, (1,))),
+        )
+        with pytest.raises(DegenerateFormError):
+            circuits_equivalent(self.circuit(), open_pair)
 
 
 class TestPowerFunctional:

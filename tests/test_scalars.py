@@ -214,6 +214,17 @@ class TestParsing:
         with pytest.raises(ScalarParseError):
             parse_scalar_expression("(s+1)^-2")
 
+    def test_powers_are_capped(self):
+        assert parse_scalar_expression("(s+1)^5") == parse_scalar_expression(
+            "(s+1)*(s+1)*(s+1)*(s+1)*(s+1)"
+        )
+        assert parse_scalar_expression("(2*s)^0") == QS.one
+        for text in ("s^256", "s^-256", "2^256", "s^200*s^56", "1^99999999"):
+            parse_scalar_expression(text)
+        for text in ("s^257", "s^-257", "2^257", "((s^2)^2)^65", "s^200*s^57", "s^99999999"):
+            with pytest.raises(ScalarParseError):
+                parse_scalar_expression(text)
+
     def test_precedence(self):
         assert parse_scalar_expression("s^2+1") == parse_scalar_expression("1+s*s")
         assert parse_scalar_expression("2*s^2") == parse_scalar_expression("2*(s^2)")

@@ -1,9 +1,24 @@
 import random
 from fractions import Fraction as F
 
-from conftest import rand_circuit, rand_corelation, rand_fraction
+import pytest
+
+from conftest import (
+    REFERENCE_CORPORA,
+    rand_circuit,
+    rand_corelation,
+    rand_fraction,
+    reference_corpus,
+    reference_fast_box,
+)
 from openwires.circuit import identity_circuit, resistor, series, tensor_circuits, compose_circuits
-from openwires.dirichlet import DirichletForm, eliminate_node, extended_power, power_functional
+from openwires.dirichlet import (
+    DegenerateFormError,
+    DirichletForm,
+    eliminate_node,
+    extended_power,
+    power_functional,
+)
 from openwires.finset import (
     FinCospan,
     FinFunction,
@@ -294,6 +309,21 @@ class TestBlackBox:
     def test_series_equals_sum(self):
         lhs = black_box(compose_circuits(resistor(F(1)), resistor(F(1))))
         assert lhs.space == black_box(resistor(F(2))).space
+
+    @pytest.mark.parametrize("corpus", REFERENCE_CORPORA)
+    def test_fast_route_matches_general_route(self, corpus):
+        """The one-span fast black box against the graph of dQ carried
+        through the symplectified legs by apply_relation."""
+        for c in reference_corpus(corpus):
+            fast = black_box(c, "fast")
+            try:
+                power_functional(c)
+            except DegenerateFormError:
+                assert fast == black_box(c, "oracle")
+                continue
+            expected = reference_fast_box(c)
+            assert fast.space.basis == expected.space.basis
+            assert repr(fast) == repr(expected)
 
     def test_pipelines_agree(self):
         rng = random.Random(29)
