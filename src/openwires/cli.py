@@ -37,6 +37,8 @@ from .lti import (
     behaviour_rep,
     controllable_part,
     is_controllable,
+    pullback_span,
+    snf,
 )
 from .scalars import Field, ScalarParseError, field_by_name
 from .sfg import (
@@ -438,6 +440,9 @@ def _cmd_sfg_equiv(args) -> int:
     equivalent = behaviour_eq(
         behaviour_rep(sfg_denote(first)), behaviour_rep(sfg_denote(second))
     )
+    if args.oracle and behaviour_eq(_raw_behaviour(first), _raw_behaviour(second)) != equivalent:
+        print("internal error: reduced and raw denotations disagree", file=sys.stderr)
+        return USAGE_ERROR
     if args.json:
         print(json.dumps({"equivalent": equivalent}))
     else:
@@ -449,6 +454,11 @@ def _cmd_sfg_controllable(args) -> int:
     term = load_term(args.term)
     cospan = sfg_denote(term)
     controllable = is_controllable(cospan)
+    if args.oracle:
+        problem = _controllability_problem(cospan, controllable)
+        if problem:
+            print(f"internal error: {problem}", file=sys.stderr)
+            return USAGE_ERROR
     if args.json:
         payload = {"controllable": controllable}
         if not controllable:
@@ -468,6 +478,28 @@ def _cmd_sfg_controllable(args) -> int:
         print("into codomain:")
         print(str(s))
     return 0 if controllable else 1
+
+
+def _raw_behaviour(term: Term) -> BehaviourRep:
+    """ker [A -B] of the unreduced denotation, with no corelation step."""
+    raw = denote_cospan(term)
+    return BehaviourRep(raw.dom, raw.cod, raw.left.hstack(raw.right.neg()))
+
+
+def _controllability_problem(cospan, controllable: bool):
+    """What the cross-checks of a controllability verdict find wrong, or None.
+
+    The pullback span must satisfy A R = B S exactly, and the verdict must
+    agree with the invariant factors of [A -B]: the behaviour is
+    controllable iff every nonzero one is a unit.
+    """
+    r, s = pullback_span(cospan)
+    if cospan.left.mul(r).entries != cospan.right.mul(s).entries:
+        return "pullback span does not satisfy A R = B S"
+    factors = snf(cospan.left.hstack(cospan.right.neg()))
+    if controllable != all(d.is_unit() for d in factors.diagonal[: factors.rank]):
+        return "controllability verdict disagrees with the invariant factors"
+    return None
 
 
 def _parse_json(text: str, what: str):

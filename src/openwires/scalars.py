@@ -6,14 +6,24 @@ provides dense univariate polynomials over Q, the fraction field Q(s) of
 rational functions, and Laurent polynomials -- polynomials in s and its
 formal inverse s^-1.
 
-Everything is immutable and hashable; all operations return fresh values.
-Division by zero raises ``ZeroDivisionError`` rather than producing a
-sentinel.
+``Polynomial`` holds one ``Fraction`` per coefficient.  ``LaurentPoly``,
+the ring the Smith normal form works in, holds integer numerators over one
+positive common denominator instead, in a canonical form (first and last
+numerator nonzero, gcd(denominator, numerators) = 1), so that its ring
+operations are integer arithmetic plus one gcd pass per result rather
+than a normalised ``Fraction`` per coefficient product.  Its ``coeffs``
+are still ``Fraction`` values, built on access.
+
+Everything is immutable and hashable, and values that compare equal hash
+equal: a constant hashes as the rational it equals.  All operations
+return fresh values.  Division by zero raises ``ZeroDivisionError``
+rather than producing a sentinel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -81,6 +91,9 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if len(self.coeffs) <= 1:
+            # a constant hashes as the rational it equals
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("Polynomial", self.coeffs))
 
     def __add__(self, other) -> "Polynomial":
@@ -255,6 +268,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den.degree == 0:
+            # den is monic, so this is a polynomial and hashes as one
+            return hash(self.num)
         return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
 
     def __add__(self, other) -> "RationalFunction":
@@ -327,29 +343,29 @@ def _coerce_rf(value):
 
 
 class LaurentPoly:
-    """Element of Q[s, s^-1]: sum of coeffs[i] * s^(offset + i).
+    """Element of Q[s, s^-1]: sum of (nums[i] / den) * s^(offset + i).
 
-    Nonzero values keep both the first and last coefficient nonzero; the
-    zero value is (offset 0, empty coeffs).  Units are exactly the
-    monomials q * s^k with q != 0.
+    The coefficients are integer numerators over one common denominator,
+    and the fields are kept canonical:
+
+    * the first and last numerators are nonzero;
+    * the denominator is positive and gcd(den, *nums) = 1;
+    * zero is (offset 0, nums (), den 1).
+
+    So ``==`` compares fields, and a product or sum is integer arithmetic
+    plus one gcd pass instead of a normalised ``Fraction`` per coefficient.
+    A constant hashes as the rational it equals.  ``coeffs`` builds the
+    ``Fraction`` coefficients on access.  Units are exactly the monomials
+    q * s^k with q != 0.
     """
 
-    __slots__ = ("offset", "coeffs")
+    __slots__ = ("offset", "nums", "den")
 
     def __init__(self, offset: int = 0, coeffs: Iterable[Union[Fraction, int]] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        lead_zeros = 0
-        while lead_zeros < len(cs) and cs[lead_zeros] == 0:
-            lead_zeros += 1
-        cs = cs[lead_zeros:]
-        if not cs:
-            offset = 0
-        else:
-            offset += lead_zeros
+        offset, nums, den = _fraction_fields(offset, [_as_fraction(c) for c in coeffs])
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPoly is immutable")
@@ -359,7 +375,7 @@ class LaurentPoly:
         """Canonicalize an exponent -> coefficient map."""
         nonzero = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
         if not nonzero:
-            return LaurentPoly()
+            return _L_ZERO
         lo = min(nonzero)
         hi = max(nonzero)
         coeffs = [nonzero.get(e, _ZERO) for e in range(lo, hi + 1)]
@@ -367,108 +383,111 @@ class LaurentPoly:
 
     @staticmethod
     def constant(value) -> "LaurentPoly":
-        return LaurentPoly(0, [_as_fraction(value)])
+        return LaurentPoly.monomial(value, 0)
 
     @staticmethod
     def monomial(coeff, exponent: int) -> "LaurentPoly":
-        return LaurentPoly(exponent, [_as_fraction(coeff)])
+        q = _as_fraction(coeff)
+        if not q:
+            return _L_ZERO
+        return _laurent(exponent, (q.numerator,), q.denominator)
 
     @staticmethod
     def variable() -> "LaurentPoly":
-        return LaurentPoly(1, [1])
+        return _laurent(1, (1,), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.nums) == 1
 
     def is_one(self) -> bool:
-        return self.offset == 0 and self.coeffs == (_ONE,)
+        return self.offset == 0 and self.den == 1 and self.nums == (1,)
 
     @property
     def deg_spread(self) -> int:
         """Top exponent minus bottom exponent; -1 for the zero value."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def terms(self) -> dict[int, Fraction]:
-        return {
-            self.offset + i: c for i, c in enumerate(self.coeffs) if c != 0
-        }
+        den, offset = self.den, self.offset
+        return {offset + i: Fraction(n, den) for i, n in enumerate(self.nums) if n}
 
     def __eq__(self, other) -> bool:
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.offset == other.offset and self.coeffs == other.coeffs
+        if other.__class__ is not LaurentPoly:
+            other = _coerce_laurent(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (
+            self.offset == other.offset
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash(("LaurentPoly", self.offset, self.coeffs))
+        if self.offset == 0 and len(self.nums) <= 1:
+            # a constant hashes as the rational it equals
+            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        return hash(("LaurentPoly", self.offset, self.nums, self.den))
 
     def __add__(self, other) -> "LaurentPoly":
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [_ZERO] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += c
-        return LaurentPoly(lo, out)
+        if other.__class__ is not LaurentPoly:
+            other = _coerce_laurent(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.offset, [-c for c in self.coeffs])
+        return _laurent(self.offset, tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other) -> "LaurentPoly":
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _add(self, -other)
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _add(other, -self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(other.coeffs):
-                out[i + j] += ca * cb
-        return LaurentPoly(self.offset + other.offset, out)
+        if other.__class__ is not LaurentPoly:
+            other = _coerce_laurent(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.nums or not other.nums:
+            return _L_ZERO
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by s^k."""
-        if self.is_zero():
+        if not self.nums:
             return self
-        return LaurentPoly(self.offset + k, self.coeffs)
+        return _laurent(self.offset + k, self.nums, self.den)
 
     def scale(self, factor) -> "LaurentPoly":
         factor = _as_fraction(factor)
-        if factor == 0:
-            return LaurentPoly()
-        return LaurentPoly(self.offset, [c * factor for c in self.coeffs])
+        if not factor or not self.nums:
+            return _L_ZERO
+        p = factor.numerator
+        return _reduced(self.offset, [n * p for n in self.nums], self.den * factor.denominator)
 
     def __divmod__(self, other) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Euclidean division: self = q*other + r with deg_spread(r) <
@@ -476,21 +495,22 @@ class LaurentPoly:
 
         Works by factoring out the unit parts s^offset and dividing the
         underlying Q[s] polynomials, so units divide everything exactly.
+        The numerators are divided as they stand: with self = A/a and
+        other = B/b, A = q0*B + r0 gives q = q0*b/a and r = r0/a.
         """
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.nums:
             raise ZeroDivisionError("Laurent division by zero")
-        if self.is_zero():
-            return LaurentPoly(), LaurentPoly()
-        a = Polynomial(self.coeffs)
-        b = Polynomial(other.coeffs)
-        q0, r0 = divmod(a, b)
-        shift = self.offset - other.offset
-        q = LaurentPoly(shift, q0.coeffs)
-        r = LaurentPoly(self.offset, r0.coeffs)
-        return q, r
+        if not self.nums:
+            return _L_ZERO, _L_ZERO
+        if len(other.nums) == 1:
+            return _mul(self, other.unit_inverse()), _L_ZERO
+        q0, r0 = divmod(Polynomial(self.nums), Polynomial(other.nums))
+        q = _fraction_fields(self.offset - other.offset, q0.coeffs, other.den, self.den)
+        r = _fraction_fields(self.offset, r0.coeffs, 1, self.den)
+        return _laurent(*q), _laurent(*r)
 
     def __floordiv__(self, other) -> "LaurentPoly":
         return divmod(self, other)[0]
@@ -512,7 +532,10 @@ class LaurentPoly:
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise ValueError(f"{self} is not a unit of Q[s, s^-1]")
-        return LaurentPoly(-self.offset, [1 / self.coeffs[0]])
+        n = self.nums[0]
+        if n < 0:
+            return _laurent(-self.offset, (-self.den,), -n)
+        return _laurent(-self.offset, (self.den,), n)
 
     def canonical(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Split into (unit, representative) with self = unit * representative.
@@ -521,11 +544,17 @@ class LaurentPoly:
         class: offset 0 and leading coefficient 1.  Zero maps to
         (1, 0).
         """
-        if self.is_zero():
-            return LaurentPoly.constant(1), self
-        lead = self.coeffs[-1]
-        unit = LaurentPoly.monomial(lead, self.offset)
-        rep = LaurentPoly(0, [c / lead for c in self.coeffs])
+        nums = self.nums
+        if not nums:
+            return _L_ONE, self
+        lead = nums[-1]
+        g = gcd(lead, self.den)
+        unit = _laurent(self.offset, (lead // g,), self.den // g)
+        # nums / lead over the content of nums, with the sign of lead moved up
+        content = gcd(*nums)
+        if lead < 0:
+            content = -content
+        rep = _laurent(0, tuple([n // content for n in nums]), lead // content)
         return unit, rep
 
     def __repr__(self) -> str:
@@ -533,6 +562,97 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         return format_laurent(self)
+
+
+_new_object = object.__new__
+_set_offset = LaurentPoly.offset.__set__
+_set_nums = LaurentPoly.nums.__set__
+_set_den = LaurentPoly.den.__set__
+
+
+def _laurent(offset: int, nums: tuple, den: int) -> LaurentPoly:
+    """A LaurentPoly from fields that are already canonical."""
+    p = _new_object(LaurentPoly)
+    _set_offset(p, offset)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    return p
+
+
+def _canonical_fields(offset: int, nums: list, den: int) -> tuple[int, tuple, int]:
+    """Strip zero ends and divide out gcd(den, *nums); den must be positive."""
+    hi = len(nums)
+    while hi and not nums[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, (), 1
+    lo = 0
+    while not nums[lo]:
+        lo += 1
+    if lo or hi < len(nums):
+        nums = nums[lo:hi]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return offset + lo, tuple(nums), den
+
+
+def _reduced(offset: int, nums: list, den: int) -> LaurentPoly:
+    return _laurent(*_canonical_fields(offset, nums, den))
+
+
+def _fraction_fields(offset: int, coeffs, scale_num: int = 1, scale_den: int = 1):
+    """Canonical fields of scale_num/scale_den * sum coeffs[i] * s^(offset + i)."""
+    den = lcm(*[c.denominator for c in coeffs])
+    nums = [c.numerator * (den // c.denominator) * scale_num for c in coeffs]
+    return _canonical_fields(offset, nums, den * scale_den)
+
+
+def _add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    x, y = a.nums, b.nums
+    if not x:
+        return b
+    if not y:
+        return a
+    den = a.den
+    if den != b.den:
+        g = gcd(den, b.den)
+        scale_x, scale_y = b.den // g, den // g
+        den *= scale_x
+        if scale_x != 1:
+            x = [n * scale_x for n in x]
+        if scale_y != 1:
+            y = [n * scale_y for n in y]
+    lo = min(a.offset, b.offset)
+    start_x, start_y = a.offset - lo, b.offset - lo
+    out = [0] * (max(start_x + len(x), start_y + len(y)))
+    out[start_x : start_x + len(x)] = x
+    for i, n in enumerate(y, start_y):
+        out[i] += n
+    return _reduced(lo, out, den)
+
+
+def _mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The product of two nonzero values."""
+    x, y = a.nums, b.nums
+    if len(x) < len(y):
+        x, y = y, x
+    if len(y) == 1:
+        c = y[0]
+        out = [x[0] * c] if len(x) == 1 else [n * c for n in x]
+    else:
+        out = [0] * (len(x) + len(y) - 1)
+        for j, c in enumerate(y):
+            if c:
+                for i, n in enumerate(x, j):
+                    out[i] += n * c
+    return _reduced(a.offset + b.offset, out, a.den * b.den)
+
+
+_L_ZERO = _laurent(0, (), 1)
+_L_ONE = _laurent(0, (1,), 1)
 
 
 def _coerce_laurent(value):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable, Mapping, Union
 
 from openwires.circuit import (
     LabelledGraph,
@@ -15,7 +16,16 @@ from openwires.circuit import (
 from openwires.dirichlet import DirichletForm, extended_power
 from openwires.finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
 from openwires.lti import PolyMatrix
-from openwires.scalars import LaurentPoly, QQ, QS
+from openwires.scalars import (
+    _ONE,
+    _ZERO,
+    LaurentPoly,
+    Polynomial,
+    QQ,
+    QS,
+    _as_fraction,
+    format_laurent,
+)
 from openwires.sfg import GENERATOR_TYPES, Gen, Par, Seq, _build_network, term_type
 from openwires.symplectic import (
     LagrangianRelation,
@@ -284,6 +294,225 @@ def rand_linear_system(rng: random.Random):
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+class ReferenceLaurent:
+    """Element of Q[s, s^-1] with one ``Fraction`` per coefficient: the
+    form ``LaurentPoly`` had before it moved to integer numerators over
+    one denominator, kept unchanged as the reference it is tested against.
+
+    Nonzero values keep both the first and last coefficient nonzero; the
+    zero value is (offset 0, empty coeffs).  Units are exactly the
+    monomials q * s^k with q != 0.
+    """
+
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, offset: int = 0, coeffs: Iterable[Union[Fraction, int]] = ()):
+        cs = [_as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        lead_zeros = 0
+        while lead_zeros < len(cs) and cs[lead_zeros] == 0:
+            lead_zeros += 1
+        cs = cs[lead_zeros:]
+        if not cs:
+            offset = 0
+        else:
+            offset += lead_zeros
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, *args):
+        raise AttributeError("ReferenceLaurent is immutable")
+
+    @staticmethod
+    def from_map(terms: Mapping[int, Union[Fraction, int]]) -> "ReferenceLaurent":
+        """Canonicalize an exponent -> coefficient map."""
+        nonzero = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
+        if not nonzero:
+            return ReferenceLaurent()
+        lo = min(nonzero)
+        hi = max(nonzero)
+        coeffs = [nonzero.get(e, _ZERO) for e in range(lo, hi + 1)]
+        return ReferenceLaurent(lo, coeffs)
+
+    @staticmethod
+    def constant(value) -> "ReferenceLaurent":
+        return ReferenceLaurent(0, [_as_fraction(value)])
+
+    @staticmethod
+    def monomial(coeff, exponent: int) -> "ReferenceLaurent":
+        return ReferenceLaurent(exponent, [_as_fraction(coeff)])
+
+    @staticmethod
+    def variable() -> "ReferenceLaurent":
+        return ReferenceLaurent(1, [1])
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def is_unit(self) -> bool:
+        return len(self.coeffs) == 1
+
+    def is_one(self) -> bool:
+        return self.offset == 0 and self.coeffs == (_ONE,)
+
+    @property
+    def deg_spread(self) -> int:
+        """Top exponent minus bottom exponent; -1 for the zero value."""
+        return len(self.coeffs) - 1
+
+    def terms(self) -> dict[int, Fraction]:
+        return {
+            self.offset + i: c for i, c in enumerate(self.coeffs) if c != 0
+        }
+
+    def __eq__(self, other) -> bool:
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.offset == other.offset and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(("ReferenceLaurent", self.offset, self.coeffs))
+
+    def __add__(self, other) -> "ReferenceLaurent":
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
+        out = [_ZERO] * (hi - lo)
+        for i, c in enumerate(self.coeffs):
+            out[self.offset - lo + i] += c
+        for i, c in enumerate(other.coeffs):
+            out[other.offset - lo + i] += c
+        return ReferenceLaurent(lo, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ReferenceLaurent":
+        return ReferenceLaurent(self.offset, [-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "ReferenceLaurent":
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "ReferenceLaurent":
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other) -> "ReferenceLaurent":
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return ReferenceLaurent()
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ca in enumerate(self.coeffs):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(other.coeffs):
+                out[i + j] += ca * cb
+        return ReferenceLaurent(self.offset + other.offset, out)
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> "ReferenceLaurent":
+        """Multiply by s^k."""
+        if self.is_zero():
+            return self
+        return ReferenceLaurent(self.offset + k, self.coeffs)
+
+    def scale(self, factor) -> "ReferenceLaurent":
+        factor = _as_fraction(factor)
+        if factor == 0:
+            return ReferenceLaurent()
+        return ReferenceLaurent(self.offset, [c * factor for c in self.coeffs])
+
+    def __divmod__(self, other) -> tuple["ReferenceLaurent", "ReferenceLaurent"]:
+        """Euclidean division: self = q*other + r with deg_spread(r) <
+        deg_spread(other), or r = 0.
+
+        Works by factoring out the unit parts s^offset and dividing the
+        underlying Q[s] polynomials, so units divide everything exactly.
+        """
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("Laurent division by zero")
+        if self.is_zero():
+            return ReferenceLaurent(), ReferenceLaurent()
+        a = Polynomial(self.coeffs)
+        b = Polynomial(other.coeffs)
+        q0, r0 = divmod(a, b)
+        shift = self.offset - other.offset
+        q = ReferenceLaurent(shift, q0.coeffs)
+        r = ReferenceLaurent(self.offset, r0.coeffs)
+        return q, r
+
+    def __floordiv__(self, other) -> "ReferenceLaurent":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other) -> "ReferenceLaurent":
+        return divmod(self, other)[1]
+
+    def divides(self, other: "ReferenceLaurent") -> bool:
+        if self.is_zero():
+            return other.is_zero()
+        return (other % self).is_zero()
+
+    def exact_div(self, other: "ReferenceLaurent") -> "ReferenceLaurent":
+        q, r = divmod(self, other)
+        if not r.is_zero():
+            raise ValueError(f"{other} does not divide {self}")
+        return q
+
+    def unit_inverse(self) -> "ReferenceLaurent":
+        if not self.is_unit():
+            raise ValueError(f"{self} is not a unit of Q[s, s^-1]")
+        return ReferenceLaurent(-self.offset, [1 / self.coeffs[0]])
+
+    def canonical(self) -> tuple["ReferenceLaurent", "ReferenceLaurent"]:
+        """Split into (unit, representative) with self = unit * representative.
+
+        The representative is the canonical member of the divisibility
+        class: offset 0 and leading coefficient 1.  Zero maps to
+        (1, 0).
+        """
+        if self.is_zero():
+            return ReferenceLaurent.constant(1), self
+        lead = self.coeffs[-1]
+        unit = ReferenceLaurent.monomial(lead, self.offset)
+        rep = ReferenceLaurent(0, [c / lead for c in self.coeffs])
+        return unit, rep
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({format_laurent(self)!r})"
+
+    def __str__(self) -> str:
+        return format_laurent(self)
+
+
+def _coerce_reference(value):
+    if isinstance(value, ReferenceLaurent):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ReferenceLaurent.constant(value)
+    return NotImplemented
 
 
 def reference_tick_relation(term):

@@ -1,8 +1,11 @@
 import json
 import os
+import random
 
 import pytest
+from conftest import rand_term
 
+from openwires import cli, lti, sfg
 from openwires.cli import (
     DocumentError,
     TermParseError,
@@ -297,3 +300,58 @@ class TestCommands:
         bad_term = tmp_path / "bad.sfg"
         bad_term.write_text("frob ; nicate")
         assert main(["sfg", "denote", str(bad_term)]) == 3
+
+
+class TestSfgOracle:
+    """``--oracle`` on ``sfg equiv`` and ``sfg controllable`` cross-checks
+    the verdict, and a disagreement is an internal error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "first, second, code",
+        [("splusone.sfg", "wire.sfg", 1), ("wire.sfg", "wire.sfg", 0), ("splusone.sfg", "splusone.sfg", 0)],
+    )
+    def test_equiv(self, capsys, first, second, code):
+        for extra in ([], ["--json"]):
+            assert main(["sfg", "equiv", "--oracle", *extra, fixture(first), fixture(second)]) == code
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name, code", [("splusone.sfg", 1), ("wire.sfg", 0)])
+    def test_controllable(self, capsys, name, code):
+        for extra in ([], ["--json"]):
+            assert main(["sfg", "controllable", "--oracle", *extra, fixture(name)]) == code
+        assert capsys.readouterr().err == ""
+
+    def test_random_terms_pass_the_checks(self, capsys, tmp_path):
+        rng = random.Random(48)
+        for i in range(25):
+            term = rand_term(rng, 8)
+            path = tmp_path / f"t{i}.sfg"
+            path.write_text(format_term(term))
+            assert main(["sfg", "controllable", "--oracle", str(path)]) in (0, 1)
+            assert main(["sfg", "equiv", "--oracle", str(path), str(path)]) == 0
+        assert "internal error" not in capsys.readouterr().err
+
+    def _assert_internal_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def test_equiv_disagreement(self, capsys, monkeypatch):
+        identity = sfg.sfg_denote(parse_term("id"))
+        monkeypatch.setattr(cli, "sfg_denote", lambda term: identity)
+        argv = ["sfg", "equiv", fixture("splusone.sfg"), fixture("wire.sfg")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        self._assert_internal_error(capsys, argv + ["--oracle"])
+
+    def test_controllable_verdict_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_controllable", lambda cospan: True)
+        self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
+
+    def test_controllable_pullback_disagreement(self, capsys, monkeypatch):
+        def wrong_span(cospan):
+            r, s = lti.pullback_span(cospan)
+            return r, s.add(s)
+
+        monkeypatch.setattr(cli, "pullback_span", wrong_span)
+        self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
