@@ -35,8 +35,7 @@ from .lti import (
     BehaviourRep,
     behaviour_eq,
     behaviour_rep,
-    controllable_part,
-    is_controllable,
+    controllability,
     pullback_span,
     snf,
 )
@@ -453,7 +452,7 @@ def _cmd_sfg_equiv(args) -> int:
 def _cmd_sfg_controllable(args) -> int:
     term = load_term(args.term)
     cospan = sfg_denote(term)
-    controllable = is_controllable(cospan)
+    controllable, (r, s) = controllability(cospan)
     if args.oracle:
         problem = _controllability_problem(cospan, controllable)
         if problem:
@@ -462,7 +461,6 @@ def _cmd_sfg_controllable(args) -> int:
     if args.json:
         payload = {"controllable": controllable}
         if not controllable:
-            r, s = controllable_part(cospan)
             payload["controllable_part"] = {
                 "into_domain": [[str(e) for e in row] for row in r.entries],
                 "into_codomain": [[str(e) for e in row] for row in s.entries],
@@ -471,7 +469,6 @@ def _cmd_sfg_controllable(args) -> int:
         return 0 if controllable else 1
     print(f"controllable: {'true' if controllable else 'false'}")
     if not controllable:
-        r, s = controllable_part(cospan)
         print("maximal controllable sub-behaviour, as a span e -> domain, e -> codomain:")
         print("into domain:")
         print(str(r))

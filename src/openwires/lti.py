@@ -90,12 +90,12 @@ class PolyMatrix:
                     acc = acc + a * b
                 row.append(acc)
             out.append(tuple(row))
-        return PolyMatrix(self.rows, other.cols, tuple(out))
+        return _matrix(self.rows, other.cols, tuple(out))
 
     def add(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        return PolyMatrix(
+        return _matrix(
             self.rows,
             self.cols,
             tuple(
@@ -105,14 +105,14 @@ class PolyMatrix:
         )
 
     def neg(self) -> "PolyMatrix":
-        return PolyMatrix(
+        return _matrix(
             self.rows, self.cols, tuple(tuple(-e for e in row) for row in self.entries)
         )
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return PolyMatrix(
+        return _matrix(
             self.rows,
             self.cols + other.cols,
             tuple(ra + rb for ra, rb in zip(self.entries, other.entries)),
@@ -121,7 +121,7 @@ class PolyMatrix:
     def vstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return PolyMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return _matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def block_diag(self, other: "PolyMatrix") -> "PolyMatrix":
         top = self.hstack(PolyMatrix.zeros(self.rows, other.cols))
@@ -129,12 +129,12 @@ class PolyMatrix:
         return top.vstack(bottom)
 
     def take_rows(self, indices: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(
+        return _matrix(
             len(indices), self.cols, tuple(self.entries[i] for i in indices)
         )
 
     def take_cols(self, indices: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(
+        return _matrix(
             self.rows,
             len(indices),
             tuple(tuple(row[j] for j in indices) for row in self.entries),
@@ -146,6 +146,14 @@ class PolyMatrix:
         return "\n".join(
             "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
         )
+
+
+def _matrix(rows: int, cols: int, entries: tuple) -> PolyMatrix:
+    """A PolyMatrix whose entry grid has the declared shape by construction,
+    made without the shape check of ``PolyMatrix(...)``."""
+    m = object.__new__(PolyMatrix)
+    m.__dict__.update(rows=rows, cols=cols, entries=entries)
+    return m
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,10 @@ class SnfResult:
         return [self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))]
 
 
+def _identity_rows(n: int) -> list[list[LaurentPoly]]:
+    return [[_L1 if i == j else _L0 for j in range(n)] for i in range(n)]
+
+
 class _Eliminator:
     """Mutable SNF working state: D with row/col operations mirrored into
     the invertible factors and their inverses."""
@@ -172,10 +184,10 @@ class _Eliminator:
         self.d = [list(row) for row in m.entries]
         self.rows = m.rows
         self.cols = m.cols
-        self.u = [list(row) for row in PolyMatrix.identity(m.rows).entries]
-        self.u_inv = [list(row) for row in PolyMatrix.identity(m.rows).entries]
-        self.v = [list(row) for row in PolyMatrix.identity(m.cols).entries]
-        self.v_inv = [list(row) for row in PolyMatrix.identity(m.cols).entries]
+        self.u = _identity_rows(m.rows)
+        self.u_inv = _identity_rows(m.rows)
+        self.v = _identity_rows(m.cols)
+        self.v_inv = _identity_rows(m.cols)
 
     # D' = E D with E elementary: U absorbs E^-1 on the right, U_inv = E U_inv
 
@@ -230,11 +242,11 @@ class _Eliminator:
         while rank < size and not self.d[rank][rank].is_zero():
             rank += 1
         return SnfResult(
-            u=PolyMatrix(self.rows, self.rows, tuple(tuple(r) for r in self.u)),
-            d=PolyMatrix(self.rows, self.cols, tuple(tuple(r) for r in self.d)),
-            v=PolyMatrix(self.cols, self.cols, tuple(tuple(r) for r in self.v)),
-            u_inv=PolyMatrix(self.rows, self.rows, tuple(tuple(r) for r in self.u_inv)),
-            v_inv=PolyMatrix(self.cols, self.cols, tuple(tuple(r) for r in self.v_inv)),
+            u=_matrix(self.rows, self.rows, tuple(tuple(r) for r in self.u)),
+            d=_matrix(self.rows, self.cols, tuple(tuple(r) for r in self.d)),
+            v=_matrix(self.cols, self.cols, tuple(tuple(r) for r in self.v)),
+            u_inv=_matrix(self.rows, self.rows, tuple(tuple(r) for r in self.u_inv)),
+            v_inv=_matrix(self.cols, self.cols, tuple(tuple(r) for r in self.v_inv)),
             rank=rank,
         )
 
@@ -377,7 +389,7 @@ def solve_left(m: PolyMatrix, target: PolyMatrix):
         for i in range(target.rows):
             if not transformed.entries[i][j].is_zero():
                 return None
-    y = PolyMatrix(target.rows, m.rows, tuple(rows))
+    y = _matrix(target.rows, m.rows, tuple(rows))
     return y.mul(decomposition.u_inv)
 
 
@@ -513,7 +525,16 @@ def controllable_part(c: MatCospan) -> tuple[PolyMatrix, PolyMatrix]:
     return pullback_span(c)
 
 
+def controllability(c: MatCospan) -> tuple[bool, tuple[PolyMatrix, PolyMatrix]]:
+    """The controllability verdict with the pullback span that decides it.
+
+    The span is the maximal controllable sub-behaviour, and the cospan is
+    controllable iff the span has the same behaviour.
+    """
+    r, s = pullback_span(c)
+    return cospans_equivalent(span_to_cospan(r, s), c), (r, s)
+
+
 def is_controllable(c: MatCospan) -> bool:
     """Controllable iff the pullback span has the same behaviour."""
-    r, s = pullback_span(c)
-    return cospans_equivalent(span_to_cospan(r, s), c)
+    return controllability(c)[0]

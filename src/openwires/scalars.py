@@ -6,13 +6,16 @@ provides dense univariate polynomials over Q, the fraction field Q(s) of
 rational functions, and Laurent polynomials -- polynomials in s and its
 formal inverse s^-1.
 
-``Polynomial`` holds one ``Fraction`` per coefficient.  ``LaurentPoly``,
-the ring the Smith normal form works in, holds integer numerators over one
-positive common denominator instead, in a canonical form (first and last
-numerator nonzero, gcd(denominator, numerators) = 1), so that its ring
-operations are integer arithmetic plus one gcd pass per result rather
-than a normalised ``Fraction`` per coefficient product.  Its ``coeffs``
-are still ``Fraction`` values, built on access.
+``Polynomial`` and ``LaurentPoly`` hold integer numerators over one
+positive common denominator, in a canonical form (the end numerators
+nonzero, gcd(denominator, numerators) = 1), so that their ring operations
+are integer arithmetic plus one gcd pass per result rather than a
+normalised ``Fraction`` per coefficient product; both share the same
+integer kernels.  Their ``coeffs`` are still ``Fraction`` values, built on
+access.  ``RationalFunction`` keeps a reduced numerator over a monic
+denominator, and its field operations split the gcd the way Henrici's
+method does, so that a sum or product needs a gcd of small factors only;
+the gcd itself is Brown's primitive remainder sequence over Z[s].
 
 Everything is immutable and hashable, and values that compare equal hash
 equal: a constant hashes as the rational it equals.  All operations
@@ -40,78 +43,219 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class Polynomial:
-    """Dense univariate polynomial over Q, coefficients lowest degree first.
+# -- integer kernels shared by Polynomial and LaurentPoly ---------------------
 
-    The zero polynomial has an empty coefficient tuple; otherwise the
-    leading (last) coefficient is nonzero.
+
+def _fraction_nums(coeffs: list) -> tuple[list, int]:
+    """Integer numerators and one positive denominator for Fraction coeffs."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduce(nums: list, den: int) -> tuple[tuple, int]:
+    """Strip zero top numerators and divide out gcd(den, *nums).
+
+    ``den`` must be positive; zero comes out as ((), 1).
+    """
+    hi = len(nums)
+    while hi and not nums[hi - 1]:
+        hi -= 1
+    if not hi:
+        return (), 1
+    if hi < len(nums):
+        nums = nums[:hi]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return tuple(nums), den
+
+
+def _convolve(x, y) -> list:
+    """The product of two nonempty numerator sequences."""
+    if len(x) < len(y):
+        x, y = y, x
+    if len(y) == 1:
+        c = y[0]
+        return [x[0] * c] if len(x) == 1 else [n * c for n in x]
+    out = [0] * (len(x) + len(y) - 1)
+    for j, c in enumerate(y):
+        if c:
+            for i, n in enumerate(x, j):
+                out[i] += n * c
+    return out
+
+
+def _sum_nums(x, dx: int, start_x: int, y, dy: int, start_y: int) -> tuple[list, int]:
+    """Numerators and denominator of x/dx * s^start_x + y/dy * s^start_y,
+    scaled to the lcm of the two denominators."""
+    den = dx
+    if dx != dy:
+        g = gcd(dx, dy)
+        scale_x, scale_y = dy // g, dx // g
+        den *= scale_x
+        if scale_x != 1:
+            x = [n * scale_x for n in x]
+        if scale_y != 1:
+            y = [n * scale_y for n in y]
+    out = [0] * (max(start_x + len(x), start_y + len(y)))
+    out[start_x : start_x + len(x)] = x
+    for i, n in enumerate(y, start_y):
+        out[i] += n
+    return out, den
+
+
+def _pseudo_divmod(x, y) -> tuple[list, list, int]:
+    """Integer division with a multiplier: (q, r, m) with m*x = q*y + r,
+    m > 0 and no nonzero entry of r at index len(y) - 1 or above (r may
+    still end in zeros).
+
+    ``y`` must end in a nonzero entry.  Each step scales by
+    lead / gcd(c, lead) only, so m = 1 whenever the leading entry of y
+    divides every leading entry met, as it does for an exact quotient by
+    a primitive divisor.
+    """
+    deg = len(y) - 1
+    rem = list(x)
+    if len(rem) <= deg:
+        return [], rem, 1
+    lead = y[-1]
+    quot = [0] * (len(rem) - deg)
+    m = 1
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        if lead < 0:
+            g = -g
+        k = lead // g
+        c //= g
+        if k != 1:
+            m *= k
+            rem = [n * k for n in rem[:i]]
+            quot = [n * k for n in quot]
+        else:
+            del rem[i:]
+        quot[i - deg] = c
+        base = i - deg
+        for j in range(deg):
+            rem[base + j] -= c * y[j]
+    return quot, rem, m
+
+
+def _divide(x, dx: int, y, dy: int) -> tuple[list, list, int]:
+    """Numerators of the quotient and the remainder of x/dx by y/dy over
+    Q, both over the denominator returned: with m*x = q*y + r, the
+    quotient is q*dy/(dx*m) and the remainder r/(dx*m)."""
+    q, r, m = _pseudo_divmod(x, y)
+    return ([n * dy for n in q] if dy != 1 else q), r, dx * m
+
+
+def _primitive(nums):
+    """nums over the gcd of its entries, with a positive last entry."""
+    g = gcd(*nums)
+    if nums[-1] < 0:
+        g = -g
+    return [n // g for n in nums] if g != 1 else nums
+
+
+def _fractions(nums, den: int) -> tuple[Fraction, ...]:
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(n, den) for n in nums)
+
+
+# -- Q[s] --------------------------------------------------------------------
+
+
+class Polynomial:
+    """Dense univariate polynomial over Q: sum of (nums[i] / den) * s^i.
+
+    The coefficients are integer numerators over one common denominator,
+    and the fields are kept canonical:
+
+    * the last numerator is nonzero;
+    * the denominator is positive and gcd(den, *nums) = 1;
+    * zero is (nums (), den 1).
+
+    So ``==`` compares fields, and a product or sum is integer arithmetic
+    plus one gcd pass.  Division is integer pseudo-division, scaled back
+    to the true quotient and remainder.  ``coeffs`` builds the
+    ``Fraction`` coefficients, lowest degree first, on access.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Union[Fraction, int]] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        nums, den = _reduce(*_fraction_nums([_as_fraction(c) for c in coeffs]))
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
     def constant(value) -> "Polynomial":
-        return Polynomial([_as_fraction(value)])
+        q = _as_fraction(value)
+        if not q:
+            return _P_ZERO
+        return _poly((q.numerator,), q.denominator)
 
     @staticmethod
     def variable() -> "Polynomial":
-        return Polynomial([0, 1])
+        return _poly((0, 1), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return _fractions(self.nums, self.den)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             return _ZERO
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if other.__class__ is not Polynomial:
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:
+        if len(self.nums) <= 1:
             # a constant hashes as the rational it equals
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(("Polynomial", self.coeffs))
+            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        return hash(("Polynomial", self.nums, self.den))
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        if other.__class__ is not Polynomial:
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        return _reduced_poly(*_sum_nums(self.nums, self.den, 0, other.nums, other.den, 0))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return _poly(tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce_poly(other)
@@ -126,26 +270,20 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(out)
+        if other.__class__ is not Polynomial:
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.nums or not other.nums:
+            return _P_ZERO
+        return _reduced_poly(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Polynomial.constant(1)
+        result = _P_ONE
         base = self
         n = exponent
         while n:
@@ -156,25 +294,18 @@ class Polynomial:
         return result
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
+        """Division over Q: self = q*other + r with deg r < deg other.
+
+        With self = A/a and other = B/b, the integer pseudo-division
+        m*A = q0*B + r0 gives q = q0*b/(a*m) and r = r0/(a*m).
+        """
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.nums:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead_inv = 1 / div[-1]
-        quot = [_ZERO] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c * lead_inv
-            quot[i - dd] = q
-            for j in range(dd + 1):
-                rem[i - dd + j] -= q * div[j]
-        return Polynomial(quot), Polynomial(rem)
+        q, r, den = _divide(self.nums, self.den, other.nums, other.den)
+        return _reduced_poly(q, den), _reduced_poly(r, den)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -183,30 +314,55 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        nums = self.nums
+        if not nums or nums[-1] == self.den:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Polynomial([c / lead for c in self.coeffs])
+        lead = nums[-1]
+        if lead < 0:
+            return _reduced_poly([-n for n in nums], -lead)
+        return _reduced_poly(nums, lead)
 
     def scale(self, factor) -> "Polynomial":
         factor = _as_fraction(factor)
-        return Polynomial([c * factor for c in self.coeffs])
+        if not factor or not self.nums:
+            return _P_ZERO
+        p = factor.numerator
+        return _reduced_poly([n * p for n in self.nums], self.den * factor.denominator)
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by s^k (k >= 0)."""
         if k < 0:
             raise ValueError("polynomial shift must be nonnegative")
-        if self.is_zero():
+        if not self.nums:
             return self
-        return Polynomial((_ZERO,) * k + self.coeffs)
+        return _poly((0,) * k + self.nums, self.den)
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)!r})"
 
     def __str__(self) -> str:
         return format_polynomial(self)
+
+
+_new_object = object.__new__
+_set_poly_nums = Polynomial.nums.__set__
+_set_poly_den = Polynomial.den.__set__
+
+
+def _poly(nums: tuple, den: int) -> Polynomial:
+    """A Polynomial from fields that are already canonical."""
+    p = _new_object(Polynomial)
+    _set_poly_nums(p, nums)
+    _set_poly_den(p, den)
+    return p
+
+
+def _reduced_poly(nums: list, den: int) -> Polynomial:
+    return _poly(*_reduce(nums, den))
+
+
+_P_ZERO = _poly((), 1)
+_P_ONE = _poly((1,), 1)
 
 
 def _coerce_poly(value):
@@ -218,33 +374,66 @@ def _coerce_poly(value):
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[s]; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd in Q[s]; gcd(0, 0) = 0.
+
+    Brown's primitive remainder sequence: Euclid on the integer
+    numerators by pseudo-division, taking out the content of each
+    remainder, made monic at the end.  A nonzero constant argument gives 1
+    at once.
+    """
+    x, y = a.nums, b.nums
+    if not y:
+        return a.monic()
+    if not x:
+        return b.monic()
+    if len(x) == 1 or len(y) == 1:
+        return _P_ONE
+    if len(x) < len(y):
+        x, y = y, x
+    x, y = _primitive(x), _primitive(y)
+    while True:
+        r = _pseudo_divmod(x, y)[1]
+        hi = len(r)
+        while hi and not r[hi - 1]:
+            hi -= 1
+        if not hi:
+            break
+        if hi == 1:
+            return _P_ONE
+        x, y = y, _primitive(r[:hi])
+    # y is primitive with a positive lead, so y/lead is already canonical
+    return _poly(tuple(y), y[-1])
+
+
+# -- Q(s) --------------------------------------------------------------------
 
 
 class RationalFunction:
-    """Element of Q(s), kept normalized: gcd(num, den) = 1 and den monic."""
+    """Element of Q(s), kept normalized: gcd(num, den) = 1 and den monic.
+
+    ``num`` and ``den`` are canonical ``Polynomial`` values.  Sums and
+    products split the gcd as Henrici's method does: for a/b + c/d only
+    gcd(b, d) and then the gcd of the new numerator with it are taken, and
+    for (a/b)(c/d) the cross gcds gcd(a, d) and gcd(c, b) are divided out
+    first, so the result needs no further reduction.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
-        den = Polynomial.constant(1) if den is None else _coerce_poly(den)
+        den = _P_ONE if den is None else _coerce_poly(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("RationalFunction components must be polynomials")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = Polynomial(), Polynomial.constant(1)
+            num, den = _P_ZERO, _P_ONE
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
-            lead = den.leading
-            if lead != 1:
-                num, den = num.scale(1 / lead), den.scale(1 / lead)
+            num, den = _over_monic(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -253,56 +442,59 @@ class RationalFunction:
 
     @staticmethod
     def from_fraction(q) -> "RationalFunction":
-        return RationalFunction(Polynomial.constant(_as_fraction(q)))
+        return _rf(Polynomial.constant(q), _P_ONE)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.nums
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num.nums)
 
     def __eq__(self, other) -> bool:
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RationalFunction:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.den.degree == 0:
+        den = self.den
+        if len(den.nums) == 1:
             # den is monic, so this is a polynomial and hashes as one
             return hash(self.num)
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        num = self.num
+        return hash(("RationalFunction", num.nums, num.den, den.nums, den.den))
 
     def __add__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if other.__class__ is not RationalFunction:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _rf_add(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return _rf(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _rf_add(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other) -> "RationalFunction":
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _rf_add(other.num, other.den, -self.num, self.den)
 
     def __mul__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if other.__class__ is not RationalFunction:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _rf_mul(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -312,7 +504,8 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        c, d = _over_monic(other.den, other.num)
+        return _rf_mul(self.num, self.den, c, d)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         other = _coerce_rf(other)
@@ -323,7 +516,7 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        return _rf(*_over_monic(self.den, self.num))
 
     def __repr__(self) -> str:
         return f"RationalFunction({format_rational_function(self)!r})"
@@ -332,13 +525,77 @@ class RationalFunction:
         return format_rational_function(self)
 
 
+_set_rf_num = RationalFunction.num.__set__
+_set_rf_den = RationalFunction.den.__set__
+
+
+def _rf(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """A RationalFunction from fields that are already canonical."""
+    f = _new_object(RationalFunction)
+    _set_rf_num(f, num)
+    _set_rf_den(f, den)
+    return f
+
+
+def _over_monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num/den rewritten over the monic multiple of den; den nonzero."""
+    if den.nums[-1] == den.den:
+        return num, den
+    return num.scale(Fraction(den.den, den.nums[-1])), den.monic()
+
+
+def _rf_add(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> RationalFunction:
+    """a/b + c/d for reduced operands with b, d monic."""
+    if not c.nums:
+        return _rf(a, b)
+    if not a.nums:
+        return _rf(c, d)
+    if b == d:
+        t = a + c
+        if len(b.nums) == 1 or not t.nums:
+            return _rf(t, _P_ONE)
+        h = poly_gcd(t, b)
+        if len(h.nums) > 1:
+            return _rf(t // h, b // h)
+        return _rf(t, b)
+    g = poly_gcd(b, d)
+    if len(g.nums) == 1:
+        # gcd(b, d) = 1: (ad + cb)/(bd) is already reduced
+        return _rf(a * d + c * b, b * d)
+    b1, d1 = b // g, d // g
+    # gcd(t, b1 d1 g) = gcd(t, g), since t is prime to b1 and to d1
+    t = a * d1 + c * b1
+    if not t.nums:
+        return _RF_ZERO
+    h = poly_gcd(t, g)
+    if len(h.nums) > 1:
+        t, g = t // h, g // h
+    return _rf(t, b1 * d1 * g)
+
+
+def _rf_mul(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> RationalFunction:
+    """(a/b)(c/d) for reduced operands with b, d monic."""
+    if not a.nums or not c.nums:
+        return _RF_ZERO
+    g = poly_gcd(a, d)
+    if len(g.nums) > 1:
+        a, d = a // g, d // g
+    g = poly_gcd(c, b)
+    if len(g.nums) > 1:
+        c, b = c // g, b // g
+    return _rf(a * c, b * d)
+
+
+_RF_ZERO = _rf(_P_ZERO, _P_ONE)
+
+
 def _coerce_rf(value):
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, (int, Fraction)):
         return RationalFunction.from_fraction(value)
     if isinstance(value, Polynomial):
-        return RationalFunction(value)
+        return _rf(value, _P_ONE)
     return NotImplemented
 
 
@@ -362,7 +619,9 @@ class LaurentPoly:
     __slots__ = ("offset", "nums", "den")
 
     def __init__(self, offset: int = 0, coeffs: Iterable[Union[Fraction, int]] = ()):
-        offset, nums, den = _fraction_fields(offset, [_as_fraction(c) for c in coeffs])
+        offset, nums, den = _canonical_fields(
+            offset, *_fraction_nums([_as_fraction(c) for c in coeffs])
+        )
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
@@ -398,10 +657,7 @@ class LaurentPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        if den == 1:
-            return tuple(map(Fraction, self.nums))
-        return tuple(Fraction(n, den) for n in self.nums)
+        return _fractions(self.nums, self.den)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -496,7 +752,8 @@ class LaurentPoly:
         Works by factoring out the unit parts s^offset and dividing the
         underlying Q[s] polynomials, so units divide everything exactly.
         The numerators are divided as they stand: with self = A/a and
-        other = B/b, A = q0*B + r0 gives q = q0*b/a and r = r0/a.
+        other = B/b, the integer pseudo-division m*A = q0*B + r0 gives
+        q = q0*b/(a*m) and r = r0/(a*m).
         """
         other = _coerce_laurent(other)
         if other is NotImplemented:
@@ -507,10 +764,8 @@ class LaurentPoly:
             return _L_ZERO, _L_ZERO
         if len(other.nums) == 1:
             return _mul(self, other.unit_inverse()), _L_ZERO
-        q0, r0 = divmod(Polynomial(self.nums), Polynomial(other.nums))
-        q = _fraction_fields(self.offset - other.offset, q0.coeffs, other.den, self.den)
-        r = _fraction_fields(self.offset, r0.coeffs, 1, self.den)
-        return _laurent(*q), _laurent(*r)
+        q, r, den = _divide(self.nums, self.den, other.nums, other.den)
+        return _reduced(self.offset - other.offset, q, den), _reduced(self.offset, r, den)
 
     def __floordiv__(self, other) -> "LaurentPoly":
         return divmod(self, other)[0]
@@ -564,7 +819,6 @@ class LaurentPoly:
         return format_laurent(self)
 
 
-_new_object = object.__new__
 _set_offset = LaurentPoly.offset.__set__
 _set_nums = LaurentPoly.nums.__set__
 _set_den = LaurentPoly.den.__set__
@@ -581,74 +835,32 @@ def _laurent(offset: int, nums: tuple, den: int) -> LaurentPoly:
 
 def _canonical_fields(offset: int, nums: list, den: int) -> tuple[int, tuple, int]:
     """Strip zero ends and divide out gcd(den, *nums); den must be positive."""
-    hi = len(nums)
-    while hi and not nums[hi - 1]:
-        hi -= 1
-    if not hi:
-        return 0, (), 1
     lo = 0
-    while not nums[lo]:
+    while lo < len(nums) and not nums[lo]:
         lo += 1
-    if lo or hi < len(nums):
-        nums = nums[lo:hi]
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-    return offset + lo, tuple(nums), den
+    if lo == len(nums):
+        return 0, (), 1
+    nums, den = _reduce(nums[lo:] if lo else nums, den)
+    return offset + lo, nums, den
 
 
 def _reduced(offset: int, nums: list, den: int) -> LaurentPoly:
     return _laurent(*_canonical_fields(offset, nums, den))
 
 
-def _fraction_fields(offset: int, coeffs, scale_num: int = 1, scale_den: int = 1):
-    """Canonical fields of scale_num/scale_den * sum coeffs[i] * s^(offset + i)."""
-    den = lcm(*[c.denominator for c in coeffs])
-    nums = [c.numerator * (den // c.denominator) * scale_num for c in coeffs]
-    return _canonical_fields(offset, nums, den * scale_den)
-
-
 def _add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    x, y = a.nums, b.nums
-    if not x:
+    if not a.nums:
         return b
-    if not y:
+    if not b.nums:
         return a
-    den = a.den
-    if den != b.den:
-        g = gcd(den, b.den)
-        scale_x, scale_y = b.den // g, den // g
-        den *= scale_x
-        if scale_x != 1:
-            x = [n * scale_x for n in x]
-        if scale_y != 1:
-            y = [n * scale_y for n in y]
     lo = min(a.offset, b.offset)
-    start_x, start_y = a.offset - lo, b.offset - lo
-    out = [0] * (max(start_x + len(x), start_y + len(y)))
-    out[start_x : start_x + len(x)] = x
-    for i, n in enumerate(y, start_y):
-        out[i] += n
+    out, den = _sum_nums(a.nums, a.den, a.offset - lo, b.nums, b.den, b.offset - lo)
     return _reduced(lo, out, den)
 
 
 def _mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """The product of two nonzero values."""
-    x, y = a.nums, b.nums
-    if len(x) < len(y):
-        x, y = y, x
-    if len(y) == 1:
-        c = y[0]
-        out = [x[0] * c] if len(x) == 1 else [n * c for n in x]
-    else:
-        out = [0] * (len(x) + len(y) - 1)
-        for j, c in enumerate(y):
-            if c:
-                for i, n in enumerate(x, j):
-                    out[i] += n * c
-    return _reduced(a.offset + b.offset, out, a.den * b.den)
+    return _reduced(a.offset + b.offset, _convolve(a.nums, b.nums), a.den * b.den)
 
 
 _L_ZERO = _laurent(0, (), 1)
@@ -676,23 +888,21 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def laurent_to_rational_function(p: LaurentPoly) -> RationalFunction:
-    if p.is_zero():
-        return RationalFunction(Polynomial())
-    num = Polynomial(p.coeffs)
+    if not p.nums:
+        return _RF_ZERO
     if p.offset >= 0:
-        return RationalFunction(num.shift(p.offset))
-    return RationalFunction(num, Polynomial.constant(1).shift(-p.offset))
+        return _rf(_poly((0,) * p.offset + p.nums, p.den), _P_ONE)
+    # the lowest numerator is nonzero, so the numerator is prime to s^-offset
+    return _rf(_poly(p.nums, p.den), _poly((0,) * -p.offset + (1,), 1))
 
 
 def rational_function_to_laurent(f: RationalFunction) -> LaurentPoly:
     """Convert when the denominator is a monomial q*s^k; raise otherwise."""
-    den = f.den
-    nonzero = [i for i, c in enumerate(den.coeffs) if c != 0]
-    if len(nonzero) != 1:
+    # the denominator is monic, so a monomial one is s^k itself
+    d = f.den.nums
+    if any(d[:-1]):
         raise ValueError(f"{f} is not a Laurent polynomial")
-    k = nonzero[0]
-    q = den.coeffs[k]
-    return LaurentPoly(-k, [c / q for c in f.num.coeffs])
+    return _reduced(1 - len(d), f.num.nums, f.num.den)
 
 
 # -- text formatting ---------------------------------------------------------
@@ -732,10 +942,10 @@ def format_laurent(p: LaurentPoly) -> str:
 
 def format_rational_function(f: RationalFunction) -> str:
     num = format_polynomial(f.num)
-    if f.den == Polynomial.constant(1):
+    if f.den.degree == 0:
         return num
     den = format_polynomial(f.den)
-    if len(f.num.coeffs) > 1 or "/" in num:
+    if f.num.degree > 0 or "/" in num:
         num = f"({num})"
     if len([c for c in f.den.coeffs if c != 0]) > 1:
         den = f"({den})"
@@ -876,16 +1086,23 @@ MAX_SCALAR_SIZE = 256
 
 
 def _size(value: RationalFunction) -> int:
-    bits = max(
-        max(c.numerator.bit_length(), c.denominator.bit_length())
-        for c in value.num.coeffs + value.den.coeffs
-    )
+    bits = max(_coefficient_bits(value.num), _coefficient_bits(value.den))
     return max(value.num.degree, value.den.degree) + bits - 1
 
 
+def _coefficient_bits(p: Polynomial) -> int:
+    """The widest numerator or denominator of p's coefficients in lowest terms."""
+    den = p.den
+    bits = 0
+    for n in p.nums:
+        g = gcd(n, den)
+        bits = max(bits, (n // g).bit_length(), (den // g).bit_length())
+    return bits
+
+
 def _rf_pow(base: RationalFunction, exponent: int) -> RationalFunction:
-    """base^exponent by square-and-multiply."""
-    return RationalFunction(base.num ** exponent, base.den ** exponent)
+    """base^exponent by square-and-multiply; the powers stay coprime."""
+    return _rf(base.num ** exponent, base.den ** exponent)
 
 
 def parse_scalar_expression(text: str) -> RationalFunction:
@@ -894,9 +1111,9 @@ def parse_scalar_expression(text: str) -> RationalFunction:
 
 def parse_rational(text: str) -> Fraction:
     value = parse_scalar_expression(text)
-    if value.den != Polynomial.constant(1) or value.num.degree > 0:
+    if value.den.degree > 0 or value.num.degree > 0:
         raise ScalarParseError(text, 0, "expected a plain rational, found s")
-    return value.num.coeffs[0] if value.num.coeffs else _ZERO
+    return value.num.leading
 
 
 def parse_laurent(text: str) -> LaurentPoly:
@@ -922,7 +1139,7 @@ class Field:
             self.zero = _ZERO
             self.one = _ONE
         elif name == "Q(s)":
-            self.zero = RationalFunction(Polynomial())
+            self.zero = _RF_ZERO
             self.one = RationalFunction.from_fraction(1)
         else:
             raise ValueError(f"unknown field {name!r}")

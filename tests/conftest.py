@@ -20,11 +20,12 @@ from openwires.scalars import (
     _ONE,
     _ZERO,
     LaurentPoly,
-    Polynomial,
     QQ,
     QS,
     _as_fraction,
     format_laurent,
+    format_polynomial,
+    format_rational_function,
 )
 from openwires.sfg import GENERATOR_TYPES, Gen, Par, Seq, _build_network, term_type
 from openwires.symplectic import (
@@ -296,6 +297,315 @@ def rand_linear_system(rng: random.Random):
 # -- independent oracles -----------------------------------------------------
 
 
+class ReferencePolynomial:
+    """Dense univariate polynomial over Q, coefficients lowest degree first,
+    with one ``Fraction`` per coefficient: the form ``Polynomial`` had
+    before it moved to integer numerators over one denominator, kept
+    unchanged as the reference it is tested against.
+
+    The zero polynomial has an empty coefficient tuple; otherwise the
+    leading (last) coefficient is nonzero.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Union[Fraction, int]] = ()):
+        cs = [_as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Polynomial is immutable")
+
+    @staticmethod
+    def constant(value) -> "ReferencePolynomial":
+        return ReferencePolynomial([_as_fraction(value)])
+
+    @staticmethod
+    def variable() -> "ReferencePolynomial":
+        return ReferencePolynomial([0, 1])
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial at -1."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            return _ZERO
+        return self.coeffs[-1]
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = ReferencePolynomial.constant(other)
+        if not isinstance(other, ReferencePolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        if len(self.coeffs) <= 1:
+            # a constant hashes as the rational it equals
+            return hash(self.coeffs[0] if self.coeffs else 0)
+        return hash(("Polynomial", self.coeffs))
+
+    def __add__(self, other) -> "ReferencePolynomial":
+        other = _coerce_reference_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return ReferencePolynomial(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ReferencePolynomial":
+        return ReferencePolynomial([-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "ReferencePolynomial":
+        other = _coerce_reference_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "ReferencePolynomial":
+        other = _coerce_reference_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other) -> "ReferencePolynomial":
+        other = _coerce_reference_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ReferencePolynomial()
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return ReferencePolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "ReferencePolynomial":
+        if exponent < 0:
+            raise ValueError("negative powers are not polynomials")
+        result = ReferencePolynomial.constant(1)
+        base = self
+        n = exponent
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __divmod__(self, other) -> tuple["ReferencePolynomial", "ReferencePolynomial"]:
+        other = _coerce_reference_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        div = other.coeffs
+        dd = len(div) - 1
+        lead_inv = 1 / div[-1]
+        quot = [_ZERO] * max(0, len(rem) - dd)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i]
+            if c == 0:
+                continue
+            q = c * lead_inv
+            quot[i - dd] = q
+            for j in range(dd + 1):
+                rem[i - dd + j] -= q * div[j]
+        return ReferencePolynomial(quot), ReferencePolynomial(rem)
+
+    def __floordiv__(self, other) -> "ReferencePolynomial":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other) -> "ReferencePolynomial":
+        return divmod(self, other)[1]
+
+    def monic(self) -> "ReferencePolynomial":
+        if self.is_zero():
+            return self
+        lead = self.coeffs[-1]
+        if lead == 1:
+            return self
+        return ReferencePolynomial([c / lead for c in self.coeffs])
+
+    def scale(self, factor) -> "ReferencePolynomial":
+        factor = _as_fraction(factor)
+        return ReferencePolynomial([c * factor for c in self.coeffs])
+
+    def shift(self, k: int) -> "ReferencePolynomial":
+        """Multiply by s^k (k >= 0)."""
+        if k < 0:
+            raise ValueError("polynomial shift must be nonnegative")
+        if self.is_zero():
+            return self
+        return ReferencePolynomial((_ZERO,) * k + self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Polynomial({format_polynomial(self)!r})"
+
+    def __str__(self) -> str:
+        return format_polynomial(self)
+
+
+def _coerce_reference_poly(value):
+    if isinstance(value, ReferencePolynomial):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ReferencePolynomial.constant(value)
+    return NotImplemented
+
+
+def reference_poly_gcd(a: ReferencePolynomial, b: ReferencePolynomial) -> ReferencePolynomial:
+    """Monic gcd in Q[s] by Euclid over Fraction coefficients; gcd(0, 0) = 0."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+class ReferenceRationalFunction:
+    """Element of Q(s), kept normalized: gcd(num, den) = 1 and den monic.
+
+    The form ``RationalFunction`` had before Henrici's gcd splitting, over
+    ``ReferencePolynomial``: every result runs one full Euclid gcd.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        num = _coerce_reference_poly(num)
+        den = ReferencePolynomial.constant(1) if den is None else _coerce_reference_poly(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("RationalFunction components must be polynomials")
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            num, den = ReferencePolynomial(), ReferencePolynomial.constant(1)
+        else:
+            g = reference_poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+            lead = den.leading
+            if lead != 1:
+                num, den = num.scale(1 / lead), den.scale(1 / lead)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *args):
+        raise AttributeError("RationalFunction is immutable")
+
+    @staticmethod
+    def from_fraction(q) -> "ReferenceRationalFunction":
+        return ReferenceRationalFunction(ReferencePolynomial.constant(_as_fraction(q)))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __eq__(self, other) -> bool:
+        other = _coerce_reference_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        if self.den.degree == 0:
+            # den is monic, so this is a polynomial and hashes as one
+            return hash(self.num)
+        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+
+    def __add__(self, other) -> "ReferenceRationalFunction":
+        other = _coerce_reference_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceRationalFunction(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ReferenceRationalFunction":
+        return ReferenceRationalFunction(-self.num, self.den)
+
+    def __sub__(self, other) -> "ReferenceRationalFunction":
+        other = _coerce_reference_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "ReferenceRationalFunction":
+        other = _coerce_reference_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other) -> "ReferenceRationalFunction":
+        other = _coerce_reference_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceRationalFunction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ReferenceRationalFunction":
+        other = _coerce_reference_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        return ReferenceRationalFunction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other) -> "ReferenceRationalFunction":
+        other = _coerce_reference_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def inverse(self) -> "ReferenceRationalFunction":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return ReferenceRationalFunction(self.den, self.num)
+
+    def __repr__(self) -> str:
+        return f"RationalFunction({format_rational_function(self)!r})"
+
+    def __str__(self) -> str:
+        return format_rational_function(self)
+
+
+def _coerce_reference_rf(value):
+    if isinstance(value, ReferenceRationalFunction):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ReferenceRationalFunction.from_fraction(value)
+    if isinstance(value, ReferencePolynomial):
+        return ReferenceRationalFunction(value)
+    return NotImplemented
+
+
 class ReferenceLaurent:
     """Element of Q[s, s^-1] with one ``Fraction`` per coefficient: the
     form ``LaurentPoly`` had before it moved to integer numerators over
@@ -456,8 +766,8 @@ class ReferenceLaurent:
             raise ZeroDivisionError("Laurent division by zero")
         if self.is_zero():
             return ReferenceLaurent(), ReferenceLaurent()
-        a = Polynomial(self.coeffs)
-        b = Polynomial(other.coeffs)
+        a = ReferencePolynomial(self.coeffs)
+        b = ReferencePolynomial(other.coeffs)
         q0, r0 = divmod(a, b)
         shift = self.offset - other.offset
         q = ReferenceLaurent(shift, q0.coeffs)

@@ -345,7 +345,7 @@ class TestSfgOracle:
         self._assert_internal_error(capsys, argv + ["--oracle"])
 
     def test_controllable_verdict_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "is_controllable", lambda cospan: True)
+        monkeypatch.setattr(cli, "controllability", lambda cospan: (True, lti.pullback_span(cospan)))
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
 
     def test_controllable_pullback_disagreement(self, capsys, monkeypatch):
@@ -355,3 +355,26 @@ class TestSfgOracle:
 
         monkeypatch.setattr(cli, "pullback_span", wrong_span)
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
+
+
+def test_sfg_controllable_computes_one_pullback_span(capsys, monkeypatch):
+    """The verdict and the printed span share one pullback span: 12 Smith
+    forms for the 1x2 system of splusone.sfg (13 when the span was
+    computed a second time for printing)."""
+    counts = {"snf": 0, "pullback_span": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lti, "snf", counted("snf", lti.snf))
+    monkeypatch.setattr(lti, "pullback_span", counted("pullback_span", lti.pullback_span))
+    for extra in ([], ["--json"]):
+        counts.update(snf=0, pullback_span=0)
+        assert main(["sfg", "controllable", *extra, fixture("splusone.sfg")]) == 1
+        assert counts == {"snf": 12, "pullback_span": 1}
+    out = capsys.readouterr().out
+    assert "maximal controllable sub-behaviour" in out and '"controllable_part"' in out

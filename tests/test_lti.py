@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from conftest import rand_laurent, rand_poly_matrix
 from openwires.lti import (
     BehaviourRep,
@@ -36,6 +37,46 @@ ONE = LaurentPoly.constant(1)
 
 def pm(rows):
     return PolyMatrix.from_lists(rows)
+
+
+class TestShapeCheck:
+    def test_ragged_grid_raises(self):
+        with pytest.raises(ValueError):
+            PolyMatrix(2, 2, ((ONE, S), (ONE,)))
+        with pytest.raises(ValueError):
+            PolyMatrix(1, 2, ((ONE, S), (S, ONE)))
+        with pytest.raises(ValueError):
+            pm([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            PolyMatrix.identity(-1)
+        with pytest.raises(ValueError):
+            PolyMatrix.zeros(-1, 2)
+
+    def test_built_shapes_match_their_grids(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            a = rand_poly_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+            b = rand_poly_matrix(rng, a.cols, rng.randint(1, 3))
+            c = rand_poly_matrix(rng, a.rows, rng.randint(1, 3))
+            d = snf(a)
+            built = [
+                a.mul(b),
+                a.add(a),
+                a.neg(),
+                a.hstack(c),
+                a.vstack(a),
+                a.block_diag(b),
+                a.take_rows(range(1, a.rows)),
+                a.take_cols([a.cols - 1, 0]),
+                d.u,
+                d.d,
+                d.v,
+                d.u_inv,
+                d.v_inv,
+                solve_left(a, a),
+            ]
+            for m in built:
+                assert PolyMatrix(m.rows, m.cols, m.entries) == m
 
 
 class TestSnf:

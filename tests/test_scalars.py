@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ReferenceLaurent
+from conftest import (
+    ReferenceLaurent,
+    ReferencePolynomial,
+    ReferenceRationalFunction,
+    reference_poly_gcd,
+)
 
 from openwires.scalars import (
     LaurentPoly,
@@ -14,14 +19,17 @@ from openwires.scalars import (
     QS,
     RationalFunction,
     ScalarParseError,
+    _size,
     format_laurent,
     format_rational_function,
     laurent_gcd,
     laurent_normalize,
+    laurent_to_rational_function,
     parse_laurent,
     parse_rational,
     parse_scalar_expression,
     poly_gcd,
+    rational_function_to_laurent,
 )
 
 fractions_st = st.builds(
@@ -444,3 +452,312 @@ def _reference_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a.canonical()[1]
+
+
+# -- Polynomial and RationalFunction against the Fraction-coefficient references
+
+
+def _rand_poly_coeffs(rng: random.Random, max_len: int = 5) -> list:
+    """Zero, a nonzero constant, or up to max_len coefficients with a zero
+    top allowed; signs, 200-bit parts and all, come from _rand_coefficient."""
+    shape = rng.random()
+    if shape < 0.1:
+        return []
+    if shape < 0.3:
+        return [_rand_nonzero_coefficient(rng)]
+    return [_rand_coefficient(rng) for _ in range(rng.randint(1, max_len))]
+
+
+def _rand_poly_pair(rng: random.Random, max_len: int = 5):
+    coeffs = _rand_poly_coeffs(rng, max_len)
+    return Polynomial(coeffs), ReferencePolynomial(coeffs)
+
+
+def _rand_nonzero_poly_pair(rng: random.Random, max_len: int = 3):
+    while True:
+        p, ref = _rand_poly_pair(rng, max_len)
+        if ref:
+            return p, ref
+
+
+def _rand_rf_pair(rng: random.Random):
+    """The same random element of Q(s) in both forms: zero, a constant, a
+    polynomial, or a quotient whose parts often share a random factor."""
+    num, ref_num = _rand_poly_pair(rng, 3)
+    shape = rng.random()
+    if shape < 0.2:
+        den, ref_den = Polynomial.constant(1), ReferencePolynomial.constant(1)
+    else:
+        den, ref_den = _rand_nonzero_poly_pair(rng)
+    if shape > 0.6:
+        common, ref_common = _rand_nonzero_poly_pair(rng)
+        num, ref_num = num * common, ref_num * ref_common
+        den, ref_den = den * common, ref_den * ref_common
+    return RationalFunction(num, den), ReferenceRationalFunction(ref_num, ref_den)
+
+
+def _assert_poly_matches(new, ref):
+    assert isinstance(new, Polynomial)
+    assert new.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in new.coeffs)
+    assert repr(new) == repr(ref) and str(new) == str(ref)
+    assert new.degree == ref.degree and new.leading == ref.leading
+    assert new.is_zero() == ref.is_zero() and bool(new) == bool(ref)
+    # the integer form is canonical
+    assert new.den > 0 and math.gcd(new.den, *new.nums) == 1
+    if new.nums:
+        assert new.nums[-1]
+    else:
+        assert new.den == 1
+    if ref.degree <= 0:
+        assert hash(new) == hash(ref) == hash(ref.leading)
+
+
+def _assert_rf_matches(new, ref):
+    assert isinstance(new, RationalFunction)
+    _assert_poly_matches(new.num, ref.num)
+    _assert_poly_matches(new.den, ref.den)
+    assert repr(new) == repr(ref) and str(new) == str(ref)
+    assert new.is_zero() == ref.is_zero() and bool(new) == bool(ref)
+    # reduced over a monic denominator
+    assert new.den.nums[-1] == new.den.den
+    assert poly_gcd(new.num, new.den).degree <= 0 or new.is_zero()
+
+
+def _reference_laurent_to_rf(p: ReferenceLaurent) -> ReferenceRationalFunction:
+    """laurent_to_rational_function as it was, on the reference types."""
+    if p.is_zero():
+        return ReferenceRationalFunction(ReferencePolynomial())
+    num = ReferencePolynomial(p.coeffs)
+    if p.offset >= 0:
+        return ReferenceRationalFunction(num.shift(p.offset))
+    return ReferenceRationalFunction(num, ReferencePolynomial.constant(1).shift(-p.offset))
+
+
+def _reference_rf_to_laurent(f: ReferenceRationalFunction) -> ReferenceLaurent:
+    """rational_function_to_laurent as it was, on the reference types."""
+    nonzero = [i for i, c in enumerate(f.den.coeffs) if c != 0]
+    if len(nonzero) != 1:
+        raise ValueError(f"{f} is not a Laurent polynomial")
+    k = nonzero[0]
+    q = f.den.coeffs[k]
+    return ReferenceLaurent(-k, [c / q for c in f.num.coeffs])
+
+
+class TestPolynomialAgainstReference:
+    def test_construction_and_constructors(self):
+        rng = random.Random(501)
+        for _ in range(300):
+            new, ref = _rand_poly_pair(rng)
+            _assert_poly_matches(new, ref)
+            _assert_poly_matches(Polynomial(new.coeffs + (0, 0)), ref)
+            c = _rand_operand(rng)
+            _assert_poly_matches(Polynomial.constant(c), ReferencePolynomial.constant(c))
+        _assert_poly_matches(Polynomial.variable(), ReferencePolynomial.variable())
+        _assert_poly_matches(Polynomial(), ReferencePolynomial())
+
+    def test_ring_operations(self):
+        rng = random.Random(502)
+        for _ in range(400):
+            a, ra = _rand_poly_pair(rng)
+            b, rb = _rand_poly_pair(rng)
+            _assert_poly_matches(a + b, ra + rb)
+            _assert_poly_matches(a - b, ra - rb)
+            _assert_poly_matches(a * b, ra * rb)
+            _assert_poly_matches(-a, -ra)
+            # a sum that cancels to zero
+            _assert_poly_matches(a - a, ra - ra)
+            _assert_poly_matches(a.monic(), ra.monic())
+            f = _rand_operand(rng)
+            _assert_poly_matches(a.scale(f), ra.scale(f))
+            k = rng.randint(0, 4)
+            _assert_poly_matches(a.shift(k), ra.shift(k))
+            e = rng.randint(0, 3)
+            _assert_poly_matches(a ** e, ra ** e)
+
+    def test_plain_rational_operands_on_either_side(self):
+        rng = random.Random(503)
+        for _ in range(300):
+            a, ra = _rand_poly_pair(rng)
+            c = _rand_operand(rng)
+            _assert_poly_matches(a + c, ra + c)
+            _assert_poly_matches(c + a, c + ra)
+            _assert_poly_matches(a - c, ra - c)
+            _assert_poly_matches(c - a, c - ra)
+            _assert_poly_matches(a * c, ra * c)
+            _assert_poly_matches(c * a, c * ra)
+            assert (a == c) == (ra == c) and (c == a) == (c == ra)
+            if c:
+                q, r = divmod(a, c)
+                rq, rr = divmod(ra, c)
+                _assert_poly_matches(q, rq)
+                _assert_poly_matches(r, rr)
+
+    def test_division_and_gcd(self):
+        rng = random.Random(504)
+        for _ in range(400):
+            a, ra = _rand_poly_pair(rng)
+            b, rb = _rand_poly_pair(rng)
+            _assert_poly_matches(poly_gcd(a, b), reference_poly_gcd(ra, rb))
+            if rb.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(a, b)
+                continue
+            q, r = divmod(a, b)
+            rq, rr = divmod(ra, rb)
+            _assert_poly_matches(q, rq)
+            _assert_poly_matches(r, rr)
+            _assert_poly_matches(a // b, ra // rb)
+            _assert_poly_matches(a % b, ra % rb)
+            # a common factor comes back out of the gcd
+            c, rc = _rand_nonzero_poly_pair(rng)
+            _assert_poly_matches(poly_gcd(a * c, b * c), reference_poly_gcd(ra * rc, rb * rc))
+            _assert_poly_matches((a * b) // b, (ra * rb) // rb)
+
+    def test_equality_and_hash(self):
+        rng = random.Random(505)
+        for _ in range(400):
+            a, ra = _rand_poly_pair(rng)
+            b, rb = _rand_poly_pair(rng)
+            assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+            same = Polynomial(list(a.coeffs) + [0])
+            assert same == a and hash(same) == hash(a)
+            assert (a * b) == (b * a) and hash(a * b) == hash(b * a)
+            if ra.degree <= 0:
+                value = ra.leading
+                assert a == value and hash(a) == hash(value)
+                assert {value: 1}.get(a) == 1 and {a: 1}.get(value) == 1
+
+    def test_immutable(self):
+        p = Polynomial([1, 2])
+        with pytest.raises(AttributeError):
+            p.nums = (5,)
+        with pytest.raises(TypeError):
+            Polynomial([0.5])
+
+
+def test_parser_size_reads_the_integer_fields():
+    """_size is the degree plus the widest coefficient part in lowest
+    terms, less one, as it was when read from Fraction coefficients."""
+    rng = random.Random(607)
+    for _ in range(300):
+        f, _ = _rand_rf_pair(rng)
+        parts = f.num.coeffs + f.den.coeffs
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in parts)
+        assert _size(f) == max(f.num.degree, f.den.degree) + bits - 1
+    assert _size(parse_scalar_expression("s/2 + 1/3")) == 2
+
+
+class TestRationalFunctionAgainstReference:
+    def test_construction_and_constructors(self):
+        rng = random.Random(601)
+        for _ in range(300):
+            new, ref = _rand_rf_pair(rng)
+            _assert_rf_matches(new, ref)
+            _assert_rf_matches(RationalFunction(new.num, new.den), ref)
+            # parts with a negative leading denominator coefficient and a
+            # shared factor are reduced the same way
+            num, ref_num = _rand_poly_pair(rng, 3)
+            den, ref_den = _rand_nonzero_poly_pair(rng)
+            c, rc = _rand_nonzero_poly_pair(rng)
+            _assert_rf_matches(
+                RationalFunction(num * c, -den * c),
+                ReferenceRationalFunction(ref_num * rc, -ref_den * rc),
+            )
+            q = _rand_operand(rng)
+            _assert_rf_matches(RationalFunction.from_fraction(q), ReferenceRationalFunction.from_fraction(q))
+            _assert_rf_matches(RationalFunction(q), ReferenceRationalFunction(q))
+            _assert_rf_matches(RationalFunction(num), ReferenceRationalFunction(ref_num))
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(Polynomial.variable(), 0)
+        with pytest.raises(TypeError):
+            RationalFunction("s")
+
+    def test_field_operations(self):
+        rng = random.Random(602)
+        for _ in range(300):
+            a, ra = _rand_rf_pair(rng)
+            b, rb = _rand_rf_pair(rng)
+            _assert_rf_matches(a + b, ra + rb)
+            _assert_rf_matches(a - b, ra - rb)
+            _assert_rf_matches(a * b, ra * rb)
+            _assert_rf_matches(-a, -ra)
+            if rb.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+                with pytest.raises(ZeroDivisionError):
+                    b.inverse()
+            else:
+                _assert_rf_matches(a / b, ra / rb)
+                _assert_rf_matches(b.inverse(), rb.inverse())
+
+    def test_shared_factors_and_cancellation(self):
+        rng = random.Random(603)
+        for _ in range(250):
+            a, ra = _rand_rf_pair(rng)
+            b, rb = _rand_rf_pair(rng)
+            g, rg = _rand_nonzero_poly_pair(rng)
+            # denominators that share the factor g
+            a_g, ra_g = a / g, ra / rg
+            b_g, rb_g = b / (g * g), rb / (rg * rg)
+            _assert_rf_matches(a_g + b_g, ra_g + rb_g)
+            _assert_rf_matches(a_g - b_g, ra_g - rb_g)
+            _assert_rf_matches(a_g * b_g, ra_g * rb_g)
+            # sums that cancel back to a smaller denominator or to zero,
+            # and products that cancel across
+            _assert_rf_matches((a_g + b_g) - b_g, ra_g)
+            _assert_rf_matches((a_g + b_g) - a_g, rb_g)
+            _assert_rf_matches((a_g + b_g) - b_g - a_g, (ra_g + rb_g) - rb_g - ra_g)
+            if not rb.is_zero():
+                _assert_rf_matches(a_g * (g / b), ra_g * (rg / rb))
+                _assert_rf_matches((a * b) / b, (ra * rb) / rb)
+                _assert_rf_matches(b * b.inverse(), rb * rb.inverse())
+
+    def test_plain_operands_on_either_side(self):
+        rng = random.Random(604)
+        for _ in range(300):
+            a, ra = _rand_rf_pair(rng)
+            p, rp = _rand_poly_pair(rng, 3)
+            for c, rc in ((_rand_operand(rng),) * 2, (p, rp)):
+                _assert_rf_matches(a + c, ra + rc)
+                _assert_rf_matches(c + a, rc + ra)
+                _assert_rf_matches(a - c, ra - rc)
+                _assert_rf_matches(c - a, rc - ra)
+                _assert_rf_matches(a * c, ra * rc)
+                _assert_rf_matches(c * a, rc * ra)
+                assert (a == c) == (ra == rc) and (c == a) == (rc == ra)
+                if rc:
+                    _assert_rf_matches(a / c, ra / rc)
+                if ra:
+                    _assert_rf_matches(c / a, rc / ra)
+
+    def test_equality_and_hash(self):
+        rng = random.Random(605)
+        for _ in range(300):
+            a, ra = _rand_rf_pair(rng)
+            b, rb = _rand_rf_pair(rng)
+            assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+            assert (a * b) == (b * a) and hash(a * b) == hash(b * a)
+            if ra.den.degree == 0:
+                assert a == a.num and hash(a) == hash(a.num)
+            if ra.den.degree == 0 and ra.num.degree <= 0:
+                value = ra.num.leading
+                for x in (a, a.num, LaurentPoly.constant(value)):
+                    assert x == value and hash(x) == hash(value)
+                    assert {value: 1}.get(x) == 1 and {x: 1}.get(value) == 1
+
+    def test_laurent_conversions(self):
+        rng = random.Random(606)
+        for _ in range(300):
+            p, rp = _rand_laurent_pair(rng)
+            f, rf = laurent_to_rational_function(p), _reference_laurent_to_rf(rp)
+            _assert_rf_matches(f, rf)
+            _assert_matches(rational_function_to_laurent(f), _reference_rf_to_laurent(rf))
+            g, rg = _rand_rf_pair(rng)
+            try:
+                expected = _reference_rf_to_laurent(rg)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rational_function_to_laurent(g)
+            else:
+                _assert_matches(rational_function_to_laurent(g), expected)
