@@ -36,8 +36,10 @@ from .lti import (
     behaviour_eq,
     behaviour_rep,
     controllability,
+    controllable_part,
+    cospans_equivalent,
     pullback_span,
-    snf,
+    span_to_cospan,
 )
 from .scalars import Field, ScalarParseError, field_by_name
 from .sfg import (
@@ -452,12 +454,14 @@ def _cmd_sfg_equiv(args) -> int:
 def _cmd_sfg_controllable(args) -> int:
     term = load_term(args.term)
     cospan = sfg_denote(term)
-    controllable, (r, s) = controllability(cospan)
+    controllable, _ = controllability(cospan)
     if args.oracle:
         problem = _controllability_problem(cospan, controllable)
         if problem:
             print(f"internal error: {problem}", file=sys.stderr)
             return USAGE_ERROR
+    if not controllable:
+        r, s = controllable_part(cospan)
     if args.json:
         payload = {"controllable": controllable}
         if not controllable:
@@ -487,15 +491,14 @@ def _controllability_problem(cospan, controllable: bool):
     """What the cross-checks of a controllability verdict find wrong, or None.
 
     The pullback span must satisfy A R = B S exactly, and the verdict must
-    agree with the invariant factors of [A -B]: the behaviour is
-    controllable iff every nonzero one is a unit.
+    agree with the categorical route: the behaviour is controllable iff
+    the pullback span, pushed out again, has the same behaviour.
     """
     r, s = pullback_span(cospan)
     if cospan.left.mul(r).entries != cospan.right.mul(s).entries:
         return "pullback span does not satisfy A R = B S"
-    factors = snf(cospan.left.hstack(cospan.right.neg()))
-    if controllable != all(d.is_unit() for d in factors.diagonal[: factors.rank]):
-        return "controllability verdict disagrees with the invariant factors"
+    if controllable != cospans_equivalent(span_to_cospan(r, s), cospan):
+        return "controllability verdict disagrees with the pullback span"
     return None
 
 

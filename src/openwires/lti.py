@@ -10,7 +10,14 @@ diagonal divisibility-ordered; everything else here is built on that:
   glued image (the categorical pushout among free modules);
 * behaviour inclusion ker(theta M) <= ker(theta N) decided by solving
   X M = N over the ring;
-* kernels (pullback spans) and the controllability test.
+* kernels (pullback spans);
+* controllability, read off the invariant factors of [A -B]: it holds iff
+  every nonzero one is a unit, and those that are not are the witness.
+
+There is one Smith elimination.  Each operation runs it once, mirroring
+the row and column operations only into the transforms it reads (U, U^-1,
+V, V^-1); the controllability test tracks none.  The public ``snf``
+tracks all four.
 
 Behaviours are LTI systems on biinfinite streams, but streams are never
 materialized: a behaviour is always carried as a finite kernel
@@ -20,7 +27,7 @@ representation [A -B].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .scalars import LaurentPoly
 
@@ -158,7 +165,11 @@ def _matrix(rows: int, cols: int, entries: tuple) -> PolyMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """M = u . d . v with u, v invertible; inverses carried along."""
+    """M = u . d . v with u, v invertible; inverses carried along.
+
+    A factor the elimination was not asked to track is None; ``snf``
+    tracks all four.
+    """
 
     u: PolyMatrix
     d: PolyMatrix
@@ -178,16 +189,16 @@ def _identity_rows(n: int) -> list[list[LaurentPoly]]:
 
 class _Eliminator:
     """Mutable SNF working state: D with row/col operations mirrored into
-    the invertible factors and their inverses."""
+    the tracked invertible factors and inverses (None when untracked)."""
 
-    def __init__(self, m: PolyMatrix):
+    def __init__(self, m: PolyMatrix, track: Collection[str]):
         self.d = [list(row) for row in m.entries]
         self.rows = m.rows
         self.cols = m.cols
-        self.u = _identity_rows(m.rows)
-        self.u_inv = _identity_rows(m.rows)
-        self.v = _identity_rows(m.cols)
-        self.v_inv = _identity_rows(m.cols)
+        self.u = _identity_rows(m.rows) if "u" in track else None
+        self.u_inv = _identity_rows(m.rows) if "u_inv" in track else None
+        self.v = _identity_rows(m.cols) if "v" in track else None
+        self.v_inv = _identity_rows(m.cols) if "v_inv" in track else None
 
     # D' = E D with E elementary: U absorbs E^-1 on the right, U_inv = E U_inv
 
@@ -195,36 +206,44 @@ class _Eliminator:
         if a == b:
             return
         self.d[a], self.d[b] = self.d[b], self.d[a]
-        self.u_inv[a], self.u_inv[b] = self.u_inv[b], self.u_inv[a]
-        for row in self.u:
-            row[a], row[b] = row[b], row[a]
+        if self.u_inv is not None:
+            self.u_inv[a], self.u_inv[b] = self.u_inv[b], self.u_inv[a]
+        if self.u is not None:
+            for row in self.u:
+                row[a], row[b] = row[b], row[a]
 
     def add_row(self, src: int, dst: int, factor: LaurentPoly):
         """row_dst += factor * row_src."""
         if factor.is_zero():
             return
         self.d[dst] = [a + factor * b for a, b in zip(self.d[dst], self.d[src])]
-        self.u_inv[dst] = [
-            a + factor * b for a, b in zip(self.u_inv[dst], self.u_inv[src])
-        ]
-        for row in self.u:
-            row[src] = row[src] - factor * row[dst]
+        if self.u_inv is not None:
+            self.u_inv[dst] = [
+                a + factor * b for a, b in zip(self.u_inv[dst], self.u_inv[src])
+            ]
+        if self.u is not None:
+            for row in self.u:
+                row[src] = row[src] - factor * row[dst]
 
     def scale_row(self, idx: int, unit: LaurentPoly):
-        inv = unit.unit_inverse()
         self.d[idx] = [unit * e for e in self.d[idx]]
-        self.u_inv[idx] = [unit * e for e in self.u_inv[idx]]
-        for row in self.u:
-            row[idx] = row[idx] * inv
+        if self.u_inv is not None:
+            self.u_inv[idx] = [unit * e for e in self.u_inv[idx]]
+        if self.u is not None:
+            inv = unit.unit_inverse()
+            for row in self.u:
+                row[idx] = row[idx] * inv
 
     def swap_cols(self, a: int, b: int):
         if a == b:
             return
         for row in self.d:
             row[a], row[b] = row[b], row[a]
-        for row in self.v_inv:
-            row[a], row[b] = row[b], row[a]
-        self.v[a], self.v[b] = self.v[b], self.v[a]
+        if self.v_inv is not None:
+            for row in self.v_inv:
+                row[a], row[b] = row[b], row[a]
+        if self.v is not None:
+            self.v[a], self.v[b] = self.v[b], self.v[a]
 
     def add_col(self, src: int, dst: int, factor: LaurentPoly):
         """col_dst += factor * col_src."""
@@ -232,9 +251,11 @@ class _Eliminator:
             return
         for row in self.d:
             row[dst] = row[dst] + factor * row[src]
-        for row in self.v_inv:
-            row[dst] = row[dst] + factor * row[src]
-        self.v[src] = [a - factor * b for a, b in zip(self.v[src], self.v[dst])]
+        if self.v_inv is not None:
+            for row in self.v_inv:
+                row[dst] = row[dst] + factor * row[src]
+        if self.v is not None:
+            self.v[src] = [a - factor * b for a, b in zip(self.v[src], self.v[dst])]
 
     def result(self) -> SnfResult:
         rank = 0
@@ -242,24 +263,42 @@ class _Eliminator:
         while rank < size and not self.d[rank][rank].is_zero():
             rank += 1
         return SnfResult(
-            u=_matrix(self.rows, self.rows, tuple(tuple(r) for r in self.u)),
+            u=_square(self.u),
             d=_matrix(self.rows, self.cols, tuple(tuple(r) for r in self.d)),
-            v=_matrix(self.cols, self.cols, tuple(tuple(r) for r in self.v)),
-            u_inv=_matrix(self.rows, self.rows, tuple(tuple(r) for r in self.u_inv)),
-            v_inv=_matrix(self.cols, self.cols, tuple(tuple(r) for r in self.v_inv)),
+            v=_square(self.v),
+            u_inv=_square(self.u_inv),
+            v_inv=_square(self.v_inv),
             rank=rank,
         )
 
 
+def _square(rows):
+    """A tracked square factor as a PolyMatrix; None stays None."""
+    if rows is None:
+        return None
+    return _matrix(len(rows), len(rows), tuple(tuple(r) for r in rows))
+
+
 def snf(m: PolyMatrix) -> SnfResult:
-    """Smith normal form over Q[s, s^-1].
+    """Smith normal form over Q[s, s^-1], with all four transforms.
 
     Pivots are chosen with minimal degree spread (ties broken by position),
     which makes the computation terminate and reproducible.  Diagonal
     entries are canonicalized to offset 0 with leading coefficient 1 and
-    ordered by divisibility.
+    ordered by divisibility.  The library's own callers run the same
+    elimination through ``_eliminate`` with only the transforms they read.
     """
-    work = _Eliminator(m)
+    return _eliminate(m, ("u", "u_inv", "v", "v_inv"))
+
+
+def _eliminate(m: PolyMatrix, track: Collection[str]) -> SnfResult:
+    """The Smith elimination, mirroring row and column operations only into
+    the transforms named in ``track`` (any of "u", "u_inv", "v", "v_inv").
+
+    D and every tracked transform are exactly those of ``snf(m)``: the
+    pivots and the updates of D do not depend on what is tracked.
+    """
+    work = _Eliminator(m, track)
     pos = 0
     size = min(m.rows, m.cols)
     while pos < size:
@@ -343,11 +382,18 @@ def epi_split_mono_factor(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     diagonal with the column factor as the epi, the first rank columns of
     the row factor as the split mono.
     """
-    decomposition = snf(m)
-    r = decomposition.rank
-    epi = decomposition.d.take_rows(range(r)).mul(decomposition.v)
-    mono = decomposition.u.take_cols(range(r))
-    return epi, mono
+    decomposition = _eliminate(m, ("u", "v"))
+    return _epi(decomposition), decomposition.u.take_cols(range(decomposition.rank))
+
+
+def _epi(decomposition: SnfResult) -> PolyMatrix:
+    """D_r V_r: the first rank rows of V, each scaled by its invariant factor."""
+    v = decomposition.v
+    rows = tuple(
+        v.entries[i] if d.is_one() else tuple(d * e for e in v.entries[i])
+        for i, d in enumerate(decomposition.diagonal[: decomposition.rank])
+    )
+    return _matrix(len(rows), v.cols, rows)
 
 
 def kernel_basis(m: PolyMatrix) -> PolyMatrix:
@@ -356,7 +402,7 @@ def kernel_basis(m: PolyMatrix) -> PolyMatrix:
     With M = U D V of rank r, the kernel is V^-1 applied to the last
     cols - r coordinate axes.
     """
-    decomposition = snf(m)
+    decomposition = _eliminate(m, ("v_inv",))
     return decomposition.v_inv.take_cols(range(decomposition.rank, m.cols))
 
 
@@ -368,7 +414,7 @@ def solve_left(m: PolyMatrix, target: PolyMatrix):
     """
     if m.cols != target.cols:
         raise ValueError("column mismatch in solve_left")
-    decomposition = snf(m)
+    decomposition = _eliminate(m, ("u_inv", "v_inv"))
     transformed = target.mul(decomposition.v_inv)
     r = decomposition.rank
     rows = []
@@ -437,7 +483,7 @@ def compose_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
         raise ValueError("cospan feet do not match")
     d1, d2 = a.apex, b.apex
     glue = a.right.vstack(b.left.neg())
-    decomposition = snf(glue)
+    decomposition = _eliminate(glue, ("u_inv",))
     keep = range(decomposition.rank, d1 + d2)
     projection = decomposition.u_inv.take_rows(keep)
     left = projection.take_cols(range(d1)).mul(a.left)
@@ -450,9 +496,9 @@ def tensor_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
 
 
 def mat_corelation(c: MatCospan) -> MatCospan:
-    """The jointly-epic representative: epi part of the copairing [A B]."""
-    combined = c.left.hstack(c.right)
-    epi, _ = epi_split_mono_factor(combined)
+    """The jointly-epic representative: epi part D_r V_r of the copairing
+    [A B] (the split mono U is not built)."""
+    epi = _epi(_eliminate(c.left.hstack(c.right), ("v",)))
     return MatCospan(epi.take_cols(range(c.dom)), epi.take_cols(range(c.dom, c.dom + c.cod)))
 
 
@@ -525,16 +571,19 @@ def controllable_part(c: MatCospan) -> tuple[PolyMatrix, PolyMatrix]:
     return pullback_span(c)
 
 
-def controllability(c: MatCospan) -> tuple[bool, tuple[PolyMatrix, PolyMatrix]]:
-    """The controllability verdict with the pullback span that decides it.
+def controllability(c: MatCospan) -> tuple[bool, list[LaurentPoly]]:
+    """The controllability verdict with its witness, from one elimination.
 
-    The span is the maximal controllable sub-behaviour, and the cospan is
-    controllable iff the span has the same behaviour.
+    ker [A -B] is controllable iff every nonzero invariant factor of
+    [A -B] is a unit (Willems' left-primeness); the witness is the list of
+    those that are not, canonical and in divisibility order, empty exactly
+    when the verdict is True.  No transform is tracked.
     """
-    r, s = pullback_span(c)
-    return cospans_equivalent(span_to_cospan(r, s), c), (r, s)
+    decomposition = _eliminate(c.left.hstack(c.right.neg()), ())
+    torsion = [d for d in decomposition.diagonal[: decomposition.rank] if not d.is_unit()]
+    return not torsion, torsion
 
 
 def is_controllable(c: MatCospan) -> bool:
-    """Controllable iff the pullback span has the same behaviour."""
+    """Controllable iff every nonzero invariant factor of [A -B] is a unit."""
     return controllability(c)[0]

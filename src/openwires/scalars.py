@@ -87,9 +87,11 @@ def _convolve(x, y) -> list:
     return out
 
 
-def _sum_nums(x, dx: int, start_x: int, y, dy: int, start_y: int) -> tuple[list, int]:
-    """Numerators and denominator of x/dx * s^start_x + y/dy * s^start_y,
-    scaled to the lcm of the two denominators."""
+def _sum_nums(
+    x, dx: int, start_x: int, y, dy: int, start_y: int, sign: int = 1
+) -> tuple[list, int]:
+    """Numerators and denominator of x/dx * s^start_x + sign * y/dy * s^start_y
+    (sign is 1 or -1), scaled to the lcm of the two denominators."""
     den = dx
     if dx != dy:
         g = gcd(dx, dy)
@@ -101,8 +103,12 @@ def _sum_nums(x, dx: int, start_x: int, y, dy: int, start_y: int) -> tuple[list,
             y = [n * scale_y for n in y]
     out = [0] * (max(start_x + len(x), start_y + len(y)))
     out[start_x : start_x + len(x)] = x
-    for i, n in enumerate(y, start_y):
-        out[i] += n
+    if sign > 0:
+        for i, n in enumerate(y, start_y):
+            out[i] += n
+    else:
+        for i, n in enumerate(y, start_y):
+            out[i] -= n
     return out, den
 
 
@@ -713,13 +719,13 @@ class LaurentPoly:
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return _add(self, -other)
+        return _add(self, other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = _coerce_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return _add(other, -self)
+        return _add(other, self, -1)
 
     def __mul__(self, other) -> "LaurentPoly":
         if other.__class__ is not LaurentPoly:
@@ -848,13 +854,14 @@ def _reduced(offset: int, nums: list, den: int) -> LaurentPoly:
     return _laurent(*_canonical_fields(offset, nums, den))
 
 
-def _add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if not a.nums:
-        return b
+def _add(a: LaurentPoly, b: LaurentPoly, sign: int = 1) -> LaurentPoly:
+    """a + sign * b, with sign 1 or -1."""
     if not b.nums:
         return a
+    if not a.nums:
+        return b if sign > 0 else -b
     lo = min(a.offset, b.offset)
-    out, den = _sum_nums(a.nums, a.den, a.offset - lo, b.nums, b.den, b.offset - lo)
+    out, den = _sum_nums(a.nums, a.den, a.offset - lo, b.nums, b.den, b.offset - lo, sign)
     return _reduced(lo, out, den)
 
 

@@ -15,7 +15,7 @@ from openwires.circuit import (
 )
 from openwires.dirichlet import DirichletForm, extended_power
 from openwires.finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
-from openwires.lti import PolyMatrix
+from openwires.lti import MatCospan, PolyMatrix, cospans_equivalent, pullback_span, span_to_cospan
 from openwires.scalars import (
     _ONE,
     _ZERO,
@@ -823,6 +823,15 @@ def _coerce_reference(value):
     if isinstance(value, (int, Fraction)):
         return ReferenceLaurent.constant(value)
     return NotImplemented
+
+
+def reference_is_controllable(c: MatCospan) -> bool:
+    """Controllability by the categorical route (Fong, Rapisarda and
+    Sobociński): the pullback span is the maximal controllable
+    sub-behaviour, and the cospan is controllable iff that span, pushed
+    out again, has the same behaviour."""
+    r, s = pullback_span(c)
+    return cospans_equivalent(span_to_cospan(r, s), c)
 
 
 def reference_tick_relation(term):

@@ -345,7 +345,7 @@ class TestSfgOracle:
         self._assert_internal_error(capsys, argv + ["--oracle"])
 
     def test_controllable_verdict_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "controllability", lambda cospan: (True, lti.pullback_span(cospan)))
+        monkeypatch.setattr(cli, "controllability", lambda cospan: (True, []))
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
 
     def test_controllable_pullback_disagreement(self, capsys, monkeypatch):
@@ -358,10 +358,11 @@ class TestSfgOracle:
 
 
 def test_sfg_controllable_computes_one_pullback_span(capsys, monkeypatch):
-    """The verdict and the printed span share one pullback span: 12 Smith
-    forms for the 1x2 system of splusone.sfg (13 when the span was
-    computed a second time for printing)."""
-    counts = {"snf": 0, "pullback_span": 0}
+    """The verdict reads the invariant factors of [A -B] and the pullback
+    span is computed once, for printing: 8 Smith eliminations for the 1x2
+    system of splusone.sfg (6 for the denotation, 1 for the verdict, 1 for
+    the span).  A controllable term prints no span and computes none."""
+    counts = {"elimination": 0, "pullback_span": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -370,11 +371,15 @@ def test_sfg_controllable_computes_one_pullback_span(capsys, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(lti, "snf", counted("snf", lti.snf))
+    monkeypatch.setattr(lti, "_eliminate", counted("elimination", lti._eliminate))
     monkeypatch.setattr(lti, "pullback_span", counted("pullback_span", lti.pullback_span))
     for extra in ([], ["--json"]):
-        counts.update(snf=0, pullback_span=0)
+        counts.update(elimination=0, pullback_span=0)
         assert main(["sfg", "controllable", *extra, fixture("splusone.sfg")]) == 1
-        assert counts == {"snf": 12, "pullback_span": 1}
+        assert counts == {"elimination": 8, "pullback_span": 1}
     out = capsys.readouterr().out
     assert "maximal controllable sub-behaviour" in out and '"controllable_part"' in out
+    for extra in ([], ["--json"]):
+        counts.update(elimination=0, pullback_span=0)
+        assert main(["sfg", "controllable", *extra, fixture("wire.sfg")]) == 0
+        assert counts == {"elimination": 2, "pullback_span": 0}

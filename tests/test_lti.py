@@ -1,15 +1,20 @@
+import os
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from conftest import rand_laurent, rand_poly_matrix
+from conftest import rand_laurent, rand_poly_matrix, rand_term, reference_is_controllable
+from openwires.cli import load_term
 from openwires.lti import (
+    _eliminate,
     BehaviourRep,
     MatCospan,
     PolyMatrix,
     behaviour_eq,
     behaviour_leq,
     compose_mat_cospans,
+    controllability,
     cospans_equivalent,
     controllable_part,
     epi_split_mono_factor,
@@ -29,9 +34,11 @@ from openwires.scalars import (
     laurent_to_rational_function,
     parse_laurent,
 )
+from openwires.sfg import Gen, Par, Seq, sfg_denote, term_type
 from openwires.symplectic import Subspace, kernel_of_matrix
 
 S = LaurentPoly.variable()
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ONE = LaurentPoly.constant(1)
 
 
@@ -396,6 +403,96 @@ class TestControllability:
             s = rand_poly_matrix(rng, rng.randint(1, 3), r.cols, 2)
             cospan = span_to_cospan(r, s)
             assert is_controllable(cospan)
+
+
+def _closed(term, rng: random.Random):
+    """The term with every boundary wire capped, so of type (0, 0): each
+    input fed by ``zero`` or ``co-discard``, each output ended by
+    ``discard`` or ``co-zero``."""
+    m, n = term_type(term)
+    if m:
+        term = Seq(_layer(rng, ("zero", "co-discard"), m), term)
+    if n:
+        term = Seq(term, _layer(rng, ("discard", "co-zero"), n))
+    return term
+
+
+def _layer(rng: random.Random, names, width: int):
+    layer = Gen(rng.choice(names))
+    for _ in range(width - 1):
+        layer = Par(layer, Gen(rng.choice(names)))
+    return layer
+
+
+class TestControllabilityRoutes:
+    """The one-elimination verdict against the pullback-and-compare route,
+    and the invariant factors it returns as a witness."""
+
+    def test_term_verdicts_match_reference_route(self):
+        rng = random.Random(61)
+        shared = MatCospan(pm([[S + 1]]), pm([[S + 1]]))
+        seen = Counter()
+        for i in range(300):
+            term = rand_term(rng, 10)
+            if i % 5 == 0:
+                term = _closed(term, rng)
+            cospan = sfg_denote(term)
+            if i % 3 == 1:
+                cospan = tensor_mat_cospans(cospan, shared)
+            ok, witness = controllability(cospan)
+            assert ok == reference_is_controllable(cospan)
+            assert ok == (not witness) == is_controllable(cospan)
+            assert all(not d.is_unit() for d in witness)
+            seen[(cospan.dom, cospan.cod) == (0, 0), ok] += 1
+        assert seen[True, True] >= 30
+        assert seen[False, True] >= 30 and seen[False, False] >= 30
+
+    def test_criterion_12_composites_match_reference_route(self):
+        # the draws of criterion 12 (seed 112), every middle and composite
+        rng = random.Random(112)
+        checked = 0
+        while checked < 100:
+            d, e = rng.randint(1, 2), rng.randint(1, 2)
+            m, n, l = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+            b1 = rand_poly_matrix(rng, m, d, 2)
+            b2 = rand_poly_matrix(rng, n, d, 2)
+            c1 = rand_poly_matrix(rng, n, e, 2)
+            c2 = rand_poly_matrix(rng, l, e, 2)
+            middle = MatCospan(b2, c1)
+            composite = compose_mat_cospans(span_to_cospan(b1, b2), span_to_cospan(c1, c2))
+            assert is_controllable(middle) == reference_is_controllable(middle)
+            assert is_controllable(composite) == reference_is_controllable(composite)
+            checked += is_controllable(middle)
+
+    def test_tracked_transforms_match_snf(self):
+        # the criterion-8 corpus, with each transform set a caller asks for;
+        # LaurentPoly == compares offset, numerators and denominator, the
+        # fields its repr is printed from, so equal matrices print the same
+        rng = random.Random(108)
+        for _ in range(1000):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = rand_poly_matrix(rng, rows, cols, max_spread=3)
+            full = snf(m)
+            for track in ((), ("v_inv",), ("u_inv",), ("u_inv", "v_inv"), ("v",), ("u", "v")):
+                part = _eliminate(m, track)
+                assert part.rank == full.rank and part.d == full.d
+                for name in ("u", "u_inv", "v", "v_inv"):
+                    if name in track:
+                        assert getattr(part, name) == getattr(full, name)
+                    else:
+                        assert getattr(part, name) is None
+
+    def test_criterion_9_witness(self):
+        shared = MatCospan(pm([[S + 1]]), pm([[S + 1]]))
+        ok, witness = controllability(shared)
+        assert not ok and witness == [S + 1]
+        assert [(w.offset, w.nums, w.den) for w in witness] == [(0, (1, 1), 1)]
+
+    def test_fixture_witnesses(self):
+        ok, witness = controllability(sfg_denote(load_term(os.path.join(FIXTURES, "wire.sfg"))))
+        assert ok and witness == []
+        ok, witness = controllability(sfg_denote(load_term(os.path.join(FIXTURES, "splusone.sfg"))))
+        assert not ok and witness == [S + 1]
 
 
 class TestTensor:
