@@ -50,9 +50,11 @@ from .sfg import (
     Seq,
     Term,
     check_trace,
+    check_trace_unrolled,
     denote_cospan,
     sfg_denote,
     step,
+    successor_states,
     term_type,
 )
 from .symplectic import black_box
@@ -538,6 +540,9 @@ def _cmd_sfg_check_trace(args) -> int:
         window.append((u, v))
     init = _parse_vector(_parse_json(args.init, "init"), "init") if args.init else None
     realizable = check_trace(term, window, init)
+    if args.oracle and check_trace_unrolled(term, window, init) != realizable:
+        print("internal error: trace verdict disagrees with the unrolled window", file=sys.stderr)
+        return USAGE_ERROR
     if args.json:
         print(json.dumps({"realizable": realizable}))
     else:
@@ -551,6 +556,9 @@ def _cmd_sfg_step(args) -> int:
     u = _parse_vector(_parse_json(args.left, "left"), "left") if args.left else []
     v = _parse_vector(_parse_json(args.right, "right"), "right") if args.right else []
     outcome = step(term, state, (u, v))
+    if args.oracle and not _step_agrees(outcome, successor_states(term, state, (u, v))):
+        print("internal error: step outcome disagrees with the tick relation", file=sys.stderr)
+        return USAGE_ERROR
     if outcome == INFEASIBLE:
         print(json.dumps({"result": "infeasible"}) if args.json else "infeasible")
         return 1
@@ -564,6 +572,25 @@ def _cmd_sfg_step(args) -> int:
     else:
         print("next state: [" + ", ".join(str(v) for v in outcome) + "]")
     return 0
+
+
+def _step_agrees(outcome, successors) -> bool:
+    """Does a step outcome match the tick relation's successor states?
+
+    A returned state must be the only one the relation allows, and
+    INFEASIBLE means it allows none.  NONDETERMINATE needs at least one:
+    the relation hides the internal wires, which may be what is free.
+    """
+    if outcome == INFEASIBLE:
+        return successors is None
+    if outcome == NONDETERMINATE:
+        return successors is not None
+    # the rows [E | e] of a single state are [I | state]
+    return (
+        successors is not None
+        and len(successors) == len(outcome)
+        and [row[-1] for row in successors] == outcome
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

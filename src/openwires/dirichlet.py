@@ -28,6 +28,7 @@ from typing import Sequence
 
 from .circuit import OpenCircuit, boundary
 from .finset import cospan_to_corelation
+from .linalg import _pivot_column, _rref
 from .scalars import Field, QQ
 
 
@@ -319,8 +320,6 @@ def realizable_extension(
 
 def _solve_pinned(rows: list[list], num_vars: int, field: Field):
     """Gaussian elimination; free variables pinned to 0; None if inconsistent."""
-    from .symplectic import _pivot_column, _rref  # symplectic imports this module
-
     solution = [field.zero] * num_vars
     for row in _rref(field, rows, num_vars + 1):
         col = _pivot_column(row, field.zero)

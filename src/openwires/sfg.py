@@ -15,12 +15,18 @@ delay reads out its register and stores its other side for the next tick.
 The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
 extends to a trace that is infinite in both directions.  The tick
-relation merges equal wires before its one elimination, and the padding
-horizons stop at the first repeated image, within one step per register,
-which makes the biinfinite condition finitely checkable.
+relation merges equal wires before its one elimination.  ``check_trace``
+scans the window in constraint form: a set of register states is its
+reduced rows [E | e], and each tick's image is one elimination of the
+relation's annihilator, with the observed boundary substituted, stacked on
+those rows.  The padding horizons stop at the first repeated image, within
+one step per register, which makes the biinfinite condition finitely
+checkable.
 
 Registers are numbered in left-to-right traversal order of the term;
-both delays and mirrored delays hold one register each.
+both delays and mirrored delays hold one register each.  Terms are
+traversed with an explicit stack, so their depth is not bounded by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from typing import Optional, Sequence, Union
 from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
 from .scalars import LaurentPoly, QQ
 from .finset import UnionFind
-from .symplectic import Subspace, _null_vectors, _pivot_column, _rref, kernel_of_matrix
+from .linalg import _null_vectors, _pivot_column, _rref
+from .symplectic import Subspace, kernel_of_matrix
 
 _S = LaurentPoly.variable()
 
@@ -86,23 +93,51 @@ GENERATOR_TYPES: dict[str, tuple[int, int]] = {
 }
 
 
+def _fold(term: Term, leaf, seq, par):
+    """Combine a term bottom-up without recursion, so deep terms do not
+    exhaust the stack.  Generators are visited left to right and each
+    composite once both its operands are done, first before second: the
+    order of the recursive definition."""
+    done = []
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node is _SEQ_DONE or node is _PAR_DONE:
+            second = done.pop()
+            done[-1] = (seq if node is _SEQ_DONE else par)(done[-1], second)
+        elif isinstance(node, Gen):
+            done.append(leaf(node))
+        elif isinstance(node, Seq):
+            stack += (_SEQ_DONE, node.second, node.first)
+        elif isinstance(node, Par):
+            stack += (_PAR_DONE, node.second, node.first)
+        else:
+            raise SfgTypeError(f"not a term: {node!r}")
+    return done[0]
+
+
+# markers on the stack of ``_fold``: both operands of a composite are done
+_SEQ_DONE, _PAR_DONE = object(), object()
+
+
+def _side_by_side(first: tuple, second: tuple) -> tuple:
+    """Parallel composition of (left, right) pairs: types or port lists."""
+    return first[0] + second[0], first[1] + second[1]
+
+
+def _check_composable(coarity: int, arity: int):
+    if coarity != arity:
+        raise SfgTypeError(f"cannot compose a term of coarity {coarity} with one of arity {arity}")
+
+
+def _seq_type(first: tuple[int, int], second: tuple[int, int]) -> tuple[int, int]:
+    _check_composable(first[1], second[0])
+    return first[0], second[1]
+
+
 def term_type(term: Term) -> tuple[int, int]:
     """(arity, coarity), validating the typing discipline."""
-    if isinstance(term, Gen):
-        return GENERATOR_TYPES[term.name]
-    if isinstance(term, Seq):
-        m1, n1 = term_type(term.first)
-        m2, n2 = term_type(term.second)
-        if n1 != m2:
-            raise SfgTypeError(
-                f"cannot compose a term of coarity {n1} with one of arity {m2}"
-            )
-        return m1, n2
-    if isinstance(term, Par):
-        m1, n1 = term_type(term.first)
-        m2, n2 = term_type(term.second)
-        return m1 + m2, n1 + n2
-    raise SfgTypeError(f"not a term: {term!r}")
+    return _fold(term, lambda gen: GENERATOR_TYPES[gen.name], _seq_type, _side_by_side)
 
 
 def seq(*terms: Term) -> Term:
@@ -120,9 +155,7 @@ def par(*terms: Term) -> Term:
 
 
 def count_registers(term: Term) -> int:
-    if isinstance(term, Gen):
-        return 1 if term.name in ("delay", "co-delay") else 0
-    return count_registers(term.first) + count_registers(term.second)
+    return _fold(term, lambda gen: int(gen.name in ("delay", "co-delay")), int.__add__, int.__add__)
 
 
 # -- denotational semantics --------------------------------------------------
@@ -192,7 +225,7 @@ class _Network:
 
 
 def _build_network(term: Term) -> _Network:
-    term_type(term)
+    """The network of a well-typed term; the traversal checks the types."""
     builder = _NetworkBuilder()
     left, right = builder.visit(term)
     return _Network(
@@ -219,17 +252,18 @@ class _NetworkBuilder:
         self.equations.append(terms)
 
     def visit(self, term: Term) -> tuple[list[int], list[int]]:
-        if isinstance(term, Seq):
-            left1, right1 = self.visit(term.first)
-            left2, right2 = self.visit(term.second)
-            for a, b in zip(right1, left2):
-                self.equate({("w", a): Fraction(1), ("w", b): Fraction(-1)})
-            return left1, right2
-        if isinstance(term, Par):
-            left1, right1 = self.visit(term.first)
-            left2, right2 = self.visit(term.second)
-            return left1 + left2, right1 + right2
-        return self.visit_gen(term)
+        """(left ports, right ports) of ``term``; wires, registers and
+        equations are allocated in left-to-right traversal order."""
+        return _fold(term, self.visit_gen, self.glue, _side_by_side)
+
+    def glue(self, first, second) -> tuple[list[int], list[int]]:
+        """Sequential composition: the first term's right ports meet the
+        second's left ports."""
+        (left1, right1), (left2, right2) = first, second
+        _check_composable(len(right1), len(left2))
+        for a, b in zip(right1, left2):
+            self.equate({("w", a): Fraction(1), ("w", b): Fraction(-1)})
+        return left1, right2
 
     def visit_gen(self, gen: Gen) -> tuple[list[int], list[int]]:
         m, n = GENERATOR_TYPES[gen.name]
@@ -290,6 +324,33 @@ INFEASIBLE = "infeasible"
 NONDETERMINATE = "nondeterminate"
 
 
+def _contract(network: _Network):
+    """Merge the columns that an equation x = y equates.
+
+    Columns are the wires, then regs_in, then regs_out.  Returns the
+    classes and the other equations, each as {class root: coefficient}.
+    """
+    w, d = network.num_wires, network.num_registers
+    offset = {"w": 0, "rin": w, "rout": w + d}
+    classes = UnionFind(w + 2 * d)
+    remaining = []
+    for eq in network.equations:
+        if len(eq) == 2:
+            (a, ca), (b, cb) = eq.items()
+            if ca == -cb:
+                classes.union(offset[a[0]] + a[1], offset[b[0]] + b[1])
+                continue
+        remaining.append(eq)
+    equations = []
+    for eq in remaining:
+        terms: dict = {}
+        for (kind, idx), coeff in eq.items():
+            root = classes.find(offset[kind] + idx)
+            terms[root] = terms.get(root, 0) + coeff
+        equations.append(terms)
+    return classes, equations
+
+
 def step(
     term: Term, state: Sequence[Fraction], boundary: tuple[Sequence, Sequence]
 ):
@@ -298,6 +359,8 @@ def step(
     Returns the forced next register assignment, or INFEASIBLE when the
     boundary values are not in the one-step behaviour, or NONDETERMINATE
     when internal wires (or the next registers) are underdetermined.
+    Equal wires are merged first; then the current registers and the
+    boundary are pinned and one elimination over the classes decides.
     """
     network = _build_network(term)
     u, v = boundary
@@ -305,36 +368,35 @@ def step(
         raise ValueError("boundary dimensions do not match the term")
     if len(state) != network.num_registers:
         raise ValueError("register state has wrong length")
-    w = network.num_wires
-    d = network.num_registers
-    nvars = w + d  # wires then next registers; current registers are constants
+    w, d = network.num_wires, network.num_registers
+    classes, equations = _contract(network)
+    roots = sorted({classes.find(x) for x in range(w + 2 * d)})
+    column = {root: k for k, root in enumerate(roots)}
+    width = len(roots)
     rows = []
-    for eq in network.equations:
-        row = [Fraction(0)] * nvars
-        rhs = Fraction(0)
-        for (kind, idx), coeff in eq.items():
-            if kind == "w":
-                row[idx] += coeff
-            elif kind == "rout":
-                row[w + idx] += coeff
-            else:
-                rhs -= coeff * Fraction(state[idx])
-        rows.append((row, rhs))
-    for port, value in zip(network.left_ports, u):
-        row = [Fraction(0)] * nvars
-        row[port] = Fraction(1)
-        rows.append((row, Fraction(value)))
-    for port, value in zip(network.right_ports, v):
-        row = [Fraction(0)] * nvars
-        row[port] = Fraction(1)
-        rows.append((row, Fraction(value)))
-    solved = _affine_solve(rows, nvars)
-    if solved is None:
-        return INFEASIBLE
-    particular, homogeneous = solved
-    if homogeneous.dim > 0:
+    for eq in equations:
+        row = [Fraction(0)] * (width + 1)
+        for root, coeff in eq.items():
+            row[column[root]] = coeff
+        rows.append(row)
+    pins = zip(
+        [w + k for k in range(d)] + network.left_ports + network.right_ports,
+        [*state, *u, *v],
+    )
+    for x, value in pins:
+        row = [Fraction(0)] * (width + 1)
+        row[column[classes.find(x)]] = Fraction(1)
+        row[width] = Fraction(value)
+        rows.append(row)
+    values = {}
+    for row in _rref(QQ, rows, width + 1):
+        col = _pivot_column(row, QQ.zero)
+        if col == width:
+            return INFEASIBLE
+        values[col] = row[width]
+    if len(values) < width:
         return NONDETERMINATE
-    return [particular[w + k] for k in range(d)]
+    return [values[column[classes.find(w + d + k)]] for k in range(d)]
 
 
 def tick_relation(term: Term) -> Subspace:
@@ -349,16 +411,7 @@ def tick_relation(term: Term) -> Subspace:
     network = _build_network(term)
     w = network.num_wires
     d = network.num_registers
-    offset = {"w": 0, "rin": w, "rout": w + d}
-    classes = UnionFind(w + 2 * d)
-    remaining = []
-    for eq in network.equations:
-        if len(eq) == 2:
-            (a, ca), (b, cb) = eq.items()
-            if ca == -cb:
-                classes.union(offset[a[0]] + a[1], offset[b[0]] + b[1])
-                continue
-        remaining.append(eq)
+    classes, equations = _contract(network)
     columns = (
         [w + k for k in range(d)]
         + network.left_ports
@@ -367,17 +420,17 @@ def tick_relation(term: Term) -> Subspace:
     )
     roots = [classes.find(v) for v in columns]
     first = {r: p for p, r in reversed(list(enumerate(roots)))}  # earliest column per class
-    used = {classes.find(offset[kind] + idx) for eq in remaining for kind, idx in eq}
+    used = {root for eq in equations for root in eq}
     internal = sorted(used - first.keys())
     inner = len(internal)
     width = inner + len(columns)
     column = {root: k for k, root in enumerate(internal)}
     column.update((root, inner + position) for root, position in first.items())
     rows = []
-    for eq in remaining:
+    for eq in equations:
         row = [Fraction(0)] * width
-        for (kind, idx), coeff in eq.items():
-            row[column[classes.find(offset[kind] + idx)]] += coeff
+        for root, coeff in eq.items():
+            row[column[root]] = coeff
         rows.append(row)
     for position, root in enumerate(roots):
         if first[root] != position:
@@ -389,130 +442,102 @@ def tick_relation(term: Term) -> Subspace:
     return kernel_of_matrix(QQ, annihilator, len(columns))
 
 
-# -- exact affine sets -------------------------------------------------------
+# -- window checks in constraint form -----------------------------------------
+#
+# A set of register states is held as its constraint rows [E | e]: the
+# reduced row echelon form of any consistent system cutting it out, which
+# depends on the set alone.  () is every state and None the empty set.
 
 
-def _affine_solve(rows, nvars):
-    """Solve [coeffs | rhs] exactly: None, or (particular, homogeneous).
-
-    The particular solution pins free variables to 0.
-    """
-    reduced = _rref(QQ, [list(coeffs) + [rhs] for coeffs, rhs in rows], nvars + 1)
-    particular = [Fraction(0)] * nvars
-    for row in reduced:
-        col = _pivot_column(row, QQ.zero)
-        if col == nvars:
-            return None
-        particular[col] = row[nvars]
-    return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
+def _tick_constraints(term: Term):
+    """The tick relation's constraint rows, with (d, m, n)."""
+    relation = tick_relation(term)
+    m, n = term_type(term)
+    return relation.constraints().basis, (relation.ambient_dim - m - n) // 2, m, n
 
 
-@dataclass
-class AffineSet:
-    """particular + homogeneous, or empty."""
-
-    particular: Optional[list]
-    homogeneous: Optional[Subspace]
-
-    @staticmethod
-    def empty() -> "AffineSet":
-        return AffineSet(None, None)
-
-    @staticmethod
-    def full(dim: int) -> "AffineSet":
-        return AffineSet([Fraction(0)] * dim, Subspace.full(QQ, dim))
-
-    @staticmethod
-    def point(values: Sequence) -> "AffineSet":
-        values = [Fraction(v) for v in values]
-        return AffineSet(values, Subspace.zero(QQ, len(values)))
-
-    def is_empty(self) -> bool:
-        return self.particular is None
-
-    def constraint_rows(self):
-        """[coeffs | rhs] rows cutting out this affine set."""
-        functional_rows = self.homogeneous.constraints().basis
-        rows = []
-        for functional in functional_rows:
-            rhs = sum(
-                (c * v for c, v in zip(functional, self.particular)), Fraction(0)
-            )
-            rows.append((list(functional), rhs))
-        return rows
-
-    def sample(self, rng: random.Random, spread: int = 3) -> list:
-        point = list(self.particular)
-        for row in self.homogeneous.basis:
-            coeff = Fraction(rng.randint(-spread, spread))
-            if coeff:
-                point = [p + coeff * r for p, r in zip(point, row)]
-        return point
-
-
-def _relation_image(
-    relation: Subspace,
-    d: int,
-    m: int,
-    n: int,
-    states: AffineSet,
-    boundary=None,
-) -> AffineSet:
-    """{r' : exists r in states, (r, w, r') in relation}, w pinned or free."""
-    if states.is_empty():
-        return AffineSet.empty()
-    nvars = 2 * d + m + n
-    rows = []
-    for functional in relation.constraints().basis:
-        rows.append((list(functional), Fraction(0)))
-    for coeffs, rhs in states.constraint_rows():
-        row = [Fraction(0)] * nvars
-        for k in range(d):
-            row[k] = coeffs[k]
-        rows.append((row, rhs))
-    if boundary is not None:
-        u, v = boundary
-        for k, value in enumerate(list(u) + list(v)):
-            row = [Fraction(0)] * nvars
-            row[d + k] = Fraction(1)
-            rows.append((row, Fraction(value)))
-    solved = _affine_solve(rows, nvars)
-    if solved is None:
-        return AffineSet.empty()
-    particular, homogeneous = solved
-    out_cols = list(range(d + m + n, nvars))
-    return AffineSet(
-        [particular[c] for c in out_cols], homogeneous.project(out_cols)
+def _point(values: Sequence) -> tuple:
+    """The rows [I | values] of a single state."""
+    zero, one = QQ.zero, QQ.one
+    return tuple(
+        tuple(one if j == k else zero for j in range(len(values))) + (Fraction(value),)
+        for k, value in enumerate(values)
     )
 
 
-def _swap_state_blocks(relation: Subspace, d: int, m: int, n: int) -> Subspace:
-    """The same relation with regs_in and regs_out interchanged."""
+def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
+    """The rows of {r' : exists r in states, (r, u, v, r') in the relation}.
+
+    ``annihilator`` holds the relation's constraint rows over (regs_in,
+    left, right, regs_out).  An observed boundary is substituted, which
+    leaves [C_in | C_out | -C_w b]; a free one keeps its columns, to be
+    eliminated with regs_in.  The state rows [E | 0 | e] go below, and
+    one elimination leaves the image as the rows whose pivot falls among
+    regs_out, already reduced.  A pivot in the rhs column means that no
+    state is reachable.
+    """
+    if states is None:
+        return None
+    zero = QQ.zero
+    io = m + n
+    if boundary is None:
+        out = d + io
+        rows = [[*row, zero] for row in annihilator]
+    else:
+        out = d
+        values = [Fraction(x) for x in (*boundary[0], *boundary[1])]
+        rows = []
+        for row in annihilator:
+            rhs = -sum((c * x for c, x in zip(row[d : d + io], values) if c), zero)
+            rows.append([*row[:d], *row[d + io :], rhs])
+    pad = [zero] * out
+    rows += [[*row[:d], *pad, row[d]] for row in states]
+    width = out + d + 1
+    image = []
+    for row in _rref(QQ, rows, width):
+        col = _pivot_column(row, zero)
+        if col == width - 1:
+            return None
+        if col >= out:
+            image.append(row[out:])
+    return tuple(image)
+
+
+def _swap_state_blocks(annihilator, d: int, m: int, n: int) -> list:
+    """The relation's rows with regs_in and regs_out interchanged."""
     perm = (
         list(range(d + m + n, 2 * d + m + n))
         + list(range(d, d + m + n))
         + list(range(d))
     )
-    return relation.project(perm)
+    return [[row[p] for p in perm] for row in annihilator]
 
 
-def _extendable_states(relation: Subspace, d: int, m: int, n: int) -> AffineSet:
+def _extendable_states(annihilator, d: int, m: int, n: int):
     """States reachable from arbitrarily far back: the stabilized image.
 
     A descending chain of subspaces of F^d stabilizes within d steps, and
     at the fixpoint every member has a predecessor in the fixpoint, so
     membership is equivalent to having an infinite history.
     """
-    states = AffineSet.full(d)
+    states = ()
     for _ in range(d + 1):
-        advanced = _relation_image(relation, d, m, n, states)
-        if advanced.is_empty():
-            return advanced
-        # equal sets cut out by equal rows have equal images: the fixpoint
-        if advanced.constraint_rows() == states.constraint_rows():
+        advanced = _relation_image(annihilator, d, m, n, states)
+        # equal sets have equal rows and equal images: the fixpoint
+        if advanced is None or advanced == states:
             return advanced
         states = advanced
     return states
+
+
+def _intersect(a, b, d: int):
+    """The rows of the meet of two state sets, by one elimination."""
+    if a is None or b is None:
+        return None
+    reduced = _rref(QQ, [*a, *b], d + 1)
+    if reduced and _pivot_column(reduced[-1], QQ.zero) == d:
+        return None
+    return reduced
 
 
 def check_trace(
@@ -524,42 +549,115 @@ def check_trace(
 
     ``init`` fixes the register assignment at the start of the window;
     None quantifies it existentially.  The trace must extend infinitely
-    into the past and the future with free boundary values; both
-    conditions are decided exactly via stabilized reachability.
+    into the past and the future with free boundary values.  The scan
+    keeps each state set as its constraint rows: the states with an
+    infinite past (the stabilized image of every state), met with
+    ``init``, then one elimination per observed tick, and at the end a
+    meet with the states that have an infinite future.  No basis is
+    built.
     """
     if not window:
         raise ValueError("window must be nonempty")
-    relation = tick_relation(term)
-    m, n = term_type(term)
-    d = count_registers(term)
+    annihilator, d, m, n = _tick_constraints(term)
     for u, v in window:
         if len(u) != m or len(v) != n:
             raise ValueError("window entry dimensions do not match the term")
-    backward_ok = _extendable_states(relation, d, m, n)
+    states = _extendable_states(annihilator, d, m, n)
     if init is not None:
         if len(init) != d:
             raise ValueError("register state has wrong length")
-        states = _intersect_affine(AffineSet.point(init), backward_ok, d)
-    else:
-        states = backward_ok
+        states = _intersect(_point(init), states, d)
     for u, v in window:
-        states = _relation_image(relation, d, m, n, states, (u, v))
-        if states.is_empty():
+        states = _relation_image(annihilator, d, m, n, states, (u, v))
+        if states is None:
             return False
-    reversed_relation = _swap_state_blocks(relation, d, m, n)
-    future_ok = _extendable_states(reversed_relation, d, m, n)
-    final = _intersect_affine(states, future_ok, d)
-    return not final.is_empty()
+    future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
+    return _intersect(states, future_ok, d) is not None
 
 
-def _intersect_affine(a: AffineSet, b: AffineSet, dim: int) -> AffineSet:
-    if a.is_empty() or b.is_empty():
-        return AffineSet.empty()
-    rows = a.constraint_rows() + b.constraint_rows()
-    solved = _affine_solve(rows, dim)
-    if solved is None:
-        return AffineSet.empty()
-    return AffineSet(*solved)
+def check_trace_unrolled(
+    term: Term,
+    window: Sequence[tuple[Sequence, Sequence]],
+    init: Optional[Sequence] = None,
+) -> bool:
+    """``check_trace`` by one elimination over the unrolled window, the
+    cross-check of ``sfg check-trace --oracle``.
+
+    The states r_0 .. r_{T+2d} are linked by d free ticks, the T observed
+    ticks and d more free ticks, and ``init`` pins r_d.  A chain of images
+    stabilizes within d steps, so r_d has a d-step past exactly when it
+    has an infinite one, and r_{d+T} likewise a future: the window is
+    realizable iff this one system is consistent.
+    """
+    annihilator, d, m, n = _tick_constraints(term)
+    io = m + n
+    ticks = [None] * d + list(window) + [None] * d
+    free = d * (len(ticks) + 1)  # the free ticks' boundary columns follow the states
+    width = free + 2 * d * io + 1
+    zero = QQ.zero
+    rows = []
+    for k, tick in enumerate(ticks):
+        if tick is not None:
+            values = [Fraction(x) for x in (*tick[0], *tick[1])]
+        for c in annihilator:
+            row = [zero] * width
+            row[k * d : (k + 1) * d] = c[:d]
+            row[(k + 1) * d : (k + 2) * d] = c[d + io :]
+            if tick is None:
+                row[free : free + io] = c[d : d + io]
+            else:
+                row[-1] = -sum((a * x for a, x in zip(c[d : d + io], values)), zero)
+            rows.append(row)
+        if tick is None:
+            free += io
+    for k, value in enumerate(init or ()):
+        row = [zero] * width
+        row[d * d + k], row[-1] = QQ.one, Fraction(value)
+        rows.append(row)
+    reduced = _rref(QQ, rows, width)
+    return not reduced or _pivot_column(reduced[-1], zero) != width - 1
+
+
+def successor_states(
+    term: Term, state: Sequence, boundary: tuple[Sequence, Sequence]
+):
+    """The constraint rows [E | e] of the next register assignments that
+    the tick relation allows from ``state`` under the observed boundary,
+    or None when it allows none: the cross-check of ``sfg step --oracle``.
+    """
+    annihilator, d, m, n = _tick_constraints(term)
+    return _relation_image(annihilator, d, m, n, _point(state), boundary)
+
+
+# -- sampling -----------------------------------------------------------------
+
+
+def _affine_solve(rows, nvars):
+    """Solve [coeffs | rhs] exactly: None, or (particular, homogeneous).
+
+    The particular solution pins free variables to 0.  Both are functions
+    of the solution set alone.
+    """
+    reduced = _rref(QQ, [list(coeffs) + [rhs] for coeffs, rhs in rows], nvars + 1)
+    particular = [Fraction(0)] * nvars
+    for row in reduced:
+        col = _pivot_column(row, QQ.zero)
+        if col == nvars:
+            return None
+        particular[col] = row[nvars]
+    return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
+
+
+def _sample(solved, rng: random.Random, spread: int = 3) -> list:
+    """The particular solution plus a random integer combination of the
+    homogeneous basis rows."""
+    particular, homogeneous = solved
+    point = list(particular)
+    for row in homogeneous.basis:
+        coeff = Fraction(rng.randint(-spread, spread))
+        if coeff:
+            point = [p + coeff * r for p, r in zip(point, row)]
+    return point
 
 
 def sample_biinfinite_window(
@@ -572,45 +670,40 @@ def sample_biinfinite_window(
 
     Returns (window, initial_registers); when ``init`` is not compatible
     with any biinfinite trace the initial registers are resampled from
-    the certified set instead.
+    the certified set instead.  The certified states are found in
+    constraint form, as in ``check_trace``; only the sets sampled from
+    are solved for a particular point and a basis.
     """
-    relation = tick_relation(term)
-    m, n = term_type(term)
-    d = count_registers(term)
-    backward_ok = _extendable_states(relation, d, m, n)
-    reversed_relation = _swap_state_blocks(relation, d, m, n)
-    future_ok = _extendable_states(reversed_relation, d, m, n)
-    certified = _intersect_affine(backward_ok, future_ok, d)
-    if certified.is_empty():
+    annihilator, d, m, n = _tick_constraints(term)
+    future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
+    certified = _intersect(_extendable_states(annihilator, d, m, n), future_ok, d)
+    if certified is None:
         return None
+    start = certified
     if init is not None:
-        pinned = _intersect_affine(AffineSet.point(init), certified, d)
-        start = pinned if not pinned.is_empty() else certified
-    else:
-        start = certified
-    state = start.sample(rng)
+        pinned = _intersect(_point(init), certified, d)
+        if pinned is not None:
+            start = pinned
+    state = _sample(_affine_solve([(row[:d], row[d]) for row in start], d), rng)
     initial = list(state)
+    nvars = 2 * d + m + n
+    out = d + m + n
+    fixed = [(list(f), Fraction(0)) for f in annihilator]
+    for row in future_ok:
+        coeffs = [Fraction(0)] * nvars
+        coeffs[out:] = row[:d]
+        fixed.append((coeffs, row[d]))
     window = []
-    future_rows = future_ok.constraint_rows()
     for _ in range(ticks):
-        nvars = 2 * d + m + n
-        rows = [(list(f), Fraction(0)) for f in relation.constraints().basis]
+        rows = list(fixed)
         for k, value in enumerate(state):
-            row = [Fraction(0)] * nvars
-            row[k] = Fraction(1)
-            rows.append((row, Fraction(value)))
-        for coeffs, rhs in future_rows:
-            row = [Fraction(0)] * nvars
-            for k in range(d):
-                row[d + m + n + k] = coeffs[k]
-            rows.append((row, rhs))
+            coeffs = [Fraction(0)] * nvars
+            coeffs[k] = Fraction(1)
+            rows.append((coeffs, Fraction(value)))
         solved = _affine_solve(rows, nvars)
         if solved is None:
             return None
-        fiber = AffineSet(*solved)
-        chosen = fiber.sample(rng)
-        u = chosen[d : d + m]
-        v = chosen[d + m : d + m + n]
-        window.append((u, v))
-        state = chosen[d + m + n :]
+        chosen = _sample(solved, rng)
+        window.append((chosen[d : d + m], chosen[d + m : out]))
+        state = chosen[out:]
     return window, initial

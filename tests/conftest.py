@@ -27,9 +27,20 @@ from openwires.scalars import (
     format_polynomial,
     format_rational_function,
 )
-from openwires.sfg import GENERATOR_TYPES, Gen, Par, Seq, _build_network, term_type
+from openwires.sfg import (
+    GENERATOR_TYPES,
+    Gen,
+    Par,
+    Seq,
+    _affine_solve,
+    _build_network,
+    count_registers,
+    term_type,
+    tick_relation,
+)
 from openwires.symplectic import (
     LagrangianRelation,
+    Subspace,
     SymplecticSpace,
     _negate_block,
     apply_relation,
@@ -267,6 +278,20 @@ def feedback_chain(cells: int):
     for _ in range(cells - 1):
         term = Seq(term, cell)
     return term
+
+
+def run_chain(init, inputs):
+    """Outputs of ``feedback_chain`` from register state ``init``,
+    simulated directly: register k holds the previous input of cell k,
+    and each cell outputs its input plus its register."""
+    state = list(init)
+    outputs = []
+    for u in inputs:
+        for k, stored in enumerate(state):
+            state[k] = u
+            u = stored + u
+        outputs.append(u)
+    return outputs
 
 
 def rand_linear_system(rng: random.Random):
@@ -855,6 +880,149 @@ def reference_tick_relation(term):
         + [w + d + k for k in range(d)]
     )
     return kernel_of_matrix(QQ, rows, w + 2 * d).project(columns)
+
+
+class _ReferenceAffineSet:
+    """particular + homogeneous, or empty."""
+
+    def __init__(self, particular, homogeneous):
+        self.particular = particular
+        self.homogeneous = homogeneous
+
+    @staticmethod
+    def empty():
+        return _ReferenceAffineSet(None, None)
+
+    @staticmethod
+    def full(dim: int):
+        return _ReferenceAffineSet([Fraction(0)] * dim, Subspace.full(QQ, dim))
+
+    @staticmethod
+    def point(values):
+        values = [Fraction(v) for v in values]
+        return _ReferenceAffineSet(values, Subspace.zero(QQ, len(values)))
+
+    def is_empty(self) -> bool:
+        return self.particular is None
+
+    def constraint_rows(self):
+        """[coeffs | rhs] rows cutting out this affine set."""
+        rows = []
+        for functional in self.homogeneous.constraints().basis:
+            rhs = sum((c * v for c, v in zip(functional, self.particular)), Fraction(0))
+            rows.append((list(functional), rhs))
+        return rows
+
+    def sample(self, rng: random.Random, spread: int = 3) -> list:
+        point = list(self.particular)
+        for row in self.homogeneous.basis:
+            coeff = Fraction(rng.randint(-spread, spread))
+            if coeff:
+                point = [p + coeff * r for p, r in zip(point, row)]
+        return point
+
+
+def _reference_relation_image(relation, d, m, n, states, boundary=None):
+    """{r' : exists r in states, (r, w, r') in relation}: solve over every
+    column, then project the solution set onto regs_out."""
+    if states.is_empty():
+        return _ReferenceAffineSet.empty()
+    nvars = 2 * d + m + n
+    rows = [(list(functional), Fraction(0)) for functional in relation.constraints().basis]
+    for coeffs, rhs in states.constraint_rows():
+        row = [Fraction(0)] * nvars
+        row[:d] = coeffs
+        rows.append((row, rhs))
+    if boundary is not None:
+        for k, value in enumerate(list(boundary[0]) + list(boundary[1])):
+            row = [Fraction(0)] * nvars
+            row[d + k] = Fraction(1)
+            rows.append((row, Fraction(value)))
+    solved = _affine_solve(rows, nvars)
+    if solved is None:
+        return _ReferenceAffineSet.empty()
+    particular, homogeneous = solved
+    out_cols = list(range(d + m + n, nvars))
+    return _ReferenceAffineSet([particular[c] for c in out_cols], homogeneous.project(out_cols))
+
+
+def _reference_reversed(relation, d, m, n):
+    perm = list(range(d + m + n, 2 * d + m + n)) + list(range(d, d + m + n)) + list(range(d))
+    return relation.project(perm)
+
+
+def _reference_extendable(relation, d, m, n):
+    states = _ReferenceAffineSet.full(d)
+    for _ in range(d + 1):
+        advanced = _reference_relation_image(relation, d, m, n, states)
+        if advanced.is_empty() or advanced.constraint_rows() == states.constraint_rows():
+            return advanced
+        states = advanced
+    return states
+
+
+def _reference_intersect(a, b, dim):
+    if a.is_empty() or b.is_empty():
+        return _ReferenceAffineSet.empty()
+    solved = _affine_solve(a.constraint_rows() + b.constraint_rows(), dim)
+    return _ReferenceAffineSet.empty() if solved is None else _ReferenceAffineSet(*solved)
+
+
+def reference_check_trace(term, window, init=None) -> bool:
+    """``check_trace`` with every state set as particular + basis: each
+    tick solves over all 2d+m+n columns and projects, and every
+    comparison goes through the annihilator of the basis."""
+    relation = tick_relation(term)
+    m, n = term_type(term)
+    d = count_registers(term)
+    states = _reference_extendable(relation, d, m, n)
+    if init is not None:
+        states = _reference_intersect(_ReferenceAffineSet.point(init), states, d)
+    for u, v in window:
+        states = _reference_relation_image(relation, d, m, n, states, (u, v))
+        if states.is_empty():
+            return False
+    future_ok = _reference_extendable(_reference_reversed(relation, d, m, n), d, m, n)
+    return not _reference_intersect(states, future_ok, d).is_empty()
+
+
+def reference_sample_biinfinite_window(term, ticks, rng, init=None):
+    """``sample_biinfinite_window`` on the particular + basis state sets
+    of ``reference_check_trace``."""
+    relation = tick_relation(term)
+    m, n = term_type(term)
+    d = count_registers(term)
+    backward_ok = _reference_extendable(relation, d, m, n)
+    future_ok = _reference_extendable(_reference_reversed(relation, d, m, n), d, m, n)
+    certified = _reference_intersect(backward_ok, future_ok, d)
+    if certified.is_empty():
+        return None
+    start = certified
+    if init is not None:
+        pinned = _reference_intersect(_ReferenceAffineSet.point(init), certified, d)
+        if not pinned.is_empty():
+            start = pinned
+    state = start.sample(rng)
+    initial = list(state)
+    window = []
+    nvars = 2 * d + m + n
+    for _ in range(ticks):
+        rows = [(list(f), Fraction(0)) for f in relation.constraints().basis]
+        for k, value in enumerate(state):
+            row = [Fraction(0)] * nvars
+            row[k] = Fraction(1)
+            rows.append((row, Fraction(value)))
+        for coeffs, rhs in future_ok.constraint_rows():
+            row = [Fraction(0)] * nvars
+            row[d + m + n :] = coeffs
+            rows.append((row, rhs))
+        solved = _affine_solve(rows, nvars)
+        if solved is None:
+            return None
+        chosen = _ReferenceAffineSet(*solved).sample(rng)
+        window.append((chosen[d : d + m], chosen[d + m : d + m + n]))
+        state = chosen[d + m + n :]
+    return window, initial
 
 
 def _reference_eliminate_node(q: DirichletForm, n: int) -> DirichletForm:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import rand_term
@@ -302,9 +303,13 @@ class TestCommands:
         assert main(["sfg", "denote", str(bad_term)]) == 3
 
 
+ALTERNATING = json.dumps([[[(-1) ** k], [0]] for k in range(6)])
+
+
 class TestSfgOracle:
-    """``--oracle`` on ``sfg equiv`` and ``sfg controllable`` cross-checks
-    the verdict, and a disagreement is an internal error (exit 2)."""
+    """``--oracle`` on ``sfg equiv``, ``sfg controllable``, ``sfg
+    check-trace`` and ``sfg step`` cross-checks the answer, and a
+    disagreement is an internal error (exit 2)."""
 
     @pytest.mark.parametrize(
         "first, second, code",
@@ -320,6 +325,48 @@ class TestSfgOracle:
         for extra in ([], ["--json"]):
             assert main(["sfg", "controllable", "--oracle", *extra, fixture(name)]) == code
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "name, window, init, code",
+        [
+            ("splusone.sfg", ALTERNATING, None, 0),
+            ("splusone.sfg", ALTERNATING, "[0,1]", 0),
+            ("splusone.sfg", ALTERNATING, "[0,0]", 1),
+            ("wire.sfg", "[[[1],[1]],[[2],[2]]]", None, 0),
+            ("wire.sfg", "[[[1],[0]]]", None, 1),
+        ],
+    )
+    def test_check_trace(self, capsys, name, window, init, code):
+        argv = ["sfg", "check-trace", fixture(name), "--window", window]
+        if init:
+            argv += ["--init", init]
+        for extra in ([], ["--json"], ["--oracle"], ["--oracle", "--json"]):
+            assert main(argv + extra) == code
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "name, state, left, right, code",
+        [
+            ("splusone.sfg", "[0,1]", "[1]", "[0]", 0),
+            ("splusone.sfg", "[0,0]", "[1]", "[0]", 1),
+            ("wire.sfg", None, "[1]", "[1]", 0),
+            ("wire.sfg", None, "[1]", "[2]", 1),
+        ],
+    )
+    def test_step(self, capsys, name, state, left, right, code):
+        argv = ["sfg", "step", fixture(name), "--left", left, "--right", right]
+        if state:
+            argv += ["--state", state]
+        for extra in ([], ["--json"], ["--oracle"], ["--oracle", "--json"]):
+            assert main(argv + extra) == code
+        assert capsys.readouterr().err == ""
+
+    def test_step_nondeterminate(self, capsys, tmp_path):
+        path = tmp_path / "dangling.sfg"
+        path.write_text("co-discard ; discard")
+        for extra in ([], ["--oracle"]):
+            assert main(["sfg", "step", str(path), *extra]) == 1
+            assert capsys.readouterr().out == "nondeterminate\n"
 
     def test_random_terms_pass_the_checks(self, capsys, tmp_path):
         rng = random.Random(48)
@@ -347,6 +394,32 @@ class TestSfgOracle:
     def test_controllable_verdict_disagreement(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "controllability", lambda cospan: (True, []))
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
+
+    def test_check_trace_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_trace", lambda *args: not sfg.check_trace(*args))
+        argv = ["sfg", "check-trace", fixture("splusone.sfg"), "--window", ALTERNATING]
+        assert main(argv) == 1
+        capsys.readouterr()
+        self._assert_internal_error(capsys, argv + ["--oracle"])
+
+    @pytest.mark.parametrize(
+        "state, forced",
+        [
+            ("[0,1]", sfg.INFEASIBLE),
+            ("[0,1]", ["1", "1"]),
+            ("[0,1]", []),
+            ("[0,0]", sfg.NONDETERMINATE),
+            ("[0,0]", ["1", "0"]),
+        ],
+    )
+    def test_step_disagreement(self, capsys, monkeypatch, state, forced):
+        if isinstance(forced, list):
+            forced = [Fraction(v) for v in forced]
+        monkeypatch.setattr(cli, "step", lambda *args: forced)
+        argv = ["sfg", "step", fixture("splusone.sfg"), "--state", state, "--left", "[1]", "--right", "[0]"]
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        self._assert_internal_error(capsys, argv + ["--oracle"])
 
     def test_controllable_pullback_disagreement(self, capsys, monkeypatch):
         def wrong_span(cospan):
@@ -383,3 +456,14 @@ def test_sfg_controllable_computes_one_pullback_span(capsys, monkeypatch):
         counts.update(elimination=0, pullback_span=0)
         assert main(["sfg", "controllable", *extra, fixture("wire.sfg")]) == 0
         assert counts == {"elimination": 2, "pullback_span": 0}
+
+
+def test_deep_chains_run_without_recursion(capsys, tmp_path):
+    """Terms are typed and wired with an explicit stack, so a chain of
+    5000 generators is checked and stepped; recursion used to fail at
+    about 1000."""
+    path = tmp_path / "deep.sfg"
+    path.write_text(" ; ".join(["id"] * 5000))
+    assert main(["sfg", "check-trace", str(path), "--window", "[[[1],[1]],[[2],[2]]]"]) == 0
+    assert main(["sfg", "step", str(path), "--left", "[1]", "--right", "[1]"]) == 0
+    assert capsys.readouterr().err == ""

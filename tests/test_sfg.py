@@ -9,7 +9,10 @@ from conftest import (
     kernel_residuals,
     rand_linear_system,
     rand_term,
+    reference_check_trace,
+    reference_sample_biinfinite_window,
     reference_tick_relation,
+    run_chain,
 )
 from openwires.cli import parse_term
 from openwires.lti import (
@@ -32,7 +35,10 @@ from openwires.sfg import (
     Seq,
     SfgTypeError,
     _affine_solve,
+    _extendable_states,
+    _swap_state_blocks,
     check_trace,
+    check_trace_unrolled,
     count_registers,
     par,
     sample_biinfinite_window,
@@ -283,3 +289,97 @@ class TestAffineSolve:
             assert particular == expected
             assert homogeneous == kernel_of_matrix(QQ, rows, nvars)
         assert outcomes == {True, False}
+
+
+def _perturbed(window, rng):
+    """The window with one boundary value moved by one."""
+    ticks = [(list(u), list(v)) for u, v in window]
+    entries = [side for tick in ticks for side in tick for _ in side]
+    if entries:
+        side = rng.choice(entries)
+        side[rng.randrange(len(side))] += 1
+    return ticks
+
+
+class TestTraceScanReference:
+    """The constraint-form scan against the particular + basis route it
+    replaced, and against the unrolled window."""
+
+    def assert_verdicts_match(self, term, window, init=None, unrolled=True):
+        verdict = check_trace(term, window, init)
+        assert verdict == reference_check_trace(term, window, init)
+        if unrolled:
+            assert verdict == check_trace_unrolled(term, window, init)
+        return verdict
+
+    def assert_samples_match(self, term, ticks, seed, init=None):
+        sampled = sample_biinfinite_window(term, ticks, random.Random(seed), init)
+        reference = reference_sample_biinfinite_window(term, ticks, random.Random(seed), init)
+        assert repr(sampled) == repr(reference)
+        return sampled
+
+    def test_feedback_chains(self):
+        rng = random.Random(71)
+        for cells in range(1, 17):
+            term = feedback_chain(cells)
+            unrolled = cells <= 6  # its one elimination grows as the cube of the window
+            x = [F(rng.randint(-3, 3)) for _ in range(cells + 4)]
+            init = [F(rng.randint(-3, 3)) for _ in range(cells)]
+            window = [([u], [v]) for u, v in zip(x, run_chain(init, x))]
+            assert self.assert_verdicts_match(term, window, init, unrolled)
+            assert self.assert_verdicts_match(term, window, None, unrolled)
+            bumped = list(init)
+            bumped[rng.randrange(cells)] += 1
+            assert not self.assert_verdicts_match(term, window, bumped, unrolled)
+            late = [(u, list(v)) for u, v in window]
+            late[rng.randrange(cells, cells + 4)][1][0] += 1
+            assert not self.assert_verdicts_match(term, late, None, unrolled)
+            self.assert_samples_match(term, 4, cells, init)
+
+    def test_random_terms(self):
+        rng = random.Random(73)
+        outcomes = set()
+        for i in range(300):
+            term = rand_term(rng, 12)
+            d = count_registers(term)
+            init = [F(rng.randint(-3, 3)) for _ in range(d)] if i % 2 else None
+            sampled = self.assert_samples_match(term, 5, rng.getrandbits(32), init)
+            if sampled is None:
+                continue
+            window, initial = sampled
+            unrolled = i % 3 == 0
+            assert self.assert_verdicts_match(term, window, initial, unrolled)
+            outcomes.add(self.assert_verdicts_match(term, _perturbed(window, rng), None, unrolled))
+            if d:
+                self.assert_verdicts_match(term, window, [v + 1 for v in initial], unrolled)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "text", ["id", "add", "copy ; add", "zero (+) discard", "tw ; add ; co-x(2)", "co-discard ; discard"]
+    )
+    def test_terms_without_registers(self, text):
+        term = parse_term(text)
+        m, n = term_type(term)
+        assert count_registers(term) == 0
+        rng = random.Random(79)
+        for seed in range(5):
+            window, initial = self.assert_samples_match(term, 3, seed)
+            assert initial == []
+            assert self.assert_verdicts_match(term, window, initial)
+            self.assert_verdicts_match(term, _perturbed(window, rng))
+        self.assert_verdicts_match(term, [([F(1)] * m, [F(2)] * n)])
+
+    def test_proper_backward_and_forward_sets(self):
+        # zero ; delay can only have held 0; delay ; co-zero can only go on from 0
+        for text, reverse in (("zero ; delay", False), ("delay ; co-zero", True)):
+            term = parse_term(text)
+            m, n = term_type(term)
+            annihilator = tick_relation(term).constraints().basis
+            if reverse:
+                annihilator = _swap_state_blocks(annihilator, 1, m, n)
+            assert _extendable_states(annihilator, 1, m, n) == ((F(1), F(0)),)
+            for value in (F(0), F(3)):
+                for init in (None, [value], [value - 3]):
+                    window = [([value] * m, [value] * n), ([F(0)] * m, [F(0)] * n)]
+                    self.assert_verdicts_match(term, window, init)
+                self.assert_samples_match(term, 3, 5, [value])
