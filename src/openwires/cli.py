@@ -28,8 +28,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .circuit import ImpedanceError, LabelledGraph, OpenCircuit
-from .dirichlet import circuits_equivalent, power_functional
+from .circuit import ImpedanceError, LabelledGraph, OpenCircuit, boundary, compose_circuits
+from .dirichlet import circuits_equivalent, extended_power, power_functional, realizable_extension
 from .finset import FinCospan, FinFunction
 from .lti import (
     BehaviourRep,
@@ -57,7 +57,7 @@ from .sfg import (
     successor_states,
     term_type,
 )
-from .symplectic import black_box
+from .symplectic import black_box, compose_lagrangian
 
 USAGE_ERROR = 2
 PARSE_ERROR = 3
@@ -188,7 +188,13 @@ _GENERATOR_NAMES = (
 
 
 class _TermParser:
-    """term := par (';' par)*;  par := atom ('(+)' atom)*."""
+    """term := par (';' par)*;  par := atom ('(+)' atom)*;
+    atom := generator | '(' term ')'.
+
+    Parsed without recursion: each '(' pushes the enclosing group's
+    sequence and parallel parts so far onto a stack and its ')' pops them,
+    so the nesting depth is not bounded by the call stack.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -212,33 +218,35 @@ class _TermParser:
         return False
 
     def parse(self) -> Term:
-        term = self.sequence()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
-        return term
+        groups: list[tuple] = []
+        sequence = parallel = None
+        while True:
+            if self.lookahead("(+)"):
+                raise self.error("expected a generator or '('")
+            if self.take("("):
+                groups.append((sequence, parallel))
+                sequence = parallel = None
+                continue
+            term = self.generator()
+            while True:
+                parallel = term if parallel is None else Par(parallel, term)
+                if self.take("(+)"):
+                    break
+                sequence = parallel if sequence is None else Seq(sequence, parallel)
+                parallel = None
+                if self.take(";"):
+                    break
+                if not groups:
+                    self.skip_ws()
+                    if self.pos != len(self.text):
+                        raise self.error("unexpected trailing input")
+                    return sequence
+                if not self.take(")"):
+                    raise self.error("expected ')'")
+                term = sequence
+                sequence, parallel = groups.pop()
 
-    def sequence(self) -> Term:
-        term = self.parallel()
-        while self.take(";"):
-            term = Seq(term, self.parallel())
-        return term
-
-    def parallel(self) -> Term:
-        term = self.atom()
-        while self.take("(+)"):
-            term = Par(term, self.atom())
-        return term
-
-    def atom(self) -> Term:
-        self.skip_ws()
-        if self.lookahead("(+)"):
-            raise self.error("expected a generator or '('")
-        if self.take("("):
-            term = self.sequence()
-            if not self.take(")"):
-                raise self.error("expected ')'")
-            return term
+    def generator(self) -> Gen:
         for name in ("co-x", "x"):
             if self._at_scalar_name(name):
                 self.pos += len(name)
@@ -365,9 +373,15 @@ def _cmd_circuit_compose(args) -> int:
     field = field_by_name(args.field) if args.field else None
     a, _ = load_circuit(args.first, field)
     b, _ = load_circuit(args.second, field)
-    from .circuit import compose_circuits
-
     composed = compose_circuits(a, b)
+    if args.oracle:
+        glued = compose_lagrangian(black_box(a, "oracle"), black_box(b, "oracle"))
+        if black_box(composed, "oracle").space != glued.space:
+            print(
+                "internal error: the composite's black box is not the composed relation",
+                file=sys.stderr,
+            )
+            return USAGE_ERROR
     doc = format_circuit_document(composed)
     print(json.dumps(doc, indent=2))
     return 0
@@ -403,9 +417,10 @@ def _cmd_circuit_equiv(args) -> int:
 def _cmd_circuit_power(args) -> int:
     field = field_by_name(args.field) if args.field else None
     circuit, nodes = load_circuit(args.circuit, field)
-    from .circuit import boundary
-
     q = power_functional(circuit)
+    if args.oracle and not _power_agrees(circuit, q):
+        print("internal error: power functional disagrees with the interior solve", file=sys.stderr)
+        return USAGE_ERROR
     names = [nodes[v] for v in boundary(circuit)]
     rows = [[circuit.field.format(v) for v in row] for row in q.coeff]
     if args.json:
@@ -417,6 +432,21 @@ def _cmd_circuit_power(args) -> int:
     for name, row in zip(names, rows):
         print("  " + " ".join(v.rjust(width) for v in [name] + row))
     return 0
+
+
+def _power_agrees(circuit: OpenCircuit, q) -> bool:
+    """At each boundary unit potential, the extended form's gradient at its
+    realizable extension (an interior linear solve, not Kron reduction),
+    restricted to the boundary, is the reduced form's gradient."""
+    p = extended_power(circuit)
+    nodes = boundary(circuit)
+    zero, one = circuit.field.zero, circuit.field.one
+    for k in range(len(nodes)):
+        unit = [one if j == k else zero for j in range(len(nodes))]
+        gradient = p.gradient(realizable_extension(p, nodes, unit))
+        if [gradient[n] for n in nodes] != q.gradient(unit):
+            return False
+    return True
 
 
 def _cmd_sfg_denote(args) -> int:

@@ -12,12 +12,16 @@ and iterating it over the interior computes the power functional on the
 boundary.  Elimination is sparse: it works on a map of the nonzero
 coefficients and touches only the pairs of n's neighbours, so its cost is
 set by the fill-in, not by the square of the node count.  Interior nodes
-go in ascending index order.  Over Q the coefficients stay nonnegative;
-over Q(s) the same formal calculus applies verbatim.  A node with no
-nonzero coefficient is dropped; a node whose nonzero coefficients sum to
-zero (possible over Q(s), where impedances cancel unchecked) raises
-``DegenerateFormError``, because the minimum over it is then a constraint
-on the boundary, not a Dirichlet form.
+go in minimum-degree order (Markowitz; Tinney and Walker): the node with
+the fewest nonzero coefficients first, ties to the lowest index, so a
+ladder's detour nodes go before the main nodes they bypass and the form
+stays sparse.  The result does not depend on the order; the fill-in and
+the size of the intermediate fractions do.  Over Q the coefficients stay
+nonnegative; over Q(s) the same formal calculus applies verbatim.  A node
+with no nonzero coefficient is dropped; a node whose nonzero coefficients
+sum to zero (possible over Q(s), where impedances cancel unchecked)
+raises ``DegenerateFormError``, because the minimum over it is then a
+constraint on the boundary, not a Dirichlet form.
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ def eliminate_node(q: DirichletForm, n: int) -> DirichletForm:
 def minimize(q: DirichletForm, keep: Sequence[int]) -> DirichletForm:
     """Sparse node elimination onto the kept index subset.
 
-    Eliminates the complement in ascending index order, one Kron step per
+    Eliminates the complement in minimum-degree order, one Kron step per
     node on the map of nonzero coefficients, so the cost follows the
     fill-in rather than size^2.  The result is order independent.  Kept
     indices are renumbered by their order in ``keep``, which must be
@@ -231,12 +235,15 @@ def _set_pair(adjacency: dict, i: int, j: int, value) -> None:
 
 
 def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
-    """Eliminate every index outside ``keep`` in ascending order, then
-    build (and validate) the one form on ``keep``."""
+    """Eliminate every index outside ``keep``, each time the one with the
+    fewest nonzero coefficients (the lowest index on a tie), then build
+    (and validate) the one form on ``keep``."""
     kept = set(keep)
-    for n in sorted(adjacency):
-        if n not in kept:
-            _eliminate(field, adjacency, n)
+    interior = [n for n in sorted(adjacency) if n not in kept]
+    while interior:
+        n = min(interior, key=lambda k: len(adjacency[k]))
+        interior.remove(n)
+        _eliminate(field, adjacency, n)
     position = {node: k for k, node in enumerate(keep)}
     matrix = [[field.zero] * len(keep) for _ in keep]
     for node, k in position.items():

@@ -237,6 +237,10 @@ def _build_network(term: Term) -> _Network:
     )
 
 
+# the shared coefficients of the wire equations
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
 class _NetworkBuilder:
     def __init__(self):
         self.next_wire = 0
@@ -262,7 +266,7 @@ class _NetworkBuilder:
         (left1, right1), (left2, right2) = first, second
         _check_composable(len(right1), len(left2))
         for a, b in zip(right1, left2):
-            self.equate({("w", a): Fraction(1), ("w", b): Fraction(-1)})
+            self.equate({("w", a): _ONE, ("w", b): _MINUS_ONE})
         return left1, right2
 
     def visit_gen(self, gen: Gen) -> tuple[list[int], list[int]]:
@@ -270,47 +274,46 @@ class _NetworkBuilder:
         left = [self.wire() for _ in range(m)]
         right = [self.wire() for _ in range(n)]
         name = gen.name
-        one = Fraction(1)
         if name == "add":
             self.equate(
-                {("w", left[0]): one, ("w", left[1]): one, ("w", right[0]): -one}
+                {("w", left[0]): _ONE, ("w", left[1]): _ONE, ("w", right[0]): _MINUS_ONE}
             )
         elif name == "zero":
-            self.equate({("w", right[0]): one})
+            self.equate({("w", right[0]): _ONE})
         elif name == "copy":
-            self.equate({("w", left[0]): one, ("w", right[0]): -one})
-            self.equate({("w", left[0]): one, ("w", right[1]): -one})
+            self.equate({("w", left[0]): _ONE, ("w", right[0]): _MINUS_ONE})
+            self.equate({("w", left[0]): _ONE, ("w", right[1]): _MINUS_ONE})
         elif name == "discard":
             pass
         elif name == "x":
-            self.equate({("w", left[0]): gen.value, ("w", right[0]): -one})
+            self.equate({("w", left[0]): gen.value, ("w", right[0]): _MINUS_ONE})
         elif name == "id":
-            self.equate({("w", left[0]): one, ("w", right[0]): -one})
+            self.equate({("w", left[0]): _ONE, ("w", right[0]): _MINUS_ONE})
         elif name == "tw":
-            self.equate({("w", left[0]): one, ("w", right[1]): -one})
-            self.equate({("w", left[1]): one, ("w", right[0]): -one})
+            self.equate({("w", left[0]): _ONE, ("w", right[1]): _MINUS_ONE})
+            self.equate({("w", left[1]): _ONE, ("w", right[0]): _MINUS_ONE})
         elif name == "delay":
             reg = self.register()
             # the right wire shows the stored value; the left wire is stored
-            self.equate({("w", right[0]): one, ("rin", reg): -one})
-            self.equate({("rout", reg): one, ("w", left[0]): -one})
+            self.equate({("w", right[0]): _ONE, ("rin", reg): _MINUS_ONE})
+            self.equate({("rout", reg): _ONE, ("w", left[0]): _MINUS_ONE})
         elif name == "co-delay":
             reg = self.register()
-            self.equate({("w", left[0]): one, ("rin", reg): -one})
-            self.equate({("rout", reg): one, ("w", right[0]): -one})
+            self.equate({("w", left[0]): _ONE, ("rin", reg): _MINUS_ONE})
+            self.equate({("rout", reg): _ONE, ("w", right[0]): _MINUS_ONE})
         elif name == "co-add":
             self.equate(
-                {("w", right[0]): one, ("w", right[1]): one, ("w", left[0]): -one}
+                {("w", right[0]): _ONE, ("w", right[1]): _ONE, ("w", left[0]): _MINUS_ONE}
             )
         elif name == "co-zero":
-            self.equate({("w", left[0]): one})
+            self.equate({("w", left[0]): _ONE})
         elif name == "co-copy":
-            self.equate({("w", right[0]): one, ("w", left[0]): -one})
-            self.equate({("w", right[0]): one, ("w", left[1]): -one})
+            self.equate({("w", right[0]): _ONE, ("w", left[0]): _MINUS_ONE})
+            self.equate({("w", right[0]): _ONE, ("w", left[1]): _MINUS_ONE})
         elif name == "co-discard":
             pass
         elif name == "co-x":
-            self.equate({("w", right[0]): gen.value, ("w", left[0]): -one})
+            self.equate({("w", right[0]): gen.value, ("w", left[0]): _MINUS_ONE})
         else:
             raise SfgTypeError(f"unknown generator {name!r}")
         return left, right

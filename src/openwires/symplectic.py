@@ -8,8 +8,9 @@ is stored over the fixed coordinate order (phi_X.., phi_Y.., i_X.., i_Y..)
 and the conjugation of the domain is a sign in the omega evaluation, not a
 data change.
 
-Composition is plain relational composition (intersect with the matching
-constraints, then project).  Currents are recorded flowing *through*: the
+Composition is plain relational composition, computed from the two
+bases: the combinations of each side's rows that agree on the shared
+boundary span the composite.  Currents are recorded flowing *through*: the
 domain-side conjugation means that what leaves one relation enters the
 next, which is the same physics as requiring outward currents of glued
 parts to cancel (i + i' = 0) when both are recorded outward.
@@ -324,37 +325,35 @@ def twist(n: int, field: Field = QQ, conjugated_domain: bool = False) -> Lagrang
 def compose_lagrangian(
     first: LagrangianRelation, second: LagrangianRelation
 ) -> LagrangianRelation:
-    """Relational composite {(u, w) | exists v}: intersect then project."""
+    """Relational composite {(u, w) | exists v}, from the two bases.
+
+    With basis rows a_i of the first relation and b_j of the second, every
+    (lambda, mu) with sum lambda_i a_i|V = sum mu_j b_j|V is a kernel
+    vector of one 2v-row system, and the composite is the span of
+    (sum lambda_i a_i|U, sum mu_j b_j|W) over them.  This holds for any two
+    linear relations, Lagrangian or not.
+    """
     if first.cod != second.dom:
         raise ValueError("relations are not composable")
     if first.field != second.field:
         raise ValueError("relations must share a scalar field")
     field = first.field
     u, v, w = first.dom_n, first.cod_n, second.cod_n
-    # big coordinates: (phi_U, phi_V, phi_W, i_U, i_V, i_W)
-    width = 2 * (u + v + w)
-    phi_u = list(range(u))
-    phi_v = list(range(u, u + v))
-    phi_w = list(range(u + v, u + v + w))
-    i_u = list(range(u + v + w, u + v + w + u))
-    i_v = list(range(u + v + w + u, u + v + w + u + v))
-    i_w = list(range(u + v + w + u + v, width))
-    first_coords = phi_u + phi_v + i_u + i_v
-    second_coords = phi_v + phi_w + i_v + i_w
-    constraint_rows = []
-    zero = field.zero
-    for functional in first.space.constraints().basis:
-        row = [zero] * width
-        for value, position in zip(functional, first_coords):
-            row[position] = row[position] + value
-        constraint_rows.append(row)
-    for functional in second.space.constraints().basis:
-        row = [zero] * width
-        for value, position in zip(functional, second_coords):
-            row[position] = row[position] + value
-        constraint_rows.append(row)
-    meet = kernel_of_matrix(field, constraint_rows, width)
-    space = meet.project(phi_u + phi_w + i_u + i_w)
+    # first rows: (phi_U, phi_V, i_U, i_V); second rows: (phi_V, phi_W, i_V, i_W)
+    first_v = list(range(u, u + v)) + list(range(2 * u + v, 2 * (u + v)))
+    first_u = list(range(u)) + list(range(u + v, 2 * u + v))
+    second_v = list(range(v)) + list(range(v + w, 2 * v + w))
+    second_w = list(range(v, v + w)) + list(range(2 * v + w, 2 * (v + w)))
+    a, b = first.space.basis, second.space.basis
+    agree = [[row[p] for row in a] + [-row[q] for row in b] for p, q in zip(first_v, second_v)]
+    unknowns = len(a) + len(b)
+    rows = []
+    for vec in _null_vectors(field, _rref(field, agree, unknowns), unknowns):
+        lam, mu = vec[: len(a)], vec[len(a) :]
+        left = [sum((c * r[p] for c, r in zip(lam, a) if c and r[p]), field.zero) for p in first_u]
+        right = [sum((c * r[q] for c, r in zip(mu, b) if c and r[q]), field.zero) for q in second_w]
+        rows.append(left[:u] + right[:w] + left[u:] + right[w:])
+    space = Subspace.span(field, 2 * (u + w), rows)
     return LagrangianRelation(field, first.dom, second.cod, space)
 
 
@@ -526,7 +525,9 @@ def _fast_boundary_space(c: OpenCircuit) -> Subspace:
     Each boundary node n gives the potential e_n pulled back to the
     terminals, with the currents dQ(e_n) on the first terminal of each
     node's block; each other terminal gives its current against its
-    block leader's.  Input currents are recorded flowing in (sign -1).
+    block leader's.  The currents are read off row n of the reduced form:
+    2 sum_j c_nj at n itself and -2 c_nk at every other node k.  Input
+    currents are recorded flowing in (sign -1).
     """
     field = c.field
     zero, one = field.zero, field.one
@@ -542,9 +543,9 @@ def _fast_boundary_space(c: OpenCircuit) -> Subspace:
         row = [zero] * (2 * terminals)
         for t in block:
             row[t] = one
-        unit = [zero] * q.size
-        unit[n] = one
-        for (leader, *_), current in zip(blocks, q.gradient(unit)):
+        coeffs = q.coeff[n]
+        for k, ((leader, *_), c_nk) in enumerate(zip(blocks, coeffs)):
+            current = 2 * sum(coeffs, zero) if k == n else -2 * c_nk
             row[terminals + leader] = sign[leader] * current
         rows.append(row)
         for t in block[1:]:

@@ -132,14 +132,21 @@ def composable_circuit_pairs(rng: random.Random, count: int) -> list:
     return pairs
 
 
-def rand_qs_circuit(rng: random.Random, x: int, y: int, negative: bool = False) -> OpenCircuit:
-    """A random circuit over Q(s), at most 5 nodes and 6 edges, with
-    impedances r, r*s and 1/(r*s); with ``negative``, also -r*s, which is
-    not positive-real."""
+def rand_qs_circuit(
+    rng: random.Random,
+    x: int,
+    y: int,
+    negative: bool = False,
+    max_nodes: int = 5,
+    max_edges: int = 6,
+) -> OpenCircuit:
+    """A random circuit over Q(s), by default at most 5 nodes and 6 edges,
+    with impedances r, r*s and 1/(r*s); with ``negative``, also -r*s,
+    which is not positive-real."""
     s = QS.parse("s")
-    n = rng.randint(1, 5)
+    n = rng.randint(1, max_nodes)
     edges = []
-    for _ in range(rng.randint(0, 6)):
+    for _ in range(rng.randint(0, max_edges)):
         r = rand_positive_fraction(rng)
         z = [QS.from_fraction(r), r * s, 1 / (r * s), -r * s][rng.randrange(4 if negative else 3)]
         edges.append((rng.randrange(n), rng.randrange(n), z))
@@ -1080,6 +1087,38 @@ def reference_fast_box(c: OpenCircuit) -> LagrangianRelation:
     return LagrangianRelation(
         c.field, SymplecticSpace(c.field, x), SymplecticSpace(c.field, y), space
     )
+
+
+def reference_compose_lagrangian(
+    first: LagrangianRelation, second: LagrangianRelation
+) -> LagrangianRelation:
+    """Relational composition by intersect-then-project: both annihilators
+    placed in the big coordinates (phi_U, phi_V, phi_W, i_U, i_V, i_W),
+    their joint kernel, then its image on the U and W coordinates."""
+    if first.cod != second.dom:
+        raise ValueError("relations are not composable")
+    field = first.field
+    u, v, w = first.dom_n, first.cod_n, second.cod_n
+    width = 2 * (u + v + w)
+    phi_u = list(range(u))
+    phi_v = list(range(u, u + v))
+    phi_w = list(range(u + v, u + v + w))
+    i_u = list(range(u + v + w, u + v + w + u))
+    i_v = list(range(u + v + w + u, u + v + w + u + v))
+    i_w = list(range(u + v + w + u + v, width))
+    constraint_rows = []
+    for relation, coords in (
+        (first, phi_u + phi_v + i_u + i_v),
+        (second, phi_v + phi_w + i_v + i_w),
+    ):
+        for functional in relation.space.constraints().basis:
+            row = [field.zero] * width
+            for value, position in zip(functional, coords):
+                row[position] = row[position] + value
+            constraint_rows.append(row)
+    meet = kernel_of_matrix(field, constraint_rows, width)
+    space = meet.project(phi_u + phi_w + i_u + i_w)
+    return LagrangianRelation(field, first.dom, second.cod, space)
 
 
 def brute_force_pushout_classes(n: int, m: int, relation_pairs):

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import rand_term
+from conftest import ladder, rand_term
 
-from openwires import cli, lti, sfg
+from openwires import circuit, cli, dirichlet, lti, sfg
 from openwires.cli import (
     DocumentError,
     TermParseError,
@@ -16,7 +16,7 @@ from openwires.cli import (
     parse_circuit_document,
     parse_term,
 )
-from openwires.sfg import term_type
+from openwires.sfg import Gen, Par, Seq, term_type
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -94,6 +94,36 @@ class TestTermParsing:
     def test_type_errors_rejected(self):
         with pytest.raises(Exception):
             parse_term("add ; add")
+
+    def test_grouping_and_associativity(self):
+        a, b, c = Gen("id"), Gen("copy"), Gen("add")
+        assert cli._TermParser("id ; copy ; add").parse() == Seq(Seq(a, b), c)
+        assert cli._TermParser("id (+) copy (+) add").parse() == Par(Par(a, b), c)
+        assert cli._TermParser("id ; (copy ; add)").parse() == Seq(a, Seq(b, c))
+        assert cli._TermParser("id (+) (copy (+) add)").parse() == Par(a, Par(b, c))
+        assert cli._TermParser("id ; copy (+) add ; id").parse() == Seq(Seq(a, Par(b, c)), a)
+        assert cli._TermParser("((id ; copy) (+) add) ; x(-3/2)").parse() == Seq(
+            Par(Seq(a, b), c), Gen("x", Fraction(-3, 2))
+        )
+
+    @pytest.mark.parametrize(
+        "text, pos, message",
+        [
+            ("", 0, "expected a generator or '('"),
+            ("(+) id", 0, "expected a generator or '('"),
+            ("id ;", 4, "expected a generator or '('"),
+            ("(id", 3, "expected ')'"),
+            ("((id) ; copy", 12, "expected ')'"),
+            ("id )", 3, "unexpected trailing input"),
+            ("(id) (id)", 5, "unexpected trailing input"),
+            ("x(1", 3, "expected ')'"),
+            ("x(q)", 2, "expected a rational number"),
+        ],
+    )
+    def test_error_positions(self, text, pos, message):
+        with pytest.raises(TermParseError) as caught:
+            cli._TermParser(text).parse()
+        assert caught.value.pos == pos and str(caught.value) == f"{message} at position {pos}"
 
     def test_print_parse_roundtrip(self):
         source = "copy ; (delay (+) id) ; add ; co-add ; (co-delay (+) id) ; co-copy"
@@ -456,6 +486,81 @@ def test_sfg_controllable_computes_one_pullback_span(capsys, monkeypatch):
         counts.update(elimination=0, pullback_span=0)
         assert main(["sfg", "controllable", *extra, fixture("wire.sfg")]) == 0
         assert counts == {"elimination": 2, "pullback_span": 0}
+
+
+class TestCircuitOracle:
+    """``--oracle`` on ``circuit power`` re-derives each current by the
+    interior linear solve, and on ``circuit compose`` composes the oracle
+    black boxes; a disagreement is an internal error (exit 2)."""
+
+    @pytest.mark.parametrize("name", ["series11.json", "single2.json", "resistor.json", "rlc.json"])
+    def test_power(self, capsys, name):
+        for extra in ([], ["--json"], ["--oracle"], ["--oracle", "--json"]):
+            assert main(["circuit", "power", *extra, fixture(name)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("resistor.json", "resistor.json"), ("series11.json", "single2.json"), ("rlc.json", "rlc.json")],
+    )
+    def test_compose(self, capsys, first, second):
+        outputs = set()
+        for extra in ([], ["--json"], ["--oracle"], ["--oracle", "--json"]):
+            assert main(["circuit", "compose", *extra, fixture(first), fixture(second)]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+
+    def _assert_internal_error(self, capsys, argv):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+    def test_power_disagreement(self, capsys, monkeypatch):
+        def doubled(c):
+            q = dirichlet.power_functional(c)
+            return q.add(q)
+
+        monkeypatch.setattr(cli, "power_functional", doubled)
+        self._assert_internal_error(capsys, ["circuit", "power", fixture("series11.json")])
+
+    def test_compose_disagreement(self, capsys, monkeypatch):
+        def one_more(a, b):
+            return circuit.compose_circuits(circuit.compose_circuits(a, b), b)
+
+        monkeypatch.setattr(cli, "compose_circuits", one_more)
+        self._assert_internal_error(
+            capsys, ["circuit", "compose", fixture("resistor.json"), fixture("resistor.json")]
+        )
+
+
+def test_power_of_a_long_ladder(capsys, tmp_path):
+    """200 sections: minimum-degree elimination keeps the form sparse;
+    in ascending order this took about two minutes."""
+    c, impedance = ladder(random.Random(67), 200)
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(format_circuit_document(c)))
+    assert main(["circuit", "power", "--json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["boundary"] == ["v0", "v200"]
+    assert payload["coefficients"][0][1] == str(1 / (2 * impedance))
+
+
+def test_deep_parentheses_parse_without_recursion(capsys, tmp_path):
+    """Groups are parsed with an explicit stack; recursion used to fail
+    at about 1500 levels."""
+    path = tmp_path / "nested.sfg"
+    path.write_text("(" * 5000 + "id" + ")" * 5000)
+    assert main(["sfg", "denote", str(path)]) == 0
+    assert main(["sfg", "check-trace", str(path), "--window", "[[[1],[1]],[[2],[2]]]"]) == 0
+    assert main(["sfg", "step", str(path), "--left", "[1]", "--right", "[1]"]) == 0
+    assert capsys.readouterr().err == ""
+    path.write_text("(" * 5000 + "id" + ")" * 4999)
+    assert main(["sfg", "denote", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: expected ')' at position 10001\n"
 
 
 def test_deep_chains_run_without_recursion(capsys, tmp_path):

@@ -11,6 +11,7 @@ from conftest import (
     oracle_min_coefficients,
     oracle_min_value,
     rand_circuit,
+    rand_fin_function,
     rand_linear_system,
     rand_positive_fraction,
     reference_corpus,
@@ -26,6 +27,7 @@ from openwires.circuit import (
     resistor,
     series,
 )
+from openwires import dirichlet
 from openwires.dirichlet import (
     DegenerateFormError,
     DirichletForm,
@@ -181,6 +183,92 @@ class TestSparseElimination:
         for sections in range(1, 11):
             c, impedance = ladder(rng, sections)
             assert power_functional(c).coeff[0][1] == 1 / (2 * impedance)
+
+
+def rand_sized_circuit(rng: random.Random, field, nodes: int, extra_edges: int) -> OpenCircuit:
+    """Exactly ``nodes`` nodes, nodes - 1 to nodes + extra_edges random
+    edges and 0 to 3 terminals a side; over Q(s) the impedances are r,
+    r*s and 1/(r*s)."""
+    s = QS.parse("s")
+    edges = []
+    for _ in range(rng.randint(nodes - 1, nodes + extra_edges)):
+        r = rand_positive_fraction(rng)
+        z = r if field == QQ else [QS.from_fraction(r), r * s, 1 / (r * s)][rng.randrange(3)]
+        edges.append((rng.randrange(nodes), rng.randrange(nodes), z))
+    x, y = rng.randint(0, 3), rng.randint(0, 3)
+    return OpenCircuit(
+        field,
+        LabelledGraph(nodes, tuple(edges)),
+        FinCospan(rand_fin_function(rng, x, nodes), rand_fin_function(rng, y, nodes)),
+    )
+
+
+class TestMinimumDegreeOrder:
+    """The interior goes fewest nonzero coefficients first, ties to the
+    lowest index; the Schur complement does not depend on the order."""
+
+    # Q(s) is kept sparser: the dense reference fills in and its rational
+    # functions grow, some 25 s for a dozen 40-node circuits with 2n edges
+    @pytest.mark.parametrize("field, count, sparsity", [(QQ, 30, 1), (QS, 12, 4)])
+    def test_matches_dense_ascending_reference(self, field, count, sparsity):
+        rng = random.Random(401 if field == QQ else 403)
+        for _ in range(count):
+            nodes = rng.randint(2, 40)
+            c = rand_sized_circuit(rng, field, nodes, nodes // sparsity)
+            expected = reference_minimize(extended_power(c), boundary(c))
+            assert repr(power_functional(c)) == repr(expected)
+            assert repr(minimize(extended_power(c), boundary(c))) == repr(expected)
+
+    @pytest.mark.parametrize("field", [QQ, QS])
+    def test_relabelling_permutes_the_form(self, field):
+        rng = random.Random(409)
+        for _ in range(15):
+            c = rand_sized_circuit(rng, field, rng.randint(2, 25), 10)
+            perm = list(range(c.graph.num_nodes))
+            rng.shuffle(perm)
+            relabelled = OpenCircuit(
+                field,
+                LabelledGraph(
+                    c.graph.num_nodes,
+                    tuple((perm[src], perm[tgt], z) for src, tgt, z in c.graph.edges),
+                ),
+                FinCospan(
+                    FinFunction(c.num_inputs, c.graph.num_nodes, tuple(perm[v] for v in c.cospan.left.table)),
+                    FinFunction(c.num_outputs, c.graph.num_nodes, tuple(perm[v] for v in c.cospan.right.table)),
+                ),
+            )
+            q, q_perm = power_functional(c), power_functional(relabelled)
+            old, new = boundary(c), boundary(relabelled)
+            at = {node: new.index(perm[node]) for node in old}
+            for i, a in enumerate(old):
+                for j, b in enumerate(old):
+                    assert q.coeff[i][j] == q_perm.coeff[at[a]][at[b]]
+
+    def test_ladder_order(self, monkeypatch):
+        """A detour node has two coefficients and an inner main node four.
+        The first detour goes, then each main node as soon as its detours
+        have gone and it is down to two, before the next detour, which
+        has the higher index: no step ever fills in a new pair."""
+        order = []
+        real = dirichlet._eliminate
+
+        def recorded(field, adjacency, n):
+            order.append(n)
+            real(field, adjacency, n)
+
+        monkeypatch.setattr(dirichlet, "_eliminate", recorded)
+        sections = 6
+        c, _ = ladder(random.Random(59), sections)
+        power_functional(c)
+        detour = [sections + 1 + k for k in range(sections)]
+        assert order == [detour[0]] + [n for k in range(1, sections) for n in (detour[k], k)]
+
+    def test_long_ladder_closed_form(self):
+        """Ascending order joins every main node's neighbours before their
+        detours go, which took minutes at 200 sections."""
+        c, impedance = ladder(random.Random(61), 200)
+        q = power_functional(c)
+        assert q.size == 2 and q.coeff[0][1] == 1 / (2 * impedance)
 
 
 class TestDegeneratePivot:

@@ -8,6 +8,7 @@ from conftest import (
     rand_circuit,
     rand_corelation,
     rand_fraction,
+    reference_compose_lagrangian,
     reference_corpus,
     reference_fast_box,
 )
@@ -28,6 +29,7 @@ from openwires.finset import (
 )
 from openwires.scalars import QQ
 from openwires.symplectic import (
+    LagrangianRelation,
     Subspace,
     SymplecticSpace,
     apply_relation,
@@ -217,6 +219,44 @@ class TestComposition:
             composite = compose_lagrangian(a, b)
             assert composite.space.dim == x + z
             assert composite.is_lagrangian()
+
+
+class TestSpanComposition:
+    """compose_lagrangian from the two bases against intersect-then-project
+    on both annihilators."""
+
+    @pytest.mark.parametrize("corpus", REFERENCE_CORPORA)
+    def test_black_box_pairs_match_reference(self, corpus):
+        boxes = [black_box(c) for c in reference_corpus(corpus)]
+        composed = 0
+        for first, second in zip(boxes, boxes[1:]):
+            if first.cod != second.dom:
+                continue
+            expected = reference_compose_lagrangian(first, second)
+            assert compose_lagrangian(first, second).space.basis == expected.space.basis
+            composed += 1
+        assert composed >= len(boxes) // 3
+
+    def test_general_linear_relations_match_reference(self):
+        """Not Lagrangian: any dimension from zero to full, and v = 0."""
+        rng = random.Random(419)
+        shapes = set()
+        for _ in range(300):
+            u, v, w = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+            relations = []
+            for dom, cod in ((u, v), (v, w)):
+                ambient = 2 * (dom + cod)
+                rows = rng.choice([0, ambient, rng.randint(0, ambient)])
+                space = rand_subspace(rng, ambient, rows)
+                shapes.add((space.dim == 0, space.dim == ambient, v == 0))
+                relations.append(
+                    LagrangianRelation(QQ, SymplecticSpace(QQ, dom), SymplecticSpace(QQ, cod), space)
+                )
+            expected = reference_compose_lagrangian(*relations)
+            got = compose_lagrangian(*relations)
+            assert (got.dom, got.cod) == (expected.dom, expected.cod)
+            assert got.space.basis == expected.space.basis
+        assert {(True, False, False), (False, True, False), (True, False, True)} <= shapes
 
 
 class TestSymplectify:
