@@ -329,7 +329,7 @@ def _solve_pinned(rows: list[list], num_vars: int, field: Field):
     """Gaussian elimination; free variables pinned to 0; None if inconsistent."""
     solution = [field.zero] * num_vars
     for row in _rref(field, rows, num_vars + 1):
-        col = _pivot_column(row, field.zero)
+        col = _pivot_column(row)
         if col == num_vars:
             return None
         solution[col] = row[num_vars]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .scalars import LaurentPoly
+from .scalars import LaurentPoly, _axpy
 
 _L0 = LaurentPoly()
 _L1 = LaurentPoly.constant(1)
@@ -212,18 +212,23 @@ class _Eliminator:
             for row in self.u:
                 row[a], row[b] = row[b], row[a]
 
-    def add_row(self, src: int, dst: int, factor: LaurentPoly):
-        """row_dst += factor * row_src."""
+    def add_row(self, src: int, dst: int, factor: LaurentPoly, sign: int):
+        """row_dst += sign * factor * row_src, with sign 1 or -1.
+
+        Each updated entry is one ``_axpy``, so a subtraction builds no
+        negated factor and no intermediate product; U absorbs the inverse
+        operation, col_src -= sign * factor * col_dst.
+        """
         if factor.is_zero():
             return
-        self.d[dst] = [a + factor * b for a, b in zip(self.d[dst], self.d[src])]
+        self.d[dst] = [_axpy(a, factor, b, sign) for a, b in zip(self.d[dst], self.d[src])]
         if self.u_inv is not None:
             self.u_inv[dst] = [
-                a + factor * b for a, b in zip(self.u_inv[dst], self.u_inv[src])
+                _axpy(a, factor, b, sign) for a, b in zip(self.u_inv[dst], self.u_inv[src])
             ]
         if self.u is not None:
             for row in self.u:
-                row[src] = row[src] - factor * row[dst]
+                row[src] = _axpy(row[src], factor, row[dst], -sign)
 
     def scale_row(self, idx: int, unit: LaurentPoly):
         self.d[idx] = [unit * e for e in self.d[idx]]
@@ -245,17 +250,21 @@ class _Eliminator:
         if self.v is not None:
             self.v[a], self.v[b] = self.v[b], self.v[a]
 
-    def add_col(self, src: int, dst: int, factor: LaurentPoly):
-        """col_dst += factor * col_src."""
+    def add_col(self, src: int, dst: int, factor: LaurentPoly, sign: int):
+        """col_dst += sign * factor * col_src, with sign 1 or -1.
+
+        Each updated entry is one ``_axpy``, as in ``add_row``; V absorbs
+        the inverse operation, row_src -= sign * factor * row_dst.
+        """
         if factor.is_zero():
             return
         for row in self.d:
-            row[dst] = row[dst] + factor * row[src]
+            row[dst] = _axpy(row[dst], factor, row[src], sign)
         if self.v_inv is not None:
             for row in self.v_inv:
-                row[dst] = row[dst] + factor * row[src]
+                row[dst] = _axpy(row[dst], factor, row[src], sign)
         if self.v is not None:
-            self.v[src] = [a - factor * b for a, b in zip(self.v[src], self.v[dst])]
+            self.v[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.v[src], self.v[dst])]
 
     def result(self) -> SnfResult:
         rank = 0
@@ -313,7 +322,7 @@ def _eliminate(m: PolyMatrix, track: Collection[str]) -> SnfResult:
             offender = _divisibility_offender(work, pos)
             if offender is None:
                 break
-            work.add_row(offender, pos, _L1)
+            work.add_row(offender, pos, _L1, 1)
         pos += 1
     for k in range(size):
         entry = work.d[k][k]
@@ -348,7 +357,7 @@ def _reduce_once(work: _Eliminator, pos: int) -> bool:
         if e.is_zero():
             continue
         q, r = divmod(e, pivot)
-        work.add_row(pos, i, -q)
+        work.add_row(pos, i, q, -1)
         if not r.is_zero():
             work.swap_rows(pos, i)
             return True
@@ -357,7 +366,7 @@ def _reduce_once(work: _Eliminator, pos: int) -> bool:
         if e.is_zero():
             continue
         q, r = divmod(e, pivot)
-        work.add_col(pos, j, -q)
+        work.add_col(pos, j, q, -1)
         if not r.is_zero():
             work.swap_cols(pos, j)
             return True

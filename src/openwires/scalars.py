@@ -870,6 +870,25 @@ def _mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _reduced(a.offset + b.offset, _convolve(a.nums, b.nums), a.den * b.den)
 
 
+def _axpy(a: LaurentPoly, q: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
+    """a + sign * q * b, with sign 1 or -1, in one canonical pass: the
+    product is left as integer numerators over q.den * b.den and the sum
+    is reduced once."""
+    qn, bn = q.nums, b.nums
+    if not qn or not bn:
+        return a
+    offset = q.offset + b.offset
+    if len(qn) == 1 and len(bn) == 1:
+        prod = [qn[0] * bn[0]]
+    else:
+        prod = _convolve(qn, bn)
+    if not a.nums:
+        return _reduced(offset, prod if sign > 0 else [-n for n in prod], q.den * b.den)
+    lo = min(a.offset, offset)
+    out, den = _sum_nums(a.nums, a.den, a.offset - lo, prod, q.den * b.den, offset - lo, sign)
+    return _reduced(lo, out, den)
+
+
 _L_ZERO = _laurent(0, (), 1)
 _L_ONE = _laurent(0, (1,), 1)
 

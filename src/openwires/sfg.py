@@ -393,7 +393,7 @@ def step(
         rows.append(row)
     values = {}
     for row in _rref(QQ, rows, width + 1):
-        col = _pivot_column(row, QQ.zero)
+        col = _pivot_column(row)
         if col == width:
             return INFEASIBLE
         values[col] = row[width]
@@ -441,7 +441,7 @@ def tick_relation(term: Term) -> Subspace:
             row[column[root]], row[inner + position] = Fraction(1), Fraction(-1)
             rows.append(row)
     reduced = _rref(QQ, rows, width)
-    annihilator = [row[inner:] for row in reduced if _pivot_column(row, QQ.zero) >= inner]
+    annihilator = [row[inner:] for row in reduced if _pivot_column(row) >= inner]
     return kernel_of_matrix(QQ, annihilator, len(columns))
 
 
@@ -498,7 +498,7 @@ def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
     width = out + d + 1
     image = []
     for row in _rref(QQ, rows, width):
-        col = _pivot_column(row, zero)
+        col = _pivot_column(row)
         if col == width - 1:
             return None
         if col >= out:
@@ -538,7 +538,7 @@ def _intersect(a, b, d: int):
     if a is None or b is None:
         return None
     reduced = _rref(QQ, [*a, *b], d + 1)
-    if reduced and _pivot_column(reduced[-1], QQ.zero) == d:
+    if reduced and _pivot_column(reduced[-1]) == d:
         return None
     return reduced
 
@@ -618,7 +618,7 @@ def check_trace_unrolled(
         row[d * d + k], row[-1] = QQ.one, Fraction(value)
         rows.append(row)
     reduced = _rref(QQ, rows, width)
-    return not reduced or _pivot_column(reduced[-1], zero) != width - 1
+    return not reduced or _pivot_column(reduced[-1]) != width - 1
 
 
 def successor_states(
@@ -644,7 +644,7 @@ def _affine_solve(rows, nvars):
     reduced = _rref(QQ, [list(coeffs) + [rhs] for coeffs, rhs in rows], nvars + 1)
     particular = [Fraction(0)] * nvars
     for row in reduced:
-        col = _pivot_column(row, QQ.zero)
+        col = _pivot_column(row)
         if col == nvars:
             return None
         particular[col] = row[nvars]

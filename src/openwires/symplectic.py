@@ -81,7 +81,7 @@ class Subspace:
         zero = self.field.zero
         residue = list(vector)
         for row in self.basis:
-            pivot = _pivot_column(row, zero)
+            pivot = _pivot_column(row)
             if residue[pivot] != zero:
                 factor = residue[pivot]
                 residue = [a - factor * b for a, b in zip(residue, row)]
@@ -181,10 +181,15 @@ def _relation_omega_pairs(
 
 
 def _omega_eval(pairs, u: Sequence, v: Sequence, zero):
+    """omega(u, v) from the nonzero products only: a product with a zero
+    factor is skipped, so sparse basis rows cost what they hold."""
     total = zero
     for p, c, sign in pairs:
-        term = u[p] * v[c] - u[c] * v[p]
-        total = total + (term if sign == 1 else -term)
+        up, vc, uc, vp = u[p], v[c], u[c], v[p]
+        if up and vc:
+            total = total + up * vc if sign == 1 else total - up * vc
+        if uc and vp:
+            total = total - uc * vp if sign == 1 else total + uc * vp
     return total
 
 

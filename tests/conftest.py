@@ -1176,6 +1176,42 @@ def gauss_solve(rows, rhs):
     return [matrix[where[c]][nvars] if where[c] >= 0 else Fraction(0) for c in range(nvars)]
 
 
+def reference_rref(field, rows, width):
+    """The generic field loop of ``linalg._rref``, kept verbatim: the
+    independent check for the integer elimination over Q."""
+    one = field.one
+    matrix = []
+    for r in rows:
+        if len(r) != width:
+            raise ValueError("row has wrong length")
+        if any(r):
+            matrix.append(list(r))
+    pivot_rows: list[list] = []
+    for col in range(width):
+        sel = next((k for k, row in enumerate(matrix) if row[col]), None)
+        if sel is None:
+            continue
+        pivot_row = matrix.pop(sel)
+        inv = one / pivot_row[col]
+        if inv != one:
+            pivot_row = [v * inv if v else v for v in pivot_row]
+        support = [(k, pivot_row[k]) for k in range(col, width) if pivot_row[k]]
+        for row in pivot_rows:
+            _reference_eliminate(row, col, support)
+        matrix = [row for row in matrix if not _reference_eliminate(row, col, support) or any(row)]
+        pivot_rows.append(pivot_row)
+    return tuple(tuple(row) for row in pivot_rows)
+
+
+def _reference_eliminate(row: list, col: int, support) -> bool:
+    factor = row[col]
+    if not factor:
+        return False
+    for k, value in support:
+        row[k] = row[k] - factor * value
+    return True
+
+
 def oracle_min_value(coeff, boundary_nodes, psi):
     """min over interior extensions of sum c_ij (phi_i - phi_j)^2.
 
