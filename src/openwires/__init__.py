@@ -61,7 +61,6 @@ from .symplectic import (
     compose_lagrangian,
     graph_of_dQ,
     identity_relation,
-    is_lagrangian,
     symplectic_complement,
     symplectify,
     tensor_lagrangian,

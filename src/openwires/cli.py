@@ -38,6 +38,7 @@ from .lti import (
     controllability,
     controllable_part,
     cospans_equivalent,
+    kernel_representation,
     pullback_span,
     span_to_cospan,
 )
@@ -341,26 +342,23 @@ def _relation_report(circuit: OpenCircuit, relation, as_json: bool):
     rows = [
         [circuit.field.format(v) for v in row] for row in relation.space.basis
     ]
-    if as_json:
-        return json.dumps({"columns": columns, "basis": rows}, indent=2)
-    width = max(
-        [len(c) for c in columns] + [len(v) for row in rows for v in row] + [1]
-    )
-    lines = ["behaviour basis (rows span the relation):"]
-    lines.append("  " + "  ".join(c.rjust(width) for c in columns))
-    for row in rows:
-        lines.append("  " + "  ".join(v.rjust(width) for v in row))
-    return "\n".join(lines)
+    return _table("behaviour basis (rows span the relation):", "basis", columns, rows, as_json)
 
 
 def _behaviour_report(rep: BehaviourRep, as_json: bool):
     columns = [f"x{k}" for k in range(rep.m)] + [f"y{k}" for k in range(rep.n)]
     rows = [[str(e) for e in row] for row in rep.kernel_matrix.entries]
+    title = "kernel representation [A -B] (rows are equations):"
+    return _table(title, "kernel", columns, rows, as_json)
+
+
+def _table(title: str, key: str, columns: list, rows: list, as_json: bool):
+    """Formatted rows under their column names, right-aligned to one width,
+    or as JSON with the rows under ``key``."""
     if as_json:
-        return json.dumps({"columns": columns, "kernel": rows}, indent=2)
+        return json.dumps({"columns": columns, key: rows}, indent=2)
     width = max([len(c) for c in columns] + [len(v) for row in rows for v in row] + [1])
-    lines = ["kernel representation [A -B] (rows are equations):"]
-    lines.append("  " + "  ".join(c.rjust(width) for c in columns))
+    lines = [title, "  " + "  ".join(c.rjust(width) for c in columns)]
     for row in rows:
         lines.append("  " + "  ".join(v.rjust(width) for v in row))
     return "\n".join(lines)
@@ -516,7 +514,7 @@ def _cmd_sfg_controllable(args) -> int:
 def _raw_behaviour(term: Term) -> BehaviourRep:
     """ker [A -B] of the unreduced denotation, with no corelation step."""
     raw = denote_cospan(term)
-    return BehaviourRep(raw.dom, raw.cod, raw.left.hstack(raw.right.neg()))
+    return BehaviourRep(raw.dom, raw.cod, kernel_representation(raw))
 
 
 def _controllability_problem(cospan, controllable: bool):

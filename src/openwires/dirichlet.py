@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .circuit import OpenCircuit, boundary
 from .finset import cospan_to_corelation
-from .linalg import _pivot_column, _rref
+from .linalg import _solve
 from .scalars import Field, QQ
 
 
@@ -311,29 +311,19 @@ def realizable_extension(
                 rhs = rhs + c * psi_of[k]
         row[index[n]] = row[index[n]] + diag
         rows.append(row + [rhs])
-    solution = _solve_pinned(rows, len(interior), field)
-    if solution is None:
+    solved = _solve(field, rows, len(interior))
+    if solved is None:
         raise DegenerateFormError(
             "interior gradient system is inconsistent; over Q(s) this can "
             "happen when unchecked impedances cancel"
         )
+    solution = solved[0]
     phi = [zero] * p.size
     for n, value in psi_of.items():
         phi[n] = value
     for n, k in index.items():
         phi[n] = solution[k]
     return phi
-
-
-def _solve_pinned(rows: list[list], num_vars: int, field: Field):
-    """Gaussian elimination; free variables pinned to 0; None if inconsistent."""
-    solution = [field.zero] * num_vars
-    for row in _rref(field, rows, num_vars + 1):
-        col = _pivot_column(row)
-        if col == num_vars:
-            return None
-        solution[col] = row[num_vars]
-    return solution
 
 
 def circuits_equivalent(a: OpenCircuit, b: OpenCircuit) -> bool:

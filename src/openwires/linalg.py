@@ -1,25 +1,31 @@
 """Exact row reduction over a field: the one elimination routine below
-``symplectic``, ``dirichlet`` and ``sfg``.
+``symplectic``, ``dirichlet`` and ``sfg``, and the only module that knows
+how a reduced system looks.
 
 Rows are sequences of field elements whose zero is falsy.  ``_rref``
-returns the reduced row echelon form with zero rows dropped, which is
-canonical for the row space, so callers compare and hash its output.
+returns the pivot columns and the reduced row echelon form with zero rows
+dropped, which is canonical for the row space, so callers compare and hash
+its rows and read its pivots instead of scanning for them.  ``_solve``
+reads a reduced system [A | b]: inconsistent, or a particular solution
+with its reduction.  ``_null_vectors`` reads a kernel basis off it.
 
-Over Q the elimination runs on integer rows: each row is scaled to
+Both fields run one Gauss-Jordan sweep, ``_sweep``, with their own pivot
+rule and row update.  Over Q the rows are integers: each is scaled to
 integers, cleared fraction-free and kept primitive by dividing out its
 content (Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968), and ``Fraction`` values are
-built once, when each pivot row is divided by its pivot.  Over Q(s) the
-generic field loop runs.  Both give the same rows, since the reduced
-form of a row space is unique.
+built once, when each pivot row is divided by its pivot.  Over Q(s) each
+pivot row is scaled to a unit pivot and cleared by field arithmetic.  Both
+give the same rows, since the reduced form of a row space is unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .scalars import QQ, Field
 
@@ -27,55 +33,86 @@ _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
-def _pivot_column(row) -> int:
-    for k, value in enumerate(row):
-        if value:
-            return k
-    raise ValueError("zero row in basis")
-
-
-def _rref(field: Field, rows: Sequence[Sequence], width: int) -> tuple[tuple, ...]:
-    """Reduced row echelon form, zero rows dropped.  Sparse-aware: zero is
-    falsy, a pivot row acts through its nonzero entries, and only the rows
-    it changed are tested for having vanished.
+def _rref(
+    field: Field, rows: Sequence[Sequence], width: int
+) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """(pivots, rows): the reduced row echelon form, zero rows dropped, and
+    the pivot column of each of its rows, increasing.
 
     Pivots are taken in column order, each from the first remaining row
-    that is nonzero there.  Over Q the rows are eliminated as integers
-    (``_integer_rref``) and divided by their pivots at the end, so every
-    entry of the result is a ``Fraction`` (zero is ``field.zero``),
-    whatever mix of ``int`` and ``Fraction`` came in.  Over Q(s) the field
-    loop below runs.  The reduced form is unique, so on ``Fraction`` rows
-    the two give the same tuples.
+    that is nonzero there.  Over Q every entry of the result is a
+    ``Fraction`` (zero is ``field.zero``), whatever mix of ``int`` and
+    ``Fraction`` came in.  A row of the wrong length raises ValueError.
     """
     if field == QQ:
+        pivots, reduced = _integer_rref(rows, width)
         zero = field.zero
-        return tuple(_fraction_row(row, row[col], zero) for col, row in _integer_rref(rows, width))
-    one = field.one
-    matrix = []
-    for r in rows:
-        if len(r) != width:
-            raise ValueError("row has wrong length")
-        if any(r):
-            matrix.append(list(r))
+        return pivots, tuple([_fraction_row(r, r[col], zero) for col, r in zip(pivots, reduced)])
+    matrix = [list(r) for r in _nonzero_rows(rows, width)]
+    pivots, reduced = _sweep(matrix, width, partial(_unit_pivot, field.one), _eliminate)
+    return pivots, tuple(map(tuple, reduced))
+
+
+def _integer_rref(rows: Sequence[Sequence], width: int) -> tuple[tuple[int, ...], list[list]]:
+    """The pivots of ``_rref`` over Q and, for each of its rows, the
+    primitive integer row with a positive pivot that it is a multiple of."""
+    return _sweep(
+        [_integer_row(r) for r in _nonzero_rows(rows, width)],
+        width,
+        _primitive_pivot,
+        _eliminate_integer,
+    )
+
+
+def _sweep(
+    matrix: list[list], width: int, normalise: Callable, eliminate: Callable
+) -> tuple[tuple[int, ...], list[list]]:
+    """Gauss-Jordan on nonzero rows, sparse-aware: a pivot row acts
+    through its nonzero entries, and only the rows it changed are tested
+    for having vanished.
+
+    ``normalise(row, col)`` gives the pivot row to use for a row whose
+    first nonzero column is col; ``eliminate(row, col, support)`` clears
+    row[col] in place with the pivot row's nonzero (column, value) pairs,
+    the pivot first, and says whether it changed the row.
+    """
+    pivots: list[int] = []
     pivot_rows: list[list] = []
     for col in range(width):
         sel = next((k for k, row in enumerate(matrix) if row[col]), None)
         if sel is None:
             continue
-        pivot_row = matrix.pop(sel)
-        inv = one / pivot_row[col]
-        if inv != one:
-            pivot_row = [v * inv if v else v for v in pivot_row]
+        pivot_row = normalise(matrix.pop(sel), col)
         support = [(k, pivot_row[k]) for k in range(col, width) if pivot_row[k]]
         for row in pivot_rows:
-            _eliminate(row, col, support)
-        matrix = [row for row in matrix if not _eliminate(row, col, support) or any(row)]
+            eliminate(row, col, support)
+        matrix = [row for row in matrix if not eliminate(row, col, support) or any(row)]
+        pivots.append(col)
         pivot_rows.append(pivot_row)
-    return tuple(tuple(row) for row in pivot_rows)
+    return tuple(pivots), pivot_rows
+
+
+def _nonzero_rows(rows: Sequence[Sequence], width: int) -> list[Sequence]:
+    """The nonzero rows, each checked to have ``width`` entries."""
+    kept = []
+    for r in rows:
+        if len(r) != width:
+            raise ValueError("row has wrong length")
+        if any(r):
+            kept.append(r)
+    return kept
+
+
+def _unit_pivot(one, row: list, col: int) -> list:
+    """The field pivot rule: row scaled so that its pivot is one."""
+    inv = one / row[col]
+    if inv == one:
+        return row
+    return [v * inv if v else v for v in row]
 
 
 def _eliminate(row: list, col: int, support) -> bool:
-    """Clear row[col] in place with a pivot row's nonzero entries, if needed."""
+    """Clear row[col] in place with a unit pivot row's nonzero entries, if needed."""
     factor = row[col]
     if not factor:
         return False
@@ -84,43 +121,25 @@ def _eliminate(row: list, col: int, support) -> bool:
     return True
 
 
-def _integer_rref(rows: Sequence[Sequence], width: int) -> list[tuple[int, list]]:
-    """The rows of ``_rref`` over Q, each as its pivot column and the
-    primitive integer row with a positive pivot that it is a multiple of.
+def _integer_row(r: Sequence) -> list[int]:
+    """A row of ``int`` and ``Fraction`` scaled by its denominators' lcm."""
+    dens = list(map(_denominator, r))
+    den = lcm(*dens)
+    nums = map(_numerator, r)
+    return list(nums) if den == 1 else [n * (den // d) for n, d in zip(nums, dens)]
 
-    The pivots are the same as the field loop's.  A row is cleared
-    fraction-free and then divided by its content, so its integers stay
-    those of a primitive row rather than growing with every pivot.
-    """
-    matrix = []
-    for r in rows:
-        if len(r) != width:
-            raise ValueError("row has wrong length")
-        if any(r):
-            dens = list(map(_denominator, r))
-            den = lcm(*dens)
-            nums = map(_numerator, r)
-            matrix.append(list(nums) if den == 1 else [n * (den // d) for n, d in zip(nums, dens)])
-    pivots: list[tuple[int, list]] = []
-    for col in range(width):
-        sel = next((k for k, row in enumerate(matrix) if row[col]), None)
-        if sel is None:
-            continue
-        pivot_row = matrix.pop(sel)
-        content = gcd(*pivot_row)
-        if pivot_row[col] < 0:
-            content = -content
-        if content != 1:
-            pivot_row = [v // content for v in pivot_row]
-        p = pivot_row[col]
-        support = [(k, pivot_row[k]) for k in range(col, width) if pivot_row[k]]
-        for _, row in pivots:
-            _eliminate_integer(row, col, p, support)
-        matrix = [
-            row for row in matrix if not _eliminate_integer(row, col, p, support) or any(row)
-        ]
-        pivots.append((col, pivot_row))
-    return pivots
+
+def _primitive_pivot(row: list, col: int) -> list:
+    """The integer pivot rule: the primitive multiple of row whose pivot
+    is positive.  Pivot rows stay primitive as they are eliminated, so
+    their integers stay those of a primitive row rather than growing with
+    every pivot."""
+    content = gcd(*row)
+    if row[col] < 0:
+        content = -content
+    if content == 1:
+        return row
+    return [v // content for v in row]
 
 
 def _fraction_row(row: list, p: int, zero: Fraction) -> tuple:
@@ -130,13 +149,15 @@ def _fraction_row(row: list, p: int, zero: Fraction) -> tuple:
     return tuple([Fraction(v, p) if v else zero for v in row])
 
 
-def _eliminate_integer(row: list, col: int, p: int, support) -> bool:
+def _eliminate_integer(row: list, col: int, support) -> bool:
     """Clear row[col] in place by row <- (p/g)·row - (f/g)·pivot_row, with
-    f = row[col] and g = gcd(f, p), then divide out the row's content.
-    The pivot p is positive, so the row's sign is kept."""
+    p the pivot (support[0]), f = row[col] and g = gcd(f, p), then divide
+    out the row's content.  The pivot p is positive, so the row's sign is
+    kept."""
     f = row[col]
     if not f:
         return False
+    p = support[0][1]
     g = gcd(f, p)
     scale, f = p // g, f // g
     if scale != 1:
@@ -153,18 +174,37 @@ def _eliminate_integer(row: list, col: int, p: int, support) -> bool:
     return True
 
 
-def _null_vectors(field: Field, reduced, width: int) -> list[list]:
-    """One kernel vector per free column among the first ``width`` of a
-    reduced row echelon matrix (which may be augmented with [A | b])."""
+def _solve(field: Field, rows: Sequence[Sequence], nvars: int) -> Optional[tuple[list, tuple]]:
+    """Solve the augmented system [A | b] of ``nvars`` unknowns exactly.
+
+    None when it is inconsistent (a pivot in the b column).  Otherwise
+    (particular, reduced): the solution with every free variable 0, and the
+    ``_rref`` result of [A | b], whose rank is the number of pivots.  Both
+    depend on the solution set alone.
+    """
+    reduced = _rref(field, rows, nvars + 1)
+    pivots, reduced_rows = reduced
+    if pivots and pivots[-1] == nvars:
+        return None
+    particular = [field.zero] * nvars
+    for col, row in zip(pivots, reduced_rows):
+        particular[col] = row[nvars]
+    return particular, reduced
+
+
+def _null_vectors(field: Field, reduced: tuple, width: int) -> list[list]:
+    """One kernel vector per free column among the first ``width`` of an
+    ``_rref`` result (pivots, rows), which may reduce [A | b]."""
     zero, one = field.zero, field.one
-    pivots = [_pivot_column(row) for row in reduced]
+    pivots, rows = reduced
     pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(width):
+        if f in pivot_set:
+            continue
         vec = [zero] * width
         vec[f] = one
-        for row, p in zip(reduced, pivots):
+        for row, p in zip(rows, pivots):
             if row[f]:
                 vec[p] = -row[f]
         basis.append(vec)

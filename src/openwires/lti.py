@@ -529,11 +529,19 @@ class BehaviourRep:
             raise ValueError("kernel matrix must have m + n columns")
 
 
+def kernel_representation(c: MatCospan) -> PolyMatrix:
+    """[A -B] for the cospan A, B, whose kernel is the behaviour; B's
+    entries are negated as they are stacked."""
+    return _matrix(
+        c.apex,
+        c.dom + c.cod,
+        tuple(ra + tuple(-e for e in rb) for ra, rb in zip(c.left.entries, c.right.entries)),
+    )
+
+
 def behaviour_rep(c: MatCospan) -> BehaviourRep:
     reduced = mat_corelation(c)
-    return BehaviourRep(
-        reduced.dom, reduced.cod, reduced.left.hstack(reduced.right.neg())
-    )
+    return BehaviourRep(reduced.dom, reduced.cod, kernel_representation(reduced))
 
 
 def behaviour_leq(a: BehaviourRep, b: BehaviourRep) -> bool:
@@ -558,8 +566,7 @@ def pullback_span(c: MatCospan) -> tuple[PolyMatrix, PolyMatrix]:
     Columns of [R; S] form a basis of ker [A -B]; in particular
     A R = B S exactly.
     """
-    combined = c.left.hstack(c.right.neg())
-    basis = kernel_basis(combined)
+    basis = kernel_basis(kernel_representation(c))
     r = basis.take_rows(range(c.dom))
     s = basis.take_rows(range(c.dom, c.dom + c.cod))
     return r, s
@@ -588,7 +595,7 @@ def controllability(c: MatCospan) -> tuple[bool, list[LaurentPoly]]:
     those that are not, canonical and in divisibility order, empty exactly
     when the verdict is True.  No transform is tracked.
     """
-    decomposition = _eliminate(c.left.hstack(c.right.neg()), ())
+    decomposition = _eliminate(kernel_representation(c), ())
     torsion = [d for d in decomposition.diagonal[: decomposition.rank] if not d.is_unit()]
     return not torsion, torsion
 

@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Union
 from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
 from .scalars import LaurentPoly, QQ
 from .finset import UnionFind
-from .linalg import _null_vectors, _pivot_column, _rref
+from .linalg import _null_vectors, _rref, _solve
 from .symplectic import Subspace, kernel_of_matrix
 
 _S = LaurentPoly.variable()
@@ -391,13 +391,11 @@ def step(
         row[column[classes.find(x)]] = Fraction(1)
         row[width] = Fraction(value)
         rows.append(row)
-    values = {}
-    for row in _rref(QQ, rows, width + 1):
-        col = _pivot_column(row)
-        if col == width:
-            return INFEASIBLE
-        values[col] = row[width]
-    if len(values) < width:
+    solved = _solve(QQ, rows, width)
+    if solved is None:
+        return INFEASIBLE
+    values, (pivots, _) = solved
+    if len(pivots) < width:
         return NONDETERMINATE
     return [values[column[classes.find(w + d + k)]] for k in range(d)]
 
@@ -440,8 +438,8 @@ def tick_relation(term: Term) -> Subspace:
             row = [Fraction(0)] * width
             row[column[root]], row[inner + position] = Fraction(1), Fraction(-1)
             rows.append(row)
-    reduced = _rref(QQ, rows, width)
-    annihilator = [row[inner:] for row in reduced if _pivot_column(row) >= inner]
+    pivots, reduced = _rref(QQ, rows, width)
+    annihilator = [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
     return kernel_of_matrix(QQ, annihilator, len(columns))
 
 
@@ -495,15 +493,10 @@ def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
             rows.append([*row[:d], *row[d + io :], rhs])
     pad = [zero] * out
     rows += [[*row[:d], *pad, row[d]] for row in states]
-    width = out + d + 1
-    image = []
-    for row in _rref(QQ, rows, width):
-        col = _pivot_column(row)
-        if col == width - 1:
-            return None
-        if col >= out:
-            image.append(row[out:])
-    return tuple(image)
+    pivots, reduced = _rref(QQ, rows, out + d + 1)
+    if pivots and pivots[-1] == out + d:
+        return None
+    return tuple(row[out:] for col, row in zip(pivots, reduced) if col >= out)
 
 
 def _swap_state_blocks(annihilator, d: int, m: int, n: int) -> list:
@@ -537,8 +530,8 @@ def _intersect(a, b, d: int):
     """The rows of the meet of two state sets, by one elimination."""
     if a is None or b is None:
         return None
-    reduced = _rref(QQ, [*a, *b], d + 1)
-    if reduced and _pivot_column(reduced[-1]) == d:
+    pivots, reduced = _rref(QQ, [*a, *b], d + 1)
+    if pivots and pivots[-1] == d:
         return None
     return reduced
 
@@ -617,8 +610,7 @@ def check_trace_unrolled(
         row = [zero] * width
         row[d * d + k], row[-1] = QQ.one, Fraction(value)
         rows.append(row)
-    reduced = _rref(QQ, rows, width)
-    return not reduced or _pivot_column(reduced[-1]) != width - 1
+    return _solve(QQ, rows, width - 1) is not None
 
 
 def successor_states(
@@ -641,13 +633,10 @@ def _affine_solve(rows, nvars):
     The particular solution pins free variables to 0.  Both are functions
     of the solution set alone.
     """
-    reduced = _rref(QQ, [list(coeffs) + [rhs] for coeffs, rhs in rows], nvars + 1)
-    particular = [Fraction(0)] * nvars
-    for row in reduced:
-        col = _pivot_column(row)
-        if col == nvars:
-            return None
-        particular[col] = row[nvars]
+    solved = _solve(QQ, [[*coeffs, rhs] for coeffs, rhs in rows], nvars)
+    if solved is None:
+        return None
+    particular, reduced = solved
     return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
 
 

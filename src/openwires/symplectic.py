@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .circuit import OpenCircuit, boundary
 from .dirichlet import DegenerateFormError, DirichletForm, extended_power, power_functional
 from .finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
-from .linalg import _null_vectors, _pivot_column, _rref
+from .linalg import _null_vectors, _rref
 from .scalars import Field, QQ
 
 
@@ -56,7 +56,7 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
-        return Subspace(field, ambient_dim, _rref(field, rows, ambient_dim))
+        return Subspace(field, ambient_dim, _rref(field, rows, ambient_dim)[1])
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -76,16 +76,8 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector: Sequence) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector has wrong length")
-        zero = self.field.zero
-        residue = list(vector)
-        for row in self.basis:
-            pivot = _pivot_column(row)
-            if residue[pivot] != zero:
-                factor = residue[pivot]
-                residue = [a - factor * b for a, b in zip(residue, row)]
-        return all(v == zero for v in residue)
+        """The vector adds nothing to the rank of the basis."""
+        return len(_rref(self.field, [*self.basis, vector], self.ambient_dim)[0]) == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -119,8 +111,8 @@ def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subs
     """Null space {x : A x = 0} of a matrix given by rows.  The reduced rows
     of A are its annihilator, so the result keeps them."""
     reduced = _rref(field, rows, width)
-    basis = _rref(field, _null_vectors(field, reduced, width), width)
-    return Subspace(field, width, basis, _annihilator=Subspace(field, width, reduced))
+    basis = _rref(field, _null_vectors(field, reduced, width), width)[1]
+    return Subspace(field, width, basis, _annihilator=Subspace(field, width, reduced[1]))
 
 
 def image_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
@@ -152,15 +144,6 @@ class SymplecticSpace:
 
     def conjugate(self) -> "SymplecticSpace":
         return SymplecticSpace(self.field, self.n, -self.sign)
-
-    def omega(self, u: Sequence, v: Sequence):
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("vectors must have length 2n")
-        total = self.field.zero
-        n = self.n
-        for k in range(n):
-            total = total + u[k] * v[n + k] - u[n + k] * v[k]
-        return total if self.sign == 1 else -total
 
 
 def _relation_omega_pairs(
@@ -208,21 +191,6 @@ def symplectic_complement(space: Subspace, sym: SymplecticSpace) -> Subspace:
             coeffs[n + k] = -row[k] if sym.sign == 1 else row[k]
         constraint_rows.append(coeffs)
     return kernel_of_matrix(space.field, constraint_rows, sym.dim)
-
-
-def is_lagrangian(space: Subspace, sym: SymplecticSpace) -> bool:
-    """Isotropic of dimension n, checked on all basis pairs."""
-    if space.ambient_dim != sym.dim:
-        raise ValueError("subspace does not live in the symplectic space")
-    if space.dim != sym.n:
-        return False
-    zero = space.field.zero
-    basis = space.basis
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            if sym.omega(basis[a], basis[b]) != zero:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

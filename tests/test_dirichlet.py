@@ -31,7 +31,6 @@ from openwires import dirichlet
 from openwires.dirichlet import (
     DegenerateFormError,
     DirichletForm,
-    _solve_pinned,
     circuits_equivalent,
     eliminate_node,
     extended_power,
@@ -40,6 +39,7 @@ from openwires.dirichlet import (
     realizable_extension,
 )
 from openwires.finset import FinCospan, FinFunction, pushout_composition
+from openwires.linalg import _solve
 from openwires.scalars import QQ, QS
 from openwires.symplectic import black_box
 
@@ -394,7 +394,8 @@ class TestRealizableExtension:
             augmented = [row + [b] for row, b in zip(rows, rhs)]
             expected = gauss_solve(rows, rhs)
             outcomes.add(expected is None)
-            assert _solve_pinned(augmented, len(rows[0]), QQ) == expected
+            solved = _solve(QQ, augmented, len(rows[0]))
+            assert (None if solved is None else solved[0]) == expected
         assert outcomes == {True, False}
 
 

@@ -38,7 +38,6 @@ from openwires.symplectic import (
     graph_of_dQ,
     identity_relation,
     image_of_matrix,
-    is_lagrangian,
     kernel_of_matrix,
     symplectic_complement,
     symplectify,
@@ -124,7 +123,7 @@ class TestComplement:
             QQ, 4, [[F(1), F(0), F(0), F(0)], [F(0), F(1), F(0), F(0)]]
         )
         assert symplectic_complement(potentials, space) == potentials
-        assert is_lagrangian(potentials, space)
+        assert LagrangianRelation(QQ, SymplecticSpace(QQ, 0), space, potentials).is_lagrangian()
 
     def test_complement_identities(self):
         rng = random.Random(7)
@@ -146,7 +145,9 @@ class TestComplement:
                 [F(0), F(0), F(1), F(0)],
             ],
         )
-        assert not is_lagrangian(coisotropic, space)
+        assert not LagrangianRelation(
+            QQ, SymplecticSpace(QQ, 0), space, coisotropic
+        ).is_lagrangian()
 
 
 class TestGraphOfDQ:
@@ -159,7 +160,9 @@ class TestGraphOfDQ:
             4,
             [[F(1), F(0), 1 / r, -1 / r], [F(0), F(1), -1 / r, 1 / r]],
         )
-        assert is_lagrangian(graph, SymplecticSpace(QQ, 2))
+        assert LagrangianRelation(
+            QQ, SymplecticSpace(QQ, 0), SymplecticSpace(QQ, 2), graph
+        ).is_lagrangian()
 
     def test_zero_form_gives_potentials(self):
         graph = graph_of_dQ(DirichletForm.zero_form(3))
@@ -187,7 +190,9 @@ class TestGraphOfDQ:
                 for j in range(i + 1, size)
             }
             q = DirichletForm.from_entries(size, entries)
-            assert is_lagrangian(graph_of_dQ(q), SymplecticSpace(QQ, size))
+            assert LagrangianRelation(
+                QQ, SymplecticSpace(QQ, 0), SymplecticSpace(QQ, size), graph_of_dQ(q)
+            ).is_lagrangian()
 
 
 class TestComposition:
