@@ -50,6 +50,7 @@ from .sfg import (
     Par,
     Seq,
     Term,
+    _fold,
     check_trace,
     check_trace_unrolled,
     denote_cospan,
@@ -313,19 +314,22 @@ def load_term(path: str) -> Term:
 
 
 def format_term(term: Term) -> str:
-    if isinstance(term, Gen):
-        if term.value is not None:
-            return f"{term.name}({term.value})"
-        return term.name
-    if isinstance(term, Seq):
-        return f"{format_term(term.first)} ; {format_term(term.second)}"
-    left = format_term(term.first)
-    right = format_term(term.second)
-    if isinstance(term.first, Seq):
-        left = f"({left})"
-    if isinstance(term.second, (Seq, Par)):
-        right = f"({right})"
-    return f"{left} (+) {right}"
+    """The text of a term, which ``parse_term`` reads back.  The term is
+    folded without recursion into (text, kind) pairs, kind being the
+    class of the node printed, so deep terms print."""
+
+    def generator(gen: Gen):
+        return (gen.name if gen.value is None else f"{gen.name}({gen.value})"), Gen
+
+    def sequential(first, second):
+        return f"{first[0]} ; {second[0]}", Seq
+
+    def parallel(first, second):
+        left = f"({first[0]})" if first[1] is Seq else first[0]
+        right = second[0] if second[1] is Gen else f"({second[0]})"
+        return f"{left} (+) {right}", Par
+
+    return _fold(term, generator, sequential, parallel)[0]
 
 
 # -- reports -----------------------------------------------------------------

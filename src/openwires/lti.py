@@ -483,15 +483,17 @@ class MatCospan:
 def compose_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
     """Pushout composition in the category of free modules.
 
-    The glue matrix K = [B1; -A2] is quotiented out along with its
-    saturation (torsion must die for the quotient to stay free): with
-    SNF K = U D V of rank r, the projection onto the pushout is the last
-    d1 + d2 - r rows of U^-1.
+    The glue matrix K = [B1; -A2], with A2's entries negated as they are
+    stacked, is quotiented out along with its saturation (torsion must die
+    for the quotient to stay free): with SNF K = U D V of rank r, the
+    projection onto the pushout is the last d1 + d2 - r rows of U^-1.
     """
     if a.cod != b.dom:
         raise ValueError("cospan feet do not match")
     d1, d2 = a.apex, b.apex
-    glue = a.right.vstack(b.left.neg())
+    glue = _matrix(
+        d1 + d2, a.cod, a.right.entries + tuple(tuple(-e for e in row) for row in b.left.entries)
+    )
     decomposition = _eliminate(glue, ("u_inv",))
     keep = range(decomposition.rank, d1 + d2)
     projection = decomposition.u_inv.take_rows(keep)

@@ -252,11 +252,7 @@ class Polynomial:
             other = _coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other
-        return _reduced_poly(*_sum_nums(self.nums, self.den, 0, other.nums, other.den, 0))
+        return _poly_add(self, other, 1)
 
     __radd__ = __add__
 
@@ -267,13 +263,13 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _poly_add(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _poly_add(other, self, -1)
 
     def __mul__(self, other) -> "Polynomial":
         if other.__class__ is not Polynomial:
@@ -365,6 +361,15 @@ def _poly(nums: tuple, den: int) -> Polynomial:
 
 def _reduced_poly(nums: list, den: int) -> Polynomial:
     return _poly(*_reduce(nums, den))
+
+
+def _poly_add(x: Polynomial, y: Polynomial, sign: int) -> Polynomial:
+    """x + sign * y, sign 1 or -1; -y is built only when it is the sum."""
+    if not y.nums:
+        return x
+    if not x.nums:
+        return y if sign > 0 else -y
+    return _reduced_poly(*_sum_nums(x.nums, x.den, 0, y.nums, y.den, 0, sign))
 
 
 _P_ZERO = _poly((), 1)
@@ -487,13 +492,13 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return _rf_add(self.num, self.den, -other.num, other.den)
+        return _rf_add(self.num, self.den, other.num, other.den, -1)
 
     def __rsub__(self, other) -> "RationalFunction":
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return _rf_add(other.num, other.den, -self.num, self.den)
+        return _rf_add(other.num, other.den, self.num, self.den, -1)
 
     def __mul__(self, other) -> "RationalFunction":
         if other.__class__ is not RationalFunction:
@@ -550,14 +555,17 @@ def _over_monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
     return num.scale(Fraction(den.den, den.nums[-1])), den.monic()
 
 
-def _rf_add(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> RationalFunction:
-    """a/b + c/d for reduced operands with b, d monic."""
+def _rf_add(
+    a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial, sign: int = 1
+) -> RationalFunction:
+    """a/b + sign * c/d (sign 1 or -1) for reduced operands with b, d
+    monic; -c is built only when -c/d is the sum."""
     if not c.nums:
         return _rf(a, b)
     if not a.nums:
-        return _rf(c, d)
+        return _rf(c if sign > 0 else -c, d)
     if b == d:
-        t = a + c
+        t = _poly_add(a, c, sign)
         if len(b.nums) == 1 or not t.nums:
             return _rf(t, _P_ONE)
         h = poly_gcd(t, b)
@@ -566,11 +574,11 @@ def _rf_add(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> Ratio
         return _rf(t, b)
     g = poly_gcd(b, d)
     if len(g.nums) == 1:
-        # gcd(b, d) = 1: (ad + cb)/(bd) is already reduced
-        return _rf(a * d + c * b, b * d)
+        # gcd(b, d) = 1: (ad ± cb)/(bd) is already reduced
+        return _rf(_poly_add(a * d, c * b, sign), b * d)
     b1, d1 = b // g, d // g
     # gcd(t, b1 d1 g) = gcd(t, g), since t is prime to b1 and to d1
-    t = a * d1 + c * b1
+    t = _poly_add(a * d1, c * b1, sign)
     if not t.nums:
         return _RF_ZERO
     h = poly_gcd(t, g)

@@ -15,18 +15,19 @@ delay reads out its register and stores its other side for the next tick.
 The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
 extends to a trace that is infinite in both directions.  The tick
-relation merges equal wires before its one elimination.  ``check_trace``
-scans the window in constraint form: a set of register states is its
-reduced rows [E | e], and each tick's image is one elimination of the
-relation's annihilator, with the observed boundary substituted, stacked on
-those rows.  The padding horizons stop at the first repeated image, within
-one step per register, which makes the biinfinite condition finitely
-checkable.
+relation merges equal wires before its one elimination, whose rows past
+the internal wires are the relation's annihilator.  ``check_trace`` scans
+the window in constraint form: a set of register states is its reduced
+rows [E | e], kept as primitive integer rows, and each tick's image is one
+elimination of the annihilator, with the observed boundary substituted,
+stacked on those rows.  The padding horizons stop at the first repeated
+image, within one step per register, which makes the biinfinite condition
+finitely checkable.
 
 Registers are numbered in left-to-right traversal order of the term;
-both delays and mirrored delays hold one register each.  Terms are
-traversed with an explicit stack, so their depth is not bounded by the
-interpreter's recursion limit.
+both delays and mirrored delays hold one register each.  Terms are typed,
+denoted and wired with an explicit stack, so their depth is not bounded
+by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
 from .scalars import LaurentPoly, QQ
 from .finset import UnionFind
-from .linalg import _null_vectors, _rref, _solve
+from .linalg import _fraction_row, _integer_rref, _null_vectors, _solve
 from .symplectic import Subspace, kernel_of_matrix
 
 _S = LaurentPoly.variable()
@@ -192,11 +194,7 @@ def denote_cospan(term: Term) -> MatCospan:
 
 
 def _denote(term: Term) -> MatCospan:
-    if isinstance(term, Gen):
-        return _generator_cospan(term)
-    if isinstance(term, Seq):
-        return compose_mat_cospans(_denote(term.first), _denote(term.second))
-    return tensor_mat_cospans(_denote(term.first), _denote(term.second))
+    return _fold(term, _generator_cospan, compose_mat_cospans, tensor_mat_cospans)
 
 
 def sfg_denote(term: Term) -> MatCospan:
@@ -237,10 +235,6 @@ def _build_network(term: Term) -> _Network:
     )
 
 
-# the shared coefficients of the wire equations
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
-
 class _NetworkBuilder:
     def __init__(self):
         self.next_wire = 0
@@ -266,7 +260,7 @@ class _NetworkBuilder:
         (left1, right1), (left2, right2) = first, second
         _check_composable(len(right1), len(left2))
         for a, b in zip(right1, left2):
-            self.equate({("w", a): _ONE, ("w", b): _MINUS_ONE})
+            self.equate({("w", a): 1, ("w", b): -1})
         return left1, right2
 
     def visit_gen(self, gen: Gen) -> tuple[list[int], list[int]]:
@@ -276,44 +270,44 @@ class _NetworkBuilder:
         name = gen.name
         if name == "add":
             self.equate(
-                {("w", left[0]): _ONE, ("w", left[1]): _ONE, ("w", right[0]): _MINUS_ONE}
+                {("w", left[0]): 1, ("w", left[1]): 1, ("w", right[0]): -1}
             )
         elif name == "zero":
-            self.equate({("w", right[0]): _ONE})
+            self.equate({("w", right[0]): 1})
         elif name == "copy":
-            self.equate({("w", left[0]): _ONE, ("w", right[0]): _MINUS_ONE})
-            self.equate({("w", left[0]): _ONE, ("w", right[1]): _MINUS_ONE})
+            self.equate({("w", left[0]): 1, ("w", right[0]): -1})
+            self.equate({("w", left[0]): 1, ("w", right[1]): -1})
         elif name == "discard":
             pass
         elif name == "x":
-            self.equate({("w", left[0]): gen.value, ("w", right[0]): _MINUS_ONE})
+            self.equate({("w", left[0]): gen.value, ("w", right[0]): -1})
         elif name == "id":
-            self.equate({("w", left[0]): _ONE, ("w", right[0]): _MINUS_ONE})
+            self.equate({("w", left[0]): 1, ("w", right[0]): -1})
         elif name == "tw":
-            self.equate({("w", left[0]): _ONE, ("w", right[1]): _MINUS_ONE})
-            self.equate({("w", left[1]): _ONE, ("w", right[0]): _MINUS_ONE})
+            self.equate({("w", left[0]): 1, ("w", right[1]): -1})
+            self.equate({("w", left[1]): 1, ("w", right[0]): -1})
         elif name == "delay":
             reg = self.register()
             # the right wire shows the stored value; the left wire is stored
-            self.equate({("w", right[0]): _ONE, ("rin", reg): _MINUS_ONE})
-            self.equate({("rout", reg): _ONE, ("w", left[0]): _MINUS_ONE})
+            self.equate({("w", right[0]): 1, ("rin", reg): -1})
+            self.equate({("rout", reg): 1, ("w", left[0]): -1})
         elif name == "co-delay":
             reg = self.register()
-            self.equate({("w", left[0]): _ONE, ("rin", reg): _MINUS_ONE})
-            self.equate({("rout", reg): _ONE, ("w", right[0]): _MINUS_ONE})
+            self.equate({("w", left[0]): 1, ("rin", reg): -1})
+            self.equate({("rout", reg): 1, ("w", right[0]): -1})
         elif name == "co-add":
             self.equate(
-                {("w", right[0]): _ONE, ("w", right[1]): _ONE, ("w", left[0]): _MINUS_ONE}
+                {("w", right[0]): 1, ("w", right[1]): 1, ("w", left[0]): -1}
             )
         elif name == "co-zero":
-            self.equate({("w", left[0]): _ONE})
+            self.equate({("w", left[0]): 1})
         elif name == "co-copy":
-            self.equate({("w", right[0]): _ONE, ("w", left[0]): _MINUS_ONE})
-            self.equate({("w", right[0]): _ONE, ("w", left[1]): _MINUS_ONE})
+            self.equate({("w", right[0]): 1, ("w", left[0]): -1})
+            self.equate({("w", right[0]): 1, ("w", left[1]): -1})
         elif name == "co-discard":
             pass
         elif name == "co-x":
-            self.equate({("w", right[0]): gen.value, ("w", left[0]): _MINUS_ONE})
+            self.equate({("w", right[0]): gen.value, ("w", left[0]): -1})
         else:
             raise SfgTypeError(f"unknown generator {name!r}")
         return left, right
@@ -378,7 +372,7 @@ def step(
     width = len(roots)
     rows = []
     for eq in equations:
-        row = [Fraction(0)] * (width + 1)
+        row = [0] * (width + 1)
         for root, coeff in eq.items():
             row[column[root]] = coeff
         rows.append(row)
@@ -387,8 +381,8 @@ def step(
         [*state, *u, *v],
     )
     for x, value in pins:
-        row = [Fraction(0)] * (width + 1)
-        row[column[classes.find(x)]] = Fraction(1)
+        row = [0] * (width + 1)
+        row[column[classes.find(x)]] = 1
         row[width] = Fraction(value)
         rows.append(row)
     solved = _solve(QQ, rows, width)
@@ -400,14 +394,17 @@ def step(
     return [values[column[classes.find(w + d + k)]] for k in range(d)]
 
 
-def tick_relation(term: Term) -> Subspace:
-    """The one-tick relation over (regs_in, left, right, regs_out).
+def _tick_constraints(term: Term):
+    """The tick relation's annihilator over (regs_in, left, right,
+    regs_out) in reduced form, as primitive integer rows with positive
+    pivots, with (d, m, n).
 
     Equations x = y between wires (or a wire and a register) are merged
     first.  A class holding register or port columns is represented by
     the first of them and tied to the others by equality rows.  One
-    elimination with the internal classes first leaves the rows that
-    vanish on every internal column: the relation's annihilator.
+    elimination with the internal classes first leaves, as the rows whose
+    pivot lies past them, the rows that vanish on every internal column:
+    sliced to the boundary columns, the annihilator's reduced form.
     """
     network = _build_network(term)
     w = network.num_wires
@@ -429,41 +426,62 @@ def tick_relation(term: Term) -> Subspace:
     column.update((root, inner + position) for root, position in first.items())
     rows = []
     for eq in equations:
-        row = [Fraction(0)] * width
+        row = [0] * width
         for root, coeff in eq.items():
             row[column[root]] = coeff
         rows.append(row)
     for position, root in enumerate(roots):
         if first[root] != position:
-            row = [Fraction(0)] * width
-            row[column[root]], row[inner + position] = Fraction(1), Fraction(-1)
+            row = [0] * width
+            row[column[root]], row[inner + position] = 1, -1
             rows.append(row)
-    pivots, reduced = _rref(QQ, rows, width)
+    pivots, reduced = _integer_rref(rows, width)
     annihilator = [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
-    return kernel_of_matrix(QQ, annihilator, len(columns))
+    return annihilator, d, len(network.left_ports), len(network.right_ports)
+
+
+def tick_relation(term: Term) -> Subspace:
+    """The one-tick relation over (regs_in, left, right, regs_out): the
+    kernel of the annihilator rows of ``_tick_constraints``."""
+    annihilator, d, m, n = _tick_constraints(term)
+    return kernel_of_matrix(QQ, annihilator, 2 * d + m + n)
 
 
 # -- window checks in constraint form -----------------------------------------
 #
 # A set of register states is held as its constraint rows [E | e]: the
-# reduced row echelon form of any consistent system cutting it out, which
-# depends on the set alone.  () is every state and None the empty set.
-
-
-def _tick_constraints(term: Term):
-    """The tick relation's constraint rows, with (d, m, n)."""
-    relation = tick_relation(term)
-    m, n = term_type(term)
-    return relation.constraints().basis, (relation.ambient_dim - m - n) // 2, m, n
+# reduced row echelon form of any consistent system cutting it out, each
+# row as the primitive integer multiple with a positive pivot that
+# ``_integer_rref`` gives.  That form depends on the set alone, so equal
+# sets have equal rows, and no ``Fraction`` is built until a caller reads
+# a value.  () is every state and None the empty set.
 
 
 def _point(values: Sequence) -> tuple:
-    """The rows [I | values] of a single state."""
-    zero, one = QQ.zero, QQ.one
-    return tuple(
-        tuple(one if j == k else zero for j in range(len(values))) + (Fraction(value),)
-        for k, value in enumerate(values)
-    )
+    """The rows (den·e_k | num) of the single state whose k-th value is
+    num/den."""
+    rows = []
+    for k, value in enumerate(values):
+        q = Fraction(value)
+        row = [0] * (len(values) + 1)
+        row[k], row[-1] = q.denominator, q.numerator
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _substituted(rows, lo: int, hi: int, values) -> list:
+    """The rows [coefficients outside columns lo..hi-1 | rhs] of the
+    equations row · x = 0 once x[lo:hi] = values is substituted.  The
+    values are brought to a common denominator, so integer rows stay
+    integer but for an rhs over that denominator."""
+    values = [x if type(x) is Fraction else Fraction(x) for x in values]
+    den = lcm(*[x.denominator for x in values])
+    nums = [x.numerator * (den // x.denominator) for x in values]
+    out = []
+    for row in rows:
+        rhs = -sum(c * x for c, x in zip(row[lo:hi], nums) if c)
+        out.append([*row[:lo], *row[hi:], rhs if den == 1 else Fraction(rhs, den)])
+    return out
 
 
 def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
@@ -473,30 +491,25 @@ def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
     left, right, regs_out).  An observed boundary is substituted, which
     leaves [C_in | C_out | -C_w b]; a free one keeps its columns, to be
     eliminated with regs_in.  The state rows [E | 0 | e] go below, and
-    one elimination leaves the image as the rows whose pivot falls among
-    regs_out, already reduced.  A pivot in the rhs column means that no
-    state is reachable.
+    one elimination leaves the image as the primitive integer rows whose
+    pivot falls among regs_out, already reduced.  A pivot in the rhs
+    column means that no state is reachable.
     """
     if states is None:
         return None
-    zero = QQ.zero
     io = m + n
     if boundary is None:
         out = d + io
-        rows = [[*row, zero] for row in annihilator]
+        rows = [[*row, 0] for row in annihilator]
     else:
         out = d
-        values = [Fraction(x) for x in (*boundary[0], *boundary[1])]
-        rows = []
-        for row in annihilator:
-            rhs = -sum((c * x for c, x in zip(row[d : d + io], values) if c), zero)
-            rows.append([*row[:d], *row[d + io :], rhs])
-    pad = [zero] * out
+        rows = _substituted(annihilator, d, d + io, (*boundary[0], *boundary[1]))
+    pad = [0] * out
     rows += [[*row[:d], *pad, row[d]] for row in states]
-    pivots, reduced = _rref(QQ, rows, out + d + 1)
+    pivots, reduced = _integer_rref(rows, out + d + 1)
     if pivots and pivots[-1] == out + d:
         return None
-    return tuple(row[out:] for col, row in zip(pivots, reduced) if col >= out)
+    return tuple(tuple(row[out:]) for col, row in zip(pivots, reduced) if col >= out)
 
 
 def _swap_state_blocks(annihilator, d: int, m: int, n: int) -> list:
@@ -530,10 +543,10 @@ def _intersect(a, b, d: int):
     """The rows of the meet of two state sets, by one elimination."""
     if a is None or b is None:
         return None
-    pivots, reduced = _rref(QQ, [*a, *b], d + 1)
+    pivots, reduced = _integer_rref([*a, *b], d + 1)
     if pivots and pivots[-1] == d:
         return None
-    return reduced
+    return tuple(map(tuple, reduced))
 
 
 def check_trace(
@@ -619,9 +632,13 @@ def successor_states(
     """The constraint rows [E | e] of the next register assignments that
     the tick relation allows from ``state`` under the observed boundary,
     or None when it allows none: the cross-check of ``sfg step --oracle``.
+    The rows are those of ``_rref``, each with its pivot 1.
     """
     annihilator, d, m, n = _tick_constraints(term)
-    return _relation_image(annihilator, d, m, n, _point(state), boundary)
+    image = _relation_image(annihilator, d, m, n, _point(state), boundary)
+    if image is None:
+        return None
+    return tuple(_fraction_row(row, next(filter(None, row)), QQ.zero) for row in image)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -664,7 +681,9 @@ def sample_biinfinite_window(
     with any biinfinite trace the initial registers are resampled from
     the certified set instead.  The certified states are found in
     constraint form, as in ``check_trace``; only the sets sampled from
-    are solved for a particular point and a basis.
+    are solved for a particular point and a basis.  Each tick substitutes
+    the current state into the annihilator and samples (left, right,
+    regs_out) among the values whose next state has an infinite future.
     """
     annihilator, d, m, n = _tick_constraints(term)
     future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
@@ -678,24 +697,15 @@ def sample_biinfinite_window(
             start = pinned
     state = _sample(_affine_solve([(row[:d], row[d]) for row in start], d), rng)
     initial = list(state)
-    nvars = 2 * d + m + n
-    out = d + m + n
-    fixed = [(list(f), Fraction(0)) for f in annihilator]
-    for row in future_ok:
-        coeffs = [Fraction(0)] * nvars
-        coeffs[out:] = row[:d]
-        fixed.append((coeffs, row[d]))
+    io = m + n
+    future = [([0] * io + list(row[:d]), row[d]) for row in future_ok]
     window = []
     for _ in range(ticks):
-        rows = list(fixed)
-        for k, value in enumerate(state):
-            coeffs = [Fraction(0)] * nvars
-            coeffs[k] = Fraction(1)
-            rows.append((coeffs, Fraction(value)))
-        solved = _affine_solve(rows, nvars)
+        rows = [(row[:-1], row[-1]) for row in _substituted(annihilator, 0, d, state)]
+        solved = _affine_solve(rows + future, io + d)
         if solved is None:
             return None
         chosen = _sample(solved, rng)
-        window.append((chosen[d : d + m], chosen[d + m : out]))
-        state = chosen[out:]
+        window.append((chosen[:m], chosen[m:io]))
+        state = chosen[io:]
     return window, initial

@@ -130,6 +130,21 @@ class TestTermParsing:
         term = parse_term(source)
         assert parse_term(format_term(term)) == term
 
+    @pytest.mark.parametrize(
+        "term, text",
+        [
+            (Par(Gen("id"), Par(Gen("id"), Gen("id"))), "id (+) (id (+) id)"),
+            (Par(Par(Gen("id"), Gen("id")), Gen("id")), "id (+) id (+) id"),
+            (Par(Seq(Gen("id"), Gen("id")), Gen("id")), "(id ; id) (+) id"),
+            (Par(Gen("id"), Seq(Gen("id"), Gen("id"))), "id (+) (id ; id)"),
+            (Seq(Gen("copy"), Par(Gen("id"), Gen("id"))), "copy ; id (+) id"),
+            (Seq(Gen("x", Fraction(1, 2)), Gen("co-x", Fraction(-3))), "x(1/2) ; co-x(-3)"),
+        ],
+    )
+    def test_printer_parenthesises_by_precedence(self, term, text):
+        assert format_term(term) == text
+        assert parse_term(text) == term
+
 
 class TestCommands:
     def test_equiv_true(self, capsys):
@@ -334,6 +349,10 @@ class TestCommands:
 
 
 ALTERNATING = json.dumps([[[(-1) ** k], [0]] for k in range(6)])
+# a window of the two-cell feedback chain from registers (1/4, 0), and the
+# same window with its last output moved
+FRACTIONAL_CHAIN = '[[["1/2"],["3/4"]],[["1/3"],["19/12"]],[["2/5"],["47/30"]]]'
+FRACTIONAL_CHAIN_MOVED = '[[["1/2"],["3/4"]],[["1/3"],["19/12"]],[["2/5"],["3/2"]]]'
 
 
 class TestSfgOracle:
@@ -364,6 +383,10 @@ class TestSfgOracle:
             ("splusone.sfg", ALTERNATING, "[0,0]", 1),
             ("wire.sfg", "[[[1],[1]],[[2],[2]]]", None, 0),
             ("wire.sfg", "[[[1],[0]]]", None, 1),
+            ("chain2.sfg", FRACTIONAL_CHAIN, '["1/4","0"]', 0),
+            ("chain2.sfg", FRACTIONAL_CHAIN, None, 0),
+            ("chain2.sfg", FRACTIONAL_CHAIN, '["1/4","1/2"]', 1),
+            ("chain2.sfg", FRACTIONAL_CHAIN_MOVED, '["1/4","0"]', 1),
         ],
     )
     def test_check_trace(self, capsys, name, window, init, code):
@@ -381,6 +404,8 @@ class TestSfgOracle:
             ("splusone.sfg", "[0,0]", "[1]", "[0]", 1),
             ("wire.sfg", None, "[1]", "[1]", 0),
             ("wire.sfg", None, "[1]", "[2]", 1),
+            ("delay.sfg", '["1/2"]', '["3/4"]', '["1/3"]', 1),
+            ("chain2.sfg", '["1/4","0"]', '["1/2"]', '["3/4"]', 0),
         ],
     )
     def test_step(self, capsys, name, state, left, right, code):
@@ -390,6 +415,15 @@ class TestSfgOracle:
         for extra in ([], ["--json"], ["--oracle"], ["--oracle", "--json"]):
             assert main(argv + extra) == code
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--oracle"]])
+    def test_step_prints_a_fractional_state(self, capsys, extra):
+        """The oracle reads the successor rows' last entries as the
+        state, so they must come back as rows with pivot 1."""
+        argv = ["sfg", "step", fixture("delay.sfg"), "--json"]
+        argv += ["--state", '["1/2"]', "--left", '["3/4"]', "--right", '["1/2"]']
+        assert main(argv + extra) == 0
+        assert capsys.readouterr() == ('{"result": "ok", "state": ["3/4"]}\n', "")
 
     def test_step_nondeterminate(self, capsys, tmp_path):
         path = tmp_path / "dangling.sfg"
@@ -572,3 +606,19 @@ def test_deep_chains_run_without_recursion(capsys, tmp_path):
     assert main(["sfg", "check-trace", str(path), "--window", "[[[1],[1]],[[2],[2]]]"]) == 0
     assert main(["sfg", "step", str(path), "--left", "[1]", "--right", "[1]"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_deep_chains_denote_and_print_without_recursion(capsys, tmp_path):
+    """Denotation and the term printer fold the term with an explicit
+    stack, so a chain of 5000 generators denotes and prints; recursion
+    used to fail at about 1500."""
+    text = " ; ".join(["id"] * 5000)
+    path = tmp_path / "deep.sfg"
+    path.write_text(text)
+    assert main(["sfg", "denote", "--json", str(path)]) == 0
+    deep = capsys.readouterr()
+    assert main(["sfg", "denote", "--json", fixture("wire.sfg")]) == 0
+    assert deep == capsys.readouterr()
+    assert format_term(parse_term(text)) == text
+    wide = " (+) ".join(["id"] * 5000)
+    assert format_term(parse_term(wide)) == wide

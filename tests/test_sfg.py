@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -37,6 +38,7 @@ from openwires.sfg import (
     _affine_solve,
     _extendable_states,
     _swap_state_blocks,
+    _tick_constraints,
     check_trace,
     check_trace_unrolled,
     count_registers,
@@ -261,6 +263,17 @@ class TestTickRelationOracle:
         reference = reference_tick_relation(term)
         assert repr(relation) == repr(reference)
         assert repr(relation.constraints()) == repr(reference.constraints())
+        # the annihilator straight from the network: primitive integer
+        # rows with positive pivots, each the reference's row times its pivot
+        annihilator, d, m, n = _tick_constraints(term)
+        assert (m, n) == term_type(term) and d == count_registers(term)
+        scaled = []
+        for row in annihilator:
+            pivot = next(v for v in row if v)
+            assert pivot > 0 and gcd(*row) == 1
+            assert all(type(v) is int for v in row)
+            scaled.append(tuple(F(v, pivot) for v in row))
+        assert repr(tuple(scaled)) == repr(reference.constraints().basis)
 
     def test_random_terms(self):
         rng = random.Random(47)
