@@ -15,7 +15,6 @@ from .scalars import (
     Rational,
     RationalFunction,
     laurent_gcd,
-    laurent_normalize,
     parse_laurent,
     parse_rational,
     parse_scalar_expression,
@@ -32,6 +31,7 @@ from .finset import (
     tensor_corelations,
     tensor_cospans,
 )
+from .linalg import Subspace
 from .circuit import (
     LabelledGraph,
     OpenCircuit,
@@ -55,7 +55,6 @@ from .dirichlet import (
 )
 from .symplectic import (
     LagrangianRelation,
-    Subspace,
     SymplecticSpace,
     black_box,
     compose_lagrangian,
@@ -75,7 +74,6 @@ from .lti import (
     behaviour_rep,
     compose_mat_cospans,
     controllable_part,
-    epi_split_mono_factor,
     is_controllable,
     kernel_basis,
     mat_corelation,

@@ -166,34 +166,3 @@ def parallel(impedances: Sequence, field: Field = QQ) -> OpenCircuit:
     graph = LabelledGraph(2, tuple((0, 1, z) for z in impedances))
     cospan = FinCospan(FinFunction(1, 2, (0,)), FinFunction(1, 2, (1,)))
     return OpenCircuit(field, graph, cospan)
-
-
-def canonical_form(c: OpenCircuit) -> tuple:
-    """A relabelling-invariant snapshot, for comparing composites.
-
-    Nodes are renumbered by first occurrence scanning the left leg, the
-    right leg, then edge endpoints in order; untouched nodes follow in
-    index order.  Pushout composition built in different orders agrees
-    after this renumbering.
-    """
-    order: dict[int, int] = {}
-
-    def visit(node: int):
-        if node not in order:
-            order[node] = len(order)
-
-    for node in c.cospan.left.table:
-        visit(node)
-    for node in c.cospan.right.table:
-        visit(node)
-    for src, tgt, _ in c.graph.edges:
-        visit(src)
-        visit(tgt)
-    for node in range(c.graph.num_nodes):
-        visit(node)
-    return (
-        c.graph.num_nodes,
-        tuple(order[v] for v in c.cospan.left.table),
-        tuple(order[v] for v in c.cospan.right.table),
-        tuple((order[s], order[t], z) for s, t, z in c.graph.edges),
-    )

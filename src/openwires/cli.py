@@ -44,6 +44,7 @@ from .lti import (
 )
 from .scalars import Field, ScalarParseError, field_by_name
 from .sfg import (
+    GENERATOR_TYPES,
     INFEASIBLE,
     NONDETERMINATE,
     Gen,
@@ -173,19 +174,9 @@ class TermParseError(ValueError):
         super().__init__(f"{message} at position {pos}")
 
 
-_GENERATOR_NAMES = (
-    "add",
-    "zero",
-    "copy",
-    "discard",
-    "delay",
-    "co-add",
-    "co-zero",
-    "co-copy",
-    "co-discard",
-    "co-delay",
-    "id",
-    "tw",
+# longest first, so that no name is read as a prefix of a longer one
+_GENERATOR_NAMES = sorted(
+    (name for name in GENERATOR_TYPES if name not in ("x", "co-x")), key=len, reverse=True
 )
 
 
@@ -258,7 +249,7 @@ class _TermParser:
                 if not self.take(")"):
                     raise self.error("expected ')'")
                 return Gen(name, value)
-        for name in sorted(_GENERATOR_NAMES, key=len, reverse=True):
+        for name in _GENERATOR_NAMES:
             if self._at_name(name):
                 self.pos += len(name)
                 return Gen(name)

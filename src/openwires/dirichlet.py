@@ -72,13 +72,6 @@ class DirichletForm:
                     raise ValueError("coefficients over Q must be nonnegative")
 
     @staticmethod
-    def zero_form(size: int, field: Field = QQ) -> "DirichletForm":
-        zero = field.zero
-        return DirichletForm(
-            field, size, tuple(tuple(zero for _ in range(size)) for _ in range(size))
-        )
-
-    @staticmethod
     def from_entries(
         size: int, entries: dict[tuple[int, int], object], field: Field = QQ
     ) -> "DirichletForm":
@@ -90,18 +83,6 @@ class DirichletForm:
             matrix[i][j] = matrix[i][j] + value
             matrix[j][i] = matrix[j][i] + value
         return DirichletForm(field, size, tuple(tuple(row) for row in matrix))
-
-    def evaluate(self, psi: Sequence) -> object:
-        if len(psi) != self.size:
-            raise ValueError("potential has wrong length")
-        total = self.field.zero
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                c = self.coeff[i][j]
-                if c != self.field.zero:
-                    diff = psi[i] - psi[j]
-                    total = total + c * diff * diff
-        return total
 
     def gradient(self, phi: Sequence) -> list:
         """Formal partial derivatives: dQ/dphi_n = sum_k 2 c_nk (phi_n - phi_k)."""
@@ -129,29 +110,6 @@ class DirichletForm:
             ),
         )
 
-    def pushforward(self, node_map, new_size: int) -> "DirichletForm":
-        """Transport along f: indices -> new indices (sum onto images).
-
-        f_* Q (phi) = Q(phi . f); coefficients between indices that merge
-        land on the diagonal and vanish from the form.
-        """
-        zero = self.field.zero
-        matrix = [[zero] * new_size for _ in range(new_size)]
-        for i in range(self.size):
-            fi = node_map(i)
-            for j in range(i + 1, self.size):
-                c = self.coeff[i][j]
-                if c == zero:
-                    continue
-                fj = node_map(j)
-                if fi == fj:
-                    continue
-                matrix[fi][fj] = matrix[fi][fj] + c
-                matrix[fj][fi] = matrix[fj][fi] + c
-        return DirichletForm(
-            self.field, new_size, tuple(tuple(row) for row in matrix)
-        )
-
 
 def extended_power(c: OpenCircuit) -> DirichletForm:
     """P(phi) = 1/2 sum_e (1/Z(e)) (phi(t(e)) - phi(s(e)))^2 on all nodes.
@@ -159,18 +117,7 @@ def extended_power(c: OpenCircuit) -> DirichletForm:
     Each edge contributes 1/(2 Z(e)) to c_{s(e), t(e)}; self-loops
     contribute nothing.
     """
-    field = c.field
-    n = c.graph.num_nodes
-    zero = field.zero
-    matrix = [[zero] * n for _ in range(n)]
-    half = field.from_fraction(Fraction(1, 2))
-    for src, tgt, z in c.graph.edges:
-        if src == tgt:
-            continue
-        w = half / z
-        matrix[src][tgt] = matrix[src][tgt] + w
-        matrix[tgt][src] = matrix[tgt][src] + w
-    return DirichletForm(field, n, tuple(tuple(row) for row in matrix))
+    return _reduce(c.field, _edge_adjacency(c), range(c.graph.num_nodes))
 
 
 def eliminate_node(q: DirichletForm, n: int) -> DirichletForm:
@@ -209,6 +156,12 @@ def power_functional(c: OpenCircuit) -> DirichletForm:
     coefficients are read straight off the edges and the interior is
     eliminated sparsely, without the dense extended form.
     """
+    return _reduce(c.field, _edge_adjacency(c), boundary(c))
+
+
+def _edge_adjacency(c: OpenCircuit) -> dict[int, dict[int, object]]:
+    """The nonzero coefficients of the extended power functional, read
+    straight off the edges: 1/(2 Z(e)) summed over the edges of each pair."""
     zero = c.field.zero
     half = c.field.from_fraction(Fraction(1, 2))
     adjacency: dict[int, dict[int, object]] = {n: {} for n in range(c.graph.num_nodes)}
@@ -217,7 +170,7 @@ def power_functional(c: OpenCircuit) -> DirichletForm:
             continue
         value = adjacency[src].get(tgt, zero) + half / z
         _set_pair(adjacency, src, tgt, value)
-    return _reduce(c.field, adjacency, boundary(c))
+    return adjacency
 
 
 def _adjacency(q: DirichletForm) -> dict[int, dict[int, object]]:

@@ -76,10 +76,6 @@ class FinFunction:
     def identity(n: int) -> "FinFunction":
         return FinFunction(n, n, tuple(range(n)))
 
-    @staticmethod
-    def from_list(table: Sequence[int], codomain_size: int) -> "FinFunction":
-        return FinFunction(len(table), codomain_size, tuple(table))
-
     def __call__(self, x: int) -> int:
         return self.table[x]
 
@@ -90,12 +86,6 @@ class FinFunction:
         return FinFunction(
             self.domain_size, then.codomain_size, tuple(then.table[v] for v in self.table)
         )
-
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == self.domain_size
-
-    def is_surjective(self) -> bool:
-        return len(set(self.table)) == self.codomain_size
 
 
 def epi_mono_factor(f: FinFunction) -> tuple[FinFunction, FinFunction]:

@@ -1,6 +1,6 @@
-"""Exact row reduction over a field: the one elimination routine below
-``symplectic``, ``dirichlet`` and ``sfg``, and the only module that knows
-how a reduced system looks.
+"""Exact row reduction over a field and the subspaces it presents: the
+one elimination routine below ``symplectic``, ``dirichlet`` and ``sfg``,
+and the only module that knows how a reduced system looks.
 
 Rows are sequences of field elements whose zero is falsy.  ``_rref``
 returns the pivot columns and the reduced row echelon form with zero rows
@@ -8,6 +8,8 @@ dropped, which is canonical for the row space, so callers compare and hash
 its rows and read its pivots instead of scanning for them.  ``_solve``
 reads a reduced system [A | b]: inconsistent, or a particular solution
 with its reduction.  ``_null_vectors`` reads a kernel basis off it.
+``Subspace`` holds a subspace as its reduced basis, and
+``kernel_of_matrix`` is the subspace that the rows of a matrix annihilate.
 
 Both fields run one Gauss-Jordan sweep, ``_sweep``, with their own pivot
 rule and row update.  Over Q the rows are integers: each is scaled to
@@ -21,6 +23,7 @@ give the same rows, since the reduced form of a row space is unique.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
@@ -209,3 +212,57 @@ def _null_vectors(field: Field, reduced: tuple, width: int) -> list[list]:
                 vec[p] = -row[f]
         basis.append(vec)
     return basis
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A linear subspace as a reduced-row-echelon basis matrix.
+
+    Rows are basis vectors; pivot columns strictly increase and every
+    pivot is 1 with zeros above and below, so equal subspaces have equal
+    representations.
+    """
+
+    field: Field
+    ambient_dim: int
+    basis: tuple[tuple[object, ...], ...]
+
+    @staticmethod
+    def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
+        return Subspace(field, ambient_dim, _rref(field, rows, ambient_dim)[1])
+
+    @staticmethod
+    def zero(field: Field, ambient_dim: int) -> "Subspace":
+        return Subspace(field, ambient_dim, ())
+
+    @staticmethod
+    def full(field: Field, ambient_dim: int) -> "Subspace":
+        rows = []
+        for k in range(ambient_dim):
+            row = [field.zero] * ambient_dim
+            row[k] = field.one
+            rows.append(tuple(row))
+        return Subspace(field, ambient_dim, tuple(rows))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, vector: Sequence) -> bool:
+        """The vector adds nothing to the rank of the basis."""
+        return len(_rref(self.field, [*self.basis, vector], self.ambient_dim)[0]) == self.dim
+
+    def constraints(self) -> "Subspace":
+        """The annihilator: functionals vanishing on this subspace."""
+        return kernel_of_matrix(self.field, self.basis, self.ambient_dim)
+
+    def project(self, columns: Sequence[int]) -> "Subspace":
+        """Image under selection of the given coordinates."""
+        rows = [[row[c] for c in columns] for row in self.basis]
+        return Subspace.span(self.field, len(columns), rows)
+
+
+def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
+    """Null space {x : A x = 0} of a matrix given by rows."""
+    reduced = _rref(field, rows, width)
+    return Subspace(field, width, _rref(field, _null_vectors(field, reduced, width), width)[1])

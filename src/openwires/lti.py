@@ -384,27 +384,6 @@ def _divisibility_offender(work: _Eliminator, pos: int):
     return None
 
 
-def epi_split_mono_factor(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
-    """Factor m = mono . epi with epi of full row rank and mono split.
-
-    Built from the Smith normal form: keep the full-rank part of the
-    diagonal with the column factor as the epi, the first rank columns of
-    the row factor as the split mono.
-    """
-    decomposition = _eliminate(m, ("u", "v"))
-    return _epi(decomposition), decomposition.u.take_cols(range(decomposition.rank))
-
-
-def _epi(decomposition: SnfResult) -> PolyMatrix:
-    """D_r V_r: the first rank rows of V, each scaled by its invariant factor."""
-    v = decomposition.v
-    rows = tuple(
-        v.entries[i] if d.is_one() else tuple(d * e for e in v.entries[i])
-        for i, d in enumerate(decomposition.diagonal[: decomposition.rank])
-    )
-    return _matrix(len(rows), v.cols, rows)
-
-
 def kernel_basis(m: PolyMatrix) -> PolyMatrix:
     """Columns spanning ker(m) as a free module (cols x nullity matrix).
 
@@ -507,9 +486,16 @@ def tensor_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
 
 
 def mat_corelation(c: MatCospan) -> MatCospan:
-    """The jointly-epic representative: epi part D_r V_r of the copairing
-    [A B] (the split mono U is not built)."""
-    epi = _epi(_eliminate(c.left.hstack(c.right), ("v",)))
+    """The jointly-epic representative: the epi part D_r V_r of the
+    copairing [A B] = U D V, the first rank rows of V each scaled by its
+    invariant factor (the split mono U is not built)."""
+    decomposition = _eliminate(c.left.hstack(c.right), ("v",))
+    v = decomposition.v
+    rows = tuple(
+        v.entries[i] if d.is_one() else tuple(d * e for e in v.entries[i])
+        for i, d in enumerate(decomposition.diagonal[: decomposition.rank])
+    )
+    epi = _matrix(len(rows), v.cols, rows)
     return MatCospan(epi.take_cols(range(c.dom)), epi.take_cols(range(c.dom, c.dom + c.cod)))
 
 

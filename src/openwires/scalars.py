@@ -792,12 +792,6 @@ class LaurentPoly:
             return other.is_zero()
         return (other % self).is_zero()
 
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"{other} does not divide {self}")
-        return q
-
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise ValueError(f"{self} is not a unit of Q[s, s^-1]")
@@ -909,25 +903,11 @@ def _coerce_laurent(value):
     return NotImplemented
 
 
-def laurent_normalize(terms: Mapping[int, Union[Fraction, int]]) -> LaurentPoly:
-    """Canonical (offset, coeffs) form of an exponent -> coefficient map."""
-    return LaurentPoly.from_map(terms)
-
-
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Canonical gcd in Q[s, s^-1] (offset 0, leading coefficient 1)."""
     while not b.is_zero():
         a, b = b, a % b
     return a.canonical()[1]
-
-
-def laurent_to_rational_function(p: LaurentPoly) -> RationalFunction:
-    if not p.nums:
-        return _RF_ZERO
-    if p.offset >= 0:
-        return _rf(_poly((0,) * p.offset + p.nums, p.den), _P_ONE)
-    # the lowest numerator is nonzero, so the numerator is prime to s^-offset
-    return _rf(_poly(p.nums, p.den), _poly((0,) * -p.offset + (1,), 1))
 
 
 def rational_function_to_laurent(f: RationalFunction) -> LaurentPoly:

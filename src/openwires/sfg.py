@@ -38,11 +38,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
+from .finset import UnionFind
+from .linalg import Subspace, _fraction_row, _integer_rref, _null_vectors, _solve, kernel_of_matrix
 from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
 from .scalars import LaurentPoly, QQ
-from .finset import UnionFind
-from .linalg import _fraction_row, _integer_rref, _null_vectors, _solve
-from .symplectic import Subspace, kernel_of_matrix
 
 _S = LaurentPoly.variable()
 
@@ -264,52 +263,35 @@ class _NetworkBuilder:
         return left1, right2
 
     def visit_gen(self, gen: Gen) -> tuple[list[int], list[int]]:
+        """A ``co-`` generator is its generator with the two sides
+        exchanged."""
         m, n = GENERATOR_TYPES[gen.name]
         left = [self.wire() for _ in range(m)]
         right = [self.wire() for _ in range(n)]
-        name = gen.name
+        a, b = (right, left) if gen.name.startswith("co-") else (left, right)
+        name = gen.name.removeprefix("co-")
         if name == "add":
-            self.equate(
-                {("w", left[0]): 1, ("w", left[1]): 1, ("w", right[0]): -1}
-            )
+            self.equate({("w", a[0]): 1, ("w", a[1]): 1, ("w", b[0]): -1})
         elif name == "zero":
-            self.equate({("w", right[0]): 1})
+            self.equate({("w", b[0]): 1})
         elif name == "copy":
-            self.equate({("w", left[0]): 1, ("w", right[0]): -1})
-            self.equate({("w", left[0]): 1, ("w", right[1]): -1})
-        elif name == "discard":
-            pass
+            self.equate({("w", a[0]): 1, ("w", b[0]): -1})
+            self.equate({("w", a[0]): 1, ("w", b[1]): -1})
         elif name == "x":
-            self.equate({("w", left[0]): gen.value, ("w", right[0]): -1})
+            self.equate({("w", a[0]): gen.value, ("w", b[0]): -1})
         elif name == "id":
-            self.equate({("w", left[0]): 1, ("w", right[0]): -1})
+            self.equate({("w", a[0]): 1, ("w", b[0]): -1})
         elif name == "tw":
-            self.equate({("w", left[0]): 1, ("w", right[1]): -1})
-            self.equate({("w", left[1]): 1, ("w", right[0]): -1})
+            self.equate({("w", a[0]): 1, ("w", b[1]): -1})
+            self.equate({("w", a[1]): 1, ("w", b[0]): -1})
         elif name == "delay":
             reg = self.register()
-            # the right wire shows the stored value; the left wire is stored
-            self.equate({("w", right[0]): 1, ("rin", reg): -1})
-            self.equate({("rout", reg): 1, ("w", left[0]): -1})
-        elif name == "co-delay":
-            reg = self.register()
-            self.equate({("w", left[0]): 1, ("rin", reg): -1})
-            self.equate({("rout", reg): 1, ("w", right[0]): -1})
-        elif name == "co-add":
-            self.equate(
-                {("w", right[0]): 1, ("w", right[1]): 1, ("w", left[0]): -1}
-            )
-        elif name == "co-zero":
-            self.equate({("w", left[0]): 1})
-        elif name == "co-copy":
-            self.equate({("w", right[0]): 1, ("w", left[0]): -1})
-            self.equate({("w", right[0]): 1, ("w", left[1]): -1})
-        elif name == "co-discard":
-            pass
-        elif name == "co-x":
-            self.equate({("w", right[0]): gen.value, ("w", left[0]): -1})
-        else:
-            raise SfgTypeError(f"unknown generator {name!r}")
+            # the right wire shows the stored value and the left wire is stored,
+            # or the other way round for co-delay
+            self.equate({("w", b[0]): 1, ("rin", reg): -1})
+            self.equate({("rout", reg): 1, ("w", a[0]): -1})
+        elif name != "discard":
+            raise SfgTypeError(f"unknown generator {gen.name!r}")
         return left, right
 
     def register(self) -> int:
@@ -665,7 +647,7 @@ def _sample(solved, rng: random.Random, spread: int = 3) -> list:
     for row in homogeneous.basis:
         coeff = Fraction(rng.randint(-spread, spread))
         if coeff:
-            point = [p + coeff * r for p, r in zip(point, row)]
+            point = [p + coeff * r if r else p for p, r in zip(point, row)]
     return point
 
 

@@ -28,98 +28,14 @@ route answers by the oracle.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .circuit import OpenCircuit, boundary
 from .dirichlet import DegenerateFormError, DirichletForm, extended_power, power_functional
 from .finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
-from .linalg import _null_vectors, _rref
+from .linalg import Subspace, _null_vectors, _rref, kernel_of_matrix
 from .scalars import Field, QQ
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace as a reduced-row-echelon basis matrix.
-
-    Rows are basis vectors; pivot columns strictly increase and every
-    pivot is 1 with zeros above and below, so equal subspaces have equal
-    representations.
-    """
-
-    field: Field
-    ambient_dim: int
-    basis: tuple[tuple[object, ...], ...]
-    # the annihilator once known; not part of the value
-    _annihilator: Optional[Subspace] = dataclasses.field(default=None, compare=False, repr=False)
-
-    @staticmethod
-    def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
-        return Subspace(field, ambient_dim, _rref(field, rows, ambient_dim)[1])
-
-    @staticmethod
-    def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, ())
-
-    @staticmethod
-    def full(field: Field, ambient_dim: int) -> "Subspace":
-        rows = []
-        for k in range(ambient_dim):
-            row = [field.zero] * ambient_dim
-            row[k] = field.one
-            rows.append(tuple(row))
-        return Subspace(field, ambient_dim, tuple(rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vector: Sequence) -> bool:
-        """The vector adds nothing to the rank of the basis."""
-        return len(_rref(self.field, [*self.basis, vector], self.ambient_dim)[0]) == self.dim
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        constraints = list(self.constraints().basis) + list(other.constraints().basis)
-        return kernel_of_matrix(self.field, constraints, self.ambient_dim)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.span(
-            self.field, self.ambient_dim, list(self.basis) + list(other.basis)
-        )
-
-    def constraints(self) -> "Subspace":
-        """The annihilator: functionals vanishing on this subspace, computed once."""
-        if self._annihilator is None:
-            annihilator = kernel_of_matrix(self.field, self.basis, self.ambient_dim)
-            object.__setattr__(self, "_annihilator", annihilator)
-        return self._annihilator
-
-    def project(self, columns: Sequence[int]) -> "Subspace":
-        """Image under selection of the given coordinates."""
-        rows = [[row[c] for c in columns] for row in self.basis]
-        return Subspace.span(self.field, len(columns), rows)
-
-    def _check_compatible(self, other: "Subspace"):
-        if other.ambient_dim != self.ambient_dim or other.field != self.field:
-            raise ValueError("subspaces live in different ambient spaces")
-
-
-def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
-    """Null space {x : A x = 0} of a matrix given by rows.  The reduced rows
-    of A are its annihilator, so the result keeps them."""
-    reduced = _rref(field, rows, width)
-    basis = _rref(field, _null_vectors(field, reduced, width), width)[1]
-    return Subspace(field, width, basis, _annihilator=Subspace(field, width, reduced[1]))
-
-
-def image_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
-    """Column space of a matrix given by rows, as a subspace of F^rows."""
-    height = len(rows)
-    columns = [[rows[r][c] for r in range(height)] for c in range(width)]
-    return Subspace.span(field, height, columns)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,16 @@ from openwires.circuit import (
 )
 from openwires.dirichlet import DirichletForm, extended_power
 from openwires.finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
+from openwires.linalg import Subspace, kernel_of_matrix
 from openwires.lti import MatCospan, PolyMatrix, cospans_equivalent, pullback_span, span_to_cospan
 from openwires.scalars import (
     _ONE,
     _ZERO,
     LaurentPoly,
+    Polynomial,
     QQ,
     QS,
+    RationalFunction,
     _as_fraction,
     format_laurent,
     format_polynomial,
@@ -40,12 +43,10 @@ from openwires.sfg import (
 )
 from openwires.symplectic import (
     LagrangianRelation,
-    Subspace,
     SymplecticSpace,
     _negate_block,
     apply_relation,
     graph_of_dQ,
-    kernel_of_matrix,
     symplectify,
 )
 
@@ -1295,3 +1296,104 @@ def kernel_residuals(rep, combined_window):
                     acc += coefficient * combined_window[t - e][j]
             residuals.append(acc)
     return residuals
+
+
+# -- tools of the law tests ---------------------------------------------------
+
+
+def canonical_form(c: OpenCircuit) -> tuple:
+    """A relabelling-invariant snapshot, for comparing composites.
+
+    Nodes are renumbered by first occurrence scanning the left leg, the
+    right leg, then edge endpoints in order; untouched nodes follow in
+    index order.  Pushout composition built in different orders agrees
+    after this renumbering.
+    """
+    order: dict[int, int] = {}
+
+    def visit(node: int):
+        if node not in order:
+            order[node] = len(order)
+
+    for node in c.cospan.left.table:
+        visit(node)
+    for node in c.cospan.right.table:
+        visit(node)
+    for src, tgt, _ in c.graph.edges:
+        visit(src)
+        visit(tgt)
+    for node in range(c.graph.num_nodes):
+        visit(node)
+    return (
+        c.graph.num_nodes,
+        tuple(order[v] for v in c.cospan.left.table),
+        tuple(order[v] for v in c.cospan.right.table),
+        tuple((order[s], order[t], z) for s, t, z in c.graph.edges),
+    )
+
+
+def evaluate_form(q: DirichletForm, psi) -> object:
+    """Q(psi) = sum over pairs i < j of c_ij (psi_i - psi_j)^2."""
+    if len(psi) != q.size:
+        raise ValueError("potential has wrong length")
+    total = q.field.zero
+    for i in range(q.size):
+        for j in range(i + 1, q.size):
+            c = q.coeff[i][j]
+            if c != q.field.zero:
+                diff = psi[i] - psi[j]
+                total = total + c * diff * diff
+    return total
+
+
+def pushforward_form(q: DirichletForm, node_map, new_size: int) -> DirichletForm:
+    """Transport along f: indices -> new indices (sum onto images).
+
+    f_* Q (phi) = Q(phi . f); coefficients between indices that merge
+    land on the diagonal and vanish from the form.
+    """
+    zero = q.field.zero
+    matrix = [[zero] * new_size for _ in range(new_size)]
+    for i in range(q.size):
+        fi = node_map(i)
+        for j in range(i + 1, q.size):
+            c = q.coeff[i][j]
+            if c == zero:
+                continue
+            fj = node_map(j)
+            if fi == fj:
+                continue
+            matrix[fi][fj] = matrix[fi][fj] + c
+            matrix[fj][fi] = matrix[fj][fi] + c
+    return DirichletForm(q.field, new_size, tuple(tuple(row) for row in matrix))
+
+
+def _check_compatible(a: Subspace, b: Subspace):
+    if a.ambient_dim != b.ambient_dim or a.field != b.field:
+        raise ValueError("subspaces live in different ambient spaces")
+
+
+def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
+    """a ∩ b: the kernel of both annihilators stacked."""
+    _check_compatible(a, b)
+    constraints = list(a.constraints().basis) + list(b.constraints().basis)
+    return kernel_of_matrix(a.field, constraints, a.ambient_dim)
+
+
+def add_subspaces(a: Subspace, b: Subspace) -> Subspace:
+    """a + b: the span of both bases."""
+    _check_compatible(a, b)
+    return Subspace.span(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
+
+
+def image_of_matrix(field, rows, width: int) -> Subspace:
+    """Column space of a matrix given by rows, as a subspace of F^rows."""
+    height = len(rows)
+    columns = [[rows[r][c] for r in range(height)] for c in range(width)]
+    return Subspace.span(field, height, columns)
+
+
+def laurent_to_rational_function(p: LaurentPoly) -> RationalFunction:
+    """p = s^offset (c_0 + c_1 s + ...) as an element of Q(s)."""
+    num = Polynomial([0] * max(p.offset, 0) + list(p.coeffs))
+    return RationalFunction(num, Polynomial([0] * max(-p.offset, 0) + [1]))

@@ -3,13 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import rand_circuit
+from conftest import canonical_form, rand_circuit
 from openwires.circuit import (
     ImpedanceError,
     LabelledGraph,
     OpenCircuit,
     boundary,
-    canonical_form,
     circuit_generator,
     compose_circuits,
     identity_circuit,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import ladder, rand_term
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from openwires import circuit, cli, dirichlet, lti, sfg
 from openwires.cli import (
@@ -622,3 +625,117 @@ def test_deep_chains_denote_and_print_without_recursion(capsys, tmp_path):
     assert format_term(parse_term(text)) == text
     wide = " (+) ".join(["id"] * 5000)
     assert format_term(parse_term(wide)) == wide
+
+
+# -- random command lines ------------------------------------------------------
+#
+# Inputs are drawn well formed, well formed but invalid (unknown names,
+# zero or negative impedances, wrong lengths), or as text that does not
+# parse, so that every exit code is reached.
+
+_ATOMS = [name for name in sfg.GENERATOR_TYPES if name not in ("x", "co-x")]
+_ATOMS += ["x(1/2)", "co-x(-3)"]
+_TOKENS = _ATOMS + ["x", "x(", "x(1/0)", "(", ")", ";", "(+)", "?", "co-", "delay2"]
+_TERMS = ["id", "delay", "co-delay ; x(2)"]
+_TERMS += ["copy ; (delay (+) id) ; add ; co-add ; (co-delay (+) id) ; co-copy"]
+_IMPEDANCES = ["1", "1/2", "3*s", "1/(5*s)", "(s^2+1)/(2*s)"]
+_BAD_IMPEDANCES = ["0", "-1", "2/0", "-s", "s-1", "s^300", "?"]
+_NAMES = ["a", "b", "c"]
+_numbers = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/4"])
+_bad_numbers = st.sampled_from(["1/0", "q", "1e3", 0.5, None, [1], True])
+_bad_json = st.sampled_from([[], "x", 1, None, {}, [[1]], {"nodes": 1}])
+
+
+def _json_text(values):
+    """JSON text of the values drawn or of junk, or text that is not JSON."""
+    return (values | _bad_json).map(json.dumps) | st.text(max_size=6)
+
+
+_terms = st.one_of(
+    st.sampled_from(_TERMS),
+    st.recursive(
+        st.sampled_from(_ATOMS),
+        lambda inner: st.tuples(inner, st.sampled_from([";", "(+)"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        max_leaves=6,
+    ),
+    st.lists(st.sampled_from(_TOKENS), max_size=8).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _circuit_documents(draw, junk: bool):
+    """A circuit document over some of ``_NAMES``; with ``junk``, node
+    references and impedances may be invalid."""
+    nodes = draw(st.lists(st.sampled_from(_NAMES), unique=True, min_size=1, max_size=3))
+    ends = st.sampled_from(nodes)
+    if junk:
+        ends |= st.sampled_from(["d", 0, None])
+    impedance = st.sampled_from(_IMPEDANCES + (_BAD_IMPEDANCES if junk else []))
+    edge = st.fixed_dictionaries({"src": ends, "tgt": ends, "impedance": impedance})
+    doc = {
+        "nodes": nodes,
+        "edges": draw(st.lists(edge, max_size=4)),
+        "inputs": draw(st.lists(ends, max_size=2)),
+        "outputs": draw(st.lists(ends, max_size=2)),
+    }
+    field = draw(st.sampled_from([None, "Q", "Q(s)", "R", 1]))
+    return doc if field is None else {"field": field, **doc}
+
+
+_circuits = _json_text(_circuit_documents(False) | _circuit_documents(True))
+_vectors = _json_text(
+    st.lists(_numbers, max_size=3) | st.lists(_numbers | _bad_numbers, max_size=3)
+)
+_ticks = st.lists(st.lists(_numbers, min_size=1, max_size=2), min_size=2, max_size=2)
+_windows = _json_text(st.lists(_ticks, max_size=3))
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, {file name: contents}) of one random invocation."""
+    files = {}
+
+    def document(kind, suffix):
+        name = f"{len(files)}.{suffix}"
+        files[name] = draw(kind)
+        return name
+
+    domain, command = draw(st.sampled_from([
+        ("circuit", "power"), ("circuit", "blackbox"), ("circuit", "equiv"), ("circuit", "compose"),
+        ("sfg", "denote"), ("sfg", "controllable"), ("sfg", "equiv"), ("sfg", "check-trace"),
+        ("sfg", "step"),
+    ]))
+    if domain == "circuit":
+        count = 2 if command in ("equiv", "compose") else 1
+        argv = [domain, command, *(document(_circuits, "json") for _ in range(count))]
+        argv += draw(st.sampled_from([[], ["--field", "qs"], ["--field", "q"]]))
+    else:
+        count = 2 if command == "equiv" else 1
+        argv = [domain, command, *(document(_terms, "sfg") for _ in range(count))]
+    if command == "check-trace":
+        argv += ["--window", draw(_windows)]
+    options = {"check-trace": ["--init"], "step": ["--state", "--left", "--right"]}.get(command, [])
+    for option in draw(st.lists(st.sampled_from(options), unique=True) if options else st.just([])):
+        argv += [option, draw(_vectors)]
+    return argv + draw(st.lists(st.sampled_from(["--json", "--oracle"]), unique=True)), files
+
+
+@given(_command_lines())
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_random_command_lines_exit_with_a_code(tmp_path, case):
+    """Random terms, circuit documents and vectors on every subcommand:
+    each run returns an exit code from 0 to 3 and raises nothing."""
+    argv, files = case
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3)

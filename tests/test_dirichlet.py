@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     REFERENCE_CORPORA,
+    evaluate_form,
     gauss_solve,
     ladder,
     oracle_min_coefficients,
@@ -13,6 +14,7 @@ from conftest import (
     rand_circuit,
     rand_fin_function,
     rand_linear_system,
+    pushforward_form,
     rand_positive_fraction,
     reference_corpus,
     reference_minimize,
@@ -69,7 +71,7 @@ class TestExtendedPower:
             LabelledGraph(3, ()),
             FinCospan(FinFunction(1, 3, (0,)), FinFunction(1, 3, (2,))),
         )
-        assert extended_power(c) == DirichletForm.zero_form(3)
+        assert extended_power(c) == DirichletForm.from_entries(3, {})
 
     def test_self_loops_contribute_nothing(self):
         c = OpenCircuit(
@@ -331,13 +333,13 @@ class TestPowerFunctional:
             for _ in range(10):
                 psi = [rand_positive_fraction(rng) - 1 for _ in nodes]
                 best = realizable_extension(p, nodes, psi)
-                assert q.evaluate(psi) == p.evaluate(best)
+                assert evaluate_form(q, psi) == evaluate_form(p, best)
                 for _ in range(10):
                     phi = list(best)
                     for k in range(len(phi)):
                         if k not in nodes:
                             phi[k] += rand_positive_fraction(rng) - 1
-                    assert q.evaluate(psi) <= p.evaluate(phi)
+                    assert evaluate_form(q, psi) <= evaluate_form(p, phi)
 
 
 class TestRealizableExtension:
@@ -382,7 +384,7 @@ class TestRealizableExtension:
             nodes = boundary(c)
             psi = [rand_positive_fraction(rng) for _ in nodes]
             phi = realizable_extension(p, nodes, psi)
-            assert p.evaluate(phi) == oracle_min_value(
+            assert evaluate_form(p, phi) == oracle_min_value(
                 [list(r) for r in p.coeff], nodes, psi
             )
 
@@ -437,8 +439,8 @@ class TestCompositionCompatibility:
             direct = power_functional(composite)
 
             cospan, inject_a, inject_b = pushout_composition(a.cospan, b.cospan)
-            pushed = extended_power(a).pushforward(inject_a, cospan.apex_size).add(
-                extended_power(b).pushforward(inject_b, cospan.apex_size)
+            pushed = pushforward_form(extended_power(a), inject_a, cospan.apex_size).add(
+                pushforward_form(extended_power(b), inject_b, cospan.apex_size)
             )
             glued = minimize(pushed, boundary(composite))
             assert direct == glued

@@ -38,14 +38,14 @@ class TestFinFunction:
     @settings(max_examples=80)
     def test_epi_mono_factorization(self, f):
         e, m = epi_mono_factor(f)
-        assert e.is_surjective()
-        assert m.is_injective()
+        assert len(set(e.table)) == e.codomain_size  # e is surjective
+        assert len(set(m.table)) == m.domain_size  # m is injective
         assert e.compose(m).table == f.table
 
     def test_epi_mono_examples(self):
         f = FinFunction(3, 3, (0, 0, 2))
         e, m = epi_mono_factor(f)
-        assert e.is_surjective() and m.is_injective()
+        assert len(set(e.table)) == e.codomain_size and len(set(m.table)) == m.domain_size
         assert e.compose(m).table == f.table
         assert e.codomain_size == 2
 

@@ -4,7 +4,13 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from conftest import rand_laurent, rand_poly_matrix, rand_term, reference_is_controllable
+from conftest import (
+    laurent_to_rational_function,
+    rand_laurent,
+    rand_poly_matrix,
+    rand_term,
+    reference_is_controllable,
+)
 from openwires.cli import load_term
 from openwires.lti import (
     _eliminate,
@@ -17,7 +23,6 @@ from openwires.lti import (
     controllability,
     cospans_equivalent,
     controllable_part,
-    epi_split_mono_factor,
     is_controllable,
     kernel_basis,
     mat_corelation,
@@ -31,11 +36,10 @@ from openwires.scalars import (
     LaurentPoly,
     QS,
     laurent_gcd,
-    laurent_to_rational_function,
     parse_laurent,
 )
 from openwires.sfg import Gen, Par, Seq, sfg_denote, term_type
-from openwires.symplectic import Subspace, kernel_of_matrix
+from openwires.linalg import Subspace, kernel_of_matrix
 
 S = LaurentPoly.variable()
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -132,35 +136,6 @@ class TestSnf:
                     assert diag[k].divides(diag[k + 1])
             for k in range(res.rank, min(rows, cols)):
                 assert diag[k].is_zero()
-
-
-class TestFactorization:
-    def test_spec_examples(self):
-        e, mo = epi_split_mono_factor(pm([[1], [0]]))
-        assert e.entries == PolyMatrix.identity(1).entries
-        assert mo.entries == pm([[1], [0]]).entries
-
-        invertible = pm([[1, S], [0, 1]])
-        e, mo = epi_split_mono_factor(invertible)
-        assert mo.mul(e).entries == invertible.entries
-        assert mo.cols == 2 and e.rows == 2
-
-        e, mo = epi_split_mono_factor(PolyMatrix.zeros(2, 2))
-        assert e.rows == 0 and mo.cols == 0
-
-    def test_random_factorizations(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            m = rand_poly_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            e, mo = epi_split_mono_factor(m)
-            assert mo.mul(e).entries == m.entries
-            # epi: full row rank
-            assert snf(e).rank == e.rows
-            # split mono: a left inverse exists over the ring
-            if mo.cols:
-                retraction = solve_left(mo, PolyMatrix.identity(mo.cols))
-                assert retraction is not None
-                assert retraction.mul(mo).entries == PolyMatrix.identity(mo.cols).entries
 
 
 class TestComposition:

@@ -9,6 +9,7 @@ from conftest import (
     ReferenceLaurent,
     ReferencePolynomial,
     ReferenceRationalFunction,
+    laurent_to_rational_function,
     reference_poly_gcd,
 )
 
@@ -23,8 +24,6 @@ from openwires.scalars import (
     format_laurent,
     format_rational_function,
     laurent_gcd,
-    laurent_normalize,
-    laurent_to_rational_function,
     parse_laurent,
     parse_rational,
     parse_scalar_expression,
@@ -105,10 +104,10 @@ class TestRationalFunction:
 
 class TestLaurent:
     def test_normalize_examples(self):
-        p = laurent_normalize({-2: 1, -1: 1})
+        p = LaurentPoly.from_map({-2: 1, -1: 1})
         assert (p.offset, p.coeffs) == (-2, (Fraction(1), Fraction(1)))
-        assert laurent_normalize({}).is_zero()
-        q = laurent_normalize({3: 2})
+        assert LaurentPoly.from_map({}).is_zero()
+        q = LaurentPoly.from_map({3: 2})
         assert (q.offset, q.coeffs) == (3, (Fraction(2),))
 
     def test_normalize_strips_zero_endpoints(self):
@@ -402,8 +401,6 @@ class TestLaurentAgainstReference:
             _assert_matches(a // b, ra // rb)
             _assert_matches(a % b, ra % rb)
             assert b.divides(a) == rb.divides(ra)
-            # an exact multiple divides back
-            _assert_matches((a * b).exact_div(b), (ra * rb).exact_div(rb))
 
     def test_canonical_and_unit_inverse(self):
         rng = random.Random(405)

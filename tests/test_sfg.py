@@ -16,6 +16,7 @@ from conftest import (
     run_chain,
 )
 from openwires.cli import parse_term
+from openwires.linalg import kernel_of_matrix
 from openwires.lti import (
     MatCospan,
     PolyMatrix,
@@ -27,7 +28,6 @@ from openwires.lti import (
     tensor_mat_cospans,
 )
 from openwires.scalars import QQ, LaurentPoly
-from openwires.symplectic import kernel_of_matrix
 from openwires.sfg import (
     INFEASIBLE,
     NONDETERMINATE,
