@@ -21,6 +21,7 @@ from typing import Sequence
 from .finset import (
     FinCospan,
     FinFunction,
+    _legs,
     corel_generator,
     pushout_composition,
     tensor_cospans,
@@ -128,15 +129,7 @@ def circuit_generator(kind: str, n: int = 1, m: int = 1, field: Field = QQ) -> O
     legs landing on their blocks.
     """
     corel = corel_generator(kind, n, m)
-    left = FinFunction(
-        corel.left_size, corel.num_classes, corel.class_of[: corel.left_size]
-    )
-    right = FinFunction(
-        corel.right_size, corel.num_classes, corel.class_of[corel.left_size :]
-    )
-    return OpenCircuit(
-        field, LabelledGraph(corel.num_classes, ()), FinCospan(left, right)
-    )
+    return OpenCircuit(field, LabelledGraph(corel.num_classes, ()), _legs(corel))
 
 
 def identity_circuit(n: int, field: Field = QQ) -> OpenCircuit:

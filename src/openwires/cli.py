@@ -17,8 +17,12 @@ Signal-flow terms use a tiny infix language: generators
 composed with ``;`` (sequential) and ``(+)`` (parallel, binds tighter),
 with parentheses for grouping.  Example: ``copy ; (delay (+) id) ; add``.
 
-Exit codes: 0 success / answer true, 1 answer false (equiv,
-controllable, check-trace, step), 2 usage error, 3 parse error.
+Each subcommand is one row of ``_COMMANDS``.  Exit codes: 0 success /
+answer true, 1 answer false (equiv, controllable, check-trace, step),
+2 usage error or an ``--oracle`` disagreement, 3 parse error.  Every
+malformed input exits 3 with one ``error:`` line, JSON nested past the
+decoder's depth, a vector value with a decimal exponent above
+``MAX_EXPONENT`` and an impedance nested past ``MAX_SCALAR_DEPTH`` included.
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ from .symplectic import black_box, compose_lagrangian
 
 USAGE_ERROR = 2
 PARSE_ERROR = 3
+
+# The largest decimal exponent of a vector value: Fraction("1e<k>") builds
+# 10^k in full, at a cost that grows about forty-fold per digit of k.
+MAX_EXPONENT = 1000
 
 
 class DocumentError(ValueError):
@@ -157,7 +165,7 @@ def load_circuit(path: str, default_field: Field | None = None):
             doc = json.load(handle)
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise DocumentError(f"{path}: invalid JSON: {err}") from None
     try:
         return parse_circuit_document(doc, default_field)
@@ -255,23 +263,19 @@ class _TermParser:
                 return Gen(name)
         raise self.error("expected a generator or '('")
 
-    def _at_name(self, name: str) -> bool:
+    def _end_of(self, name: str) -> int:
+        """Where ``name`` ends if the input continues with it, else -1."""
         self.skip_ws()
-        if not self.text.startswith(name, self.pos):
-            return False
-        after = self.pos + len(name)
-        if after < len(self.text) and (
-            self.text[after].isalnum() or self.text[after] in "-_"
-        ):
-            return False
-        return True
+        return self.pos + len(name) if self.text.startswith(name, self.pos) else -1
+
+    def _at_name(self, name: str) -> bool:
+        after = self._end_of(name)
+        next_char = self.text[after : after + 1]
+        return after >= 0 and not (next_char.isalnum() or next_char in ("-", "_"))
 
     def _at_scalar_name(self, name: str) -> bool:
-        self.skip_ws()
-        if not self.text.startswith(name, self.pos):
-            return False
-        after = self.pos + len(name)
-        rest = self.text[after:].lstrip()
+        after = self._end_of(name)
+        rest = self.text[after:].lstrip() if after >= 0 else ""
         return rest.startswith("(") and not rest.startswith("(+)")
 
     def rational(self) -> Fraction:
@@ -362,27 +366,38 @@ def _table(title: str, key: str, columns: list, rows: list, as_json: bool):
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_circuit_compose(args) -> int:
+def _verdict(key: str, value: bool, as_json: bool) -> int:
+    """Print a yes/no answer as ``key: true`` or as JSON; exit 0 or 1."""
+    print(json.dumps({key: value}) if as_json else f"{key}: {'true' if value else 'false'}")
+    return 0 if value else 1
+
+
+def _internal_error(message: str) -> int:
+    """Report an ``--oracle`` cross-check that disagrees with the answer."""
+    print(f"internal error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _load_circuits(args, *paths: str) -> list:
+    """(OpenCircuit, node names) per path, with ``--field`` as the default."""
     field = field_by_name(args.field) if args.field else None
-    a, _ = load_circuit(args.first, field)
-    b, _ = load_circuit(args.second, field)
+    return [load_circuit(path, field) for path in paths]
+
+
+def _cmd_circuit_compose(args) -> int:
+    (a, _), (b, _) = _load_circuits(args, args.first, args.second)
     composed = compose_circuits(a, b)
     if args.oracle:
         glued = compose_lagrangian(black_box(a, "oracle"), black_box(b, "oracle"))
         if black_box(composed, "oracle").space != glued.space:
-            print(
-                "internal error: the composite's black box is not the composed relation",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
+            return _internal_error("the composite's black box is not the composed relation")
     doc = format_circuit_document(composed)
     print(json.dumps(doc, indent=2))
     return 0
 
 
 def _cmd_circuit_blackbox(args) -> int:
-    field = field_by_name(args.field) if args.field else None
-    circuit, _ = load_circuit(args.circuit, field)
+    [(circuit, _)] = _load_circuits(args, args.circuit)
     method = "oracle" if args.oracle else "fast"
     relation = black_box(circuit, method)
     print(_relation_report(circuit, relation, args.json))
@@ -390,30 +405,21 @@ def _cmd_circuit_blackbox(args) -> int:
 
 
 def _cmd_circuit_equiv(args) -> int:
-    field = field_by_name(args.field) if args.field else None
-    a, _ = load_circuit(args.first, field)
-    b, _ = load_circuit(args.second, field)
+    (a, _), (b, _) = _load_circuits(args, args.first, args.second)
     equivalent = circuits_equivalent(a, b)
     if args.oracle:
         fast = black_box(a, "fast").space == black_box(b, "fast").space
         slow = black_box(a, "oracle").space == black_box(b, "oracle").space
         if fast != equivalent or slow != equivalent:
-            print("internal error: pipelines disagree", file=sys.stderr)
-            return USAGE_ERROR
-    if args.json:
-        print(json.dumps({"equivalent": equivalent}))
-    else:
-        print(f"equivalent: {'true' if equivalent else 'false'}")
-    return 0 if equivalent else 1
+            return _internal_error("pipelines disagree")
+    return _verdict("equivalent", equivalent, args.json)
 
 
 def _cmd_circuit_power(args) -> int:
-    field = field_by_name(args.field) if args.field else None
-    circuit, nodes = load_circuit(args.circuit, field)
+    [(circuit, nodes)] = _load_circuits(args, args.circuit)
     q = power_functional(circuit)
     if args.oracle and not _power_agrees(circuit, q):
-        print("internal error: power functional disagrees with the interior solve", file=sys.stderr)
-        return USAGE_ERROR
+        return _internal_error("power functional disagrees with the interior solve")
     names = [nodes[v] for v in boundary(circuit)]
     rows = [[circuit.field.format(v) for v in row] for row in q.coeff]
     if args.json:
@@ -445,11 +451,8 @@ def _power_agrees(circuit: OpenCircuit, q) -> bool:
 def _cmd_sfg_denote(args) -> int:
     term = load_term(args.term)
     rep = behaviour_rep(sfg_denote(term))
-    if args.oracle:
-        raw = behaviour_rep(denote_cospan(term))
-        if not behaviour_eq(rep, raw):
-            print("internal error: reduction changed the behaviour", file=sys.stderr)
-            return USAGE_ERROR
+    if args.oracle and not behaviour_eq(rep, behaviour_rep(denote_cospan(term))):
+        return _internal_error("reduction changed the behaviour")
     print(_behaviour_report(rep, args.json))
     return 0
 
@@ -467,13 +470,8 @@ def _cmd_sfg_equiv(args) -> int:
         behaviour_rep(sfg_denote(first)), behaviour_rep(sfg_denote(second))
     )
     if args.oracle and behaviour_eq(_raw_behaviour(first), _raw_behaviour(second)) != equivalent:
-        print("internal error: reduced and raw denotations disagree", file=sys.stderr)
-        return USAGE_ERROR
-    if args.json:
-        print(json.dumps({"equivalent": equivalent}))
-    else:
-        print(f"equivalent: {'true' if equivalent else 'false'}")
-    return 0 if equivalent else 1
+        return _internal_error("reduced and raw denotations disagree")
+    return _verdict("equivalent", equivalent, args.json)
 
 
 def _cmd_sfg_controllable(args) -> int:
@@ -483,8 +481,7 @@ def _cmd_sfg_controllable(args) -> int:
     if args.oracle:
         problem = _controllability_problem(cospan, controllable)
         if problem:
-            print(f"internal error: {problem}", file=sys.stderr)
-            return USAGE_ERROR
+            return _internal_error(problem)
     if not controllable:
         r, s = controllable_part(cospan)
     if args.json:
@@ -528,9 +525,11 @@ def _controllability_problem(cospan, controllable: bool):
 
 
 def _parse_json(text: str, what: str):
+    """Decoded JSON; every decoding failure, deep nesting included, is a
+    ``DocumentError``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise DocumentError(f"invalid {what}: {err}") from None
 
 
@@ -539,11 +538,24 @@ def _parse_vector(data, what: str) -> list[Fraction]:
     if not isinstance(data, list):
         raise DocumentError(f"invalid {what}: expected a JSON list")
     try:
-        return [Fraction(str(v)) for v in data]
+        return [_rational(str(v)) for v in data]
     except ValueError as err:
         raise DocumentError(f"invalid {what}: {err}") from None
     except ZeroDivisionError:
         raise DocumentError(f"invalid {what}: zero denominator") from None
+
+
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent above MAX_EXPONENT."""
+    exponent = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-")
+    if exponent.isdecimal() and int(exponent) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent above the cap of {MAX_EXPONENT}")
+    return Fraction(text)
+
+
+def _vector_option(text: str | None, what: str) -> list[Fraction] | None:
+    """The vector an optional JSON option gives, or None when it is absent."""
+    return _parse_vector(_parse_json(text, what), what) if text else None
 
 
 def _cmd_sfg_check_trace(args) -> int:
@@ -561,34 +573,23 @@ def _cmd_sfg_check_trace(args) -> int:
         if len(u) != m or len(v) != n:
             raise DocumentError(f"tick dimensions must be ({m}, {n})")
         window.append((u, v))
-    init = _parse_vector(_parse_json(args.init, "init"), "init") if args.init else None
+    init = _vector_option(args.init, "init")
     realizable = check_trace(term, window, init)
     if args.oracle and check_trace_unrolled(term, window, init) != realizable:
-        print("internal error: trace verdict disagrees with the unrolled window", file=sys.stderr)
-        return USAGE_ERROR
-    if args.json:
-        print(json.dumps({"realizable": realizable}))
-    else:
-        print(f"realizable: {'true' if realizable else 'false'}")
-    return 0 if realizable else 1
+        return _internal_error("trace verdict disagrees with the unrolled window")
+    return _verdict("realizable", realizable, args.json)
 
 
 def _cmd_sfg_step(args) -> int:
     term = load_term(args.term)
-    state = _parse_vector(_parse_json(args.state, "state"), "state") if args.state else []
-    u = _parse_vector(_parse_json(args.left, "left"), "left") if args.left else []
-    v = _parse_vector(_parse_json(args.right, "right"), "right") if args.right else []
+    state = _vector_option(args.state, "state") or []
+    u = _vector_option(args.left, "left") or []
+    v = _vector_option(args.right, "right") or []
     outcome = step(term, state, (u, v))
     if args.oracle and not _step_agrees(outcome, successor_states(term, state, (u, v))):
-        print("internal error: step outcome disagrees with the tick relation", file=sys.stderr)
-        return USAGE_ERROR
-    if outcome == INFEASIBLE:
-        print(json.dumps({"result": "infeasible"}) if args.json else "infeasible")
-        return 1
-    if outcome == NONDETERMINATE:
-        print(
-            json.dumps({"result": "nondeterminate"}) if args.json else "nondeterminate"
-        )
+        return _internal_error("step outcome disagrees with the tick relation")
+    if outcome in (INFEASIBLE, NONDETERMINATE):
+        print(json.dumps({"result": outcome}) if args.json else outcome)
         return 1
     if args.json:
         print(json.dumps({"result": "ok", "state": [str(v) for v in outcome]}))
@@ -616,89 +617,58 @@ def _step_agrees(outcome, successors) -> bool:
     )
 
 
+_DOMAINS = {"circuit": "open circuit commands", "sfg": "signal-flow term commands"}
+
+# (domain, command, help, positional arguments, extra options, handler); an
+# extra option is (flag, help, required).  Help lists the rows in this order.
+_COMMANDS = [
+    ("circuit", "compose", "glue two circuits along the shared boundary",
+     ["first", "second"], [], _cmd_circuit_compose),
+    ("circuit", "blackbox", "behaviour as a Lagrangian relation",
+     ["circuit"], [], _cmd_circuit_blackbox),
+    ("circuit", "equiv", "same power functional?", ["first", "second"], [], _cmd_circuit_equiv),
+    ("circuit", "power", "power functional on the boundary",
+     ["circuit"], [], _cmd_circuit_power),
+    ("sfg", "denote", "kernel representation of a term", ["term"], [], _cmd_sfg_denote),
+    ("sfg", "equiv", "same behaviour?", ["first", "second"], [], _cmd_sfg_equiv),
+    ("sfg", "controllable", "controllability test", ["term"], [], _cmd_sfg_controllable),
+    ("sfg", "check-trace", "is a window realizable?", ["term"], [
+        ("--window", "JSON [[left, right], ...]", True),
+        ("--init", "JSON register assignment at the first tick", False),
+    ], _cmd_sfg_check_trace),
+    ("sfg", "step", "one clock tick", ["term"], [
+        ("--state", "JSON register assignment", False),
+        ("--left", "JSON left boundary values", False),
+        ("--right", "JSON right boundary values", False),
+    ], _cmd_sfg_step),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="openwires",
         description="Exact compositional semantics for open circuits and signal-flow diagrams.",
     )
     subparsers = parser.add_subparsers(dest="domain", required=True)
-
-    circuit = subparsers.add_parser("circuit", help="open circuit commands")
-    circuit_sub = circuit.add_subparsers(dest="command", required=True)
-
-    def circuit_common(p):
-        p.add_argument("--field", choices=["q", "qs"], help="default scalar field")
+    commands = {}
+    for domain, command, help_text, positionals, options, handler in _COMMANDS:
+        if domain not in commands:
+            domain_parser = subparsers.add_parser(domain, help=_DOMAINS[domain])
+            commands[domain] = domain_parser.add_subparsers(dest="command", required=True)
+        p = commands[domain].add_parser(command, help=help_text)
+        for name in positionals:
+            p.add_argument(name)
+        for flag, option_help, required in options:
+            p.add_argument(flag, required=required, help=option_help)
+        if domain == "circuit":
+            p.add_argument("--field", choices=["q", "qs"], help="default scalar field")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--oracle",
             action="store_true",
             help="run the slow verification pipeline as a cross-check",
         )
-
-    p = circuit_sub.add_parser("compose", help="glue two circuits along the shared boundary")
-    p.add_argument("first")
-    p.add_argument("second")
-    circuit_common(p)
-    p.set_defaults(func=_cmd_circuit_compose)
-
-    p = circuit_sub.add_parser("blackbox", help="behaviour as a Lagrangian relation")
-    p.add_argument("circuit")
-    circuit_common(p)
-    p.set_defaults(func=_cmd_circuit_blackbox)
-
-    p = circuit_sub.add_parser("equiv", help="same power functional?")
-    p.add_argument("first")
-    p.add_argument("second")
-    circuit_common(p)
-    p.set_defaults(func=_cmd_circuit_equiv)
-
-    p = circuit_sub.add_parser("power", help="power functional on the boundary")
-    p.add_argument("circuit")
-    circuit_common(p)
-    p.set_defaults(func=_cmd_circuit_power)
-
-    sfg = subparsers.add_parser("sfg", help="signal-flow term commands")
-    sfg_sub = sfg.add_subparsers(dest="command", required=True)
-
-    def sfg_common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--oracle",
-            action="store_true",
-            help="run the slow verification pipeline as a cross-check",
-        )
-
-    p = sfg_sub.add_parser("denote", help="kernel representation of a term")
-    p.add_argument("term")
-    sfg_common(p)
-    p.set_defaults(func=_cmd_sfg_denote)
-
-    p = sfg_sub.add_parser("equiv", help="same behaviour?")
-    p.add_argument("first")
-    p.add_argument("second")
-    sfg_common(p)
-    p.set_defaults(func=_cmd_sfg_equiv)
-
-    p = sfg_sub.add_parser("controllable", help="controllability test")
-    p.add_argument("term")
-    sfg_common(p)
-    p.set_defaults(func=_cmd_sfg_controllable)
-
-    p = sfg_sub.add_parser("check-trace", help="is a window realizable?")
-    p.add_argument("term")
-    p.add_argument("--window", required=True, help="JSON [[left, right], ...]")
-    p.add_argument("--init", help="JSON register assignment at the first tick")
-    sfg_common(p)
-    p.set_defaults(func=_cmd_sfg_check_trace)
-
-    p = sfg_sub.add_parser("step", help="one clock tick")
-    p.add_argument("term")
-    p.add_argument("--state", help="JSON register assignment")
-    p.add_argument("--left", help="JSON left boundary values")
-    p.add_argument("--right", help="JSON right boundary values")
-    sfg_common(p)
-    p.set_defaults(func=_cmd_sfg_step)
-
+        p.set_defaults(func=handler)
     return parser
 
 

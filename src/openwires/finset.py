@@ -3,9 +3,10 @@
 A cospan X -> N <- Y marks which apex elements are reachable from the left
 and right boundaries; composition glues two cospans along their shared foot
 by pushout, computed here with a union-find.  A corelation forgets the apex
-and keeps only the induced partition of X + Y; its composition is
-transitive closure followed by restriction, which silently drops any block
-that touches neither boundary (the "extra" law).
+and keeps only the induced partition of X + Y, the jointly-epic part of a
+cospan.  Its operations are the cospan ones on its legs X -> blocks <- Y,
+followed by that part, which silently drops any block that touches
+neither boundary (the "extra" law).
 
 Boundary elements are 0-indexed positions throughout; named boundaries live
 only at the CLI layer.  Partitions are canonically labelled: block ids are
@@ -247,10 +248,16 @@ class Corelation:
         return out
 
     def converse(self) -> "Corelation":
-        labels = list(self.class_of[self.left_size :]) + list(
-            self.class_of[: self.left_size]
-        )
-        return Corelation.from_labels(self.right_size, self.left_size, labels)
+        return cospan_to_corelation(_legs(self).converse())
+
+
+def _legs(c: Corelation) -> FinCospan:
+    """The cospan X -> blocks <- Y whose jointly-epic part is c."""
+    x = c.left_size
+    return FinCospan(
+        FinFunction(x, c.num_classes, c.class_of[:x]),
+        FinFunction(c.right_size, c.num_classes, c.class_of[x:]),
+    )
 
 
 def cospan_to_corelation(c: FinCospan) -> Corelation:
@@ -263,50 +270,15 @@ def cospan_to_corelation(c: FinCospan) -> Corelation:
 
 
 def compose_corelations(a: Corelation, b: Corelation) -> Corelation:
-    """Transitive closure across the shared boundary, then restrict to X + Z.
+    """The pushout of the legs, then its jointly-epic part on X + Z.
 
     Blocks that end up meeting only the glued Y vanish.
     """
-    if a.right_size != b.left_size:
-        raise ValueError(
-            f"shared boundary mismatch: {a.right_size} vs {b.left_size}"
-        )
-    x, y, z = a.left_size, a.right_size, b.right_size
-    # elements: X | Y | Z
-    uf = UnionFind(x + y + z)
-    reps_a: dict[int, int] = {}
-    for element in range(x + y):
-        block = a.class_of[element]
-        if block in reps_a:
-            uf.union(reps_a[block], element)
-        else:
-            reps_a[block] = element
-    reps_b: dict[int, int] = {}
-    for element in range(y + z):
-        block = b.class_of[element]
-        shifted = element + x
-        if block in reps_b:
-            uf.union(reps_b[block], shifted)
-        else:
-            reps_b[block] = shifted
-    labels = [uf.find(e) for e in list(range(x)) + list(range(x + y, x + y + z))]
-    return Corelation.from_labels(x, z, labels)
+    return cospan_to_corelation(compose_cospans(_legs(a), _legs(b)))
 
 
 def tensor_corelations(a: Corelation, b: Corelation) -> Corelation:
-    x1, y1 = a.left_size, a.right_size
-    x2, y2 = b.left_size, b.right_size
-    labels = [0] * (x1 + x2 + y1 + y2)
-    shift = a.num_classes
-    for i in range(x1):
-        labels[i] = a.class_of[i]
-    for i in range(x2):
-        labels[x1 + i] = b.class_of[i] + shift
-    for j in range(y1):
-        labels[x1 + x2 + j] = a.class_of[x1 + j]
-    for j in range(y2):
-        labels[x1 + x2 + y1 + j] = b.class_of[x2 + j] + shift
-    return Corelation.from_labels(x1 + x2, y1 + y2, labels)
+    return cospan_to_corelation(tensor_cospans(_legs(a), _legs(b)))
 
 
 GENERATOR_KINDS = ("id", "swap", "mult", "unit", "comult", "counit", "cup", "cap")

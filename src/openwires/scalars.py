@@ -990,11 +990,13 @@ class _ScalarParser:
         atom   := integer | 's' | '(' expr ')'
 
     Negative exponents are accepted only directly on the variable s.
+    Nesting of '(' and unary '-' past MAX_SCALAR_DEPTH levels is refused.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ScalarParseError:
         return ScalarParseError(self.text, self.pos, message)
@@ -1046,9 +1048,12 @@ class _ScalarParser:
                 return value
 
     def unary(self) -> RationalFunction:
-        if self.take("-"):
-            return -self.unary()
-        return self.power()
+        if self.depth > MAX_SCALAR_DEPTH:
+            raise self.error(f"nesting deeper than the cap of {MAX_SCALAR_DEPTH}")
+        self.depth += 1
+        value = -self.unary() if self.take("-") else self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> RationalFunction:
         base, is_var = self.atom()
@@ -1097,6 +1102,12 @@ class _ScalarParser:
 # 2^k both have size k.  Any physical impedance fits, and arithmetic on
 # the result stays quick.
 MAX_SCALAR_SIZE = 256
+
+# The deepest nesting of parentheses and unary minus signs the parser
+# reads.  Each level costs it at most five Python frames, so 100 levels
+# stay well inside the default recursion limit of 1000, also under a
+# test runner's own frames.
+MAX_SCALAR_DEPTH = 100
 
 
 def _size(value: RationalFunction) -> int:

@@ -349,6 +349,33 @@ class TestCommands:
         bad_term = tmp_path / "bad.sfg"
         bad_term.write_text("frob ; nicate")
         assert main(["sfg", "denote", str(bad_term)]) == 3
+        # JSON nested past the decoder's depth, an integer literal past
+        # Python's 4300-digit limit, decimal exponents past MAX_EXPONENT and
+        # impedances nested past MAX_SCALAR_DEPTH: one error line each, not
+        # a RecursionError or a run with no bound
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        nested = "[" * 5000 + "]" * 5000
+        step = ["sfg", "step", fixture("delay.sfg"), "--left", "[1]", "--right", "[1]"]
+        cases = [
+            ["circuit", "power", str(deep)],
+            ["sfg", "check-trace", fixture("delay.sfg"), "--window", nested],
+            [*step, "--state", nested],
+            [*step, "--state", "[" + "7" * 5000 + "]"],
+            [*step, "--state", '["1e5000"]'],
+            [*step, "--state", '["-1e-5000"]'],
+            [*step, "--state", '["1e100000000"]'],
+        ]
+        for impedance in ["(" * 3000 + "s" + ")" * 3000, "-" * 3000 + "s"]:
+            doc = tmp_path / f"{len(cases)}.json"
+            edge = {"src": "a", "tgt": "b", "impedance": impedance}
+            doc.write_text(json.dumps({"nodes": ["a", "b"], "edges": [edge], "inputs": ["a"]}))
+            cases.append(["circuit", "power", "--field", "qs", str(doc)])
+        capsys.readouterr()
+        for argv in cases:
+            assert main(argv) == 3, argv[:3]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, argv[:3]
 
 
 ALTERNATING = json.dumps([[[(-1) ** k], [0]] for k in range(6)])
@@ -639,16 +666,19 @@ _TOKENS = _ATOMS + ["x", "x(", "x(1/0)", "(", ")", ";", "(+)", "?", "co-", "dela
 _TERMS = ["id", "delay", "co-delay ; x(2)"]
 _TERMS += ["copy ; (delay (+) id) ; add ; co-add ; (co-delay (+) id) ; co-copy"]
 _IMPEDANCES = ["1", "1/2", "3*s", "1/(5*s)", "(s^2+1)/(2*s)"]
-_BAD_IMPEDANCES = ["0", "-1", "2/0", "-s", "s-1", "s^300", "?"]
+_BAD_IMPEDANCES = ["0", "-1", "2/0", "-s", "s-1", "s^300", "?", "(" * 3000 + "1" + ")" * 3000]
 _NAMES = ["a", "b", "c"]
 _numbers = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/4"])
-_bad_numbers = st.sampled_from(["1/0", "q", "1e3", 0.5, None, [1], True])
-_bad_json = st.sampled_from([[], "x", 1, None, {}, [[1]], {"nodes": 1}])
+_bad_numbers = st.sampled_from(["1/0", "q", "1e3", "1e5000", 0.5, None, [1], True])
+# JSON text of junk values, and raw text nested past the decoder's depth,
+# which json.dumps cannot build because it recurses itself
+_bad_json = st.sampled_from([[], "x", 1, None, {}, [[1]], {"nodes": 1}]).map(json.dumps)
+_bad_json |= st.just("[" * 100000 + "]" * 100000)
 
 
 def _json_text(values):
     """JSON text of the values drawn or of junk, or text that is not JSON."""
-    return (values | _bad_json).map(json.dumps) | st.text(max_size=6)
+    return values.map(json.dumps) | _bad_json | st.text(max_size=6)
 
 
 _terms = st.one_of(
