@@ -303,7 +303,7 @@ def load_term(path: str) -> Term:
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise TermParseError("", 0, f"cannot read {path}: {err}") from None
     return parse_term(text)
 

@@ -281,9 +281,6 @@ def tensor_corelations(a: Corelation, b: Corelation) -> Corelation:
     return cospan_to_corelation(tensor_cospans(_legs(a), _legs(b)))
 
 
-GENERATOR_KINDS = ("id", "swap", "mult", "unit", "comult", "counit", "cup", "cap")
-
-
 def corel_generator(kind: str, n: int = 1, m: int = 1) -> Corelation:
     """The named Frobenius/compact generator as a corelation.
 

@@ -6,16 +6,21 @@ provides dense univariate polynomials over Q, the fraction field Q(s) of
 rational functions, and Laurent polynomials -- polynomials in s and its
 formal inverse s^-1.
 
-``Polynomial`` and ``LaurentPoly`` hold integer numerators over one
-positive common denominator, in a canonical form (the end numerators
-nonzero, gcd(denominator, numerators) = 1), so that their ring operations
-are integer arithmetic plus one gcd pass per result rather than a
-normalised ``Fraction`` per coefficient product; both share the same
-integer kernels.  Their ``coeffs`` are still ``Fraction`` values, built on
-access.  ``RationalFunction`` keeps a reduced numerator over a monic
-denominator, and its field operations split the gcd the way Henrici's
-method does, so that a sum or product needs a gcd of small factors only;
-the gcd itself is Brown's primitive remainder sequence over Z[s].
+``Polynomial`` and ``LaurentPoly`` are one body with two canonical
+forms.  Both hold sum of (nums[i] / den) * s^(offset + i): integer
+numerators over one positive common denominator, with gcd(den, *nums) = 1.
+Their ring operations are written once, on a shared base class, as
+integer arithmetic plus one gcd pass per result rather than a normalised
+``Fraction`` per coefficient product.  The classes differ only in how a
+result is made canonical: a ``Polynomial`` keeps offset 0 and strips zero
+top numerators, a ``LaurentPoly`` strips zeros at both ends into its
+offset.  The two never mix in arithmetic.  Their ``coeffs`` are still
+``Fraction`` values, built on access.
+
+``RationalFunction`` keeps a reduced numerator over a monic denominator,
+and its field operations split the gcd the way Henrici's method does, so
+that a sum or product needs a gcd of small factors only; the gcd itself
+is Brown's primitive remainder sequence over Z[s].
 
 Everything is immutable and hashable, and values that compare equal hash
 equal: a constant hashes as the rational it equals.  All operations
@@ -151,14 +156,6 @@ def _pseudo_divmod(x, y) -> tuple[list, list, int]:
     return quot, rem, m
 
 
-def _divide(x, dx: int, y, dy: int) -> tuple[list, list, int]:
-    """Numerators of the quotient and the remainder of x/dx by y/dy over
-    Q, both over the denominator returned: with m*x = q*y + r, the
-    quotient is q*dy/(dx*m) and the remainder r/(dx*m)."""
-    q, r, m = _pseudo_divmod(x, y)
-    return ([n * dy for n in q] if dy != 1 else q), r, dx * m
-
-
 def _primitive(nums):
     """nums over the gcd of its entries, with a positive last entry."""
     g = gcd(*nums)
@@ -167,120 +164,244 @@ def _primitive(nums):
     return [n // g for n in nums] if g != 1 else nums
 
 
-def _fractions(nums, den: int) -> tuple[Fraction, ...]:
-    if den == 1:
-        return tuple(map(Fraction, nums))
-    return tuple(Fraction(n, den) for n in nums)
+# -- Q[s] and Q[s, s^-1]: one body --------------------------------------------
 
 
-# -- Q[s] --------------------------------------------------------------------
+class _IntegerPoly:
+    """The ring arithmetic that Q[s] and Q[s, s^-1] share.
+
+    A value is sum of (nums[i] / den) * s^(offset + i): integer numerators
+    over one positive common denominator.  The methods here are written
+    against two hooks: ``self._reduced(offset, nums, den)``, which each
+    subclass defines to build its canonical value from any fields, and the
+    classmethod ``_coerce``, which converts only the class's own values,
+    ints and Fractions, so the two classes never mix.  ``_zero`` is each
+    class's zero.  Sums and products are integer arithmetic plus one gcd
+    pass, and division is integer pseudo-division, scaled back to the true
+    quotient and remainder.
+    """
+
+    __slots__ = ("offset", "nums", "den")
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    @classmethod
+    def constant(cls, value):
+        q = _as_fraction(value)
+        if not q:
+            return cls._zero
+        return _new(cls, 0, (q.numerator,), q.denominator)
+
+    @classmethod
+    def _coerce(cls, value):
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return cls.constant(value)
+        return NotImplemented
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    def terms(self) -> dict[int, Fraction]:
+        den, offset = self.den, self.offset
+        return {offset + i: Fraction(n, den) for i, n in enumerate(self.nums) if n}
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (
+            self.offset == other.offset
+            and self.den == other.den
+            and self.nums == other.nums
+        )
+
+    def __hash__(self):
+        if self.offset == 0 and len(self.nums) <= 1:
+            # a constant hashes as the rational it equals
+            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        return hash((self.offset, self.nums, self.den))
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _new(self.__class__, self.offset, tuple([-n for n in self.nums]), self.den)
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, -1)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _add(other, self, -1)
+
+    def __mul__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.nums or not other.nums:
+            return self._zero
+        return _mul(self, other)
+
+    __rmul__ = __mul__
+
+    def scale(self, factor):
+        factor = _as_fraction(factor)
+        if not factor or not self.nums:
+            return self._zero
+        p = factor.numerator
+        return self._reduced(self.offset, [n * p for n in self.nums], self.den * factor.denominator)
+
+    def __divmod__(self, other):
+        """Euclidean division: self = q*other + r with r = 0 or r shorter
+        than other (deg r < deg other in Q[s], deg_spread r < deg_spread
+        other in Q[s, s^-1]).
+
+        A divisor with one term (a unit of Q[s, s^-1], a nonzero constant
+        of Q[s]) divides exactly.  Otherwise the unit parts s^offset are
+        factored out and the numerators are divided as they stand: with
+        self = A/a and other = B/b, the integer pseudo-division
+        m*A = q0*B + r0 gives q = q0*b/(a*m) and r = r0/(a*m).
+        """
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.nums:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self.nums:
+            return self._zero, self._zero
+        if len(other.nums) == 1:
+            return _mul(self, _unit_inverse(other)), self._zero
+        q, r, m = _pseudo_divmod(self.nums, other.nums)
+        if other.den != 1:
+            q = [n * other.den for n in q]
+        den = self.den * m
+        return self._reduced(self.offset - other.offset, q, den), self._reduced(self.offset, r, den)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({str(self)!r})"
+
+    def __str__(self) -> str:
+        return _format_terms(self.terms())
 
 
-class Polynomial:
+_new_object = object.__new__
+_set_offset = _IntegerPoly.offset.__set__
+_set_nums = _IntegerPoly.nums.__set__
+_set_den = _IntegerPoly.den.__set__
+
+
+def _new(cls, offset: int, nums: tuple, den: int):
+    """A value of class ``cls`` from fields that are already canonical."""
+    p = _new_object(cls)
+    _set_offset(p, offset)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    return p
+
+
+def _add(a: _IntegerPoly, b: _IntegerPoly, sign: int) -> _IntegerPoly:
+    """a + sign * b for two values of one class, sign 1 or -1; -b is built
+    only when it is the sum."""
+    if not b.nums:
+        return a
+    if not a.nums:
+        return b if sign > 0 else -b
+    x, y = a.offset, b.offset
+    lo = x if x < y else y
+    out, den = _sum_nums(a.nums, a.den, x - lo, b.nums, b.den, y - lo, sign)
+    return a._reduced(lo, out, den)
+
+
+def _mul(a: _IntegerPoly, b: _IntegerPoly) -> _IntegerPoly:
+    """The product of two nonzero values of one class."""
+    return a._reduced(a.offset + b.offset, _convolve(a.nums, b.nums), a.den * b.den)
+
+
+def _unit_inverse(p: _IntegerPoly) -> _IntegerPoly:
+    """The inverse of a value with one term."""
+    n = p.nums[0]
+    if n < 0:
+        return _new(p.__class__, -p.offset, (-p.den,), -n)
+    return _new(p.__class__, -p.offset, (p.den,), n)
+
+
+class Polynomial(_IntegerPoly):
     """Dense univariate polynomial over Q: sum of (nums[i] / den) * s^i.
 
-    The coefficients are integer numerators over one common denominator,
-    and the fields are kept canonical:
+    The fields are kept canonical:
 
+    * ``offset`` is always 0;
     * the last numerator is nonzero;
     * the denominator is positive and gcd(den, *nums) = 1;
     * zero is (nums (), den 1).
 
-    So ``==`` compares fields, and a product or sum is integer arithmetic
-    plus one gcd pass.  Division is integer pseudo-division, scaled back
-    to the true quotient and remainder.  ``coeffs`` builds the
-    ``Fraction`` coefficients, lowest degree first, on access.
+    So ``==`` compares fields.  ``coeffs`` builds the ``Fraction``
+    coefficients, lowest degree first, on access.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Union[Fraction, int]] = ()):
         nums, den = _reduce(*_fraction_nums([_as_fraction(c) for c in coeffs]))
+        object.__setattr__(self, "offset", 0)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *args):
-        raise AttributeError("Polynomial is immutable")
-
-    @staticmethod
-    def constant(value) -> "Polynomial":
-        q = _as_fraction(value)
-        if not q:
-            return _P_ZERO
-        return _poly((q.numerator,), q.denominator)
+    def _reduced(self, offset: int, nums: list, den: int) -> "Polynomial":
+        """A Polynomial from any fields (``self`` only picks the class):
+        strip zero top numerators and divide out gcd(den, *nums); ``offset``
+        is 0."""
+        nums, den = _reduce(nums, den)
+        return _new(Polynomial, 0, nums, den)
 
     @staticmethod
     def variable() -> "Polynomial":
-        return _poly((0, 1), 1)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return _fractions(self.nums, self.den)
+        return _new(Polynomial, 0, (0, 1), 1)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.nums) - 1
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     @property
     def leading(self) -> Fraction:
         if not self.nums:
             return _ZERO
         return Fraction(self.nums[-1], self.den)
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Polynomial:
-            other = _coerce_poly(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        if len(self.nums) <= 1:
-            # a constant hashes as the rational it equals
-            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
-        return hash(("Polynomial", self.nums, self.den))
-
-    def __add__(self, other) -> "Polynomial":
-        if other.__class__ is not Polynomial:
-            other = _coerce_poly(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _poly_add(self, other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return _poly(tuple([-n for n in self.nums]), self.den)
-
-    def __sub__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _poly_add(self, other, -1)
-
-    def __rsub__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _poly_add(other, self, -1)
-
-    def __mul__(self, other) -> "Polynomial":
-        if other.__class__ is not Polynomial:
-            other = _coerce_poly(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if not self.nums or not other.nums:
-            return _P_ZERO
-        return _reduced_poly(_convolve(self.nums, other.nums), self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -295,41 +416,14 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        """Division over Q: self = q*other + r with deg r < deg other.
-
-        With self = A/a and other = B/b, the integer pseudo-division
-        m*A = q0*B + r0 gives q = q0*b/(a*m) and r = r0/(a*m).
-        """
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.nums:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, den = _divide(self.nums, self.den, other.nums, other.den)
-        return _reduced_poly(q, den), _reduced_poly(r, den)
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Polynomial":
         nums = self.nums
         if not nums or nums[-1] == self.den:
             return self
         lead = nums[-1]
         if lead < 0:
-            return _reduced_poly([-n for n in nums], -lead)
-        return _reduced_poly(nums, lead)
-
-    def scale(self, factor) -> "Polynomial":
-        factor = _as_fraction(factor)
-        if not factor or not self.nums:
-            return _P_ZERO
-        p = factor.numerator
-        return _reduced_poly([n * p for n in self.nums], self.den * factor.denominator)
+            return self._reduced(0, [-n for n in nums], -lead)
+        return self._reduced(0, nums, lead)
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by s^k (k >= 0)."""
@@ -337,51 +431,11 @@ class Polynomial:
             raise ValueError("polynomial shift must be nonnegative")
         if not self.nums:
             return self
-        return _poly((0,) * k + self.nums, self.den)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({format_polynomial(self)!r})"
-
-    def __str__(self) -> str:
-        return format_polynomial(self)
+        return _new(Polynomial, 0, (0,) * k + self.nums, self.den)
 
 
-_new_object = object.__new__
-_set_poly_nums = Polynomial.nums.__set__
-_set_poly_den = Polynomial.den.__set__
-
-
-def _poly(nums: tuple, den: int) -> Polynomial:
-    """A Polynomial from fields that are already canonical."""
-    p = _new_object(Polynomial)
-    _set_poly_nums(p, nums)
-    _set_poly_den(p, den)
-    return p
-
-
-def _reduced_poly(nums: list, den: int) -> Polynomial:
-    return _poly(*_reduce(nums, den))
-
-
-def _poly_add(x: Polynomial, y: Polynomial, sign: int) -> Polynomial:
-    """x + sign * y, sign 1 or -1; -y is built only when it is the sum."""
-    if not y.nums:
-        return x
-    if not x.nums:
-        return y if sign > 0 else -y
-    return _reduced_poly(*_sum_nums(x.nums, x.den, 0, y.nums, y.den, 0, sign))
-
-
-_P_ZERO = _poly((), 1)
-_P_ONE = _poly((1,), 1)
-
-
-def _coerce_poly(value):
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return NotImplemented
+Polynomial._zero = _new(Polynomial, 0, (), 1)
+_P_ONE = _new(Polynomial, 0, (1,), 1)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -413,7 +467,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             return _P_ONE
         x, y = y, _primitive(r[:hi])
     # y is primitive with a positive lead, so y/lead is already canonical
-    return _poly(tuple(y), y[-1])
+    return _new(Polynomial, 0, tuple(y), y[-1])
 
 
 # -- Q(s) --------------------------------------------------------------------
@@ -432,14 +486,14 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _coerce_poly(num)
-        den = _P_ONE if den is None else _coerce_poly(den)
+        num = Polynomial._coerce(num)
+        den = _P_ONE if den is None else Polynomial._coerce(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("RationalFunction components must be polynomials")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = _P_ZERO, _P_ONE
+            num, den = Polynomial._zero, _P_ONE
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
@@ -565,7 +619,7 @@ def _rf_add(
     if not a.nums:
         return _rf(c if sign > 0 else -c, d)
     if b == d:
-        t = _poly_add(a, c, sign)
+        t = _add(a, c, sign)
         if len(b.nums) == 1 or not t.nums:
             return _rf(t, _P_ONE)
         h = poly_gcd(t, b)
@@ -575,10 +629,10 @@ def _rf_add(
     g = poly_gcd(b, d)
     if len(g.nums) == 1:
         # gcd(b, d) = 1: (ad ± cb)/(bd) is already reduced
-        return _rf(_poly_add(a * d, c * b, sign), b * d)
+        return _rf(_add(a * d, c * b, sign), b * d)
     b1, d1 = b // g, d // g
     # gcd(t, b1 d1 g) = gcd(t, g), since t is prime to b1 and to d1
-    t = _poly_add(a * d1, c * b1, sign)
+    t = _add(a * d1, c * b1, sign)
     if not t.nums:
         return _RF_ZERO
     h = poly_gcd(t, g)
@@ -600,7 +654,7 @@ def _rf_mul(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> Ratio
     return _rf(a * c, b * d)
 
 
-_RF_ZERO = _rf(_P_ZERO, _P_ONE)
+_RF_ZERO = _rf(Polynomial._zero, _P_ONE)
 
 
 def _coerce_rf(value):
@@ -613,24 +667,25 @@ def _coerce_rf(value):
     return NotImplemented
 
 
-class LaurentPoly:
+class LaurentPoly(_IntegerPoly):
     """Element of Q[s, s^-1]: sum of (nums[i] / den) * s^(offset + i).
 
-    The coefficients are integer numerators over one common denominator,
-    and the fields are kept canonical:
+    The fields are kept canonical:
 
     * the first and last numerators are nonzero;
     * the denominator is positive and gcd(den, *nums) = 1;
     * zero is (offset 0, nums (), den 1).
 
-    So ``==`` compares fields, and a product or sum is integer arithmetic
-    plus one gcd pass instead of a normalised ``Fraction`` per coefficient.
-    A constant hashes as the rational it equals.  ``coeffs`` builds the
-    ``Fraction`` coefficients on access.  Units are exactly the monomials
-    q * s^k with q != 0.
+    So ``==`` compares fields.  A constant hashes as the rational it
+    equals.  ``coeffs`` builds the ``Fraction`` coefficients on access.
+    Units are exactly the monomials q * s^k with q != 0.
     """
 
-    __slots__ = ("offset", "nums", "den")
+    __slots__ = ()
+
+    # bound here too: perfbench/spans.py counts them in this class's own namespace
+    __mul__ = __rmul__ = _IntegerPoly.__mul__
+    __divmod__ = _IntegerPoly.__divmod__
 
     def __init__(self, offset: int = 0, coeffs: Iterable[Union[Fraction, int]] = ()):
         offset, nums, den = _canonical_fields(
@@ -640,44 +695,34 @@ class LaurentPoly:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentPoly is immutable")
+    def _reduced(self, offset: int, nums: list, den: int) -> "LaurentPoly":
+        """A LaurentPoly from any fields (``self`` only picks the class):
+        strip zero numerators at both ends into the offset and divide out
+        gcd(den, *nums)."""
+        offset, nums, den = _canonical_fields(offset, nums, den)
+        return _new(LaurentPoly, offset, nums, den)
 
     @staticmethod
     def from_map(terms: Mapping[int, Union[Fraction, int]]) -> "LaurentPoly":
         """Canonicalize an exponent -> coefficient map."""
         nonzero = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
         if not nonzero:
-            return _L_ZERO
+            return LaurentPoly._zero
         lo = min(nonzero)
         hi = max(nonzero)
         coeffs = [nonzero.get(e, _ZERO) for e in range(lo, hi + 1)]
         return LaurentPoly(lo, coeffs)
 
     @staticmethod
-    def constant(value) -> "LaurentPoly":
-        return LaurentPoly.monomial(value, 0)
-
-    @staticmethod
     def monomial(coeff, exponent: int) -> "LaurentPoly":
         q = _as_fraction(coeff)
         if not q:
-            return _L_ZERO
-        return _laurent(exponent, (q.numerator,), q.denominator)
+            return LaurentPoly._zero
+        return _new(LaurentPoly, exponent, (q.numerator,), q.denominator)
 
     @staticmethod
     def variable() -> "LaurentPoly":
-        return _laurent(1, (1,), 1)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return _fractions(self.nums, self.den)
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
+        return _new(LaurentPoly, 1, (1,), 1)
 
     def is_unit(self) -> bool:
         return len(self.nums) == 1
@@ -690,102 +735,11 @@ class LaurentPoly:
         """Top exponent minus bottom exponent; -1 for the zero value."""
         return len(self.nums) - 1
 
-    def terms(self) -> dict[int, Fraction]:
-        den, offset = self.den, self.offset
-        return {offset + i: Fraction(n, den) for i, n in enumerate(self.nums) if n}
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LaurentPoly:
-            other = _coerce_laurent(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return (
-            self.offset == other.offset
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        if self.offset == 0 and len(self.nums) <= 1:
-            # a constant hashes as the rational it equals
-            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
-        return hash(("LaurentPoly", self.offset, self.nums, self.den))
-
-    def __add__(self, other) -> "LaurentPoly":
-        if other.__class__ is not LaurentPoly:
-            other = _coerce_laurent(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return _laurent(self.offset, tuple([-n for n in self.nums]), self.den)
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _add(self, other, -1)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _add(other, self, -1)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if other.__class__ is not LaurentPoly:
-            other = _coerce_laurent(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if not self.nums or not other.nums:
-            return _L_ZERO
-        return _mul(self, other)
-
-    __rmul__ = __mul__
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by s^k."""
         if not self.nums:
             return self
-        return _laurent(self.offset + k, self.nums, self.den)
-
-    def scale(self, factor) -> "LaurentPoly":
-        factor = _as_fraction(factor)
-        if not factor or not self.nums:
-            return _L_ZERO
-        p = factor.numerator
-        return _reduced(self.offset, [n * p for n in self.nums], self.den * factor.denominator)
-
-    def __divmod__(self, other) -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Euclidean division: self = q*other + r with deg_spread(r) <
-        deg_spread(other), or r = 0.
-
-        Works by factoring out the unit parts s^offset and dividing the
-        underlying Q[s] polynomials, so units divide everything exactly.
-        The numerators are divided as they stand: with self = A/a and
-        other = B/b, the integer pseudo-division m*A = q0*B + r0 gives
-        q = q0*b/(a*m) and r = r0/(a*m).
-        """
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.nums:
-            raise ZeroDivisionError("Laurent division by zero")
-        if not self.nums:
-            return _L_ZERO, _L_ZERO
-        if len(other.nums) == 1:
-            return _mul(self, other.unit_inverse()), _L_ZERO
-        q, r, den = _divide(self.nums, self.den, other.nums, other.den)
-        return _reduced(self.offset - other.offset, q, den), _reduced(self.offset, r, den)
-
-    def __floordiv__(self, other) -> "LaurentPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "LaurentPoly":
-        return divmod(self, other)[1]
+        return _new(LaurentPoly, self.offset + k, self.nums, self.den)
 
     def divides(self, other: "LaurentPoly") -> bool:
         if self.is_zero():
@@ -795,10 +749,7 @@ class LaurentPoly:
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise ValueError(f"{self} is not a unit of Q[s, s^-1]")
-        n = self.nums[0]
-        if n < 0:
-            return _laurent(-self.offset, (-self.den,), -n)
-        return _laurent(-self.offset, (self.den,), n)
+        return _unit_inverse(self)
 
     def canonical(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Split into (unit, representative) with self = unit * representative.
@@ -812,33 +763,13 @@ class LaurentPoly:
             return _L_ONE, self
         lead = nums[-1]
         g = gcd(lead, self.den)
-        unit = _laurent(self.offset, (lead // g,), self.den // g)
+        unit = _new(LaurentPoly, self.offset, (lead // g,), self.den // g)
         # nums / lead over the content of nums, with the sign of lead moved up
         content = gcd(*nums)
         if lead < 0:
             content = -content
-        rep = _laurent(0, tuple([n // content for n in nums]), lead // content)
+        rep = _new(LaurentPoly, 0, tuple([n // content for n in nums]), lead // content)
         return unit, rep
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({format_laurent(self)!r})"
-
-    def __str__(self) -> str:
-        return format_laurent(self)
-
-
-_set_offset = LaurentPoly.offset.__set__
-_set_nums = LaurentPoly.nums.__set__
-_set_den = LaurentPoly.den.__set__
-
-
-def _laurent(offset: int, nums: tuple, den: int) -> LaurentPoly:
-    """A LaurentPoly from fields that are already canonical."""
-    p = _new_object(LaurentPoly)
-    _set_offset(p, offset)
-    _set_nums(p, nums)
-    _set_den(p, den)
-    return p
 
 
 def _canonical_fields(offset: int, nums: list, den: int) -> tuple[int, tuple, int]:
@@ -850,26 +781,6 @@ def _canonical_fields(offset: int, nums: list, den: int) -> tuple[int, tuple, in
         return 0, (), 1
     nums, den = _reduce(nums[lo:] if lo else nums, den)
     return offset + lo, nums, den
-
-
-def _reduced(offset: int, nums: list, den: int) -> LaurentPoly:
-    return _laurent(*_canonical_fields(offset, nums, den))
-
-
-def _add(a: LaurentPoly, b: LaurentPoly, sign: int = 1) -> LaurentPoly:
-    """a + sign * b, with sign 1 or -1."""
-    if not b.nums:
-        return a
-    if not a.nums:
-        return b if sign > 0 else -b
-    lo = min(a.offset, b.offset)
-    out, den = _sum_nums(a.nums, a.den, a.offset - lo, b.nums, b.den, b.offset - lo, sign)
-    return _reduced(lo, out, den)
-
-
-def _mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The product of two nonzero values."""
-    return _reduced(a.offset + b.offset, _convolve(a.nums, b.nums), a.den * b.den)
 
 
 def _axpy(a: LaurentPoly, q: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
@@ -885,22 +796,14 @@ def _axpy(a: LaurentPoly, q: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentP
     else:
         prod = _convolve(qn, bn)
     if not a.nums:
-        return _reduced(offset, prod if sign > 0 else [-n for n in prod], q.den * b.den)
+        return a._reduced(offset, prod if sign > 0 else [-n for n in prod], q.den * b.den)
     lo = min(a.offset, offset)
     out, den = _sum_nums(a.nums, a.den, a.offset - lo, prod, q.den * b.den, offset - lo, sign)
-    return _reduced(lo, out, den)
+    return a._reduced(lo, out, den)
 
 
-_L_ZERO = _laurent(0, (), 1)
-_L_ONE = _laurent(0, (1,), 1)
-
-
-def _coerce_laurent(value):
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return LaurentPoly.constant(value)
-    return NotImplemented
+LaurentPoly._zero = _new(LaurentPoly, 0, (), 1)
+_L_ONE = _new(LaurentPoly, 0, (1,), 1)
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -916,14 +819,10 @@ def rational_function_to_laurent(f: RationalFunction) -> LaurentPoly:
     d = f.den.nums
     if any(d[:-1]):
         raise ValueError(f"{f} is not a Laurent polynomial")
-    return _reduced(1 - len(d), f.num.nums, f.num.den)
+    return LaurentPoly(1 - len(d), f.num.coeffs)
 
 
 # -- text formatting ---------------------------------------------------------
-
-
-def format_fraction(q: Fraction) -> str:
-    return str(q)
 
 
 def _format_term(coeff: Fraction, exponent: int, first: bool) -> str:
@@ -969,13 +868,32 @@ def format_rational_function(f: RationalFunction) -> str:
 # -- parsing -----------------------------------------------------------------
 
 
+# The longest text a ScalarParseError message quotes whole.  A longer
+# text is quoted as this many characters around the error position, with
+# "..." where it is cut, so that one message stays one short line.
+MAX_QUOTED_TEXT = 80
+
+
 class ScalarParseError(ValueError):
-    """Raised on malformed scalar text, with position information."""
+    """Raised on malformed scalar text, with position information.
+
+    ``text`` is the whole text and ``pos`` the error position; the message
+    quotes at most ``MAX_QUOTED_TEXT`` characters of the text.
+    """
 
     def __init__(self, text: str, pos: int, message: str):
         self.text = text
         self.pos = pos
-        super().__init__(f"{message} at position {pos} in {text!r}")
+        quoted = repr(text)
+        if len(text) > MAX_QUOTED_TEXT:
+            lo = max(0, min(pos - MAX_QUOTED_TEXT // 2, len(text) - MAX_QUOTED_TEXT))
+            hi = lo + MAX_QUOTED_TEXT
+            quoted = repr(text[lo:hi])
+            if lo:
+                quoted = "..." + quoted
+            if hi < len(text):
+                quoted += "..."
+        super().__init__(f"{message} at position {pos} in {quoted}")
 
 
 class _ScalarParser:
@@ -1181,7 +1099,7 @@ class Field:
 
     def format(self, value) -> str:
         if self.name == "Q":
-            return format_fraction(value)
+            return str(value)
         return format_rational_function(value)
 
     def is_positive(self, value):

@@ -58,9 +58,6 @@ class SymplecticSpace:
     def dim(self) -> int:
         return 2 * self.n
 
-    def conjugate(self) -> "SymplecticSpace":
-        return SymplecticSpace(self.field, self.n, -self.sign)
-
 
 def _relation_omega_pairs(
     dom: SymplecticSpace, cod: SymplecticSpace

@@ -22,6 +22,8 @@ from openwires.cli import (
 from openwires.sfg import Gen, Par, Seq, term_type
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+# the longest error line a malformed input may print, path included
+MAX_ERROR_LINE = 400
 
 
 def fixture(name: str) -> str:
@@ -366,16 +368,29 @@ class TestCommands:
             [*step, "--state", '["-1e-5000"]'],
             [*step, "--state", '["1e100000000"]'],
         ]
-        for impedance in ["(" * 3000 + "s" + ")" * 3000, "-" * 3000 + "s"]:
+        impedances = [
+            ("qs", "(" * 3000 + "s" + ")" * 3000),
+            ("qs", "-" * 3000 + "s"),
+            ("q", "1+" * 3000 + "x"),
+        ]
+        for field, impedance in impedances:
             doc = tmp_path / f"{len(cases)}.json"
             edge = {"src": "a", "tgt": "b", "impedance": impedance}
             doc.write_text(json.dumps({"nodes": ["a", "b"], "edges": [edge], "inputs": ["a"]}))
-            cases.append(["circuit", "power", "--field", "qs", str(doc)])
+            cases.append(["circuit", "power", "--field", field, str(doc)])
+        # a term file that is not UTF-8 is a file that cannot be read
+        not_utf8 = tmp_path / "not_utf8.sfg"
+        not_utf8.write_bytes(b"\xff\xfeid")
+        cases.append(["sfg", "denote", str(not_utf8)])
         capsys.readouterr()
         for argv in cases:
             assert main(argv) == 3, argv[:3]
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, argv[:3]
+            # a long input is quoted in part, so the message stays short
+            assert len(err) < MAX_ERROR_LINE, argv[:3]
+        # the last case is the term file that is not UTF-8
+        assert f"cannot read {not_utf8}" in err
 
 
 ALTERNATING = json.dumps([[[(-1) ** k], [0]] for k in range(6)])

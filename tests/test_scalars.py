@@ -279,6 +279,11 @@ class TestHashAgreesWithEquality:
         assert {Polynomial([2, 1]): 1}.get(2) is None
         assert {parse_scalar_expression("2/s"): 1}.get(2) is None
 
+    def test_polynomials_and_laurent_polynomials_do_not_mix(self):
+        with pytest.raises(TypeError):
+            Polynomial([1, 1]) + LaurentPoly(0, [1, 1])
+        assert Polynomial.constant(2) != LaurentPoly.constant(2)
+
 
 # -- LaurentPoly against the Fraction-coefficient reference ---------------------
 
