@@ -17,7 +17,9 @@ Signal-flow terms use a tiny infix language: generators
 composed with ``;`` (sequential) and ``(+)`` (parallel, binds tighter),
 with parentheses for grouping.  Example: ``copy ; (delay (+) id) ; add``.
 
-Each subcommand is one row of ``_COMMANDS``.  Exit codes: 0 success /
+Each subcommand is one row of ``_COMMANDS``.  A handler imports the
+modules it calls when it runs, so a circuit command loads no signal-flow
+code and a signal-flow command no circuit code.  Exit codes: 0 success /
 answer true, 1 answer false (equiv, controllable, check-trace, step),
 2 usage error or an ``--oracle`` disagreement, 3 parse error.  Every
 malformed input exits 3 with one ``error:`` line, JSON nested past the
@@ -31,40 +33,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .circuit import ImpedanceError, LabelledGraph, OpenCircuit, boundary, compose_circuits
-from .dirichlet import circuits_equivalent, extended_power, power_functional, realizable_extension
-from .finset import FinCospan, FinFunction
-from .lti import (
-    BehaviourRep,
-    behaviour_eq,
-    behaviour_rep,
-    controllability,
-    controllable_part,
-    cospans_equivalent,
-    kernel_representation,
-    pullback_span,
-    span_to_cospan,
-)
 from .scalars import Field, ScalarParseError, field_by_name
-from .sfg import (
-    GENERATOR_TYPES,
-    INFEASIBLE,
-    NONDETERMINATE,
-    Gen,
-    Par,
-    Seq,
-    Term,
-    _fold,
-    check_trace,
-    check_trace_unrolled,
-    denote_cospan,
-    sfg_denote,
-    step,
-    successor_states,
-    term_type,
-)
-from .symplectic import black_box, compose_lagrangian
+
+if TYPE_CHECKING:
+    from .circuit import OpenCircuit
+    from .lti import BehaviourRep
+    from .sfg import Term
 
 USAGE_ERROR = 2
 PARSE_ERROR = 3
@@ -83,6 +59,9 @@ class DocumentError(ValueError):
 
 def parse_circuit_document(doc: dict, default_field: Field | None = None):
     """Validate a circuit JSON document into (OpenCircuit, node names)."""
+    from .circuit import ImpedanceError, LabelledGraph, OpenCircuit
+    from .finset import FinCospan, FinFunction
+
     if not isinstance(doc, dict):
         raise DocumentError("circuit document must be a JSON object")
     field_name = doc.get("field")
@@ -182,12 +161,6 @@ class TermParseError(ValueError):
         super().__init__(f"{message} at position {pos}")
 
 
-# longest first, so that no name is read as a prefix of a longer one
-_GENERATOR_NAMES = sorted(
-    (name for name in GENERATOR_TYPES if name not in ("x", "co-x")), key=len, reverse=True
-)
-
-
 class _TermParser:
     """term := par (';' par)*;  par := atom ('(+)' atom)*;
     atom := generator | '(' term ')'.
@@ -198,8 +171,14 @@ class _TermParser:
     """
 
     def __init__(self, text: str):
+        from .sfg import GENERATOR_TYPES
+
         self.text = text
         self.pos = 0
+        # longest first, so that no name is read as a prefix of a longer one
+        self.names = sorted(
+            (name for name in GENERATOR_TYPES if name not in ("x", "co-x")), key=len, reverse=True
+        )
 
     def error(self, message: str) -> TermParseError:
         return TermParseError(self.text, self.pos, message)
@@ -219,6 +198,8 @@ class _TermParser:
         return False
 
     def parse(self) -> Term:
+        from .sfg import Gen, Par, Seq
+
         groups: list[tuple] = []
         sequence = parallel = None
         while True:
@@ -228,7 +209,7 @@ class _TermParser:
                 groups.append((sequence, parallel))
                 sequence = parallel = None
                 continue
-            term = self.generator()
+            term = Gen(*self.generator())
             while True:
                 parallel = term if parallel is None else Par(parallel, term)
                 if self.take("(+)"):
@@ -247,7 +228,8 @@ class _TermParser:
                 term = sequence
                 sequence, parallel = groups.pop()
 
-    def generator(self) -> Gen:
+    def generator(self) -> tuple:
+        """The (name, value) of the generator that comes next."""
         for name in ("co-x", "x"):
             if self._at_scalar_name(name):
                 self.pos += len(name)
@@ -256,11 +238,11 @@ class _TermParser:
                 value = self.rational()
                 if not self.take(")"):
                     raise self.error("expected ')'")
-                return Gen(name, value)
-        for name in _GENERATOR_NAMES:
+                return name, value
+        for name in self.names:
             if self._at_name(name):
                 self.pos += len(name)
-                return Gen(name)
+                return name, None
         raise self.error("expected a generator or '('")
 
     def _end_of(self, name: str) -> int:
@@ -294,6 +276,8 @@ class _TermParser:
 
 
 def parse_term(text: str) -> Term:
+    from .sfg import term_type
+
     term = _TermParser(text).parse()
     term_type(term)
     return term
@@ -312,6 +296,7 @@ def format_term(term: Term) -> str:
     """The text of a term, which ``parse_term`` reads back.  The term is
     folded without recursion into (text, kind) pairs, kind being the
     class of the node printed, so deep terms print."""
+    from .sfg import Gen, Par, Seq, _fold
 
     def generator(gen: Gen):
         return (gen.name if gen.value is None else f"{gen.name}({gen.value})"), Gen
@@ -385,9 +370,13 @@ def _load_circuits(args, *paths: str) -> list:
 
 
 def _cmd_circuit_compose(args) -> int:
+    from .circuit import compose_circuits
+
     (a, _), (b, _) = _load_circuits(args, args.first, args.second)
     composed = compose_circuits(a, b)
     if args.oracle:
+        from .symplectic import black_box, compose_lagrangian
+
         glued = compose_lagrangian(black_box(a, "oracle"), black_box(b, "oracle"))
         if black_box(composed, "oracle").space != glued.space:
             return _internal_error("the composite's black box is not the composed relation")
@@ -397,6 +386,8 @@ def _cmd_circuit_compose(args) -> int:
 
 
 def _cmd_circuit_blackbox(args) -> int:
+    from .symplectic import black_box
+
     [(circuit, _)] = _load_circuits(args, args.circuit)
     method = "oracle" if args.oracle else "fast"
     relation = black_box(circuit, method)
@@ -405,9 +396,13 @@ def _cmd_circuit_blackbox(args) -> int:
 
 
 def _cmd_circuit_equiv(args) -> int:
+    from .dirichlet import circuits_equivalent
+
     (a, _), (b, _) = _load_circuits(args, args.first, args.second)
     equivalent = circuits_equivalent(a, b)
     if args.oracle:
+        from .symplectic import black_box
+
         fast = black_box(a, "fast").space == black_box(b, "fast").space
         slow = black_box(a, "oracle").space == black_box(b, "oracle").space
         if fast != equivalent or slow != equivalent:
@@ -416,6 +411,9 @@ def _cmd_circuit_equiv(args) -> int:
 
 
 def _cmd_circuit_power(args) -> int:
+    from .circuit import boundary
+    from .dirichlet import power_functional
+
     [(circuit, nodes)] = _load_circuits(args, args.circuit)
     q = power_functional(circuit)
     if args.oracle and not _power_agrees(circuit, q):
@@ -437,6 +435,9 @@ def _power_agrees(circuit: OpenCircuit, q) -> bool:
     """At each boundary unit potential, the extended form's gradient at its
     realizable extension (an interior linear solve, not Kron reduction),
     restricted to the boundary, is the reduced form's gradient."""
+    from .circuit import boundary
+    from .dirichlet import extended_power, realizable_extension
+
     p = extended_power(circuit)
     nodes = boundary(circuit)
     zero, one = circuit.field.zero, circuit.field.one
@@ -449,6 +450,9 @@ def _power_agrees(circuit: OpenCircuit, q) -> bool:
 
 
 def _cmd_sfg_denote(args) -> int:
+    from .lti import behaviour_eq, behaviour_rep
+    from .sfg import denote_cospan, sfg_denote
+
     term = load_term(args.term)
     rep = behaviour_rep(sfg_denote(term))
     if args.oracle and not behaviour_eq(rep, behaviour_rep(denote_cospan(term))):
@@ -458,6 +462,9 @@ def _cmd_sfg_denote(args) -> int:
 
 
 def _cmd_sfg_equiv(args) -> int:
+    from .lti import behaviour_eq, behaviour_rep
+    from .sfg import sfg_denote, term_type
+
     first = load_term(args.first)
     second = load_term(args.second)
     if term_type(first) != term_type(second):
@@ -475,6 +482,9 @@ def _cmd_sfg_equiv(args) -> int:
 
 
 def _cmd_sfg_controllable(args) -> int:
+    from .lti import controllability, controllable_part
+    from .sfg import sfg_denote
+
     term = load_term(args.term)
     cospan = sfg_denote(term)
     controllable, _ = controllability(cospan)
@@ -505,6 +515,9 @@ def _cmd_sfg_controllable(args) -> int:
 
 def _raw_behaviour(term: Term) -> BehaviourRep:
     """ker [A -B] of the unreduced denotation, with no corelation step."""
+    from .lti import BehaviourRep, kernel_representation
+    from .sfg import denote_cospan
+
     raw = denote_cospan(term)
     return BehaviourRep(raw.dom, raw.cod, kernel_representation(raw))
 
@@ -516,6 +529,8 @@ def _controllability_problem(cospan, controllable: bool):
     agree with the categorical route: the behaviour is controllable iff
     the pullback span, pushed out again, has the same behaviour.
     """
+    from .lti import cospans_equivalent, pullback_span, span_to_cospan
+
     r, s = pullback_span(cospan)
     if cospan.left.mul(r).entries != cospan.right.mul(s).entries:
         return "pullback span does not satisfy A R = B S"
@@ -559,6 +574,8 @@ def _vector_option(text: str | None, what: str) -> list[Fraction] | None:
 
 
 def _cmd_sfg_check_trace(args) -> int:
+    from .sfg import check_trace, check_trace_unrolled, term_type
+
     term = load_term(args.term)
     m, n = term_type(term)
     data = _parse_json(args.window, "window")
@@ -581,6 +598,8 @@ def _cmd_sfg_check_trace(args) -> int:
 
 
 def _cmd_sfg_step(args) -> int:
+    from .sfg import INFEASIBLE, NONDETERMINATE, step, successor_states
+
     term = load_term(args.term)
     state = _vector_option(args.state, "state") or []
     u = _vector_option(args.left, "left") or []
@@ -605,6 +624,8 @@ def _step_agrees(outcome, successors) -> bool:
     INFEASIBLE means it allows none.  NONDETERMINATE needs at least one:
     the relation hides the internal wires, which may be what is free.
     """
+    from .sfg import INFEASIBLE, NONDETERMINATE
+
     if outcome == INFEASIBLE:
         return successors is None
     if outcome == NONDETERMINATE:

@@ -10,6 +10,8 @@ reads a reduced system [A | b]: inconsistent, or a particular solution
 with its reduction.  ``_null_vectors`` reads a kernel basis off it.
 ``Subspace`` holds a subspace as its reduced basis, and
 ``kernel_of_matrix`` is the subspace that the rows of a matrix annihilate.
+``_consistent`` decides only whether [A | b] over Q has a solution, by
+forward elimination, with no back-substitution.
 
 Both fields run one Gauss-Jordan sweep, ``_sweep``, with their own pivot
 rule and row update.  Over Q the rows are integers: each is scaled to
@@ -193,6 +195,31 @@ def _solve(field: Field, rows: Sequence[Sequence], nvars: int) -> Optional[tuple
     for col, row in zip(pivots, reduced_rows):
         particular[col] = row[nvars]
     return particular, reduced
+
+
+def _consistent(rows: Sequence[Sequence], nvars: int) -> bool:
+    """Is the system [A | b] of ``nvars`` unknowns over Q consistent?
+
+    Forward elimination only, one row at a time: a row is cleared at its
+    leading column by the pivot row there until it vanishes or leads in a
+    column with no pivot row, and then it becomes that column's pivot row.
+    A pivot in the b column is an inconsistency.  No pivot row is changed
+    once made, so a banded system keeps its band.
+    """
+    width = nvars + 1
+    pivots = {}  # column -> the nonzero (column, value) pairs of its pivot row
+    for r in _nonzero_rows(rows, width):
+        row = _integer_row(r)
+        col = next(k for k, v in enumerate(row) if v)
+        while col in pivots:
+            _eliminate_integer(row, col, pivots[col])
+            col = next((k for k in range(col + 1, width) if row[k]), None)
+        if col == nvars:
+            return False
+        if col is not None:
+            row = _primitive_pivot(row, col)
+            pivots[col] = [(k, row[k]) for k in range(col, width) if row[k]]
+    return True
 
 
 def _null_vectors(field: Field, reduced: tuple, width: int) -> list[list]:

@@ -39,7 +39,15 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from .finset import UnionFind
-from .linalg import Subspace, _fraction_row, _integer_rref, _null_vectors, _solve, kernel_of_matrix
+from .linalg import (
+    Subspace,
+    _consistent,
+    _fraction_row,
+    _integer_rref,
+    _null_vectors,
+    _solve,
+    kernel_of_matrix,
+)
 from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
 from .scalars import LaurentPoly, QQ
 
@@ -571,7 +579,7 @@ def check_trace_unrolled(
     window: Sequence[tuple[Sequence, Sequence]],
     init: Optional[Sequence] = None,
 ) -> bool:
-    """``check_trace`` by one elimination over the unrolled window, the
+    """``check_trace`` by one forward elimination over the unrolled window, the
     cross-check of ``sfg check-trace --oracle``.
 
     The states r_0 .. r_{T+2d} are linked by d free ticks, the T observed
@@ -585,27 +593,26 @@ def check_trace_unrolled(
     ticks = [None] * d + list(window) + [None] * d
     free = d * (len(ticks) + 1)  # the free ticks' boundary columns follow the states
     width = free + 2 * d * io + 1
-    zero = QQ.zero
-    rows = []
+    rows = []  # integer rows, but for the right-hand sides
     for k, tick in enumerate(ticks):
         if tick is not None:
             values = [Fraction(x) for x in (*tick[0], *tick[1])]
         for c in annihilator:
-            row = [zero] * width
+            row = [0] * width
             row[k * d : (k + 1) * d] = c[:d]
             row[(k + 1) * d : (k + 2) * d] = c[d + io :]
             if tick is None:
                 row[free : free + io] = c[d : d + io]
             else:
-                row[-1] = -sum((a * x for a, x in zip(c[d : d + io], values)), zero)
+                row[-1] = -sum(a * x for a, x in zip(c[d : d + io], values))
             rows.append(row)
         if tick is None:
             free += io
     for k, value in enumerate(init or ()):
-        row = [zero] * width
-        row[d * d + k], row[-1] = QQ.one, Fraction(value)
+        row = [0] * width
+        row[d * d + k], row[-1] = 1, Fraction(value)
         rows.append(row)
-    return _solve(QQ, rows, width - 1) is not None
+    return _consistent(rows, width - 1)
 
 
 def successor_states(

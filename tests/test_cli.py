@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import ladder, rand_term
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from openwires import circuit, cli, dirichlet, lti, sfg
 from openwires.cli import (
@@ -494,18 +494,19 @@ class TestSfgOracle:
 
     def test_equiv_disagreement(self, capsys, monkeypatch):
         identity = sfg.sfg_denote(parse_term("id"))
-        monkeypatch.setattr(cli, "sfg_denote", lambda term: identity)
+        monkeypatch.setattr(sfg, "sfg_denote", lambda term: identity)
         argv = ["sfg", "equiv", fixture("splusone.sfg"), fixture("wire.sfg")]
         assert main(argv) == 0
         capsys.readouterr()
         self._assert_internal_error(capsys, argv + ["--oracle"])
 
     def test_controllable_verdict_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "controllability", lambda cospan: (True, []))
+        monkeypatch.setattr(lti, "controllability", lambda cospan: (True, []))
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
 
     def test_check_trace_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "check_trace", lambda *args: not sfg.check_trace(*args))
+        check_trace = sfg.check_trace
+        monkeypatch.setattr(sfg, "check_trace", lambda *args: not check_trace(*args))
         argv = ["sfg", "check-trace", fixture("splusone.sfg"), "--window", ALTERNATING]
         assert main(argv) == 1
         capsys.readouterr()
@@ -524,18 +525,20 @@ class TestSfgOracle:
     def test_step_disagreement(self, capsys, monkeypatch, state, forced):
         if isinstance(forced, list):
             forced = [Fraction(v) for v in forced]
-        monkeypatch.setattr(cli, "step", lambda *args: forced)
+        monkeypatch.setattr(sfg, "step", lambda *args: forced)
         argv = ["sfg", "step", fixture("splusone.sfg"), "--state", state, "--left", "[1]", "--right", "[0]"]
         assert main(argv) in (0, 1)
         capsys.readouterr()
         self._assert_internal_error(capsys, argv + ["--oracle"])
 
     def test_controllable_pullback_disagreement(self, capsys, monkeypatch):
+        pullback_span = lti.pullback_span
+
         def wrong_span(cospan):
-            r, s = lti.pullback_span(cospan)
+            r, s = pullback_span(cospan)
             return r, s.add(s)
 
-        monkeypatch.setattr(cli, "pullback_span", wrong_span)
+        monkeypatch.setattr(lti, "pullback_span", wrong_span)
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
 
 
@@ -598,18 +601,22 @@ class TestCircuitOracle:
         assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
 
     def test_power_disagreement(self, capsys, monkeypatch):
+        power_functional = dirichlet.power_functional
+
         def doubled(c):
-            q = dirichlet.power_functional(c)
+            q = power_functional(c)
             return q.add(q)
 
-        monkeypatch.setattr(cli, "power_functional", doubled)
+        monkeypatch.setattr(dirichlet, "power_functional", doubled)
         self._assert_internal_error(capsys, ["circuit", "power", fixture("series11.json")])
 
     def test_compose_disagreement(self, capsys, monkeypatch):
-        def one_more(a, b):
-            return circuit.compose_circuits(circuit.compose_circuits(a, b), b)
+        compose_circuits = circuit.compose_circuits
 
-        monkeypatch.setattr(cli, "compose_circuits", one_more)
+        def one_more(a, b):
+            return compose_circuits(compose_circuits(a, b), b)
+
+        monkeypatch.setattr(circuit, "compose_circuits", one_more)
         self._assert_internal_error(
             capsys, ["circuit", "compose", fixture("resistor.json"), fixture("resistor.json")]
         )
@@ -671,17 +678,22 @@ def test_deep_chains_denote_and_print_without_recursion(capsys, tmp_path):
 
 # -- random command lines ------------------------------------------------------
 #
-# Inputs are drawn well formed, well formed but invalid (unknown names,
-# zero or negative impedances, wrong lengths), or as text that does not
-# parse, so that every exit code is reached.
+# Each command line has at most one broken part: a file, the window or an
+# option, drawn as text that does not parse, or well formed but invalid
+# (unknown names, zero or negative impedances, bad numbers, wrong lengths).
+# Every other part is drawn valid, so that the parsers of the parts after
+# the broken one are reached too, and so is every exit code.
 
 _ATOMS = [name for name in sfg.GENERATOR_TYPES if name not in ("x", "co-x")]
 _ATOMS += ["x(1/2)", "co-x(-3)"]
 _TOKENS = _ATOMS + ["x", "x(", "x(1/0)", "(", ")", ";", "(+)", "?", "co-", "delay2"]
-_TERMS = ["id", "delay", "co-delay ; x(2)"]
+# valid terms, each of type (1, 1)
+_TERMS = ["id", "delay", "co-delay ; x(2)", "x(1/2)", "copy ; (delay (+) id) ; add"]
 _TERMS += ["copy ; (delay (+) id) ; add ; co-add ; (co-delay (+) id) ; co-copy"]
-_IMPEDANCES = ["1", "1/2", "3*s", "1/(5*s)", "(s^2+1)/(2*s)"]
+_terms = st.sampled_from(_TERMS)
+_IMPEDANCES = {"Q": ["1", "1/2", "7/3"], "Q(s)": ["1", "1/2", "3*s", "1/(5*s)", "(s^2+1)/(2*s)"]}
 _BAD_IMPEDANCES = ["0", "-1", "2/0", "-s", "s-1", "s^300", "?", "(" * 3000 + "1" + ")" * 3000]
+_FIELD_FLAGS = {"Q": "q", "Q(s)": "qs"}
 _NAMES = ["a", "b", "c"]
 _numbers = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/4"])
 _bad_numbers = st.sampled_from(["1/0", "q", "1e3", "1e5000", 0.5, None, [1], True])
@@ -689,15 +701,9 @@ _bad_numbers = st.sampled_from(["1/0", "q", "1e3", "1e5000", 0.5, None, [1], Tru
 # which json.dumps cannot build because it recurses itself
 _bad_json = st.sampled_from([[], "x", 1, None, {}, [[1]], {"nodes": 1}]).map(json.dumps)
 _bad_json |= st.just("[" * 100000 + "]" * 100000)
+_junk = _bad_json | st.text(max_size=6)
 
-
-def _json_text(values):
-    """JSON text of the values drawn or of junk, or text that is not JSON."""
-    return values.map(json.dumps) | _bad_json | st.text(max_size=6)
-
-
-_terms = st.one_of(
-    st.sampled_from(_TERMS),
+_bad_terms = st.one_of(
     st.recursive(
         st.sampled_from(_ATOMS),
         lambda inner: st.tuples(inner, st.sampled_from([";", "(+)"]), inner).map(
@@ -710,32 +716,47 @@ _terms = st.one_of(
 )
 
 
+def _values(size: int):
+    return st.lists(_numbers, min_size=size, max_size=size)
+
+
+# a list with a bad number in it, or junk, as often as each other
+_bad_lists = st.tuples(st.lists(_numbers, max_size=2), _bad_numbers).map(
+    lambda t: json.dumps([*t[0], t[1]])
+)
+_bad_vectors = st.booleans().flatmap(lambda junk: _junk if junk else _bad_lists)
+_windows = st.lists(st.tuples(_values(1), _values(1)), min_size=1, max_size=3).map(json.dumps)
+_bad_ticks = st.lists(st.lists(_numbers | _bad_numbers, max_size=2), min_size=2, max_size=2)
+_bad_windows = st.lists(_bad_ticks, min_size=1, max_size=3).map(json.dumps) | _junk
+
+
 @st.composite
-def _circuit_documents(draw, junk: bool):
-    """A circuit document over some of ``_NAMES``; with ``junk``, node
-    references and impedances may be invalid."""
+def _circuit_documents(draw, field: str, fault: str | None):
+    """A valid circuit document over ``field`` and some of ``_NAMES``, or
+    one broken in its ``fault``: its "field", a "node" reference or an
+    "impedance"."""
     nodes = draw(st.lists(st.sampled_from(_NAMES), unique=True, min_size=1, max_size=3))
     ends = st.sampled_from(nodes)
-    if junk:
-        ends |= st.sampled_from(["d", 0, None])
-    impedance = st.sampled_from(_IMPEDANCES + (_BAD_IMPEDANCES if junk else []))
-    edge = st.fixed_dictionaries({"src": ends, "tgt": ends, "impedance": impedance})
+    impedances = st.sampled_from(_IMPEDANCES[field])
+    edge = st.fixed_dictionaries({"src": ends, "tgt": ends, "impedance": impedances})
+    edges = draw(st.lists(edge, max_size=3))
     doc = {
+        "field": field,
         "nodes": nodes,
-        "edges": draw(st.lists(edge, max_size=4)),
+        "edges": edges,
         "inputs": draw(st.lists(ends, max_size=2)),
         "outputs": draw(st.lists(ends, max_size=2)),
     }
-    field = draw(st.sampled_from([None, "Q", "Q(s)", "R", 1]))
-    return doc if field is None else {"field": field, **doc}
-
-
-_circuits = _json_text(_circuit_documents(False) | _circuit_documents(True))
-_vectors = _json_text(
-    st.lists(_numbers, max_size=3) | st.lists(_numbers | _bad_numbers, max_size=3)
-)
-_ticks = st.lists(st.lists(_numbers, min_size=1, max_size=2), min_size=2, max_size=2)
-_windows = _json_text(st.lists(_ticks, max_size=3))
+    if fault == "field":
+        doc["field"] = draw(st.sampled_from(["R", 1, "Q" if field == "Q(s)" else "Q(s)"]))
+    elif fault == "node":
+        leg = draw(st.sampled_from(["inputs", "outputs"]))
+        doc[leg].append(draw(st.sampled_from(["d", 0, None])))
+    elif fault == "impedance":
+        bad = draw(st.sampled_from(_BAD_IMPEDANCES))
+        position = draw(st.integers(0, len(edges)))
+        edges.insert(position, {"src": nodes[0], "tgt": nodes[-1], "impedance": bad})
+    return doc
 
 
 @st.composite
@@ -743,32 +764,67 @@ def _command_lines(draw):
     """(argv, {file name: contents}) of one random invocation."""
     files = {}
 
-    def document(kind, suffix):
+    def document(text, suffix):
         name = f"{len(files)}.{suffix}"
-        files[name] = draw(kind)
+        files[name] = text
         return name
 
-    domain, command = draw(st.sampled_from([
-        ("circuit", "power"), ("circuit", "blackbox"), ("circuit", "equiv"), ("circuit", "compose"),
-        ("sfg", "denote"), ("sfg", "controllable"), ("sfg", "equiv"), ("sfg", "check-trace"),
-        ("sfg", "step"),
-    ]))
+    domain, command = draw(st.sampled_from([tuple(row[:2]) for row in cli._COMMANDS]))
+    files_taken = 2 if command in ("equiv", "compose") else 1
+    options = {"check-trace": ["--window", "--init"], "step": ["--state", "--left", "--right"]}
+    parts = [*range(files_taken), *options.get(command, [])]
+    parts += ["--field"] if domain == "circuit" else []
+    broken = draw(st.sampled_from([None, *parts]))
+    argv = [domain, command]
     if domain == "circuit":
-        count = 2 if command in ("equiv", "compose") else 1
-        argv = [domain, command, *(document(_circuits, "json") for _ in range(count))]
-        argv += draw(st.sampled_from([[], ["--field", "qs"], ["--field", "q"]]))
+        field = draw(st.sampled_from(sorted(_IMPEDANCES)))
+        for k in range(files_taken):
+            if k == broken:
+                faults = st.sampled_from(["field", "node", "impedance"])
+                doc = faults.flatmap(lambda fault: _circuit_documents(field, fault))
+                text = draw(doc.map(json.dumps) | _junk)
+            else:
+                text = json.dumps(draw(_circuit_documents(field, None)))
+            argv.append(document(text, "json"))
+        if broken == "--field":
+            argv += ["--field", "qs" if field == "Q" else "q"]
+        elif draw(st.booleans()):
+            argv += ["--field", _FIELD_FLAGS[field]]
     else:
-        count = 2 if command == "equiv" else 1
-        argv = [domain, command, *(document(_terms, "sfg") for _ in range(count))]
-    if command == "check-trace":
-        argv += ["--window", draw(_windows)]
-    options = {"check-trace": ["--init"], "step": ["--state", "--left", "--right"]}.get(command, [])
-    for option in draw(st.lists(st.sampled_from(options), unique=True) if options else st.just([])):
-        argv += [option, draw(_vectors)]
+        texts = [draw(_bad_terms if k == broken else _terms) for k in range(files_taken)]
+        argv += [document(text, "sfg") for text in texts]
+        registers = 1 if broken == 0 else sfg.count_registers(parse_term(texts[0]))
+        sizes = {"--init": registers, "--state": registers, "--left": 1, "--right": 1}
+        for option in options.get(command, []):
+            if option == broken:
+                value = draw(_bad_windows if option == "--window" else _bad_vectors)
+            elif option == "--window":
+                value = draw(_windows)
+            elif not draw(st.booleans()):
+                continue
+            else:
+                value = json.dumps(draw(_values(sizes[option])))
+            argv += [option, value]
     return argv + draw(st.lists(st.sampled_from(["--json", "--oracle"]), unique=True)), files
 
 
+_DEEP_IMPEDANCE = {
+    "field": "Q(s)",
+    "nodes": ["a", "b"],
+    "edges": [{"src": "a", "tgt": "b", "impedance": "(" * 3000 + "s" + ")" * 3000}],
+    "inputs": ["a"],
+    "outputs": ["b"],
+}
+
+
 @given(_command_lines())
+@example((["circuit", "power", "0.json"], {"0.json": json.dumps(_DEEP_IMPEDANCE)}))
+@example(
+    (
+        ["sfg", "step", "0.sfg", "--state", '["1e5000"]', "--left", "[1]", "--right", "[1]"],
+        {"0.sfg": "delay"},
+    )
+)
 @settings(
     max_examples=300,
     deadline=None,

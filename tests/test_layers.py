@@ -3,17 +3,25 @@ share only scalars, finite sets and linear algebra.
 
 Each module's imports of the package are read from its source with
 ``ast``, so the test sees what a module imports, not what the package's
-``__init__`` happens to load.
+``__init__`` happens to load.  What a command-line child loads is read
+from ``python -X importtime``: each subcommand loads only its half, and
+``import openwires`` loads no module at all.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import openwires
+from openwires.cli import _COMMANDS
 
 PACKAGE = Path(openwires.__file__).parent
+FIXTURES = Path(__file__).parent / "fixtures"
 CIRCUIT_HALF = {"circuit", "dirichlet", "symplectic"}
 SIGNAL_FLOW_HALF = {"lti", "sfg"}
 
@@ -58,3 +66,62 @@ def test_signal_flow_code_imports_no_circuit_code(module):
 @pytest.mark.parametrize("module", sorted(CIRCUIT_HALF))
 def test_circuit_code_imports_no_signal_flow_code(module):
     assert not reachable(module) & (SIGNAL_FLOW_HALF | {"cli"})
+
+
+def run_child(*args: str) -> tuple[str, set[str]]:
+    """The stdout of a Python child with the package on its path, and the
+    package modules it loaded, read from ``-X importtime``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(re.findall(r"\|\s*openwires\.(\w+)$", done.stderr, re.MULTILINE))
+    return done.stdout, loaded
+
+
+@pytest.mark.parametrize(
+    "argv, half",
+    [
+        (["sfg", "denote", str(FIXTURES / "splusone.sfg")], SIGNAL_FLOW_HALF),
+        (["circuit", "power", str(FIXTURES / "series11.json")], CIRCUIT_HALF - {"symplectic"}),
+    ],
+)
+def test_a_command_loads_only_its_half(argv, half):
+    _, loaded = run_child("-m", "openwires.cli", *argv)
+    assert loaded == {"scalars", "finset", "linalg"} | half
+
+
+def test_help_loads_neither_half():
+    """The three help pages name every row of the command table."""
+    pages = ""
+    for domain in ([], ["circuit"], ["sfg"]):
+        out, loaded = run_child("-m", "openwires.cli", *domain, "--help")
+        assert loaded == {"scalars"}
+        pages += out
+    assert len(_COMMANDS) == 9
+    for _, command, help_text, *_ in _COMMANDS:
+        assert f"{command}  " in pages and help_text in pages
+
+
+def test_import_is_lazy():
+    code = (
+        "import sys, openwires\n"
+        "print(sorted(m for m in sys.modules if m.startswith('openwires.')))\n"
+        "from openwires import circuit, sfg\n"
+        "print(circuit.__name__, sfg.__name__)"
+    )
+    out, loaded = run_child("-c", code)
+    assert out.split("\n")[:2] == ["[]", "openwires.circuit openwires.sfg"]
+    assert loaded == {"scalars", "finset", "linalg", "circuit", "lti", "sfg"}
+
+
+def test_every_public_name_resolves():
+    assert len(set(openwires.__all__)) == len(openwires.__all__)
+    assert set(openwires.__all__) <= set(dir(openwires))
+    for name in openwires.__all__:
+        getattr(openwires, name)
+    assert openwires.black_box is sys.modules["openwires.symplectic"].black_box
+    with pytest.raises(AttributeError):
+        openwires.no_such_name

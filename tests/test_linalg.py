@@ -1,5 +1,6 @@
-"""Row reduction over Q on integer rows against the generic field loop,
-and the fused Laurent update ``_axpy`` against ``a ± q*b``."""
+"""Row reduction over Q on integer rows, and the forward-only consistency
+test, against the generic field loop, and the fused Laurent update
+``_axpy`` against ``a ± q*b``."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import gcd, lcm
 import pytest
 
 from conftest import reference_rref
-from openwires.linalg import _integer_rref, _null_vectors, _rref
+from openwires.linalg import _consistent, _integer_rref, _null_vectors, _rref
 from openwires.scalars import QQ, QS, LaurentPoly, _axpy
 
 CORPUS_SEED = 9091
@@ -143,6 +144,19 @@ def test_null_vectors_match_the_field_loop(chunk):
                 assert sum((a * b for a, b in zip(r, vec)), 0) == 0
 
 
+def test_consistency_matches_the_field_loop():
+    """Each matrix read as [A | b], b its last column: the forward pass
+    finds it inconsistent exactly when the reduced form has a pivot in b."""
+    outcomes = set()
+    for w, rows in CORPUS:
+        if w:
+            want = reference_rref(QQ, _as_fractions(rows), w)
+            consistent = not want or _first_nonzero(want[-1]) != w - 1
+            assert _consistent(rows, w - 1) == consistent
+            outcomes.add(consistent)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize(
     "rows, width",
     [
@@ -155,6 +169,8 @@ def test_null_vectors_match_the_field_loop(chunk):
 def test_wrong_row_length_raises(rows, width):
     with pytest.raises(ValueError):
         _rref(QQ, rows, width)
+    with pytest.raises(ValueError):
+        _consistent(rows, width - 1)
 
 
 def _rand_rational_function(rng):

@@ -349,6 +349,32 @@ class TestTraceScanReference:
             assert not self.assert_verdicts_match(term, late, None, unrolled)
             self.assert_samples_match(term, 4, cells, init)
 
+    def test_unrolled_window_on_a_long_chain(self):
+        """The forward-only unrolled oracle on a 16-cell chain and a 16-tick
+        window, which full reduction took seconds on, against the direct
+        simulation.  With no ``init`` the 16 free registers can make any 16
+        outputs, so a bumped output is refuted only with ``init`` pinned,
+        or at tick 16, the first whose output the window's inputs fix."""
+        rng = random.Random(83)
+        term = feedback_chain(16)
+        x = [F(rng.randint(-3, 3)) for _ in range(17)]
+        init = [F(rng.randint(-3, 3)) for _ in range(16)]
+        window = [([u], [v]) for u, v in zip(x, run_chain(init, x))]
+        bumped = [(u, list(v)) for u, v in window]
+        bumped[15][1][0] += 1
+        late = [(u, list(v)) for u, v in window]
+        late[16][1][0] += 1
+        for ticks, given, realizable in [
+            (window[:16], init, True),
+            (window[:16], None, True),
+            (bumped[:16], init, False),
+            (bumped[:16], None, True),
+            (window, None, True),
+            (late, None, False),
+        ]:
+            assert check_trace(term, ticks, given) is realizable
+            assert check_trace_unrolled(term, ticks, given) is realizable
+
     def test_random_terms(self):
         rng = random.Random(73)
         outcomes = set()
