@@ -15,7 +15,6 @@ the claim is unchecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .finset import (
@@ -26,24 +25,24 @@ from .finset import (
     pushout_composition,
     tensor_cospans,
 )
-from .scalars import Field, QQ
+from .scalars import Field, QQ, _Record
 
 
 class ImpedanceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
+class LabelledGraph(_Record):
     """A multigraph with impedance-labelled edges; self-loops permitted."""
 
-    num_nodes: int
-    edges: tuple[tuple[int, int, object], ...]
+    __slots__ = ("num_nodes", "edges")
 
-    def __post_init__(self):
-        for src, tgt, _ in self.edges:
-            if not (0 <= src < self.num_nodes and 0 <= tgt < self.num_nodes):
+    def __init__(self, num_nodes: int, edges: tuple[tuple[int, int, object], ...]):
+        for src, tgt, _ in edges:
+            if not (0 <= src < num_nodes and 0 <= tgt < num_nodes):
                 raise ValueError(f"edge ({src}, {tgt}) outside node range")
+        object.__setattr__(self, "num_nodes", num_nodes)
+        object.__setattr__(self, "edges", edges)
 
     def relabel(self, node_map: FinFunction) -> "LabelledGraph":
         if node_map.domain_size != self.num_nodes:
@@ -54,27 +53,27 @@ class LabelledGraph:
         )
 
 
-@dataclass(frozen=True)
-class OpenCircuit:
+class OpenCircuit(_Record):
     """A labelled graph decorating a cospan X -> N <- Y."""
 
-    field: Field
-    graph: LabelledGraph
-    cospan: FinCospan
+    __slots__ = ("field", "graph", "cospan")
 
-    def __post_init__(self):
-        if self.cospan.apex_size != self.graph.num_nodes:
+    def __init__(self, field: Field, graph: LabelledGraph, cospan: FinCospan):
+        if cospan.apex_size != graph.num_nodes:
             raise ValueError("cospan apex must be the node set of the graph")
-        for src, tgt, z in self.graph.edges:
-            positive = self.field.is_positive(z)
+        for src, tgt, z in graph.edges:
+            positive = field.is_positive(z)
             if positive is False:
-                if self.field == QQ:
+                if field == QQ:
                     raise ImpedanceError(
                         f"impedance on edge ({src}, {tgt}) must be positive over Q"
                     )
                 raise ImpedanceError(
                     f"impedance on edge ({src}, {tgt}) must be nonzero"
                 )
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "cospan", cospan)
 
     @property
     def num_inputs(self) -> int:

@@ -292,26 +292,6 @@ def load_term(path: str) -> Term:
     return parse_term(text)
 
 
-def format_term(term: Term) -> str:
-    """The text of a term, which ``parse_term`` reads back.  The term is
-    folded without recursion into (text, kind) pairs, kind being the
-    class of the node printed, so deep terms print."""
-    from .sfg import Gen, Par, Seq, _fold
-
-    def generator(gen: Gen):
-        return (gen.name if gen.value is None else f"{gen.name}({gen.value})"), Gen
-
-    def sequential(first, second):
-        return f"{first[0]} ; {second[0]}", Seq
-
-    def parallel(first, second):
-        left = f"({first[0]})" if first[1] is Seq else first[0]
-        right = second[0] if second[1] is Gen else f"({second[0]})"
-        return f"{left} (+) {right}", Par
-
-    return _fold(term, generator, sequential, parallel)[0]
-
-
 # -- reports -----------------------------------------------------------------
 
 

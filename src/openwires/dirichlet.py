@@ -26,14 +26,13 @@ constraint on the boundary, not a Dirichlet form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .circuit import OpenCircuit, boundary
 from .finset import cospan_to_corelation
 from .linalg import _solve
-from .scalars import Field, QQ
+from .scalars import Field, QQ, _Record
 
 
 class DegenerateFormError(ValueError):
@@ -46,30 +45,26 @@ class DegenerateFormError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class DirichletForm:
+class DirichletForm(_Record):
     """Symmetric nonnegative-coefficient quadratic form on differences."""
 
-    field: Field
-    size: int
-    coeff: tuple[tuple[object, ...], ...]
+    __slots__ = ("field", "size", "coeff")
 
-    def __post_init__(self):
-        if len(self.coeff) != self.size or any(
-            len(row) != self.size for row in self.coeff
-        ):
+    def __init__(self, field: Field, size: int, coeff: tuple[tuple[object, ...], ...]):
+        if len(coeff) != size or any(len(row) != size for row in coeff):
             raise ValueError("coefficient matrix must be size x size")
-        zero = self.field.zero
-        for i in range(self.size):
-            if self.coeff[i][i] != zero:
+        zero = field.zero
+        for i in range(size):
+            if coeff[i][i] != zero:
                 raise ValueError("diagonal coefficients must vanish")
             for j in range(i):
-                if self.coeff[i][j] != self.coeff[j][i]:
+                if coeff[i][j] != coeff[j][i]:
                     raise ValueError("coefficient matrix must be symmetric")
-                if self.field.is_positive(self.coeff[i][j]) is False and self.coeff[i][
-                    j
-                ] != zero:
+                if field.is_positive(coeff[i][j]) is False and coeff[i][j] != zero:
                     raise ValueError("coefficients over Q must be nonnegative")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "coeff", coeff)
 
     @staticmethod
     def from_entries(

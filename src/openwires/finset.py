@@ -16,8 +16,9 @@ as Python values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .scalars import _Record
 
 
 class UnionFind:
@@ -58,20 +59,20 @@ class UnionFind:
         return labels, len(mapping)
 
 
-@dataclass(frozen=True)
-class FinFunction:
+class FinFunction(_Record):
     """A function {0..domain_size-1} -> {0..codomain_size-1} as a table."""
 
-    domain_size: int
-    codomain_size: int
-    table: tuple[int, ...]
+    __slots__ = ("domain_size", "codomain_size", "table")
 
-    def __post_init__(self):
-        if len(self.table) != self.domain_size:
+    def __init__(self, domain_size: int, codomain_size: int, table: tuple[int, ...]):
+        if len(table) != domain_size:
             raise ValueError("table length must equal domain size")
-        for value in self.table:
-            if not 0 <= value < self.codomain_size:
+        for value in table:
+            if not 0 <= value < codomain_size:
                 raise ValueError(f"table entry {value} outside codomain")
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "codomain_size", codomain_size)
+        object.__setattr__(self, "table", table)
 
     @staticmethod
     def identity(n: int) -> "FinFunction":
@@ -109,16 +110,16 @@ def epi_mono_factor(f: FinFunction) -> tuple[FinFunction, FinFunction]:
     return e, m
 
 
-@dataclass(frozen=True)
-class FinCospan:
+class FinCospan(_Record):
     """A pair of functions X -> N <- Y into a shared apex."""
 
-    left: FinFunction
-    right: FinFunction
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if self.left.codomain_size != self.right.codomain_size:
+    def __init__(self, left: FinFunction, right: FinFunction):
+        if left.codomain_size != right.codomain_size:
             raise ValueError("cospan legs must share their codomain")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def apex_size(self) -> int:
@@ -185,8 +186,7 @@ def tensor_cospans(a: FinCospan, b: FinCospan) -> FinCospan:
     return FinCospan(left, right)
 
 
-@dataclass(frozen=True)
-class Corelation:
+class Corelation(_Record):
     """An equivalence relation on X + Y, canonically labelled.
 
     ``class_of`` lists the block id of each element of X + Y (X first),
@@ -194,22 +194,25 @@ class Corelation:
     0..num_classes-1 occurs.
     """
 
-    left_size: int
-    right_size: int
-    class_of: tuple[int, ...]
-    num_classes: int
+    __slots__ = ("left_size", "right_size", "class_of", "num_classes")
 
-    def __post_init__(self):
-        if len(self.class_of) != self.left_size + self.right_size:
+    def __init__(
+        self, left_size: int, right_size: int, class_of: tuple[int, ...], num_classes: int
+    ):
+        if len(class_of) != left_size + right_size:
             raise ValueError("partition must cover X + Y")
         seen: dict[int, int] = {}
-        for block in self.class_of:
+        for block in class_of:
             if block not in seen:
                 if block != len(seen):
                     raise ValueError("blocks must be numbered by first occurrence")
                 seen[block] = len(seen)
-        if len(seen) != self.num_classes:
+        if len(seen) != num_classes:
             raise ValueError("num_classes does not match the labelling")
+        object.__setattr__(self, "left_size", left_size)
+        object.__setattr__(self, "right_size", right_size)
+        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "num_classes", num_classes)
 
     @staticmethod
     def from_labels(left_size: int, right_size: int, labels: Sequence[int]) -> "Corelation":

@@ -25,14 +25,13 @@ give the same rows, since the reduced form of a row space is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from .scalars import QQ, Field
+from .scalars import QQ, Field, _Record
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -241,8 +240,7 @@ def _null_vectors(field: Field, reduced: tuple, width: int) -> list[list]:
     return basis
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """A linear subspace as a reduced-row-echelon basis matrix.
 
     Rows are basis vectors; pivot columns strictly increase and every
@@ -250,9 +248,12 @@ class Subspace:
     representations.
     """
 
-    field: Field
-    ambient_dim: int
-    basis: tuple[tuple[object, ...], ...]
+    __slots__ = ("field", "ambient_dim", "basis")
+
+    def __init__(self, field: Field, ambient_dim: int, basis: tuple[tuple[object, ...], ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
 
     @staticmethod
     def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":

@@ -26,12 +26,20 @@ Everything is immutable and hashable, and values that compare equal hash
 equal: a constant hashes as the rational it equals.  All operations
 return fresh values.  Division by zero raises ``ZeroDivisionError``
 rather than producing a sentinel.
+
+The value types of the other modules (cospans, circuits, subspaces,
+matrices, terms) are records on one base here, ``_Record``, which keeps
+the rule the scalars follow: fields in ``__slots__``, set once in
+``__init__``, and an error on any later assignment.  A record compares
+and hashes by its fields and prints as ``Name(field=value, ...)``, and
+no code is generated for it when its class is made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -162,6 +170,50 @@ def _primitive(nums):
     if nums[-1] < 0:
         g = -g
     return [n // g for n in nums] if g != 1 else nums
+
+
+# -- immutable records ---------------------------------------------------------
+
+
+class _Record:
+    """An immutable value made of named fields, compared field by field.
+
+    A subclass lists its fields, two or more, in order, as ``__slots__``
+    and sets them in its own ``__init__`` with ``object.__setattr__``.
+    Two records are equal when they are of one class with equal fields, a
+    record hashes as the tuple of its fields, and its repr is
+    ``Name(field=value, ...)``.  ``_values`` reads that tuple; it is an
+    ``attrgetter``, several times faster than a loop over the slots.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt by ``__init__``: the default route
+        assigns the slots, which a record refuses."""
+        return self.__class__, self._values(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 # -- Q[s] and Q[s, s^-1]: one body --------------------------------------------

@@ -33,7 +33,6 @@ by the interpreter's recursion limit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -49,7 +48,7 @@ from .linalg import (
     kernel_of_matrix,
 )
 from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
-from .scalars import LaurentPoly, QQ
+from .scalars import LaurentPoly, QQ, _Record
 
 _S = LaurentPoly.variable()
 
@@ -58,28 +57,34 @@ class SfgTypeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
-    value: Optional[Fraction] = None
+class Gen(_Record):
+    __slots__ = ("name", "value")
 
-    def __post_init__(self):
-        if self.name not in GENERATOR_TYPES:
-            raise SfgTypeError(f"unknown generator {self.name!r}")
-        if (self.name in ("x", "co-x")) != (self.value is not None):
+    def __init__(self, name: str, value: Optional[Fraction] = None):
+        if name not in GENERATOR_TYPES:
+            raise SfgTypeError(f"unknown generator {name!r}")
+        if (name in ("x", "co-x")) != (value is not None):
             raise SfgTypeError("scalar generators take exactly one rational value")
+        if value is not None and not isinstance(value, (int, Fraction)):
+            raise SfgTypeError(f"scalar value must be rational, not {type(value).__name__}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Term"
-    second: "Term"
+class Seq(_Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: "Term", second: "Term"):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
 
-@dataclass(frozen=True)
-class Par:
-    first: "Term"
-    second: "Term"
+class Par(_Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: "Term", second: "Term"):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
 
 Term = Union[Gen, Seq, Par]
@@ -212,21 +217,24 @@ def sfg_denote(term: Term) -> MatCospan:
 # -- operational semantics ---------------------------------------------------
 
 
-@dataclass
 class _Network:
     """Wire-level constraint view of a term for one clock tick.
 
     Wires are variables; each equation row spans (wires, regs_in,
-    regs_out) and must equal zero.  ``registers`` records, per register
-    in traversal order, which wire is read out this tick and which wire
-    is stored for the next.
+    regs_out) and must equal zero.  The ``num_registers`` registers are
+    numbered in traversal order; a delay's two equations tie the wire
+    read out this tick to its ``rin`` and the wire stored for the next
+    to its ``rout``.
     """
 
-    num_wires: int
-    left_ports: list[int]
-    right_ports: list[int]
-    equations: list[dict]
-    num_registers: int
+    __slots__ = ("num_wires", "left_ports", "right_ports", "equations", "num_registers")
+
+    def __init__(self, num_wires, left_ports, right_ports, equations, num_registers):
+        self.num_wires = num_wires
+        self.left_ports = left_ports
+        self.right_ports = right_ports
+        self.equations = equations
+        self.num_registers = num_registers
 
 
 def _build_network(term: Term) -> _Network:

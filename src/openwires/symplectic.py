@@ -28,31 +28,30 @@ route answers by the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .circuit import OpenCircuit, boundary
 from .dirichlet import DegenerateFormError, DirichletForm, extended_power, power_functional
 from .finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
 from .linalg import Subspace, _null_vectors, _rref, kernel_of_matrix
-from .scalars import Field, QQ
+from .scalars import Field, QQ, _Record
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(_Record):
     """F^n + (F^n)* with coordinates (phi_1..phi_n, i_1..i_n).
 
     ``sign`` is +1 for the standard form i'(phi) - i(phi'), -1 for the
     conjugate.
     """
 
-    field: Field
-    n: int
-    sign: int = 1
+    __slots__ = ("field", "n", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, field: Field, n: int, sign: int = 1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def dim(self) -> int:
@@ -106,8 +105,7 @@ def symplectic_complement(space: Subspace, sym: SymplecticSpace) -> Subspace:
     return kernel_of_matrix(space.field, constraint_rows, sym.dim)
 
 
-@dataclass(frozen=True)
-class LagrangianRelation:
+class LagrangianRelation(_Record):
     """A Lagrangian subspace of conj(dom) + cod.
 
     The subspace lives over the coordinates
@@ -116,14 +114,15 @@ class LagrangianRelation:
     spaces (the current twist) are first-class relations.
     """
 
-    field: Field
-    dom: SymplecticSpace
-    cod: SymplecticSpace
-    space: Subspace
+    __slots__ = ("field", "dom", "cod", "space")
 
-    def __post_init__(self):
-        if self.space.ambient_dim != 2 * (self.dom.n + self.cod.n):
+    def __init__(self, field: Field, dom: SymplecticSpace, cod: SymplecticSpace, space: Subspace):
+        if space.ambient_dim != 2 * (dom.n + cod.n):
             raise ValueError("relation subspace has wrong ambient dimension")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "space", space)
 
     @property
     def dom_n(self) -> int:

@@ -37,6 +37,7 @@ from openwires.sfg import (
     Seq,
     _affine_solve,
     _build_network,
+    _fold,
     count_registers,
     term_type,
     tick_relation,
@@ -81,6 +82,11 @@ def rand_poly_matrix(rng: random.Random, rows: int, cols: int, max_spread: int =
             for _ in range(rows)
         ),
     )
+
+
+def neg_matrix(m: PolyMatrix) -> PolyMatrix:
+    """-m, entry by entry."""
+    return PolyMatrix(m.rows, m.cols, tuple(tuple(-e for e in row) for row in m.entries))
 
 
 def rand_fin_function(rng: random.Random, domain: int, codomain: int) -> FinFunction:
@@ -277,6 +283,25 @@ def rand_term(rng: random.Random, max_generators: int = 12):
     if term is None:
         term = Gen("id")
     return term
+
+
+def format_term(term) -> str:
+    """The text of a term, which ``parse_term`` reads back.  The term is
+    folded without recursion into (text, kind) pairs, kind being the
+    class of the node printed, so deep terms print."""
+
+    def generator(gen: Gen):
+        return (gen.name if gen.value is None else f"{gen.name}({gen.value})"), Gen
+
+    def sequential(first, second):
+        return f"{first[0]} ; {second[0]}", Seq
+
+    def parallel(first, second):
+        left = f"({first[0]})" if first[1] is Seq else first[0]
+        right = second[0] if second[1] is Gen else f"({second[0]})"
+        return f"{left} (+) {right}", Par
+
+    return _fold(term, generator, sequential, parallel)[0]
 
 
 def feedback_chain(cells: int):

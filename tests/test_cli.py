@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ladder, rand_term
+from conftest import format_term, ladder, rand_term
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from openwires import circuit, cli, dirichlet, lti, sfg
@@ -14,7 +14,6 @@ from openwires.cli import (
     DocumentError,
     TermParseError,
     format_circuit_document,
-    format_term,
     main,
     parse_circuit_document,
     parse_term,

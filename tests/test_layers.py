@@ -4,8 +4,8 @@ share only scalars, finite sets and linear algebra.
 Each module's imports of the package are read from its source with
 ``ast``, so the test sees what a module imports, not what the package's
 ``__init__`` happens to load.  What a command-line child loads is read
-from ``python -X importtime``: each subcommand loads only its half, and
-``import openwires`` loads no module at all.
+from ``python -X importtime``: each subcommand loads only its half and
+no ``dataclasses``, and ``import openwires`` loads no module at all.
 """
 
 import ast
@@ -24,6 +24,9 @@ PACKAGE = Path(openwires.__file__).parent
 FIXTURES = Path(__file__).parent / "fixtures"
 CIRCUIT_HALF = {"circuit", "dirichlet", "symplectic"}
 SIGNAL_FLOW_HALF = {"lti", "sfg"}
+# What no child needs: dataclasses builds each class by exec at start-up,
+# and inspect is the largest module that it loads.
+CLASS_BUILDERS = {"dataclasses", "inspect"}
 
 
 def package_imports(module: str) -> set[str]:
@@ -68,17 +71,20 @@ def test_circuit_code_imports_no_signal_flow_code(module):
     assert not reachable(module) & (SIGNAL_FLOW_HALF | {"cli"})
 
 
-def run_child(*args: str) -> tuple[str, set[str]]:
-    """The stdout of a Python child with the package on its path, and the
-    package modules it loaded, read from ``-X importtime``."""
+def run_child(*args: str) -> tuple[str, set[str], set[str]]:
+    """The stdout of a Python child with the package on its path, the
+    package modules it loaded and the other modules it loaded, both read
+    from ``-X importtime``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(re.findall(r"\|\s*openwires\.(\w+)$", done.stderr, re.MULTILINE))
-    return done.stdout, loaded
+    names = re.findall(r"\|\s*([\w.]+)$", done.stderr, re.MULTILINE)
+    loaded = {name.split(".")[1] for name in names if name.startswith("openwires.")}
+    others = {name for name in names if name.split(".")[0] != "openwires"}
+    return done.stdout, loaded, others
 
 
 @pytest.mark.parametrize(
@@ -89,16 +95,18 @@ def run_child(*args: str) -> tuple[str, set[str]]:
     ],
 )
 def test_a_command_loads_only_its_half(argv, half):
-    _, loaded = run_child("-m", "openwires.cli", *argv)
+    _, loaded, others = run_child("-m", "openwires.cli", *argv)
     assert loaded == {"scalars", "finset", "linalg"} | half
+    assert not others & CLASS_BUILDERS
 
 
 def test_help_loads_neither_half():
     """The three help pages name every row of the command table."""
     pages = ""
     for domain in ([], ["circuit"], ["sfg"]):
-        out, loaded = run_child("-m", "openwires.cli", *domain, "--help")
+        out, loaded, others = run_child("-m", "openwires.cli", *domain, "--help")
         assert loaded == {"scalars"}
+        assert not others & CLASS_BUILDERS
         pages += out
     assert len(_COMMANDS) == 9
     for _, command, help_text, *_ in _COMMANDS:
@@ -112,7 +120,7 @@ def test_import_is_lazy():
         "from openwires import circuit, sfg\n"
         "print(circuit.__name__, sfg.__name__)"
     )
-    out, loaded = run_child("-c", code)
+    out, loaded, _ = run_child("-c", code)
     assert out.split("\n")[:2] == ["[]", "openwires.circuit openwires.sfg"]
     assert loaded == {"scalars", "finset", "linalg", "circuit", "lti", "sfg"}
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import (
     laurent_to_rational_function,
+    neg_matrix,
     rand_laurent,
     rand_poly_matrix,
     rand_term,
@@ -73,7 +74,7 @@ class TestShapeCheck:
             built = [
                 a.mul(b),
                 a.add(a),
-                a.neg(),
+                neg_matrix(a),
                 a.hstack(c),
                 a.vstack(a),
                 a.block_diag(b),
@@ -168,7 +169,7 @@ class TestComposition:
                           rand_poly_matrix(rng, d1, y, 2))
             b = MatCospan(rand_poly_matrix(rng, d2, y, 2),
                           rand_poly_matrix(rng, d2, rng.randint(0, 2), 2))
-            glue = a.right.vstack(b.left.neg())
+            glue = a.right.vstack(neg_matrix(b.left))
             res = snf(glue)
             keep = range(res.rank, d1 + d2)
             projection = res.u_inv.take_rows(keep)
@@ -309,7 +310,7 @@ class TestPullbackSpan:
             r, s = pullback_span(c)
             assert c.left.mul(r).entries == c.right.mul(s).entries
             # oracle: fraction-field kernel has the same span
-            combined = c.left.hstack(c.right.neg())
+            combined = c.left.hstack(neg_matrix(c.right))
             rf_rows = [
                 [laurent_to_rational_function(e) for e in row]
                 for row in combined.entries

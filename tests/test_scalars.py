@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,11 @@ from conftest import (
     reference_poly_gcd,
 )
 
+from openwires.circuit import LabelledGraph, OpenCircuit
+from openwires.dirichlet import DirichletForm
+from openwires.finset import Corelation, FinCospan, FinFunction
+from openwires.linalg import Subspace
+from openwires.lti import BehaviourRep, MatCospan, PolyMatrix, SnfResult
 from openwires.scalars import (
     LaurentPoly,
     Polynomial,
@@ -20,6 +26,7 @@ from openwires.scalars import (
     QS,
     RationalFunction,
     ScalarParseError,
+    _Record,
     _size,
     format_laurent,
     format_rational_function,
@@ -30,6 +37,8 @@ from openwires.scalars import (
     poly_gcd,
     rational_function_to_laurent,
 )
+from openwires.sfg import Gen, Par, Seq
+from openwires.symplectic import LagrangianRelation, SymplecticSpace
 
 fractions_st = st.builds(
     Fraction,
@@ -763,3 +772,113 @@ class TestRationalFunctionAgainstReference:
                     rational_function_to_laurent(g)
             else:
                 _assert_matches(rational_function_to_laurent(g), expected)
+
+
+# -- records --------------------------------------------------------------------
+
+_EDGE = (FinFunction(1, 2, (0,)), FinFunction(1, 2, (1,)))
+_EDGE_REPR = (
+    "FinCospan(left=FinFunction(domain_size=1, codomain_size=2, table=(0,)), "
+    "right=FinFunction(domain_size=1, codomain_size=2, table=(1,)))"
+)
+_QQ_LINE = "Subspace(field=Field('Q'), ambient_dim=2, basis=((Fraction(1, 1), Fraction(0, 1)),))"
+
+
+# Each record with the repr that the package gave when its value types were
+# dataclasses; the benchmark's corpus digest hashes these reprs.
+RECORDS = [
+    (
+        lambda: FinFunction(2, 3, (0, 2)),
+        "FinFunction(domain_size=2, codomain_size=3, table=(0, 2))",
+    ),
+    (lambda: FinCospan(*_EDGE), _EDGE_REPR),
+    (
+        lambda: Corelation(1, 2, (0, 1, 0), 2),
+        "Corelation(left_size=1, right_size=2, class_of=(0, 1, 0), num_classes=2)",
+    ),
+    (
+        lambda: LabelledGraph(2, ((0, 1, Fraction(1, 2)),)),
+        "LabelledGraph(num_nodes=2, edges=((0, 1, Fraction(1, 2)),))",
+    ),
+    (
+        lambda: OpenCircuit(QQ, LabelledGraph(2, ((0, 1, Fraction(2)),)), FinCospan(*_EDGE)),
+        "OpenCircuit(field=Field('Q'), graph=LabelledGraph(num_nodes=2, "
+        f"edges=((0, 1, Fraction(2, 1)),)), cospan={_EDGE_REPR})",
+    ),
+    (
+        lambda: DirichletForm(QQ, 2, ((Fraction(0), Fraction(3)), (Fraction(3), Fraction(0)))),
+        "DirichletForm(field=Field('Q'), size=2, coeff=((Fraction(0, 1), Fraction(3, 1)), "
+        "(Fraction(3, 1), Fraction(0, 1))))",
+    ),
+    (
+        lambda: Subspace(QS, 2, ((QS.one, QS.zero),)),
+        "Subspace(field=Field('Q(s)'), ambient_dim=2, "
+        "basis=((RationalFunction('1'), RationalFunction('0')),))",
+    ),
+    (lambda: Subspace(QQ, 2, ((Fraction(1), Fraction(0)),)), _QQ_LINE),
+    (lambda: SymplecticSpace(QQ, 1, -1), "SymplecticSpace(field=Field('Q'), n=1, sign=-1)"),
+    (
+        lambda: LagrangianRelation(
+            QQ,
+            SymplecticSpace(QQ, 1),
+            SymplecticSpace(QQ, 0),
+            Subspace(QQ, 2, ((Fraction(1), Fraction(0)),)),
+        ),
+        "LagrangianRelation(field=Field('Q'), dom=SymplecticSpace(field=Field('Q'), n=1, sign=1), "
+        f"cod=SymplecticSpace(field=Field('Q'), n=0, sign=1), space={_QQ_LINE})",
+    ),
+    (
+        lambda: PolyMatrix(1, 2, ((LaurentPoly(-1, [Fraction(1), Fraction(2)]), LaurentPoly()),)),
+        "PolyMatrix(rows=1, cols=2, entries=((LaurentPoly('2+s^-1'), LaurentPoly('0')),))",
+    ),
+    (
+        lambda: SnfResult(None, PolyMatrix.identity(1), None, None, None, 1),
+        "SnfResult(u=None, d=PolyMatrix(rows=1, cols=1, entries=((LaurentPoly('1'),),)), "
+        "v=None, u_inv=None, v_inv=None, rank=1)",
+    ),
+    (
+        lambda: MatCospan(PolyMatrix.identity(1), PolyMatrix.zeros(1, 0)),
+        "MatCospan(left=PolyMatrix(rows=1, cols=1, entries=((LaurentPoly('1'),),)), "
+        "right=PolyMatrix(rows=1, cols=0, entries=((),)))",
+    ),
+    (
+        lambda: BehaviourRep(1, 1, PolyMatrix.from_lists([[1, -1]])),
+        "BehaviourRep(m=1, n=1, kernel_matrix=PolyMatrix(rows=1, cols=2, "
+        "entries=((LaurentPoly('1'), LaurentPoly('-1')),)))",
+    ),
+    (lambda: Gen("x", Fraction(-3, 2)), "Gen(name='x', value=Fraction(-3, 2))"),
+    (
+        lambda: Seq(Gen("copy"), Gen("add")),
+        "Seq(first=Gen(name='copy', value=None), second=Gen(name='add', value=None))",
+    ),
+    (
+        lambda: Par(Gen("id"), Seq(Gen("delay"), Gen("co-x", Fraction(1)))),
+        "Par(first=Gen(name='id', value=None), second=Seq(first=Gen(name='delay', value=None), "
+        "second=Gen(name='co-x', value=Fraction(1, 1))))",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, text", RECORDS, ids=[text.split("(")[0] for _, text in RECORDS])
+def test_records_are_frozen_values(make, text):
+    record = make()
+    rebuilt = make()
+    assert record is not rebuilt and record == rebuilt and hash(record) == hash(rebuilt)
+    assert not record != rebuilt and copy.copy(record) == record
+    # a record of another class with the same fields and values is a different value
+    twin = object.__new__(type("Twin", (_Record,), {"__slots__": record.__slots__}))
+    for name in record.__slots__:
+        object.__setattr__(twin, name, getattr(record, name))
+    assert record != twin and twin != record
+    sibling = {Seq: Par, Par: Seq}.get(record.__class__)
+    if sibling is not None:
+        assert record != sibling(record.first, record.second)
+    for name in record.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert repr(record) == text
+

@@ -70,6 +70,8 @@ class TestTyping:
             Gen("x")
         with pytest.raises(SfgTypeError):
             Gen("add", F(1))
+        with pytest.raises(SfgTypeError):
+            Gen("x", 0.5)
 
     def test_register_count_traversal(self):
         term = parse_term(SPLUSONE)
