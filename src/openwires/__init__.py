@@ -16,7 +16,7 @@ from importlib import import_module
 _EXPORTS = {
     "scalars": (
         "Field", "LaurentPoly", "Polynomial", "QQ", "QS", "Rational", "RationalFunction",
-        "laurent_gcd", "parse_laurent", "parse_rational", "parse_scalar_expression",
+        "parse_rational", "parse_scalar_expression",
     ),
     "finset": (
         "Corelation", "FinCospan", "FinFunction", "compose_corelations", "compose_cospans",

@@ -23,7 +23,8 @@ that a sum or product needs a gcd of small factors only; the gcd itself
 is Brown's primitive remainder sequence over Z[s].
 
 Everything is immutable and hashable, and values that compare equal hash
-equal: a constant hashes as the rational it equals.  All operations
+equal: a constant hashes as the rational it equals.  Copies and pickles
+rebuild a value from its canonical fields.  All operations
 return fresh values.  Division by zero raises ``ZeroDivisionError``
 rather than producing a sentinel.
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -237,6 +238,13 @@ class _IntegerPoly:
 
     def __setattr__(self, *args):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the canonical fields: the
+        default route assigns the slots, which a value refuses."""
+        return _new, (self.__class__, self.offset, self.nums, self.den)
 
     @classmethod
     def constant(cls, value):
@@ -557,6 +565,12 @@ class RationalFunction:
     def __setattr__(self, *args):
         raise AttributeError("RationalFunction is immutable")
 
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Rebuilt from the canonical fields, as ``_IntegerPoly`` is."""
+        return _rf, (self.num, self.den)
+
     @staticmethod
     def from_fraction(q) -> "RationalFunction":
         return _rf(Polynomial.constant(q), _P_ONE)
@@ -755,17 +769,6 @@ class LaurentPoly(_IntegerPoly):
         return _new(LaurentPoly, offset, nums, den)
 
     @staticmethod
-    def from_map(terms: Mapping[int, Union[Fraction, int]]) -> "LaurentPoly":
-        """Canonicalize an exponent -> coefficient map."""
-        nonzero = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
-        if not nonzero:
-            return LaurentPoly._zero
-        lo = min(nonzero)
-        hi = max(nonzero)
-        coeffs = [nonzero.get(e, _ZERO) for e in range(lo, hi + 1)]
-        return LaurentPoly(lo, coeffs)
-
-    @staticmethod
     def monomial(coeff, exponent: int) -> "LaurentPoly":
         q = _as_fraction(coeff)
         if not q:
@@ -858,22 +861,6 @@ LaurentPoly._zero = _new(LaurentPoly, 0, (), 1)
 _L_ONE = _new(LaurentPoly, 0, (1,), 1)
 
 
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Canonical gcd in Q[s, s^-1] (offset 0, leading coefficient 1)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.canonical()[1]
-
-
-def rational_function_to_laurent(f: RationalFunction) -> LaurentPoly:
-    """Convert when the denominator is a monomial q*s^k; raise otherwise."""
-    # the denominator is monic, so a monomial one is s^k itself
-    d = f.den.nums
-    if any(d[:-1]):
-        raise ValueError(f"{f} is not a Laurent polynomial")
-    return LaurentPoly(1 - len(d), f.num.coeffs)
-
-
 # -- text formatting ---------------------------------------------------------
 
 
@@ -899,10 +886,6 @@ def _format_terms(terms: dict[int, Fraction]) -> str:
 
 def format_polynomial(p: Polynomial) -> str:
     return _format_terms({i: c for i, c in enumerate(p.coeffs) if c != 0})
-
-
-def format_laurent(p: LaurentPoly) -> str:
-    return _format_terms(p.terms())
 
 
 def format_rational_function(f: RationalFunction) -> str:
@@ -1109,10 +1092,6 @@ def parse_rational(text: str) -> Fraction:
     if value.den.degree > 0 or value.num.degree > 0:
         raise ScalarParseError(text, 0, "expected a plain rational, found s")
     return value.num.leading
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    return rational_function_to_laurent(parse_scalar_expression(text))
 
 
 # -- field objects -----------------------------------------------------------

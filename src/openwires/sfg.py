@@ -14,13 +14,16 @@ carries a rational, each generator constrains its adjacent wires, and each
 delay reads out its register and stores its other side for the next tick.
 The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
-extends to a trace that is infinite in both directions.  The tick
-relation merges equal wires before its one elimination, whose rows past
-the internal wires are the relation's annihilator.  ``check_trace`` scans
-the window in constraint form: a set of register states is its reduced
-rows [E | e], kept as primitive integer rows, and each tick's image is one
-elimination of the annihilator, with the observed boundary substituted,
-stacked on those rows.  The padding horizons stop at the first repeated
+extends to a trace that is infinite in both directions.  Each term has
+one reduced system per tick: register ends are wires, equal wires are
+merged, and one elimination with the inner wires first reduces the rest.
+``step`` substitutes the registers and the boundary into it, and its rows
+past the inner wires are the tick relation's annihilator, which
+``check_trace`` and the sampler read.  ``check_trace`` scans the window
+in constraint form: a set of register states is its reduced rows [E | e],
+kept as primitive integer rows, and each tick's image is one elimination
+of the annihilator, with the observed boundary substituted, stacked on
+those rows.  The padding horizons stop at the first repeated
 image, within one step per register, which makes the biinfinite condition
 finitely checkable.
 
@@ -218,132 +221,119 @@ def sfg_denote(term: Term) -> MatCospan:
 
 
 class _Network:
-    """Wire-level constraint view of a term for one clock tick.
+    """Wire-level constraint view of a term for one clock tick, built by
+    one traversal that checks the types.
 
-    Wires are variables; each equation row spans (wires, regs_in,
-    regs_out) and must equal zero.  The ``num_registers`` registers are
-    numbered in traversal order; a delay's two equations tie the wire
-    read out this tick to its ``rin`` and the wire stored for the next
-    to its ``rout``.
+    Every variable is a wire, numbered 0..size-1, and each equation
+    {wire: coefficient} must sum to zero.  A delay's register ends are two
+    more wires: ``rin[k]``, the value register k reads out this tick, and
+    ``rout[k]``, the value it stores for the next, with registers numbered
+    in traversal order.  ``left`` and ``right`` are the port wires.
     """
 
-    __slots__ = ("num_wires", "left_ports", "right_ports", "equations", "num_registers")
+    __slots__ = ("size", "rin", "rout", "left", "right", "equations")
 
-    def __init__(self, num_wires, left_ports, right_ports, equations, num_registers):
-        self.num_wires = num_wires
-        self.left_ports = left_ports
-        self.right_ports = right_ports
-        self.equations = equations
-        self.num_registers = num_registers
-
-
-def _build_network(term: Term) -> _Network:
-    """The network of a well-typed term; the traversal checks the types."""
-    builder = _NetworkBuilder()
-    left, right = builder.visit(term)
-    return _Network(
-        num_wires=builder.next_wire,
-        left_ports=left,
-        right_ports=right,
-        equations=builder.equations,
-        num_registers=builder.next_register,
-    )
-
-
-class _NetworkBuilder:
-    def __init__(self):
-        self.next_wire = 0
-        self.next_register = 0
+    def __init__(self, term: Term):
+        self.size = 0
+        self.rin: list[int] = []
+        self.rout: list[int] = []
         self.equations: list[dict] = []
+        self.left, self.right = _fold(term, self._generator, self._glue, _side_by_side)
 
-    def wire(self) -> int:
-        self.next_wire += 1
-        return self.next_wire - 1
+    def _wires(self, count: int) -> list[int]:
+        self.size += count
+        return list(range(self.size - count, self.size))
 
-    def equate(self, terms: dict):
-        """terms maps ('w', idx) / ('rin', idx) / ('rout', idx) to coeffs."""
-        self.equations.append(terms)
-
-    def visit(self, term: Term) -> tuple[list[int], list[int]]:
-        """(left ports, right ports) of ``term``; wires, registers and
-        equations are allocated in left-to-right traversal order."""
-        return _fold(term, self.visit_gen, self.glue, _side_by_side)
-
-    def glue(self, first, second) -> tuple[list[int], list[int]]:
+    def _glue(self, first, second) -> tuple[list[int], list[int]]:
         """Sequential composition: the first term's right ports meet the
         second's left ports."""
         (left1, right1), (left2, right2) = first, second
         _check_composable(len(right1), len(left2))
-        for a, b in zip(right1, left2):
-            self.equate({("w", a): 1, ("w", b): -1})
+        self.equations += [{a: 1, b: -1} for a, b in zip(right1, left2)]
         return left1, right2
 
-    def visit_gen(self, gen: Gen) -> tuple[list[int], list[int]]:
+    def _generator(self, gen: Gen) -> tuple[list[int], list[int]]:
         """A ``co-`` generator is its generator with the two sides
         exchanged."""
         m, n = GENERATOR_TYPES[gen.name]
-        left = [self.wire() for _ in range(m)]
-        right = [self.wire() for _ in range(n)]
+        left, right = self._wires(m), self._wires(n)
         a, b = (right, left) if gen.name.startswith("co-") else (left, right)
         name = gen.name.removeprefix("co-")
+        equate = self.equations.append
         if name == "add":
-            self.equate({("w", a[0]): 1, ("w", a[1]): 1, ("w", b[0]): -1})
+            equate({a[0]: 1, a[1]: 1, b[0]: -1})
         elif name == "zero":
-            self.equate({("w", b[0]): 1})
+            equate({b[0]: 1})
         elif name == "copy":
-            self.equate({("w", a[0]): 1, ("w", b[0]): -1})
-            self.equate({("w", a[0]): 1, ("w", b[1]): -1})
+            equate({a[0]: 1, b[0]: -1})
+            equate({a[0]: 1, b[1]: -1})
         elif name == "x":
-            self.equate({("w", a[0]): gen.value, ("w", b[0]): -1})
+            equate({a[0]: gen.value, b[0]: -1})
         elif name == "id":
-            self.equate({("w", a[0]): 1, ("w", b[0]): -1})
+            equate({a[0]: 1, b[0]: -1})
         elif name == "tw":
-            self.equate({("w", a[0]): 1, ("w", b[1]): -1})
-            self.equate({("w", a[1]): 1, ("w", b[0]): -1})
+            equate({a[0]: 1, b[1]: -1})
+            equate({a[1]: 1, b[0]: -1})
         elif name == "delay":
-            reg = self.register()
+            rin, rout = self._wires(2)
+            self.rin.append(rin)
+            self.rout.append(rout)
             # the right wire shows the stored value and the left wire is stored,
             # or the other way round for co-delay
-            self.equate({("w", b[0]): 1, ("rin", reg): -1})
-            self.equate({("rout", reg): 1, ("w", a[0]): -1})
+            equate({b[0]: 1, rin: -1})
+            equate({rout: 1, a[0]: -1})
         elif name != "discard":
             raise SfgTypeError(f"unknown generator {gen.name!r}")
         return left, right
-
-    def register(self) -> int:
-        self.next_register += 1
-        return self.next_register - 1
 
 
 INFEASIBLE = "infeasible"
 NONDETERMINATE = "nondeterminate"
 
 
-def _contract(network: _Network):
-    """Merge the columns that an equation x = y equates.
+def _tick_system(term: Term):
+    """The reduced tick system of a term: (pivots, rows, inner, d, m, n).
 
-    Columns are the wires, then regs_in, then regs_out.  Returns the
-    classes and the other equations, each as {class root: coefficient}.
+    Equations x = y between wires are merged first.  The columns are then
+    the ``inner`` classes that hold no register end and no port, followed
+    by regs_in, left, right and regs_out, one column each.  A class
+    holding several of those is represented by the first and tied to the
+    others by equality rows.  The rows are the ``_integer_rref`` of the
+    remaining equations and the equality rows, with their pivots.  Every
+    inner class is a column, one that no equation constrains too, so that
+    ``step`` finds it undetermined.
     """
-    w, d = network.num_wires, network.num_registers
-    offset = {"w": 0, "rin": w, "rout": w + d}
-    classes = UnionFind(w + 2 * d)
-    remaining = []
+    network = _Network(term)
+    classes = UnionFind(network.size)
+    equations = []
     for eq in network.equations:
         if len(eq) == 2:
             (a, ca), (b, cb) = eq.items()
             if ca == -cb:
-                classes.union(offset[a[0]] + a[1], offset[b[0]] + b[1])
+                classes.union(a, b)
                 continue
-        remaining.append(eq)
-    equations = []
-    for eq in remaining:
-        terms: dict = {}
-        for (kind, idx), coeff in eq.items():
-            root = classes.find(offset[kind] + idx)
-            terms[root] = terms.get(root, 0) + coeff
-        equations.append(terms)
-    return classes, equations
+        equations.append(eq)
+    ends = [*network.rin, *network.left, *network.right, *network.rout]
+    roots = [classes.find(x) for x in ends]
+    first = {r: p for p, r in reversed(list(enumerate(roots)))}  # earliest column per class
+    internal = sorted({classes.find(x) for x in range(network.size)} - first.keys())
+    inner = len(internal)
+    width = inner + len(ends)
+    column = {root: k for k, root in enumerate(internal)}
+    column.update((root, inner + position) for root, position in first.items())
+    rows = []
+    for eq in equations:
+        row = [0] * width
+        for x, coeff in eq.items():
+            row[column[classes.find(x)]] += coeff
+        rows.append(row)
+    for position, root in enumerate(roots):
+        if first[root] != position:
+            row = [0] * width
+            row[column[root]], row[inner + position] = 1, -1
+            rows.append(row)
+    pivots, reduced = _integer_rref(rows, width)
+    return pivots, reduced, inner, len(network.rin), len(network.left), len(network.right)
 
 
 def step(
@@ -353,89 +343,36 @@ def step(
 
     Returns the forced next register assignment, or INFEASIBLE when the
     boundary values are not in the one-step behaviour, or NONDETERMINATE
-    when internal wires (or the next registers) are underdetermined.
-    Equal wires are merged first; then the current registers and the
-    boundary are pinned and one elimination over the classes decides.
+    when internal wires (or the next registers) are underdetermined.  The
+    current registers and the boundary are substituted into the reduced
+    tick system, and one elimination over the inner classes and regs_out
+    decides.
     """
-    network = _build_network(term)
+    _, reduced, inner, d, m, n = _tick_system(term)
     u, v = boundary
-    if len(u) != len(network.left_ports) or len(v) != len(network.right_ports):
+    if len(u) != m or len(v) != n:
         raise ValueError("boundary dimensions do not match the term")
-    if len(state) != network.num_registers:
+    if len(state) != d:
         raise ValueError("register state has wrong length")
-    w, d = network.num_wires, network.num_registers
-    classes, equations = _contract(network)
-    roots = sorted({classes.find(x) for x in range(w + 2 * d)})
-    column = {root: k for k, root in enumerate(roots)}
-    width = len(roots)
-    rows = []
-    for eq in equations:
-        row = [0] * (width + 1)
-        for root, coeff in eq.items():
-            row[column[root]] = coeff
-        rows.append(row)
-    pins = zip(
-        [w + k for k in range(d)] + network.left_ports + network.right_ports,
-        [*state, *u, *v],
-    )
-    for x, value in pins:
-        row = [0] * (width + 1)
-        row[column[classes.find(x)]] = 1
-        row[width] = Fraction(value)
-        rows.append(row)
-    solved = _solve(QQ, rows, width)
-    if solved is None:
+    rows = _substituted(reduced, inner, inner + d + m + n, (*state, *u, *v))
+    pivots, solved = _integer_rref(rows, inner + d + 1)
+    if pivots and pivots[-1] == inner + d:
         return INFEASIBLE
-    values, (pivots, _) = solved
-    if len(pivots) < width:
+    if len(pivots) < inner + d:
         return NONDETERMINATE
-    return [values[column[classes.find(w + d + k)]] for k in range(d)]
+    return [Fraction(row[-1], row[col]) for col, row in zip(pivots[inner:], solved[inner:])]
 
 
 def _tick_constraints(term: Term):
     """The tick relation's annihilator over (regs_in, left, right,
     regs_out) in reduced form, as primitive integer rows with positive
-    pivots, with (d, m, n).
-
-    Equations x = y between wires (or a wire and a register) are merged
-    first.  A class holding register or port columns is represented by
-    the first of them and tied to the others by equality rows.  One
-    elimination with the internal classes first leaves, as the rows whose
-    pivot lies past them, the rows that vanish on every internal column:
-    sliced to the boundary columns, the annihilator's reduced form.
+    pivots, with (d, m, n): the rows of the reduced tick system whose
+    pivot lies past the inner classes, which vanish on every inner column,
+    sliced to the boundary columns.
     """
-    network = _build_network(term)
-    w = network.num_wires
-    d = network.num_registers
-    classes, equations = _contract(network)
-    columns = (
-        [w + k for k in range(d)]
-        + network.left_ports
-        + network.right_ports
-        + [w + d + k for k in range(d)]
-    )
-    roots = [classes.find(v) for v in columns]
-    first = {r: p for p, r in reversed(list(enumerate(roots)))}  # earliest column per class
-    used = {root for eq in equations for root in eq}
-    internal = sorted(used - first.keys())
-    inner = len(internal)
-    width = inner + len(columns)
-    column = {root: k for k, root in enumerate(internal)}
-    column.update((root, inner + position) for root, position in first.items())
-    rows = []
-    for eq in equations:
-        row = [0] * width
-        for root, coeff in eq.items():
-            row[column[root]] = coeff
-        rows.append(row)
-    for position, root in enumerate(roots):
-        if first[root] != position:
-            row = [0] * width
-            row[column[root]], row[inner + position] = 1, -1
-            rows.append(row)
-    pivots, reduced = _integer_rref(rows, width)
+    pivots, reduced, inner, d, m, n = _tick_system(term)
     annihilator = [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
-    return annihilator, d, len(network.left_ports), len(network.right_ports)
+    return annihilator, d, m, n
 
 
 def tick_relation(term: Term) -> Subspace:

@@ -26,17 +26,20 @@ from openwires.scalars import (
     QS,
     RationalFunction,
     _as_fraction,
-    format_laurent,
+    _format_terms,
     format_polynomial,
     format_rational_function,
+    parse_scalar_expression,
 )
 from openwires.sfg import (
     GENERATOR_TYPES,
     Gen,
+    INFEASIBLE,
+    NONDETERMINATE,
     Par,
     Seq,
+    _Network,
     _affine_solve,
-    _build_network,
     _fold,
     count_registers,
     term_type,
@@ -869,10 +872,10 @@ class ReferenceLaurent:
         return unit, rep
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({format_laurent(self)!r})"
+        return f"LaurentPoly({str(self)!r})"
 
     def __str__(self) -> str:
-        return format_laurent(self)
+        return _format_terms(self.terms())
 
 
 def _coerce_reference(value):
@@ -892,27 +895,48 @@ def reference_is_controllable(c: MatCospan) -> bool:
     return cospans_equivalent(span_to_cospan(r, s), c)
 
 
-def reference_tick_relation(term):
-    """The one-tick relation by the dense route: the kernel of every wire
-    equation over all wires and registers, projected onto
-    (regs_in, left, right, regs_out)."""
-    network = _build_network(term)
-    w = network.num_wires
-    d = network.num_registers
-    offset = {"w": 0, "rin": w, "rout": w + d}
+def _dense_wire_rows(network, rhs=()):
+    """Every wire equation of a network as a row over all its wires, with
+    the entries of ``rhs`` appended."""
     rows = []
     for eq in network.equations:
-        row = [Fraction(0)] * (w + 2 * d)
-        for (kind, idx), coeff in eq.items():
-            row[offset[kind] + idx] += coeff
+        row = [Fraction(0)] * network.size
+        for wire, coeff in eq.items():
+            row[wire] += coeff
+        rows.append(row + list(rhs))
+    return rows
+
+
+def reference_tick_relation(term):
+    """The one-tick relation by the dense route: the kernel of every wire
+    equation over all wires, register ends included, projected onto
+    (regs_in, left, right, regs_out)."""
+    network = _Network(term)
+    columns = [*network.rin, *network.left, *network.right, *network.rout]
+    return kernel_of_matrix(QQ, _dense_wire_rows(network), network.size).project(columns)
+
+
+def reference_step(term, state, boundary):
+    """``step`` by the dense route, sharing no reduction with it: every
+    wire equation with no merging, one pin row per regs_in, left and right
+    wire, and ``reference_rref`` over all wires.  A pivot in the rhs column
+    is infeasible, a rank below the number of wires nondeterminate, and
+    otherwise regs_out is read off the reduced rows."""
+    network = _Network(term)
+    size = network.size
+    rows = _dense_wire_rows(network, [Fraction(0)])
+    pins = zip([*network.rin, *network.left, *network.right], [*state, *boundary[0], *boundary[1]])
+    for wire, value in pins:
+        row = [Fraction(0)] * (size + 1)
+        row[wire], row[size] = Fraction(1), Fraction(value)
         rows.append(row)
-    columns = (
-        [w + k for k in range(d)]
-        + network.left_ports
-        + network.right_ports
-        + [w + d + k for k in range(d)]
-    )
-    return kernel_of_matrix(QQ, rows, w + 2 * d).project(columns)
+    reduced = reference_rref(QQ, rows, size + 1)
+    pivots = [next(k for k, c in enumerate(row) if c) for row in reduced]
+    if pivots and pivots[-1] == size:
+        return INFEASIBLE
+    if len(pivots) < size:
+        return NONDETERMINATE
+    return [reduced[pivots.index(wire)][size] for wire in network.rout]
 
 
 class _ReferenceAffineSet:
@@ -1422,3 +1446,31 @@ def laurent_to_rational_function(p: LaurentPoly) -> RationalFunction:
     """p = s^offset (c_0 + c_1 s + ...) as an element of Q(s)."""
     num = Polynomial([0] * max(p.offset, 0) + list(p.coeffs))
     return RationalFunction(num, Polynomial([0] * max(-p.offset, 0) + [1]))
+
+
+def rational_function_to_laurent(f: RationalFunction) -> LaurentPoly:
+    """Convert when the denominator is a monomial q*s^k; raise otherwise."""
+    # the denominator is monic, so a monomial one is s^k itself
+    d = f.den.nums
+    if any(d[:-1]):
+        raise ValueError(f"{f} is not a Laurent polynomial")
+    return LaurentPoly(1 - len(d), f.num.coeffs)
+
+
+def parse_laurent(text: str) -> LaurentPoly:
+    return rational_function_to_laurent(parse_scalar_expression(text))
+
+
+def laurent_from_map(terms: Mapping[int, Union[Fraction, int]]) -> LaurentPoly:
+    """The LaurentPoly of an exponent -> coefficient map."""
+    if not terms:
+        return LaurentPoly()
+    lo = min(terms)
+    return LaurentPoly(lo, [terms.get(e, 0) for e in range(lo, max(terms) + 1)])
+
+
+def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Canonical gcd in Q[s, s^-1] (offset 0, leading coefficient 1)."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.canonical()[1]

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    laurent_gcd,
     laurent_to_rational_function,
     neg_matrix,
+    parse_laurent,
     rand_laurent,
     rand_poly_matrix,
     rand_term,
@@ -33,12 +35,7 @@ from openwires.lti import (
     span_to_cospan,
     tensor_mat_cospans,
 )
-from openwires.scalars import (
-    LaurentPoly,
-    QS,
-    laurent_gcd,
-    parse_laurent,
-)
+from openwires.scalars import LaurentPoly, QS
 from openwires.sfg import Gen, Par, Seq, sfg_denote, term_type
 from openwires.linalg import Subspace, kernel_of_matrix
 
@@ -366,8 +363,6 @@ class TestControllability:
             a, b = rand_laurent(rng, 2), rand_laurent(rng, 2)
             if a.is_zero() and b.is_zero():
                 continue
-            from openwires.scalars import laurent_gcd
-
             cospan = MatCospan(pm([[a]]), pm([[b]]))
             assert is_controllable(cospan) == laurent_gcd(a, b).is_unit()
             checked += 1

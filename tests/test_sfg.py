@@ -12,6 +12,7 @@ from conftest import (
     rand_term,
     reference_check_trace,
     reference_sample_biinfinite_window,
+    reference_step,
     reference_tick_relation,
     run_chain,
 )
@@ -179,6 +180,37 @@ class TestStep:
             v = [F(0)]
             state = step(term, state, (u, v))
             assert state not in (INFEASIBLE, NONDETERMINATE)
+
+    def test_random_terms_match_the_dense_reference(self):
+        """``step`` against ``reference_step``, which merges no wires and
+        shares no reduction with it, on random boundaries and along
+        sampled windows."""
+        rng = random.Random(79)
+        outcomes = set()
+
+        def values(k):
+            return [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(k)]
+
+        def assert_matches(term, state, boundary):
+            outcome = step(term, state, boundary)
+            assert outcome == reference_step(term, state, boundary)
+            outcomes.add(outcome if isinstance(outcome, str) else "state")
+            return outcome
+
+        for _ in range(300):
+            term = rand_term(rng, 10)
+            (m, n), d = term_type(term), count_registers(term)
+            for _ in range(3):
+                assert_matches(term, values(d), (values(m), values(n)))
+            sampled = sample_biinfinite_window(term, 4, rng)
+            if sampled is None:
+                continue
+            window, state = sampled
+            for boundary in window:
+                state = assert_matches(term, state, boundary)
+                if isinstance(state, str):
+                    break
+        assert outcomes == {INFEASIBLE, NONDETERMINATE, "state"}
 
 
 class TestCheckTrace:
