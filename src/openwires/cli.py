@@ -448,11 +448,7 @@ def _cmd_sfg_equiv(args) -> int:
     first = load_term(args.first)
     second = load_term(args.second)
     if term_type(first) != term_type(second):
-        print(
-            f"terms have different types {term_type(first)} vs {term_type(second)}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError(f"terms have different types {term_type(first)} vs {term_type(second)}")
     equivalent = behaviour_eq(
         behaviour_rep(sfg_denote(first)), behaviour_rep(sfg_denote(second))
     )
@@ -578,14 +574,14 @@ def _cmd_sfg_check_trace(args) -> int:
 
 
 def _cmd_sfg_step(args) -> int:
-    from .sfg import INFEASIBLE, NONDETERMINATE, step, successor_states
+    from .sfg import INFEASIBLE, NONDETERMINATE, step, step_unmerged
 
     term = load_term(args.term)
     state = _vector_option(args.state, "state") or []
     u = _vector_option(args.left, "left") or []
     v = _vector_option(args.right, "right") or []
     outcome = step(term, state, (u, v))
-    if args.oracle and not _step_agrees(outcome, successor_states(term, state, (u, v))):
+    if args.oracle and outcome != step_unmerged(term, state, (u, v)):
         return _internal_error("step outcome disagrees with the tick relation")
     if outcome in (INFEASIBLE, NONDETERMINATE):
         print(json.dumps({"result": outcome}) if args.json else outcome)
@@ -595,27 +591,6 @@ def _cmd_sfg_step(args) -> int:
     else:
         print("next state: [" + ", ".join(str(v) for v in outcome) + "]")
     return 0
-
-
-def _step_agrees(outcome, successors) -> bool:
-    """Does a step outcome match the tick relation's successor states?
-
-    A returned state must be the only one the relation allows, and
-    INFEASIBLE means it allows none.  NONDETERMINATE needs at least one:
-    the relation hides the internal wires, which may be what is free.
-    """
-    from .sfg import INFEASIBLE, NONDETERMINATE
-
-    if outcome == INFEASIBLE:
-        return successors is None
-    if outcome == NONDETERMINATE:
-        return successors is not None
-    # the rows [E | e] of a single state are [I | state]
-    return (
-        successors is not None
-        and len(successors) == len(outcome)
-        and [row[-1] for row in successors] == outcome
-    )
 
 
 _DOMAINS = {"circuit": "open circuit commands", "sfg": "signal-flow term commands"}

@@ -14,10 +14,13 @@ diagonal divisibility-ordered; everything else here is built on that:
 * controllability, read off the invariant factors of [A -B]: it holds iff
   every nonzero one is a unit, and those that are not are the witness.
 
-There is one Smith elimination.  Each operation runs it once, mirroring
-the row and column operations only into the transforms it reads (U, U^-1,
-V, V^-1); the controllability test tracks none.  The public ``snf``
-tracks all four.
+There is one Smith elimination.  Each operation runs it once, passing
+the blocks its answer is read from: a block to the right of M takes the
+row operations and ends as U^-1 times itself, a block below M takes the
+column operations and ends as itself times V^-1.  So a pushout passes
+its outer legs and reads the composite's legs, and the controllability
+test passes nothing.  Only the public ``snf`` also mirrors the
+operations into U and V.
 
 Behaviours are LTI systems on biinfinite streams, but streams are never
 materialized: a behaviour is always carried as a finite kernel
@@ -26,7 +29,7 @@ representation [A -B].
 
 from __future__ import annotations
 
-from typing import Collection, Sequence
+from typing import Sequence
 
 from .scalars import LaurentPoly, _axpy, _Record
 
@@ -70,12 +73,6 @@ class PolyMatrix(_Record):
     def zeros(rows: int, cols: int) -> "PolyMatrix":
         return PolyMatrix(rows, cols, tuple(tuple(_L0 for _ in range(cols)) for _ in range(rows)))
 
-    def __getitem__(self, pos: tuple[int, int]) -> LaurentPoly:
-        return self.entries[pos[0]][pos[1]]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -96,18 +93,6 @@ class PolyMatrix(_Record):
             out.append(tuple(row))
         return _matrix(self.rows, other.cols, tuple(out))
 
-    def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return _matrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
@@ -117,15 +102,14 @@ class PolyMatrix(_Record):
             tuple(ra + rb for ra, rb in zip(self.entries, other.entries)),
         )
 
-    def vstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return _matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def block_diag(self, other: "PolyMatrix") -> "PolyMatrix":
-        top = self.hstack(PolyMatrix.zeros(self.rows, other.cols))
-        bottom = PolyMatrix.zeros(other.rows, self.cols).hstack(other)
-        return top.vstack(bottom)
+        pad_right, pad_left = (_L0,) * other.cols, (_L0,) * self.cols
+        return _matrix(
+            self.rows + other.rows,
+            self.cols + other.cols,
+            tuple(row + pad_right for row in self.entries)
+            + tuple(pad_left + row for row in other.entries),
+        )
 
     def take_rows(self, indices: Sequence[int]) -> "PolyMatrix":
         return _matrix(
@@ -165,11 +149,7 @@ def _matrix(rows: int, cols: int, entries: tuple) -> PolyMatrix:
 
 
 class SnfResult(_Record):
-    """M = u . d . v with u, v invertible; inverses carried along.
-
-    A factor the elimination was not asked to track is None; ``snf``
-    tracks all four.
-    """
+    """M = u . d . v with u, v invertible, and their inverses."""
 
     __slots__ = ("u", "d", "v", "u_inv", "v_inv", "rank")
 
@@ -186,34 +166,39 @@ class SnfResult(_Record):
         return [self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))]
 
 
-def _identity_rows(n: int) -> list[list[LaurentPoly]]:
-    return [[_L1 if i == j else _L0 for j in range(n)] for i in range(n)]
-
-
 class _Eliminator:
-    """Mutable SNF working state: D with row/col operations mirrored into
-    the tracked invertible factors and inverses (None when untracked)."""
+    """Mutable SNF working state: one list of working rows.
 
-    def __init__(self, m: PolyMatrix, track: Collection[str]):
-        self.d = [list(row) for row in m.entries]
+    The first ``rows`` rows are M's, each extended by the matching row of
+    ``right``; row operations act on them whole, so the extension ends as
+    U^-1 . right.  The rows of ``below`` follow; column operations act on
+    them too, so they end as below . V^-1.  Pivots are taken only inside
+    M's block.  ``u`` (U transposed, so that it too takes row operations)
+    and ``v`` receive the inverse operations; without ``mirror`` their
+    rows are empty and cost nothing.
+    """
+
+    def __init__(self, m: PolyMatrix, right, below, mirror: bool):
+        if right is None:
+            right = PolyMatrix.zeros(m.rows, 0)
         self.rows = m.rows
         self.cols = m.cols
-        self.u = _identity_rows(m.rows) if "u" in track else None
-        self.u_inv = _identity_rows(m.rows) if "u_inv" in track else None
-        self.v = _identity_rows(m.cols) if "v" in track else None
-        self.v_inv = _identity_rows(m.cols) if "v_inv" in track else None
+        self.width = right.cols
+        self.d = [[*row, *more] for row, more in zip(m.entries, right.entries)]
+        if below is not None:
+            self.d += map(list, below.entries)
+        self.u = _identity_rows(m.rows) if mirror else [[] for _ in range(m.rows)]
+        self.v = _identity_rows(m.cols) if mirror else [[] for _ in range(m.cols)]
+        self.rank = 0
 
-    # D' = E D with E elementary: U absorbs E^-1 on the right, U_inv = E U_inv
+    # D' = E D with E elementary: U absorbs E^-1 on the right (a row
+    # operation on U^T), and the extension of M's rows takes E itself
 
     def swap_rows(self, a: int, b: int):
         if a == b:
             return
         self.d[a], self.d[b] = self.d[b], self.d[a]
-        if self.u_inv is not None:
-            self.u_inv[a], self.u_inv[b] = self.u_inv[b], self.u_inv[a]
-        if self.u is not None:
-            for row in self.u:
-                row[a], row[b] = row[b], row[a]
+        self.u[a], self.u[b] = self.u[b], self.u[a]
 
     def add_row(self, src: int, dst: int, factor: LaurentPoly, sign: int):
         """row_dst += sign * factor * row_src, with sign 1 or -1.
@@ -225,33 +210,20 @@ class _Eliminator:
         if factor.is_zero():
             return
         self.d[dst] = [_axpy(a, factor, b, sign) for a, b in zip(self.d[dst], self.d[src])]
-        if self.u_inv is not None:
-            self.u_inv[dst] = [
-                _axpy(a, factor, b, sign) for a, b in zip(self.u_inv[dst], self.u_inv[src])
-            ]
-        if self.u is not None:
-            for row in self.u:
-                row[src] = _axpy(row[src], factor, row[dst], -sign)
+        self.u[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.u[src], self.u[dst])]
 
     def scale_row(self, idx: int, unit: LaurentPoly):
-        self.d[idx] = [unit * e for e in self.d[idx]]
-        if self.u_inv is not None:
-            self.u_inv[idx] = [unit * e for e in self.u_inv[idx]]
-        if self.u is not None:
-            inv = unit.unit_inverse()
-            for row in self.u:
-                row[idx] = row[idx] * inv
+        """row_idx /= unit; U's column idx is multiplied by it."""
+        inv = unit.unit_inverse()
+        self.d[idx] = [inv * e for e in self.d[idx]]
+        self.u[idx] = [unit * e for e in self.u[idx]]
 
     def swap_cols(self, a: int, b: int):
         if a == b:
             return
         for row in self.d:
             row[a], row[b] = row[b], row[a]
-        if self.v_inv is not None:
-            for row in self.v_inv:
-                row[a], row[b] = row[b], row[a]
-        if self.v is not None:
-            self.v[a], self.v[b] = self.v[b], self.v[a]
+        self.v[a], self.v[b] = self.v[b], self.v[a]
 
     def add_col(self, src: int, dst: int, factor: LaurentPoly, sign: int):
         """col_dst += sign * factor * col_src, with sign 1 or -1.
@@ -263,32 +235,25 @@ class _Eliminator:
             return
         for row in self.d:
             row[dst] = _axpy(row[dst], factor, row[src], sign)
-        if self.v_inv is not None:
-            for row in self.v_inv:
-                row[dst] = _axpy(row[dst], factor, row[src], sign)
-        if self.v is not None:
-            self.v[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.v[src], self.v[dst])]
+        self.v[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.v[src], self.v[dst])]
 
-    def result(self) -> SnfResult:
-        rank = 0
-        size = min(self.rows, self.cols)
-        while rank < size and not self.d[rank][rank].is_zero():
-            rank += 1
-        return SnfResult(
-            u=_square(self.u),
-            d=_matrix(self.rows, self.cols, tuple(tuple(r) for r in self.d)),
-            v=_square(self.v),
-            u_inv=_square(self.u_inv),
-            v_inv=_square(self.v_inv),
-            rank=rank,
-        )
+    def factors(self) -> list[LaurentPoly]:
+        """The nonzero invariant factors, in divisibility order."""
+        return [self.d[k][k] for k in range(self.rank)]
+
+    def right(self, keep: range) -> PolyMatrix:
+        """Rows ``keep`` of U^-1 . right."""
+        rows = tuple(tuple(self.d[i][self.cols :]) for i in keep)
+        return _matrix(len(rows), self.width, rows)
+
+    def below(self) -> PolyMatrix:
+        """below . V^-1."""
+        rows = tuple(map(tuple, self.d[self.rows :]))
+        return _matrix(len(rows), self.cols, rows)
 
 
-def _square(rows):
-    """A tracked square factor as a PolyMatrix; None stays None."""
-    if rows is None:
-        return None
-    return _matrix(len(rows), len(rows), tuple(tuple(r) for r in rows))
+def _identity_rows(n: int) -> list[list[LaurentPoly]]:
+    return [[_L1 if i == j else _L0 for j in range(n)] for i in range(n)]
 
 
 def snf(m: PolyMatrix) -> SnfResult:
@@ -297,20 +262,29 @@ def snf(m: PolyMatrix) -> SnfResult:
     Pivots are chosen with minimal degree spread (ties broken by position),
     which makes the computation terminate and reproducible.  Diagonal
     entries are canonicalized to offset 0 with leading coefficient 1 and
-    ordered by divisibility.  The library's own callers run the same
-    elimination through ``_eliminate`` with only the transforms they read.
+    ordered by divisibility.  U^-1 and V^-1 ride along as identities to
+    the right of and below M; U and V are mirrored.
     """
-    return _eliminate(m, ("u", "u_inv", "v", "v_inv"))
+    work = _eliminate(m, PolyMatrix.identity(m.rows), PolyMatrix.identity(m.cols), True)
+    return SnfResult(
+        u=_matrix(m.rows, m.rows, tuple(zip(*work.u))),
+        d=_matrix(m.rows, m.cols, tuple(tuple(row[: m.cols]) for row in work.d[: m.rows])),
+        v=_matrix(m.cols, m.cols, tuple(map(tuple, work.v))),
+        u_inv=work.right(range(m.rows)),
+        v_inv=work.below(),
+        rank=work.rank,
+    )
 
 
-def _eliminate(m: PolyMatrix, track: Collection[str]) -> SnfResult:
-    """The Smith elimination, mirroring row and column operations only into
-    the transforms named in ``track`` (any of "u", "u_inv", "v", "v_inv").
+def _eliminate(m: PolyMatrix, right=None, below=None, mirror: bool = False) -> _Eliminator:
+    """The Smith elimination of m, with ``right`` (m.rows rows, or None)
+    taking its row operations and ``below`` (m.cols columns, or None) its
+    column operations; ``mirror`` also keeps U and V.
 
-    D and every tracked transform are exactly those of ``snf(m)``: the
-    pivots and the updates of D do not depend on what is tracked.
+    D does not depend on what rides along: the pivots and the updates of
+    D are those of ``snf(m)``.
     """
-    work = _Eliminator(m, track)
+    work = _Eliminator(m, right, below, mirror)
     pos = 0
     size = min(m.rows, m.cols)
     while pos < size:
@@ -327,14 +301,12 @@ def _eliminate(m: PolyMatrix, track: Collection[str]) -> SnfResult:
                 break
             work.add_row(offender, pos, _L1, 1)
         pos += 1
-    for k in range(size):
-        entry = work.d[k][k]
-        if entry.is_zero():
-            break
-        unit, _ = entry.canonical()
+    while work.rank < size and not work.d[work.rank][work.rank].is_zero():
+        unit, _ = work.d[work.rank][work.rank].canonical()
         if not unit.is_one():
-            work.scale_row(k, unit.unit_inverse())
-    return work.result()
+            work.scale_row(work.rank, unit)
+        work.rank += 1
+    return work
 
 
 def _find_pivot(work: _Eliminator, pos: int):
@@ -391,29 +363,30 @@ def kernel_basis(m: PolyMatrix) -> PolyMatrix:
     """Columns spanning ker(m) as a free module (cols x nullity matrix).
 
     With M = U D V of rank r, the kernel is V^-1 applied to the last
-    cols - r coordinate axes.
+    cols - r coordinate axes; V^-1 rides along as the identity below M.
     """
-    decomposition = _eliminate(m, ("v_inv",))
-    return decomposition.v_inv.take_cols(range(decomposition.rank, m.cols))
+    work = _eliminate(m, None, PolyMatrix.identity(m.cols))
+    return work.below().take_cols(range(work.rank, m.cols))
 
 
 def solve_left(m: PolyMatrix, target: PolyMatrix):
     """A matrix x with x . m = target over the ring, or None.
 
     Writing m = U D V, the equation becomes (x U) D = target V^-1, which
-    is a divisibility condition columnwise.
+    is a divisibility condition columnwise.  The target rides along below
+    m and the identity to its right, so they end as target V^-1 and U^-1.
     """
     if m.cols != target.cols:
         raise ValueError("column mismatch in solve_left")
-    decomposition = _eliminate(m, ("u_inv", "v_inv"))
-    transformed = target.mul(decomposition.v_inv)
-    r = decomposition.rank
+    work = _eliminate(m, PolyMatrix.identity(m.rows), target)
+    transformed = work.below()
+    r = work.rank
     rows = []
     for i in range(target.rows):
         row = []
         for j in range(m.rows):
             if j < r:
-                d = decomposition.d.entries[j][j]
+                d = work.d[j][j]
                 entry = transformed.entries[i][j]
                 q, rem = divmod(entry, d)
                 if not rem.is_zero():
@@ -427,7 +400,7 @@ def solve_left(m: PolyMatrix, target: PolyMatrix):
             if not transformed.entries[i][j].is_zero():
                 return None
     y = _matrix(target.rows, m.rows, tuple(rows))
-    return y.mul(decomposition.u_inv)
+    return y.mul(work.right(range(m.rows)))
 
 
 class MatCospan(_Record):
@@ -468,7 +441,9 @@ def compose_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
     The glue matrix K = [B1; -A2], with A2's entries negated as they are
     stacked, is quotiented out along with its saturation (torsion must die
     for the quotient to stay free): with SNF K = U D V of rank r, the
-    projection onto the pushout is the last d1 + d2 - r rows of U^-1.
+    projection onto the pushout is the last d1 + d2 - r rows of U^-1.  The
+    outer legs ride along to the right of K as block_diag(A1, B2), so
+    those rows of it are the composite's legs.
     """
     if a.cod != b.dom:
         raise ValueError("cospan feet do not match")
@@ -476,12 +451,9 @@ def compose_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
     glue = _matrix(
         d1 + d2, a.cod, a.right.entries + tuple(tuple(-e for e in row) for row in b.left.entries)
     )
-    decomposition = _eliminate(glue, ("u_inv",))
-    keep = range(decomposition.rank, d1 + d2)
-    projection = decomposition.u_inv.take_rows(keep)
-    left = projection.take_cols(range(d1)).mul(a.left)
-    right = projection.take_cols(range(d1, d1 + d2)).mul(b.right)
-    return MatCospan(left, right)
+    work = _eliminate(glue, a.left.block_diag(b.right))
+    legs = work.right(range(work.rank, d1 + d2))
+    return MatCospan(legs.take_cols(range(a.dom)), legs.take_cols(range(a.dom, a.dom + b.cod)))
 
 
 def tensor_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
@@ -490,15 +462,12 @@ def tensor_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
 
 def mat_corelation(c: MatCospan) -> MatCospan:
     """The jointly-epic representative: the epi part D_r V_r of the
-    copairing [A B] = U D V, the first rank rows of V each scaled by its
-    invariant factor (the split mono U is not built)."""
-    decomposition = _eliminate(c.left.hstack(c.right), ("v",))
-    v = decomposition.v
-    rows = tuple(
-        v.entries[i] if d.is_one() else tuple(d * e for e in v.entries[i])
-        for i, d in enumerate(decomposition.diagonal[: decomposition.rank])
-    )
-    epi = _matrix(len(rows), v.cols, rows)
+    copairing [A B] = U D V.  The copairing rides along to its own right,
+    ending as U^-1 [A B] = D V, whose first rank rows are D_r V_r (the
+    split mono U is not built)."""
+    copairing = c.left.hstack(c.right)
+    work = _eliminate(copairing, copairing)
+    epi = work.right(range(work.rank))
     return MatCospan(epi.take_cols(range(c.dom)), epi.take_cols(range(c.dom, c.dom + c.cod)))
 
 
@@ -584,10 +553,9 @@ def controllability(c: MatCospan) -> tuple[bool, list[LaurentPoly]]:
     ker [A -B] is controllable iff every nonzero invariant factor of
     [A -B] is a unit (Willems' left-primeness); the witness is the list of
     those that are not, canonical and in divisibility order, empty exactly
-    when the verdict is True.  No transform is tracked.
+    when the verdict is True.  Nothing rides along.
     """
-    decomposition = _eliminate(kernel_representation(c), ())
-    torsion = [d for d in decomposition.diagonal[: decomposition.rank] if not d.is_unit()]
+    torsion = [d for d in _eliminate(kernel_representation(c)).factors() if not d.is_unit()]
     return not torsion, torsion
 
 

@@ -92,6 +92,15 @@ def neg_matrix(m: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(m.rows, m.cols, tuple(tuple(-e for e in row) for row in m.entries))
 
 
+def stack_matrices(top: PolyMatrix, bottom: PolyMatrix) -> PolyMatrix:
+    """[top; bottom]: the rows of top, then those of bottom."""
+    return PolyMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
+
+
+def is_zero_matrix(m: PolyMatrix) -> bool:
+    return all(e.is_zero() for row in m.entries for e in row)
+
+
 def rand_fin_function(rng: random.Random, domain: int, codomain: int) -> FinFunction:
     return FinFunction(domain, codomain, tuple(rng.randrange(codomain) for _ in range(domain)))
 

@@ -229,6 +229,15 @@ class TestCommands:
         code = main(["sfg", "equiv", fixture("splusone.sfg"), fixture("wire.sfg")])
         assert code == 1
 
+    def test_sfg_equiv_of_different_types(self, capsys, tmp_path):
+        adder = tmp_path / "add.sfg"
+        adder.write_text("add\n")
+        for extra in ([], ["--json"], ["--oracle"]):
+            assert main(["sfg", "equiv", *extra, fixture("wire.sfg"), str(adder)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: terms have different types (1, 1) vs (2, 1)\n"
+
     def test_check_trace(self, capsys):
         window = json.dumps([[[(-1) ** k], [0]] for k in range(6)])
         assert (
@@ -519,6 +528,7 @@ class TestSfgOracle:
             ("[0,1]", []),
             ("[0,0]", sfg.NONDETERMINATE),
             ("[0,0]", ["1", "0"]),
+            ("[0,1]", sfg.NONDETERMINATE),
         ],
     )
     def test_step_disagreement(self, capsys, monkeypatch, state, forced):
@@ -530,12 +540,31 @@ class TestSfgOracle:
         capsys.readouterr()
         self._assert_internal_error(capsys, argv + ["--oracle"])
 
+    def test_step_oracle_reads_no_tick_system(self, capsys, monkeypatch, tmp_path):
+        # a faulty reduction that leaves out the inner classes, so that the
+        # free wire of co-discard ; discard goes unseen and ``step`` reports
+        # the empty next state instead of nondeterminate
+        tick_system = sfg._tick_system
+
+        def without_inner(term):
+            pivots, reduced, inner, d, m, n = tick_system(term)
+            kept = [(col - inner, row[inner:]) for col, row in zip(pivots, reduced) if col >= inner]
+            return tuple(col for col, _ in kept), [row for _, row in kept], 0, d, m, n
+
+        monkeypatch.setattr(sfg, "_tick_system", without_inner)
+        path = tmp_path / "dangling.sfg"
+        path.write_text("co-discard ; discard\n")
+        argv = ["sfg", "step", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        self._assert_internal_error(capsys, argv + ["--oracle"])
+
     def test_controllable_pullback_disagreement(self, capsys, monkeypatch):
         pullback_span = lti.pullback_span
 
         def wrong_span(cospan):
             r, s = pullback_span(cospan)
-            return r, s.add(s)
+            return r, lti.PolyMatrix(s.rows, s.cols, tuple(tuple(e + e for e in row) for row in s.entries))
 
         monkeypatch.setattr(lti, "pullback_span", wrong_span)
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])

@@ -23,7 +23,7 @@ from openwires.circuit import LabelledGraph, OpenCircuit
 from openwires.dirichlet import DirichletForm
 from openwires.finset import Corelation, FinCospan, FinFunction
 from openwires.linalg import Subspace
-from openwires.lti import BehaviourRep, MatCospan, PolyMatrix, SnfResult
+from openwires.lti import BehaviourRep, MatCospan, PolyMatrix, snf
 from openwires.scalars import (
     LaurentPoly,
     Polynomial,
@@ -783,6 +783,7 @@ _EDGE_REPR = (
     "right=FinFunction(domain_size=1, codomain_size=2, table=(1,)))"
 )
 _QQ_LINE = "Subspace(field=Field('Q'), ambient_dim=2, basis=((Fraction(1, 1), Fraction(0, 1)),))"
+_EYE = "PolyMatrix(rows=1, cols=1, entries=((LaurentPoly('1'),),))"
 
 
 # Each record with the repr that the package gave when its value types were
@@ -833,9 +834,8 @@ RECORDS = [
         "PolyMatrix(rows=1, cols=2, entries=((LaurentPoly('2+s^-1'), LaurentPoly('0')),))",
     ),
     (
-        lambda: SnfResult(None, PolyMatrix.identity(1), None, None, None, 1),
-        "SnfResult(u=None, d=PolyMatrix(rows=1, cols=1, entries=((LaurentPoly('1'),),)), "
-        "v=None, u_inv=None, v_inv=None, rank=1)",
+        lambda: snf(PolyMatrix.identity(1)),
+        f"SnfResult(u={_EYE}, d={_EYE}, v={_EYE}, u_inv={_EYE}, v_inv={_EYE}, rank=1)",
     ),
     (
         lambda: MatCospan(PolyMatrix.identity(1), PolyMatrix.zeros(1, 0)),
