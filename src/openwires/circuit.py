@@ -94,6 +94,12 @@ def boundary(c: OpenCircuit) -> list[int]:
     return sorted(set(c.cospan.left.table) | set(c.cospan.right.table))
 
 
+def _terminal_positions(c: OpenCircuit) -> list[int]:
+    """For each terminal of X + Y, the position of its node in ``boundary(c)``."""
+    position = {node: k for k, node in enumerate(boundary(c))}
+    return [position[node] for node in c.cospan.left.table + c.cospan.right.table]
+
+
 def compose_circuits(a: OpenCircuit, b: OpenCircuit) -> OpenCircuit:
     """Glue b onto a along the shared boundary.
 

@@ -68,7 +68,10 @@ def parse_circuit_document(doc: dict, default_field: Field | None = None):
     if field_name is None:
         field = default_field or field_by_name("Q")
     else:
-        field = field_by_name(str(field_name))
+        try:
+            field = field_by_name(str(field_name))
+        except ValueError as err:
+            raise DocumentError(str(err)) from None
         if default_field is not None and field != default_field:
             raise DocumentError(
                 f"document field {field.name} conflicts with --field {default_field.name}"
@@ -80,13 +83,27 @@ def parse_circuit_document(doc: dict, default_field: Field | None = None):
         duplicates = sorted({n for n in nodes if nodes.count(n) > 1})
         raise DocumentError(f"duplicate node names: {', '.join(duplicates)}")
     index = {name: k for k, name in enumerate(nodes)}
+
+    def node(name, where: str) -> int:
+        if isinstance(name, str) and name in index:
+            return index[name]
+        # any other value, an unhashable one included, names no node; the
+        # quote of a nested one is cut short
+        import reprlib
+
+        quoted = repr(name) if isinstance(name, str) else reprlib.repr(name)
+        raise DocumentError(f"{where} references unknown node {quoted}")
+
+    listed = doc.get("edges", [])
+    if not isinstance(listed, list):
+        raise DocumentError("'edges' must be a list of edges")
     edges = []
-    for position, edge in enumerate(doc.get("edges", [])):
+    for position, edge in enumerate(listed):
         if not isinstance(edge, dict):
             raise DocumentError(f"edge #{position} must be an object")
         try:
-            src = index[edge["src"]]
-            tgt = index[edge["tgt"]]
+            src = node(edge["src"], f"edge #{position}")
+            tgt = node(edge["tgt"], f"edge #{position}")
         except KeyError as missing:
             raise DocumentError(
                 f"edge #{position} references unknown node {missing}"
@@ -102,11 +119,7 @@ def parse_circuit_document(doc: dict, default_field: Field | None = None):
         names = doc.get(key, [])
         if not isinstance(names, list):
             raise DocumentError(f"'{key}' must be a list of node names")
-        table = []
-        for name in names:
-            if name not in index:
-                raise DocumentError(f"'{key}' references unknown node {name!r}")
-            table.append(index[name])
+        table = [node(name, f"'{key}'") for name in names]
         return FinFunction(len(table), len(nodes), tuple(table))
 
     graph = LabelledGraph(len(nodes), tuple(edges))

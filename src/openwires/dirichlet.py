@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import OpenCircuit, boundary
+from .circuit import OpenCircuit, _terminal_positions, boundary
 from .finset import cospan_to_corelation
 from .linalg import _solve
 from .scalars import Field, QQ, _Record
@@ -277,41 +277,16 @@ def realizable_extension(
 def circuits_equivalent(a: OpenCircuit, b: OpenCircuit) -> bool:
     """Same power functional after aligning boundaries through the legs.
 
-    The two cospans must induce the same partition of X + Y; each block
-    then names one boundary node on each side and the power functionals
-    are compared entrywise under that bijection.
+    The two cospans must induce the same partition of X + Y.  Every
+    terminal then names one boundary node on each side, terminals of one
+    block the same node, and the power functionals must agree at the
+    nodes of every pair of terminals.
     """
     if a.field != b.field:
         raise ValueError("circuits must share a scalar field")
-    ca = cospan_to_corelation(a.cospan)
-    cb = cospan_to_corelation(b.cospan)
-    if ca != cb:
+    if cospan_to_corelation(a.cospan) != cospan_to_corelation(b.cospan):
         raise ValueError("incompatible boundary interfaces")
-    qa = power_functional(a)
-    qb = power_functional(b)
-    node_a = _block_to_boundary_index(a)
-    node_b = _block_to_boundary_index(b)
-    if len(node_a) != qa.size or len(node_b) != qb.size:
-        # boundary nodes unreachable from X + Y cannot exist: the boundary
-        # is by definition the union of leg images
-        raise AssertionError("boundary bookkeeping out of sync")
-    for block_i in range(ca.num_classes):
-        for block_j in range(ca.num_classes):
-            if (
-                qa.coeff[node_a[block_i]][node_a[block_j]]
-                != qb.coeff[node_b[block_i]][node_b[block_j]]
-            ):
-                return False
-    return True
-
-
-def _block_to_boundary_index(c: OpenCircuit) -> list[int]:
-    """For each X+Y block, the position of its node in the sorted boundary."""
-    nodes = boundary(c)
-    position = {node: k for k, node in enumerate(nodes)}
-    corel = cospan_to_corelation(c.cospan)
-    legs = list(c.cospan.left.table) + list(c.cospan.right.table)
-    out = [-1] * corel.num_classes
-    for element, block in enumerate(corel.class_of):
-        out[block] = position[legs[element]]
-    return out
+    qa, qb = power_functional(a), power_functional(b)
+    # a's boundary nodes to b's: one entry per block
+    node = dict(zip(_terminal_positions(a), _terminal_positions(b)))
+    return all(qa.coeff[i][j] == qb.coeff[node[i]][node[j]] for i in node for j in node)

@@ -3,9 +3,11 @@
 The state space of a boundary set X is the standard symplectic space
 S(X) = F^X + (F^X)*, potentials then currents, with
 omega((phi, i), (phi', i')) = i'(phi) - i(phi').  A relation S(X) -> S(Y)
-is a Lagrangian subspace of the conjugated sum: internally every relation
-is stored over the fixed coordinate order (phi_X.., phi_Y.., i_X.., i_Y..)
-and the conjugation of the domain is a sign in the omega evaluation, not a
+is a Lagrangian subspace of the conjugated sum.  A relation X -> Y lives
+on the terminals X + Y: their potentials, then their currents, so its
+coordinates are (phi_X.., phi_Y.., i_X.., i_Y..).  ``_columns`` names
+that layout, and every operation below reads its column lists from it.
+The conjugation of the domain is a sign in the omega evaluation, not a
 data change.
 
 Composition is plain relational composition, computed from the two
@@ -28,9 +30,9 @@ route answers by the oracle.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .circuit import OpenCircuit, boundary
+from .circuit import OpenCircuit, _terminal_positions
 from .dirichlet import DegenerateFormError, DirichletForm, extended_power, power_functional
 from .finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
 from .linalg import Subspace, _null_vectors, _rref, kernel_of_matrix
@@ -58,21 +60,21 @@ class SymplecticSpace(_Record):
         return 2 * self.n
 
 
+def _columns(terminals: Iterable[int], total: int) -> list[int]:
+    """The potential columns, then the current columns, of ``terminals``
+    in a relation on ``total`` terminals."""
+    terminals = list(terminals)
+    return terminals + [total + t for t in terminals]
+
+
 def _relation_omega_pairs(
     dom: SymplecticSpace, cod: SymplecticSpace
 ) -> list[tuple[int, int, int]]:
-    """(phi_index, current_index, sign) triples of the conjugated-sum form.
-
-    Coordinates are (phi_X.., phi_Y.., i_X.., i_Y..); the domain block
-    enters conjugated, so its own sign is flipped.
-    """
+    """(phi column, current column, sign) of each terminal in the
+    conjugated-sum form; the domain enters conjugated, so its own sign is
+    flipped."""
     total = dom.n + cod.n
-    pairs = []
-    for k in range(dom.n):
-        pairs.append((k, total + k, -dom.sign))
-    for k in range(cod.n):
-        pairs.append((dom.n + k, total + dom.n + k, cod.sign))
-    return pairs
+    return [(t, total + t, -dom.sign if t < dom.n else cod.sign) for t in range(total)]
 
 
 def _omega_eval(pairs, u: Sequence, v: Sequence, zero):
@@ -108,10 +110,10 @@ def symplectic_complement(space: Subspace, sym: SymplecticSpace) -> Subspace:
 class LagrangianRelation(_Record):
     """A Lagrangian subspace of conj(dom) + cod.
 
-    The subspace lives over the coordinates
-    (phi_X.., phi_Y.., i_X.., i_Y..) with X the domain boundary.  The
-    endpoints carry their own signs, so symplectomorphisms onto conjugate
-    spaces (the current twist) are first-class relations.
+    A relation X -> Y lives on the terminals X + Y: their potentials, then
+    their currents, (phi_X.., phi_Y.., i_X.., i_Y..).  The endpoints carry
+    their own signs, so symplectomorphisms onto conjugate spaces (the
+    current twist) are first-class relations.
     """
 
     __slots__ = ("field", "dom", "cod", "space")
@@ -145,65 +147,30 @@ class LagrangianRelation(_Record):
         return True
 
     def converse(self) -> "LagrangianRelation":
-        """The same wires read from the other side (the dagger)."""
-        x, y = self.dom.n, self.cod.n
-
-        def flip(row):
-            phi_x = row[:x]
-            phi_y = row[x : x + y]
-            i_x = row[x + y : x + y + x]
-            i_y = row[x + y + x :]
-            return list(phi_y) + list(phi_x) + list(i_y) + list(i_x)
-
-        return LagrangianRelation(
-            self.field,
-            self.cod,
-            self.dom,
-            Subspace.span(self.field, 2 * (x + y), [flip(list(r)) for r in self.space.basis]),
-        )
+        """The same wires read from the other side (the dagger): the
+        basis re-read over the terminals Y + X."""
+        x, total = self.dom.n, self.dom.n + self.cod.n
+        columns = _columns([*range(x, total), *range(x)], total)
+        return LagrangianRelation(self.field, self.cod, self.dom, self.space.project(columns))
 
 
 def identity_relation(n: int, field: Field = QQ) -> LagrangianRelation:
-    zero, one = field.zero, field.one
-    rows = []
-    for k in range(n):
-        row = [zero] * (4 * n)
-        row[k] = one
-        row[n + k] = one
-        rows.append(row)
-    for k in range(n):
-        row = [zero] * (4 * n)
-        row[2 * n + k] = one
-        row[3 * n + k] = one
-        rows.append(row)
-    space = SymplecticSpace(field, n)
-    return LagrangianRelation(field, space, space, Subspace.span(field, 4 * n, rows))
+    return symplectify(Corelation.identity(n), field)
 
 
 def twist(n: int, field: Field = QQ, conjugated_domain: bool = False) -> LagrangianRelation:
     """The sign-flip symplectomorphism (phi, i) -> (phi, -i) as a relation.
 
     It lands in the conjugate of its domain; composing two of them (the
-    second read off the conjugate side) gives the identity.
+    second read off the conjugate side) gives the identity.  Its space is
+    the identity's with the codomain currents negated.
     """
-    zero, one = field.zero, field.one
-    rows = []
-    for k in range(n):
-        row = [zero] * (4 * n)
-        row[k] = one
-        row[n + k] = one
-        rows.append(row)
-    for k in range(n):
-        row = [zero] * (4 * n)
-        row[2 * n + k] = one
-        row[3 * n + k] = -one
-        rows.append(row)
     sign = -1 if conjugated_domain else 1
     return LagrangianRelation(
         field,
         SymplecticSpace(field, n, sign),
         SymplecticSpace(field, n, -sign),
-        Subspace.span(field, 4 * n, rows),
+        _negate_block(identity_relation(n, field).space, _columns(range(n, 2 * n), 2 * n)[n:]),
     )
 
 
@@ -218,17 +185,15 @@ def compose_lagrangian(
     (sum lambda_i a_i|U, sum mu_j b_j|W) over them.  This holds for any two
     linear relations, Lagrangian or not.
     """
-    if first.cod != second.dom:
-        raise ValueError("relations are not composable")
     if first.field != second.field:
         raise ValueError("relations must share a scalar field")
+    if first.cod != second.dom:
+        raise ValueError("relations are not composable")
     field = first.field
     u, v, w = first.dom_n, first.cod_n, second.cod_n
-    # first rows: (phi_U, phi_V, i_U, i_V); second rows: (phi_V, phi_W, i_V, i_W)
-    first_v = list(range(u, u + v)) + list(range(2 * u + v, 2 * (u + v)))
-    first_u = list(range(u)) + list(range(u + v, 2 * u + v))
-    second_v = list(range(v)) + list(range(v + w, 2 * v + w))
-    second_w = list(range(v, v + w)) + list(range(2 * v + w, 2 * (v + w)))
+    # the first relation lives on the terminals U + V, the second on V + W
+    first_u, first_v = _columns(range(u), u + v), _columns(range(u, u + v), u + v)
+    second_v, second_w = _columns(range(v), v + w), _columns(range(v, v + w), v + w)
     a, b = first.space.basis, second.space.basis
     agree = [[row[p] for row in a] + [-row[q] for row in b] for p, q in zip(first_v, second_v)]
     unknowns = len(a) + len(b)
@@ -245,36 +210,25 @@ def compose_lagrangian(
 def tensor_lagrangian(
     a: LagrangianRelation, b: LagrangianRelation
 ) -> LagrangianRelation:
-    """Direct sum, reshuffled into the internal coordinate order."""
+    """Direct sum: the two bases side by side on the terminals
+    X1 + Y1 + X2 + Y2, re-read over X1 + X2 + Y1 + Y2."""
     if a.field != b.field:
         raise ValueError("relations must share a scalar field")
     if a.dom.sign != b.dom.sign or a.cod.sign != b.cod.sign:
         raise ValueError("tensor requires matching conjugation on each side")
     field = a.field
-    x1, y1, x2, y2 = a.dom_n, a.cod_n, b.dom_n, b.cod_n
-    width = 2 * (x1 + x2 + y1 + y2)
-    zero = field.zero
-    rows = []
-
-    def embed(row, xs, ys, x_off, y_off):
-        out = [zero] * width
-        for k in range(xs):
-            out[x_off + k] = row[k]
-            out[x1 + x2 + y1 + y2 + x_off + k] = row[xs + ys + k]
-        for k in range(ys):
-            out[x1 + x2 + y_off + k] = row[xs + k]
-            out[x1 + x2 + y1 + y2 + x1 + x2 + y_off + k] = row[xs + ys + xs + k]
-        return out
-
-    for row in a.space.basis:
-        rows.append(embed(list(row), x1, y1, 0, 0))
-    for row in b.space.basis:
-        rows.append(embed(list(row), x2, y2, x1, y1))
+    x1, x2 = a.dom_n, b.dom_n
+    ta, tb = x1 + a.cod_n, x2 + b.cod_n
+    pad_a, pad_b = [field.zero] * tb, [field.zero] * ta
+    rows = [[*r[:ta], *pad_a, *r[ta:], *pad_a] for r in a.space.basis]
+    rows += [[*pad_b, *r[:tb], *pad_b, *r[tb:]] for r in b.space.basis]
+    terminals = [*range(x1), *range(ta, ta + x2), *range(x1, ta), *range(ta + x2, ta + tb)]
+    columns = _columns(terminals, ta + tb)
     return LagrangianRelation(
         field,
         SymplecticSpace(field, x1 + x2, a.dom.sign),
-        SymplecticSpace(field, y1 + y2, a.cod.sign),
-        Subspace.span(field, width, rows),
+        SymplecticSpace(field, a.cod_n + b.cod_n, a.cod.sign),
+        Subspace.span(field, 2 * (ta + tb), [[row[c] for c in columns] for row in rows]),
     )
 
 
@@ -307,21 +261,29 @@ def symplectify(e: Corelation, field: Field = QQ) -> LagrangianRelation:
         for element in block:
             row[element] = one
         rows.append(row)
-    for block in blocks:
-        leader = block[0]
-        leader_sign = one if leader < x else -one
-        for element in block[1:]:
-            sign = one if element < x else -one
-            row = [zero] * width
-            row[x + y + element] = one
-            row[x + y + leader] = -sign / leader_sign
-            rows.append(row)
+    rows += _wire_current_rows(blocks, x, x + y, field)
     return LagrangianRelation(
         field,
         SymplecticSpace(field, x),
         SymplecticSpace(field, y),
         Subspace.span(field, width, rows),
     )
+
+
+def _wire_current_rows(blocks: list[list[int]], inputs: int, total: int, field: Field) -> list:
+    """Ideal-wire current rows on ``total`` terminals, the first ``inputs``
+    of them inputs: each non-leader terminal t against its block leader l,
+    i_t - i_l, or i_t + i_l when one of them is an input and the other an
+    output."""
+    zero, one = field.zero, field.one
+    rows = []
+    for leader, *others in blocks:
+        for t in others:
+            row = [zero] * (2 * total)
+            row[total + t] = one
+            row[total + leader] = one if (t < inputs) != (leader < inputs) else -one
+            rows.append(row)
+    return rows
 
 
 def apply_relation(rel: LagrangianRelation, sub: Subspace) -> Subspace:
@@ -335,21 +297,17 @@ def apply_relation(rel: LagrangianRelation, sub: Subspace) -> Subspace:
         raise ValueError("subspace does not match the relation's domain")
     field = rel.field
     width = 2 * (a + b)
-    zero = field.zero
-    phi_a = list(range(a))
-    phi_b = list(range(a, a + b))
-    i_a = list(range(a + b, a + b + a))
-    i_b = list(range(a + b + a, width))
+    dom_columns = _columns(range(a), a + b)
     constraint_rows = []
     for functional in sub.constraints().basis:
-        row = [zero] * width
-        for value, position in zip(functional, phi_a + i_a):
-            row[position] = row[position] + value
+        row = [field.zero] * width
+        for value, position in zip(functional, dom_columns):
+            row[position] = value
         constraint_rows.append(row)
     for functional in rel.space.constraints().basis:
         constraint_rows.append(list(functional))
     meet = kernel_of_matrix(field, constraint_rows, width)
-    return meet.project(phi_b + i_b)
+    return meet.project(_columns(range(a, a + b), a + b))
 
 
 def _negate_block(space: Subspace, columns: Sequence[int]) -> Subspace:
@@ -388,7 +346,7 @@ def black_box(c: OpenCircuit, method: str = "fast") -> LagrangianRelation:
         wires = symplectify(_boundary_corelation(c.cospan), c.field)
         on_boundary = apply_relation(wires, decorated)
         # conjugate the input side: currents at inputs are recorded flowing in
-        space = _negate_block(on_boundary, [x + y + k for k in range(x)])
+        space = _negate_block(on_boundary, _columns(range(x), x + y)[x:])
     elif method == "fast":
         try:
             space = _fast_boundary_space(c)
@@ -405,24 +363,25 @@ def black_box(c: OpenCircuit, method: str = "fast") -> LagrangianRelation:
 
 
 def _fast_boundary_space(c: OpenCircuit) -> Subspace:
-    """One span of x + y rows over (phi_X, phi_Y, i_X, i_Y).
+    """One span of x + y rows on the terminals X + Y: their potentials,
+    then their currents.
 
-    Each boundary node n gives the potential e_n pulled back to the
-    terminals, with the currents dQ(e_n) on the first terminal of each
-    node's block; each other terminal gives its current against its
-    block leader's.  The currents are read off row n of the reduced form:
-    2 sum_j c_nj at n itself and -2 c_nk at every other node k.  Input
-    currents are recorded flowing in (sign -1).
+    The terminals are grouped by their boundary node.  Each boundary node
+    n gives the potential e_n pulled back to the terminals, with the
+    currents dQ(e_n) on the first terminal of each node's block; each
+    other terminal gives its current against its block leader's.  The
+    currents are read off row n of the reduced form: 2 sum_j c_nj at n
+    itself and -2 c_nk at every other node k.  Input currents are
+    recorded flowing in (sign -1).
     """
     field = c.field
     zero, one = field.zero, field.one
     q = power_functional(c)
     terminals = c.num_inputs + c.num_outputs
     sign = [-one if t < c.num_inputs else one for t in range(terminals)]
-    position = {node: k for k, node in enumerate(boundary(c))}
-    blocks: list[list[int]] = [[] for _ in position]
-    for t, node in enumerate(c.cospan.left.table + c.cospan.right.table):
-        blocks[position[node]].append(t)
+    blocks: list[list[int]] = [[] for _ in range(q.size)]
+    for t, k in enumerate(_terminal_positions(c)):
+        blocks[k].append(t)
     rows = []
     for n, block in enumerate(blocks):
         row = [zero] * (2 * terminals)
@@ -433,9 +392,5 @@ def _fast_boundary_space(c: OpenCircuit) -> Subspace:
             current = 2 * sum(coeffs, zero) if k == n else -2 * c_nk
             row[terminals + leader] = sign[leader] * current
         rows.append(row)
-        for t in block[1:]:
-            row = [zero] * (2 * terminals)
-            row[terminals + t] = sign[t]
-            row[terminals + block[0]] = -sign[block[0]]
-            rows.append(row)
+    rows += _wire_current_rows(blocks, c.num_inputs, terminals, field)
     return Subspace.span(field, 2 * terminals, rows)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from openwires.circuit import (
     LabelledGraph,
@@ -1357,6 +1357,41 @@ def kernel_residuals(rep, combined_window):
 
 
 # -- tools of the law tests ---------------------------------------------------
+
+
+class Category(NamedTuple):
+    """The operations of a dagger monoidal category, for ``check_category_laws``.
+
+    ``ends(f)`` is the (domain, codomain) pair of f, ``identity(x)`` the
+    identity on x, ``unit`` the identity on the tensor unit and ``equal``
+    the category's equality of morphisms.
+    """
+
+    compose: Callable
+    tensor: Callable
+    identity: Callable
+    unit: object
+    converse: Callable
+    ends: Callable
+    equal: Callable
+
+
+def check_category_laws(cat: Category, triples) -> None:
+    """The laws of a dagger monoidal category on composable triples
+    (f: X -> Y, g: Y -> Z, h: Z -> W): identities are neutral on both
+    sides, composition is associative, the converse is an involution that
+    reverses composites, the tensor unit is neutral, and tensor
+    interchanges with composition."""
+    seq, par, eq = cat.compose, cat.tensor, cat.equal
+    for f, g, h in triples:
+        x, y = cat.ends(f)
+        assert eq(seq(cat.identity(x), f), f) and eq(seq(f, cat.identity(y)), f)
+        assert eq(seq(seq(f, g), h), seq(f, seq(g, h)))
+        assert eq(cat.converse(cat.converse(f)), f)
+        assert eq(cat.converse(seq(f, g)), seq(cat.converse(g), cat.converse(f)))
+        assert eq(par(cat.unit, f), f) and eq(par(f, cat.unit), f)
+        # f (+) g : X + Y -> Y + Z, then g (+) h : Y + Z -> Z + W
+        assert eq(seq(par(f, g), par(g, h)), par(seq(f, g), seq(g, h)))
 
 
 def canonical_form(c: OpenCircuit) -> tuple:

@@ -23,6 +23,8 @@ from openwires.sfg import Gen, Par, Seq, term_type
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 # the longest error line a malformed input may print, path included
 MAX_ERROR_LINE = 400
+# a valid circuit document: two nodes, no edges, one input and one output
+_TWO_NODES = {"nodes": ["a", "b"], "edges": [], "inputs": ["a"], "outputs": ["b"]}
 
 
 def fixture(name: str) -> str:
@@ -386,6 +388,22 @@ class TestCommands:
             edge = {"src": "a", "tgt": "b", "impedance": impedance}
             doc.write_text(json.dumps({"nodes": ["a", "b"], "edges": [edge], "inputs": ["a"]}))
             cases.append(["circuit", "power", "--field", field, str(doc)])
+        # documents of the wrong shape: "edges" that is not a list, node
+        # references that are not strings (unhashable ones included) and an
+        # unknown field, which is the document's fault, not a usage error
+        malformed = [
+            {"edges": 5},
+            {"edges": None},
+            {"edges": [{"src": ["a"], "tgt": "b", "impedance": "1"}]},
+            {"edges": [{"src": "a", "tgt": {"b": 1}, "impedance": "1"}]},
+            {"inputs": [["a"]]},
+            {"field": "R"},
+            {"field": 5},
+        ]
+        for change in malformed:
+            doc = tmp_path / f"{len(cases)}.json"
+            doc.write_text(json.dumps({**_TWO_NODES, **change}))
+            cases += [["circuit", command, str(doc)] for command in ("power", "blackbox")]
         # a term file that is not UTF-8 is a file that cannot be read
         not_utf8 = tmp_path / "not_utf8.sfg"
         not_utf8.write_bytes(b"\xff\xfeid")
@@ -761,8 +779,8 @@ _bad_windows = st.lists(_bad_ticks, min_size=1, max_size=3).map(json.dumps) | _j
 @st.composite
 def _circuit_documents(draw, field: str, fault: str | None):
     """A valid circuit document over ``field`` and some of ``_NAMES``, or
-    one broken in its ``fault``: its "field", a "node" reference or an
-    "impedance"."""
+    one broken in its ``fault``: its "field", a "node" reference, an
+    "impedance", its "edges" list or an "unhashable" node reference."""
     nodes = draw(st.lists(st.sampled_from(_NAMES), unique=True, min_size=1, max_size=3))
     ends = st.sampled_from(nodes)
     impedances = st.sampled_from(_IMPEDANCES[field])
@@ -784,6 +802,16 @@ def _circuit_documents(draw, field: str, fault: str | None):
         bad = draw(st.sampled_from(_BAD_IMPEDANCES))
         position = draw(st.integers(0, len(edges)))
         edges.insert(position, {"src": nodes[0], "tgt": nodes[-1], "impedance": bad})
+    elif fault == "edges":
+        doc["edges"] = draw(st.sampled_from([5, None, "a", {}]))
+    elif fault == "unhashable":
+        bad = draw(st.sampled_from([[nodes[0]], {}]))
+        edges.append({"src": nodes[0], "tgt": nodes[-1], "impedance": "1"})
+        where = draw(st.sampled_from(["src", "tgt", "inputs", "outputs"]))
+        if where in ("src", "tgt"):
+            edges[-1][where] = bad
+        else:
+            doc[where].append(bad)
     return doc
 
 
@@ -808,7 +836,7 @@ def _command_lines(draw):
         field = draw(st.sampled_from(sorted(_IMPEDANCES)))
         for k in range(files_taken):
             if k == broken:
-                faults = st.sampled_from(["field", "node", "impedance"])
+                faults = st.sampled_from(["field", "node", "impedance", "edges", "unhashable"])
                 doc = faults.flatmap(lambda fault: _circuit_documents(field, fault))
                 text = draw(doc.map(json.dumps) | _junk)
             else:
@@ -847,6 +875,10 @@ _DEEP_IMPEDANCE = {
 
 @given(_command_lines())
 @example((["circuit", "power", "0.json"], {"0.json": json.dumps(_DEEP_IMPEDANCE)}))
+@example((["circuit", "power", "0.json"], {"0.json": json.dumps({**_TWO_NODES, "edges": 5})}))
+@example(
+    (["circuit", "blackbox", "0.json"], {"0.json": json.dumps({**_TWO_NODES, "inputs": [["a"]]})})
+)
 @example(
     (
         ["sfg", "step", "0.sfg", "--state", '["1e5000"]', "--left", "[1]", "--right", "[1]"],

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -5,12 +6,15 @@ import pytest
 
 from conftest import (
     REFERENCE_CORPORA,
+    Category,
     add_subspaces,
+    check_category_laws,
     image_of_matrix,
     intersect_subspaces,
     rand_circuit,
     rand_corelation,
     rand_fraction,
+    rand_qs_circuit,
     reference_compose_lagrangian,
     reference_corpus,
     reference_fast_box,
@@ -31,7 +35,7 @@ from openwires.finset import (
     cospan_to_corelation,
 )
 from openwires.linalg import Subspace, kernel_of_matrix
-from openwires.scalars import QQ
+from openwires.scalars import QQ, QS
 from openwires.symplectic import (
     LagrangianRelation,
     SymplecticSpace,
@@ -213,6 +217,39 @@ class TestComposition:
             assert composite.space.dim == x + z
             assert composite.is_lagrangian()
 
+    def test_fields_must_match(self):
+        with pytest.raises(ValueError, match="share a scalar field"):
+            compose_lagrangian(identity_relation(1), identity_relation(1, QS))
+
+
+class TestCategoryLaws:
+    """Lagrangian relations over Q and Q(s) form a dagger monoidal
+    category, checked on random black boxes."""
+
+    @pytest.mark.parametrize(
+        "field, rand", [(QQ, rand_circuit), (QS, rand_qs_circuit)], ids=["Q", "Q(s)"]
+    )
+    def test_laws_on_random_black_boxes(self, field, rand):
+        rng = random.Random(43)
+        triples = []
+        for _ in range(20):
+            x, y, z, w = (rng.randint(0, 3) for _ in range(4))
+            triples.append([black_box(rand(rng, *ends)) for ends in ((x, y), (y, z), (z, w))])
+        cat = Category(
+            compose=compose_lagrangian,
+            tensor=tensor_lagrangian,
+            identity=lambda n: identity_relation(n, field),
+            unit=identity_relation(0, field),
+            converse=LagrangianRelation.converse,
+            ends=lambda rel: (rel.dom_n, rel.cod_n),
+            equal=operator.eq,
+        )
+        check_category_laws(cat, triples)
+        for f, _, _ in triples:
+            n = f.cod_n
+            there = compose_lagrangian(f, twist(n, field))
+            assert compose_lagrangian(there, twist(n, field, conjugated_domain=True)) == f
+
 
 class TestSpanComposition:
     """compose_lagrangian from the two bases against intersect-then-project
@@ -256,7 +293,15 @@ class TestSymplectify:
     def test_identity_corelation(self):
         from openwires.finset import Corelation
 
-        assert symplectify(Corelation.identity(2)).space == identity_relation(2).space
+        for n in range(4):
+            # phi_k = phi'_k and i_k = i'_k: the currents flow through
+            rows = []
+            for k in range(n):
+                for offset in (0, 2 * n):
+                    row = [F(0)] * (4 * n)
+                    row[offset + k] = row[offset + n + k] = F(1)
+                    rows.append(row)
+            assert symplectify(Corelation.identity(n)).space == Subspace.span(QQ, 4 * n, rows)
 
     def test_function_copies_voltages_splits_currents(self):
         # f: {a, b} -> {c} as a corelation
@@ -303,11 +348,10 @@ class TestSymplectify:
 
 class TestTwist:
     def test_involution(self):
-        t = twist(2)
-        back = twist(2, conjugated_domain=True)
-        composite = compose_lagrangian(t, back)
-        assert composite.space == identity_relation(2).space
-        assert composite.dom == composite.cod
+        for field in (QQ, QS):
+            for n in range(4):
+                back = twist(n, field, conjugated_domain=True)
+                assert compose_lagrangian(twist(n, field), back) == identity_relation(n, field)
 
     def test_flips_current(self):
         t = twist(1)
