@@ -16,6 +16,8 @@ Signal-flow terms use a tiny infix language: generators
 
 composed with ``;`` (sequential) and ``(+)`` (parallel, binds tighter),
 with parentheses for grouping.  Example: ``copy ; (delay (+) id) ; add``.
+Terms are read with ``scalars._Scanner``, and error lines quote user
+text through ``scalars._quoted``.
 
 Each subcommand is one row of ``_COMMANDS``.  A handler imports the
 modules it calls when it runs, so a circuit command loads no signal-flow
@@ -35,7 +37,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import Field, ScalarParseError, field_by_name
+from .scalars import Field, ScalarParseError, _quoted, _Scanner, field_by_name
 
 if TYPE_CHECKING:
     from .circuit import OpenCircuit
@@ -81,7 +83,7 @@ def parse_circuit_document(doc: dict, default_field: Field | None = None):
         raise DocumentError("'nodes' must be a list of names")
     if len(set(nodes)) != len(nodes):
         duplicates = sorted({n for n in nodes if nodes.count(n) > 1})
-        raise DocumentError(f"duplicate node names: {', '.join(duplicates)}")
+        raise DocumentError(f"duplicate node names: {_quoted(', '.join(duplicates))}")
     index = {name: k for k, name in enumerate(nodes)}
 
     def node(name, where: str) -> int:
@@ -91,7 +93,7 @@ def parse_circuit_document(doc: dict, default_field: Field | None = None):
         # quote of a nested one is cut short
         import reprlib
 
-        quoted = repr(name) if isinstance(name, str) else reprlib.repr(name)
+        quoted = _quoted(name) if isinstance(name, str) else reprlib.repr(name)
         raise DocumentError(f"{where} references unknown node {quoted}")
 
     listed = doc.get("edges", [])
@@ -101,19 +103,17 @@ def parse_circuit_document(doc: dict, default_field: Field | None = None):
     for position, edge in enumerate(listed):
         if not isinstance(edge, dict):
             raise DocumentError(f"edge #{position} must be an object")
-        try:
-            src = node(edge["src"], f"edge #{position}")
-            tgt = node(edge["tgt"], f"edge #{position}")
-        except KeyError as missing:
-            raise DocumentError(
-                f"edge #{position} references unknown node {missing}"
-            ) from None
+        ends = []
+        for key in ("src", "tgt"):
+            if key not in edge:
+                raise DocumentError(f"edge #{position} has no {key!r}")
+            ends.append(node(edge[key], f"edge #{position}"))
         text = str(edge.get("impedance", ""))
         try:
             impedance = field.parse(text)
         except (ScalarParseError, ValueError) as err:
             raise DocumentError(f"edge #{position} impedance: {err}") from None
-        edges.append((src, tgt, impedance))
+        edges.append((*ends, impedance))
 
     def leg(key: str) -> FinFunction:
         names = doc.get(key, [])
@@ -174,41 +174,17 @@ class TermParseError(ValueError):
         super().__init__(f"{message} at position {pos}")
 
 
-class _TermParser:
+class _TermParser(_Scanner):
     """term := par (';' par)*;  par := atom ('(+)' atom)*;
     atom := generator | '(' term ')'.
 
-    Parsed without recursion: each '(' pushes the enclosing group's
-    sequence and parallel parts so far onto a stack and its ')' pops them,
-    so the nesting depth is not bounded by the call stack.
+    A generator is one word of letters, digits, '-' and '_'.  Parsed
+    without recursion: each '(' pushes the enclosing group's sequence and
+    parallel parts so far onto a stack and its ')' pops them, so the
+    nesting depth is not bounded by the call stack.
     """
 
-    def __init__(self, text: str):
-        from .sfg import GENERATOR_TYPES
-
-        self.text = text
-        self.pos = 0
-        # longest first, so that no name is read as a prefix of a longer one
-        self.names = sorted(
-            (name for name in GENERATOR_TYPES if name not in ("x", "co-x")), key=len, reverse=True
-        )
-
-    def error(self, message: str) -> TermParseError:
-        return TermParseError(self.text, self.pos, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def lookahead(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
-
-    def take(self, token: str) -> bool:
-        if self.lookahead(token):
-            self.pos += len(token)
-            return True
-        return False
+    error_type = TermParseError
 
     def parse(self) -> Term:
         from .sfg import Gen, Par, Seq
@@ -216,7 +192,7 @@ class _TermParser:
         groups: list[tuple] = []
         sequence = parallel = None
         while True:
-            if self.lookahead("(+)"):
+            if self.at("(+)"):
                 raise self.error("expected a generator or '('")
             if self.take("("):
                 groups.append((sequence, parallel))
@@ -242,50 +218,38 @@ class _TermParser:
                 sequence, parallel = groups.pop()
 
     def generator(self) -> tuple:
-        """The (name, value) of the generator that comes next."""
-        for name in ("co-x", "x"):
-            if self._at_scalar_name(name):
-                self.pos += len(name)
-                if not self.take("("):
-                    raise self.error(f"'{name}' takes a rational argument")
-                value = self.rational()
-                if not self.take(")"):
-                    raise self.error("expected ')'")
-                return name, value
-        for name in self.names:
-            if self._at_name(name):
-                self.pos += len(name)
-                return name, None
+        """The (name, value) of the generator whose word starts at ``pos``."""
+        from .sfg import GENERATOR_TYPES
+
+        start = self.pos
+        name = self.span(_in_word)
+        scalar = name in ("x", "co-x")
+        if scalar and not self.at("(+)") and self.take("("):
+            value = self.rational()
+            if not self.take(")"):
+                raise self.error("expected ')'")
+            return name, value
+        if name in GENERATOR_TYPES and not scalar:
+            return name, None
+        self.pos = start
         raise self.error("expected a generator or '('")
 
-    def _end_of(self, name: str) -> int:
-        """Where ``name`` ends if the input continues with it, else -1."""
-        self.skip_ws()
-        return self.pos + len(name) if self.text.startswith(name, self.pos) else -1
-
-    def _at_name(self, name: str) -> bool:
-        after = self._end_of(name)
-        next_char = self.text[after : after + 1]
-        return after >= 0 and not (next_char.isalnum() or next_char in ("-", "_"))
-
-    def _at_scalar_name(self, name: str) -> bool:
-        after = self._end_of(name)
-        rest = self.text[after:].lstrip() if after >= 0 else ""
-        return rest.startswith("(") and not rest.startswith("(+)")
-
     def rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] == "/"
-        ):
-            self.pos += 1
+        text = ("-" if self.take("-") else "") + self.span(_in_rational)
         try:
-            return Fraction(self.text[start : self.pos])
+            return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise self.error("expected a rational number") from None
+
+
+def _in_word(char: str) -> bool:
+    return char.isalnum() or char in "-_"
+
+
+# Any digit, not only a decimal one: Fraction rejects a superscript, and
+# the error is then placed at the end of the run.
+def _in_rational(char: str) -> bool:
+    return char.isdigit() or char == "/"
 
 
 def parse_term(text: str) -> Term:
@@ -554,7 +518,11 @@ def _rational(text: str) -> Fraction:
     exponent = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-")
     if exponent.isdecimal() and int(exponent) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent above the cap of {MAX_EXPONENT}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as err:
+        # Fraction's message quotes the whole text
+        raise ValueError(str(err).replace(repr(text), _quoted(text))) from None
 
 
 def _vector_option(text: str | None, what: str) -> list[Fraction] | None:

@@ -28,6 +28,10 @@ rebuild a value from its canonical fields.  All operations
 return fresh values.  Division by zero raises ``ZeroDivisionError``
 rather than producing a sentinel.
 
+User text has one reader here, ``_Scanner``, which the scalar parser and
+``cli``'s term parser subclass, and one quoting rule for error messages,
+``_quoted``.
+
 The value types of the other modules (cospans, circuits, subspaces,
 matrices, terms) are records on one base here, ``_Record``, which keeps
 the rule the scalars follow: fields in ``__slots__``, set once in
@@ -903,35 +907,75 @@ def format_rational_function(f: RationalFunction) -> str:
 # -- parsing -----------------------------------------------------------------
 
 
-# The longest text a ScalarParseError message quotes whole.  A longer
-# text is quoted as this many characters around the error position, with
-# "..." where it is cut, so that one message stays one short line.
+# The longest user text an error message quotes whole.  A longer text is
+# quoted as this many characters around the error position, with "..."
+# where it is cut, so that one message stays one short line.
 MAX_QUOTED_TEXT = 80
+
+
+def _quoted(text: str, pos: int = 0) -> str:
+    """``repr(text)``, cut to MAX_QUOTED_TEXT characters around ``pos``."""
+    if len(text) <= MAX_QUOTED_TEXT:
+        return repr(text)
+    lo = max(0, min(pos - MAX_QUOTED_TEXT // 2, len(text) - MAX_QUOTED_TEXT))
+    hi = lo + MAX_QUOTED_TEXT
+    return ("..." if lo else "") + repr(text[lo:hi]) + ("..." if hi < len(text) else "")
 
 
 class ScalarParseError(ValueError):
     """Raised on malformed scalar text, with position information.
 
     ``text`` is the whole text and ``pos`` the error position; the message
-    quotes at most ``MAX_QUOTED_TEXT`` characters of the text.
+    quotes the text around ``pos`` with ``_quoted``.
     """
 
     def __init__(self, text: str, pos: int, message: str):
         self.text = text
         self.pos = pos
-        quoted = repr(text)
-        if len(text) > MAX_QUOTED_TEXT:
-            lo = max(0, min(pos - MAX_QUOTED_TEXT // 2, len(text) - MAX_QUOTED_TEXT))
-            hi = lo + MAX_QUOTED_TEXT
-            quoted = repr(text[lo:hi])
-            if lo:
-                quoted = "..." + quoted
-            if hi < len(text):
-                quoted += "..."
-        super().__init__(f"{message} at position {pos} in {quoted}")
+        super().__init__(f"{message} at position {pos} in {_quoted(text, pos)}")
 
 
-class _ScalarParser:
+class _Scanner:
+    """A ``text`` read from ``pos`` on.  ``at`` and ``take`` skip whitespace
+    before the token they test for; ``error`` builds the subclass's
+    ``error_type`` from the text, the position and a message."""
+
+    error_type: type
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> ValueError:
+        return self.error_type(self.text, self.pos, message)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at(self, token: str) -> bool:
+        self.skip_ws()
+        return self.text.startswith(token, self.pos)
+
+    def take(self, token: str) -> bool:
+        # runs for every token: written out rather than through ``at``, and
+        # with a slice rather than ``startswith``, as both are faster
+        self.skip_ws()
+        end = self.pos + len(token)
+        if self.text[self.pos : end] == token:
+            self.pos = end
+            return True
+        return False
+
+    def span(self, test) -> str:
+        """The run of characters from ``pos`` on that pass ``test``, read."""
+        start = self.pos
+        while self.pos < len(self.text) and test(self.text[self.pos]):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+
+class _ScalarParser(_Scanner):
     """Recursive-descent parser for scalar expressions over s.
 
     Grammar (usual precedence, ^ binds tightest and is right-associative):
@@ -942,31 +986,16 @@ class _ScalarParser:
         power  := atom ('^' ['-'] integer)?
         atom   := integer | 's' | '(' expr ')'
 
+    An integer is a run of ``str.isdecimal`` digits, which ``int`` reads.
     Negative exponents are accepted only directly on the variable s.
     Nesting of '(' and unary '-' past MAX_SCALAR_DEPTH levels is refused.
     """
 
+    error_type = ScalarParseError
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.depth = 0
-
-    def error(self, message: str) -> ScalarParseError:
-        return ScalarParseError(self.text, self.pos, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
 
     def parse(self) -> RationalFunction:
         value = self.expr()
@@ -1025,28 +1054,24 @@ class _ScalarParser:
         return _rf_pow(base, exponent)
 
     def atom(self) -> tuple[RationalFunction, bool]:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if not self.take(")"):
-                raise self.error("expected ')'")
-            return value, False
-        if ch == "s":
-            self.pos += 1
+        if self.take("s"):
             return RationalFunction(Polynomial.variable()), True
-        if ch.isdigit():
-            return RationalFunction.from_fraction(self.integer()), False
-        raise self.error("expected a number, 's', or '('")
+        digits = self.span(str.isdecimal)
+        if digits:
+            return RationalFunction.from_fraction(int(digits)), False
+        if not self.take("("):
+            raise self.error("expected a number, 's', or '('")
+        value = self.expr()
+        if not self.take(")"):
+            raise self.error("expected ')'")
+        return value, False
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        digits = self.span(str.isdecimal)
+        if not digits:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        return int(digits)
 
 
 # The largest scalar the parser builds: a power may reach at most this
@@ -1161,4 +1186,4 @@ def field_by_name(name: str) -> Field:
         return QQ
     if lowered in ("q(s)", "qs"):
         return QS
-    raise ValueError(f"unknown field {name!r} (expected 'Q' or 'Q(s)')")
+    raise ValueError(f"unknown field {_quoted(name)} (expected 'Q' or 'Q(s)')")

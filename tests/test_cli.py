@@ -124,12 +124,28 @@ class TestTermParsing:
             ("(id) (id)", 5, "unexpected trailing input"),
             ("x(1", 3, "expected ')'"),
             ("x(q)", 2, "expected a rational number"),
+            # a generator is one whole word of letters, digits, '-' and '_',
+            # and only x and co-x take a value, in parentheses
+            ("idé", 0, "expected a generator or '('"),
+            ("id2", 0, "expected a generator or '('"),
+            ("xx(1)", 0, "expected a generator or '('"),
+            ("x", 0, "expected a generator or '('"),
+            ("x (+) id", 0, "expected a generator or '('"),
+            ("x(²)", 3, "expected a rational number"),
+            ("x()", 2, "expected a rational number"),
+            ("x(-)", 3, "expected a rational number"),
+            ("co-x(1/0)", 8, "expected a rational number"),
+            ("x(1-2)", 3, "expected ')'"),
         ],
     )
     def test_error_positions(self, text, pos, message):
         with pytest.raises(TermParseError) as caught:
             cli._TermParser(text).parse()
         assert caught.value.pos == pos and str(caught.value) == f"{message} at position {pos}"
+
+    def test_whitespace_between_tokens(self):
+        assert cli._TermParser("co-x ( -3/4 )").parse() == Gen("co-x", Fraction(-3, 4))
+        assert cli._TermParser("id\t;\xa0copy").parse() == Seq(Gen("id"), Gen("copy"))
 
     def test_print_parse_roundtrip(self):
         source = "copy ; (delay (+) id) ; add ; co-add ; (co-delay (+) id) ; co-copy"
@@ -404,6 +420,16 @@ class TestCommands:
             doc = tmp_path / f"{len(cases)}.json"
             doc.write_text(json.dumps({**_TWO_NODES, **change}))
             cases += [["circuit", command, str(doc)] for command in ("power", "blackbox")]
+        # long user text in a document or a vector value is quoted in part
+        for change in [
+            {"inputs": ["x" * 5000]},
+            {"nodes": ["a", "b", "y" * 3000, "y" * 3000]},
+            {"field": "f" * 3000},
+        ]:
+            doc = tmp_path / f"{len(cases)}.json"
+            doc.write_text(json.dumps({**_TWO_NODES, **change}))
+            cases.append(["circuit", "power", str(doc)])
+        cases.append([*step[:3], "--left", json.dumps(["a" * 3000]), "--right", "[1]"])
         # a term file that is not UTF-8 is a file that cannot be read
         not_utf8 = tmp_path / "not_utf8.sfg"
         not_utf8.write_bytes(b"\xff\xfeid")
@@ -417,6 +443,13 @@ class TestCommands:
             assert len(err) < MAX_ERROR_LINE, argv[:3]
         # the last case is the term file that is not UTF-8
         assert f"cannot read {not_utf8}" in err
+        # an edge without "src" says so, also where a node is named "src"
+        for nodes in (["a", "b"], ["src", "b"]):
+            doc = tmp_path / "no_src.json"
+            edge = {"tgt": "b", "impedance": "1"}
+            doc.write_text(json.dumps({**_TWO_NODES, "nodes": nodes, "edges": [edge]}))
+            assert main(["circuit", "power", str(doc)]) == 3
+            assert capsys.readouterr().err == f"error: {doc}: edge #0 has no 'src'\n"
 
 
 ALTERNATING = json.dumps([[[(-1) ** k], [0]] for k in range(6)])

@@ -245,6 +245,15 @@ class TestParsing:
             with pytest.raises(ScalarParseError):
                 parse_scalar_expression(text)
 
+    def test_digits_are_decimal(self):
+        # int() reads exactly the str.isdecimal digits, so a superscript is
+        # a positioned parse error and an Arabic-Indic three is 3
+        assert parse_scalar_expression("٣*s") == parse_scalar_expression("3*s")
+        for text, pos in (("s^²", 2), ("²", 0), ("2²", 1)):
+            with pytest.raises(ScalarParseError) as caught:
+                parse_scalar_expression(text)
+            assert caught.value.pos == pos
+
     def test_precedence(self):
         assert parse_scalar_expression("s^2+1") == parse_scalar_expression("1+s*s")
         assert parse_scalar_expression("2*s^2") == parse_scalar_expression("2*(s^2)")
