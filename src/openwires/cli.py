@@ -82,7 +82,9 @@ def parse_circuit_document(doc: dict, default_field: Field | None = None):
     if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
         raise DocumentError("'nodes' must be a list of names")
     if len(set(nodes)) != len(nodes):
-        duplicates = sorted({n for n in nodes if nodes.count(n) > 1})
+        from collections import Counter
+
+        duplicates = sorted(n for n, count in Counter(nodes).items() if count > 1)
         raise DocumentError(f"duplicate node names: {_quoted(', '.join(duplicates))}")
     index = {name: k for k, name in enumerate(nodes)}
 
@@ -151,18 +153,24 @@ def format_circuit_document(circuit: OpenCircuit, nodes: list[str] | None = None
     }
 
 
+def _unreadable(path: str, err: Exception) -> str:
+    """The error line for a file that cannot be read: the path quoted
+    through ``_quoted``, also where the error text repeats it."""
+    return f"cannot read {_quoted(path)}: {str(err).replace(repr(path), _quoted(path))}"
+
+
 def load_circuit(path: str, default_field: Field | None = None):
     try:
         with open(path) as handle:
             doc = json.load(handle)
     except OSError as err:
-        raise DocumentError(f"cannot read {path}: {err}") from None
+        raise DocumentError(_unreadable(path, err)) from None
     except (ValueError, RecursionError) as err:
-        raise DocumentError(f"{path}: invalid JSON: {err}") from None
+        raise DocumentError(f"{_quoted(path)}: invalid JSON: {err}") from None
     try:
         return parse_circuit_document(doc, default_field)
     except DocumentError as err:
-        raise DocumentError(f"{path}: {err}") from None
+        raise DocumentError(f"{_quoted(path)}: {err}") from None
 
 
 # -- term parsing ------------------------------------------------------------
@@ -265,7 +273,7 @@ def load_term(path: str) -> Term:
         with open(path) as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise TermParseError("", 0, f"cannot read {path}: {err}") from None
+        raise TermParseError("", 0, _unreadable(path, err)) from None
     return parse_term(text)
 
 

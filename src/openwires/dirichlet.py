@@ -15,18 +15,22 @@ set by the fill-in, not by the square of the node count.  Interior nodes
 go in minimum-degree order (Markowitz; Tinney and Walker): the node with
 the fewest nonzero coefficients first, ties to the lowest index, so a
 ladder's detour nodes go before the main nodes they bypass and the form
-stays sparse.  The result does not depend on the order; the fill-in and
-the size of the intermediate fractions do.  Over Q the coefficients stay
-nonnegative; over Q(s) the same formal calculus applies verbatim.  A node
-with no nonzero coefficient is dropped; a node whose nonzero coefficients
-sum to zero (possible over Q(s), where impedances cancel unchecked)
-raises ``DegenerateFormError``, because the minimum over it is then a
-constraint on the boundary, not a Dirichlet form.
+stays sparse; a heap of (degree, node) entries makes each choice.  The
+result does not depend on the order; the fill-in and the size of the
+intermediate fractions do.  ``_reduce`` leaves the coefficient map on the
+kept nodes, which the fast black box reads as it is, and ``_form`` builds
+a ``DirichletForm`` from it.  Over Q the coefficients stay nonnegative;
+over Q(s) the same formal calculus applies verbatim.  A node with no
+nonzero coefficient is dropped; a node whose nonzero coefficients sum to
+zero (possible over Q(s), where impedances cancel unchecked) raises
+``DegenerateFormError``: the minimum over it is a constraint on the
+boundary, not a Dirichlet form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .circuit import OpenCircuit, _terminal_positions, boundary
@@ -112,7 +116,7 @@ def extended_power(c: OpenCircuit) -> DirichletForm:
     Each edge contributes 1/(2 Z(e)) to c_{s(e), t(e)}; self-loops
     contribute nothing.
     """
-    return _reduce(c.field, _edge_adjacency(c), range(c.graph.num_nodes))
+    return _form(c.field, _edge_adjacency(c), range(c.graph.num_nodes))
 
 
 def eliminate_node(q: DirichletForm, n: int) -> DirichletForm:
@@ -123,7 +127,7 @@ def eliminate_node(q: DirichletForm, n: int) -> DirichletForm:
     """
     if not 0 <= n < q.size:
         raise ValueError("node index out of range")
-    return _reduce(q.field, _adjacency(q), [i for i in range(q.size) if i != n])
+    return _form(q.field, _adjacency(q), [i for i in range(q.size) if i != n])
 
 
 def minimize(q: DirichletForm, keep: Sequence[int]) -> DirichletForm:
@@ -141,7 +145,7 @@ def minimize(q: DirichletForm, keep: Sequence[int]) -> DirichletForm:
         raise ValueError("keep must be a strictly increasing index subset")
     if any(not 0 <= i < q.size for i in keep):
         raise ValueError("keep contains indices out of range")
-    return _reduce(q.field, _adjacency(q), keep)
+    return _form(q.field, _adjacency(q), keep)
 
 
 def power_functional(c: OpenCircuit) -> DirichletForm:
@@ -151,7 +155,7 @@ def power_functional(c: OpenCircuit) -> DirichletForm:
     coefficients are read straight off the edges and the interior is
     eliminated sparsely, without the dense extended form.
     """
-    return _reduce(c.field, _edge_adjacency(c), boundary(c))
+    return _form(c.field, _edge_adjacency(c), boundary(c))
 
 
 def _edge_adjacency(c: OpenCircuit) -> dict[int, dict[int, object]]:
@@ -182,22 +186,30 @@ def _set_pair(adjacency: dict, i: int, j: int, value) -> None:
         adjacency[j].pop(i, None)
 
 
-def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
-    """Eliminate every index outside ``keep``, each time the one with the
-    fewest nonzero coefficients (the lowest index on a tie), then build
-    (and validate) the one form on ``keep``."""
+def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> dict:
+    """Eliminate in place every index outside ``keep``, each time the one
+    with the fewest nonzero coefficients (the lowest index on a tie), and
+    return ``adjacency``, now the coefficients on ``keep``.  Each elimination
+    re-pushes its interior neighbours; a stale heap entry is skipped."""
     kept = set(keep)
-    interior = [n for n in sorted(adjacency) if n not in kept]
-    while interior:
-        n = min(interior, key=lambda k: len(adjacency[k]))
-        interior.remove(n)
-        _eliminate(field, adjacency, n)
+    heap = [(len(row), n) for n, row in adjacency.items() if n not in kept]
+    heapify(heap)
+    while heap:
+        degree, n = heappop(heap)
+        if n in adjacency and len(adjacency[n]) == degree:
+            neighbours = [m for m in adjacency[n] if m not in kept]
+            _eliminate(field, adjacency, n)
+            for m in neighbours:
+                heappush(heap, (len(adjacency[m]), m))
+    return adjacency
+
+
+def _form(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
+    """The one form on ``keep`` that ``_reduce`` leaves, built and validated."""
     position = {node: k for k, node in enumerate(keep)}
-    matrix = [[field.zero] * len(keep) for _ in keep]
-    for node, k in position.items():
-        for other, value in adjacency[node].items():
-            matrix[k][position[other]] = value
-    return DirichletForm(field, len(keep), tuple(tuple(row) for row in matrix))
+    pairs = _reduce(field, adjacency, keep)
+    entries = {(position[i], position[j]): c for i in keep for j, c in pairs[i].items() if i < j}
+    return DirichletForm.from_entries(len(keep), entries, field)
 
 
 def _eliminate(field: Field, adjacency: dict, n: int) -> None:
@@ -214,7 +226,7 @@ def _eliminate(field: Field, adjacency: dict, n: int) -> None:
         )
     for i, _ in neighbours:
         del adjacency[i][n]
-    for a, (i, c_in) in enumerate(neighbours):
+    for a, (i, c_in) in enumerate(neighbours[:-1]):
         scaled = c_in / total
         for j, c_jn in neighbours[a + 1 :]:
             _set_pair(adjacency, i, j, adjacency[i].get(j, field.zero) + scaled * c_jn)

@@ -11,20 +11,18 @@ The conjugation of the domain is a sign in the omega evaluation, not a
 data change.
 
 Composition is plain relational composition, computed from the two
-bases: the combinations of each side's rows that agree on the shared
-boundary span the composite.  Currents are recorded flowing *through*: the
-domain-side conjugation means that what leaves one relation enters the
-next, which is the same physics as requiring outward currents of glued
-parts to cancel (i + i' = 0) when both are recorded outward.
+bases: one row reduction keeps the combinations of both sides' rows that
+agree on the shared boundary.  Currents are recorded flowing *through*:
+the domain-side conjugation means that what leaves one relation enters
+the next, which is the same physics as requiring outward currents of
+glued parts to cancel (i + i' = 0) when both are recorded outward.
 
 ``black_box`` sends an open circuit to its behaviour two ways: the oracle
 route pairs the graph of the extended power functional with the
 symplectified boundary corelation; the fast route minimizes the Dirichlet
-form onto the boundary nodes by sparse elimination, then spans the
-relation in one row reduction: potentials constant on the terminals of
-each node, currents dQ placed on one terminal per node, and the other
-terminals' currents free against it.  The two agree exactly; when the
-minimization is degenerate (impedances cancelling over Q(s)) the fast
+form onto the boundary nodes by sparse elimination and writes down the
+relation's reduced basis with no row reduction.  The two agree exactly;
+on a degenerate minimization (impedances cancelling over Q(s)) the fast
 route answers by the oracle.
 """
 
@@ -32,10 +30,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .circuit import OpenCircuit, _terminal_positions
-from .dirichlet import DegenerateFormError, DirichletForm, extended_power, power_functional
+from .circuit import OpenCircuit
+from .dirichlet import DegenerateFormError, DirichletForm, _edge_adjacency, _reduce, extended_power
 from .finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
-from .linalg import Subspace, _null_vectors, _rref, kernel_of_matrix
+from .linalg import Subspace, _rref, kernel_of_matrix
 from .scalars import Field, QQ, _Record
 
 
@@ -177,13 +175,13 @@ def twist(n: int, field: Field = QQ, conjugated_domain: bool = False) -> Lagrang
 def compose_lagrangian(
     first: LagrangianRelation, second: LagrangianRelation
 ) -> LagrangianRelation:
-    """Relational composite {(u, w) | exists v}, from the two bases.
+    """Relational composite {(u, w) | exists v}, by one row reduction.
 
-    With basis rows a_i of the first relation and b_j of the second, every
-    (lambda, mu) with sum lambda_i a_i|V = sum mu_j b_j|V is a kernel
-    vector of one 2v-row system, and the composite is the span of
-    (sum lambda_i a_i|U, sum mu_j b_j|W) over them.  This holds for any two
-    linear relations, Lagrangian or not.
+    A row a of the first relation becomes [a|V | a|U, 0] and a row b of the
+    second [-b|V | 0, b|W]: V's 2v columns, then the composite's on U + W.
+    A combination vanishes on V exactly when its two parts agree there, so
+    the reduced rows that pivot past V are the composite's reduced basis.
+    This holds for any two linear relations, Lagrangian or not.
     """
     if first.field != second.field:
         raise ValueError("relations must share a scalar field")
@@ -192,19 +190,19 @@ def compose_lagrangian(
     field = first.field
     u, v, w = first.dom_n, first.cod_n, second.cod_n
     # the first relation lives on the terminals U + V, the second on V + W
-    first_u, first_v = _columns(range(u), u + v), _columns(range(u, u + v), u + v)
+    first_v, first_u = _columns(range(u, u + v), u + v), _columns(range(u), u + v)
     second_v, second_w = _columns(range(v), v + w), _columns(range(v, v + w), v + w)
-    a, b = first.space.basis, second.space.basis
-    agree = [[row[p] for row in a] + [-row[q] for row in b] for p, q in zip(first_v, second_v)]
-    unknowns = len(a) + len(b)
+    pad_u, pad_w = [field.zero] * u, [field.zero] * w
     rows = []
-    for vec in _null_vectors(field, _rref(field, agree, unknowns), unknowns):
-        lam, mu = vec[: len(a)], vec[len(a) :]
-        left = [sum((c * r[p] for c, r in zip(lam, a) if c and r[p]), field.zero) for p in first_u]
-        right = [sum((c * r[q] for c, r in zip(mu, b) if c and r[q]), field.zero) for q in second_w]
-        rows.append(left[:u] + right[:w] + left[u:] + right[w:])
-    space = Subspace.span(field, 2 * (u + w), rows)
-    return LagrangianRelation(field, first.dom, second.cod, space)
+    for a in first.space.basis:
+        left = [a[p] for p in first_u]
+        rows.append([a[p] for p in first_v] + left[:u] + pad_w + left[u:] + pad_w)
+    for b in second.space.basis:
+        right = [b[q] for q in second_w]
+        rows.append([-b[q] for q in second_v] + pad_u + right[:w] + pad_u + right[w:])
+    pivots, reduced = _rref(field, rows, 2 * (u + v + w))
+    basis = tuple(row[2 * v :] for col, row in zip(pivots, reduced) if col >= 2 * v)
+    return LagrangianRelation(field, first.dom, second.cod, Subspace(field, 2 * (u + w), basis))
 
 
 def tensor_lagrangian(
@@ -271,19 +269,18 @@ def symplectify(e: Corelation, field: Field = QQ) -> LagrangianRelation:
 
 
 def _wire_current_rows(blocks: list[list[int]], inputs: int, total: int, field: Field) -> list:
-    """Ideal-wire current rows on ``total`` terminals, the first ``inputs``
-    of them inputs: each non-leader terminal t against its block leader l,
-    i_t - i_l, or i_t + i_l when one of them is an input and the other an
-    output."""
+    """Ideal-wire current rows in terminal order, the first ``inputs`` of
+    ``total`` terminals inputs: i_t - i_l for each t but the last l of its
+    block, or i_t + i_l when one is an input and the other an output."""
     zero, one = field.zero, field.one
     rows = []
-    for leader, *others in blocks:
+    for *others, l in blocks:
         for t in others:
             row = [zero] * (2 * total)
             row[total + t] = one
-            row[total + leader] = one if (t < inputs) != (leader < inputs) else -one
-            rows.append(row)
-    return rows
+            row[total + l] = one if (t < inputs) != (l < inputs) else -one
+            rows.append((t, row))
+    return [row for _, row in sorted(rows)]
 
 
 def apply_relation(rel: LagrangianRelation, sub: Subspace) -> Subspace:
@@ -319,14 +316,8 @@ def _negate_block(space: Subspace, columns: Sequence[int]) -> Subspace:
 def _boundary_corelation(cospan: FinCospan) -> Corelation:
     """The apex read toward X + Y: one block per reachable node."""
     apex = cospan.apex_size
-    legs = FinCospan(
-        FinFunction.identity(apex),
-        FinFunction(
-            cospan.left_size + cospan.right_size,
-            apex,
-            cospan.left.table + cospan.right.table,
-        ),
-    )
+    ends = cospan.left.table + cospan.right.table
+    legs = FinCospan(FinFunction.identity(apex), FinFunction(len(ends), apex, ends))
     return cospan_to_corelation(legs)
 
 
@@ -337,8 +328,8 @@ def black_box(c: OpenCircuit, method: str = "fast") -> LagrangianRelation:
     nodes with the symplectification of the whole boundary corelation,
     then flips the domain-side current signs so composition is plain
     relational composition.  ``fast`` minimizes the power functional onto
-    the boundary nodes and spans the relation directly; on a degenerate power
-    functional it answers by the oracle route.
+    the boundary nodes and writes the relation's reduced basis directly; on
+    a degenerate power functional it answers by the oracle route.
     """
     x, y = c.num_inputs, c.num_outputs
     if method == "oracle":
@@ -354,43 +345,40 @@ def black_box(c: OpenCircuit, method: str = "fast") -> LagrangianRelation:
             return black_box(c, "oracle")
     else:
         raise ValueError(f"unknown black-box method {method!r}")
-    return LagrangianRelation(
-        c.field,
-        SymplecticSpace(c.field, x),
-        SymplecticSpace(c.field, y),
-        space,
-    )
+    dom, cod = SymplecticSpace(c.field, x), SymplecticSpace(c.field, y)
+    return LagrangianRelation(c.field, dom, cod, space)
 
 
 def _fast_boundary_space(c: OpenCircuit) -> Subspace:
-    """One span of x + y rows on the terminals X + Y: their potentials,
-    then their currents.
+    """The reduced basis of the behaviour on the terminals X + Y, written
+    down with no row reduction.
 
-    The terminals are grouped by their boundary node.  Each boundary node
-    n gives the potential e_n pulled back to the terminals, with the
-    currents dQ(e_n) on the first terminal of each node's block; each
-    other terminal gives its current against its block leader's.  The
-    currents are read off row n of the reduced form: 2 sum_j c_nj at n
-    itself and -2 c_nk at every other node k.  Input currents are
-    recorded flowing in (sign -1).
+    Each boundary node k gives a node row: potential 1 on the terminals of
+    its block, and the currents dQ(e_k), 2 sum_j c_kj at k and -2 c_kj at
+    every other node j, each on the last terminal of that node's block and
+    negated at an input.  Every other terminal gives a wire row, its current
+    against its block's last.  Node rows pivot at their block's first
+    potential and wire rows at their own current, which no other row
+    touches, so in pivot order the rows are already reduced.
     """
     field = c.field
     zero, one = field.zero, field.one
-    q = power_functional(c)
-    terminals = c.num_inputs + c.num_outputs
-    sign = [-one if t < c.num_inputs else one for t in range(terminals)]
-    blocks: list[list[int]] = [[] for _ in range(q.size)]
-    for t, k in enumerate(_terminal_positions(c)):
-        blocks[k].append(t)
+    ends = c.cospan.left.table + c.cospan.right.table
+    total = len(ends)
+    blocks: dict[int, list[int]] = {}  # node -> its terminals, by first terminal
+    for t, node in enumerate(ends):
+        blocks.setdefault(node, []).append(t)
+    coeff = _reduce(field, _edge_adjacency(c), blocks)
     rows = []
-    for n, block in enumerate(blocks):
-        row = [zero] * (2 * terminals)
+    for node, block in blocks.items():
+        row = [zero] * (2 * total)
         for t in block:
             row[t] = one
-        coeffs = q.coeff[n]
-        for k, ((leader, *_), c_nk) in enumerate(zip(blocks, coeffs)):
-            current = 2 * sum(coeffs, zero) if k == n else -2 * c_nk
-            row[terminals + leader] = sign[leader] * current
+        currents = {other: -2 * c_kj for other, c_kj in coeff[node].items()}
+        currents[node] = 2 * sum(coeff[node].values(), zero)
+        for other, current in currents.items():
+            last = blocks[other][-1]
+            row[total + last] = -current if last < c.num_inputs else current
         rows.append(row)
-    rows += _wire_current_rows(blocks, c.num_inputs, terminals, field)
-    return Subspace.span(field, 2 * terminals, rows)
+    rows += _wire_current_rows(list(blocks.values()), c.num_inputs, total, field)
+    return Subspace(field, 2 * total, tuple(map(tuple, rows)))

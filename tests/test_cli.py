@@ -18,6 +18,7 @@ from openwires.cli import (
     parse_circuit_document,
     parse_term,
 )
+from openwires.scalars import _quoted
 from openwires.sfg import Gen, Par, Seq, term_type
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -47,6 +48,16 @@ class TestCircuitDocuments:
         doc = {"nodes": ["a", "a"], "edges": [], "inputs": [], "outputs": []}
         with pytest.raises(DocumentError):
             parse_circuit_document(doc)
+
+    def test_one_duplicate_among_many_nodes(self, capsys, tmp_path):
+        """40,001 nodes, one name twice: the duplicates are counted in one
+        pass, where counting each name alone took tens of seconds."""
+        doc = tmp_path / "duplicate.json"
+        nodes = [f"n{k}" for k in range(40000)] + ["n0"]
+        doc.write_text(json.dumps({**_TWO_NODES, "nodes": nodes, "inputs": ["n1"], "outputs": ["n2"]}))
+        assert main(["circuit", "power", str(doc)]) == 3
+        line = f"error: {_quoted(str(doc))}: duplicate node names: 'n0'\n"
+        assert capsys.readouterr().err == line
 
     def test_unknown_node_rejected(self):
         doc = {
@@ -430,6 +441,10 @@ class TestCommands:
             doc.write_text(json.dumps({**_TWO_NODES, **change}))
             cases.append(["circuit", "power", str(doc)])
         cases.append([*step[:3], "--left", json.dumps(["a" * 3000]), "--right", "[1]"])
+        # a long path that names no file is quoted in part, also where the
+        # OSError text repeats it
+        missing = str(tmp_path / ("m" * 4000))
+        cases += [["circuit", "power", missing], ["sfg", "denote", missing]]
         # a term file that is not UTF-8 is a file that cannot be read
         not_utf8 = tmp_path / "not_utf8.sfg"
         not_utf8.write_bytes(b"\xff\xfeid")
@@ -442,14 +457,14 @@ class TestCommands:
             # a long input is quoted in part, so the message stays short
             assert len(err) < MAX_ERROR_LINE, argv[:3]
         # the last case is the term file that is not UTF-8
-        assert f"cannot read {not_utf8}" in err
+        assert f"cannot read {_quoted(str(not_utf8))}" in err
         # an edge without "src" says so, also where a node is named "src"
         for nodes in (["a", "b"], ["src", "b"]):
             doc = tmp_path / "no_src.json"
             edge = {"tgt": "b", "impedance": "1"}
             doc.write_text(json.dumps({**_TWO_NODES, "nodes": nodes, "edges": [edge]}))
             assert main(["circuit", "power", str(doc)]) == 3
-            assert capsys.readouterr().err == f"error: {doc}: edge #0 has no 'src'\n"
+            assert capsys.readouterr().err == f"error: {_quoted(str(doc))}: edge #0 has no 'src'\n"
 
 
 ALTERNATING = json.dumps([[[(-1) ** k], [0]] for k in range(6)])

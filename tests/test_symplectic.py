@@ -19,7 +19,15 @@ from conftest import (
     reference_corpus,
     reference_fast_box,
 )
-from openwires.circuit import identity_circuit, resistor, series, tensor_circuits, compose_circuits
+from openwires.circuit import (
+    LabelledGraph,
+    OpenCircuit,
+    compose_circuits,
+    identity_circuit,
+    resistor,
+    series,
+    tensor_circuits,
+)
 from openwires.dirichlet import (
     DegenerateFormError,
     DirichletForm,
@@ -39,6 +47,7 @@ from openwires.scalars import QQ, QS
 from openwires.symplectic import (
     LagrangianRelation,
     SymplecticSpace,
+    _fast_boundary_space,
     apply_relation,
     black_box,
     compose_lagrangian,
@@ -287,6 +296,64 @@ class TestSpanComposition:
             assert (got.dom, got.cod) == (expected.dom, expected.cod)
             assert got.space.basis == expected.space.basis
         assert {(True, False, False), (False, True, False), (True, False, True)} <= shapes
+
+
+def _entry_types(space: Subspace) -> list:
+    return [[type(v) for v in row] for row in space.basis]
+
+
+def _shaped_circuit(field, z):
+    """Four nodes: node 0 holds two inputs and an output, node 2 an input
+    and an output, node 3 (no edges) the last output; node 1 is interior."""
+    edges = ((0, 1, z), (1, 2, z + z), (0, 2, z))
+    legs = FinCospan(FinFunction(3, 4, (0, 2, 0)), FinFunction(3, 4, (2, 0, 3)))
+    return OpenCircuit(field, LabelledGraph(4, edges), legs)
+
+
+class TestDirectBasis:
+    """The fast black box writes its reduced basis without a row reduction:
+    it is canonical as written, with the entry types a reduction gives, and
+    equals the oracle's; composites against intersect-then-project."""
+
+    def check(self, c):
+        space = _fast_boundary_space(c)
+        spanned = Subspace.span(c.field, space.ambient_dim, space.basis)
+        assert spanned.basis == space.basis
+        assert _entry_types(spanned) == _entry_types(space)
+        oracle = black_box(c, "oracle").space
+        assert space.basis == oracle.basis
+        assert _entry_types(space) == _entry_types(oracle)
+
+    @pytest.mark.parametrize("field, z", [(QQ, F(3, 2)), (QS, QS.parse("2*s"))])
+    def test_several_terminals_per_node_and_an_edgeless_node(self, field, z):
+        c = _shaped_circuit(field, z)
+        self.check(c)
+        inputs, outputs, empty = c.cospan.left, c.cospan.right, FinFunction(0, 4, ())
+        for legs in (FinCospan(empty, outputs), FinCospan(inputs, empty), FinCospan(empty, empty)):
+            self.check(OpenCircuit(field, c.graph, legs))
+
+    def test_random_circuits(self):
+        rng = random.Random(431)
+        for k in range(120):
+            x, y = rng.randint(0, 5), rng.randint(0, 5)
+            if k % 3:
+                c = rand_circuit(rng, x, y, 4, 6)
+            else:
+                c = rand_qs_circuit(rng, x, y, max_nodes=4)
+            self.check(c)
+
+    def test_composites_with_an_empty_boundary(self):
+        """u = 0, v = 0 or w = 0, over Q and Q(s)."""
+        rng = random.Random(433)
+        shapes = [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 2), (2, 0, 0), (0, 3, 0)]
+        for k in range(60):
+            u, v, w = shapes[k % len(shapes)]
+            make = rand_circuit if k % 2 else rand_qs_circuit
+            first, second = black_box(make(rng, u, v)), black_box(make(rng, v, w))
+            got = compose_lagrangian(first, second)
+            expected = reference_compose_lagrangian(first, second)
+            assert got.space.basis == expected.space.basis
+            assert _entry_types(got.space) == _entry_types(expected.space)
 
 
 class TestSymplectify:
