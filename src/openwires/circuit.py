@@ -143,12 +143,7 @@ def identity_circuit(n: int, field: Field = QQ) -> OpenCircuit:
 
 def resistor(impedance, field: Field = QQ) -> OpenCircuit:
     """A single two-terminal component: input 0, output 1."""
-    graph = LabelledGraph(2, ((0, 1, impedance),))
-    cospan = FinCospan(
-        FinFunction(1, 2, (0,)),
-        FinFunction(1, 2, (1,)),
-    )
-    return OpenCircuit(field, graph, cospan)
+    return series([impedance], field)
 
 
 def series(impedances: Sequence, field: Field = QQ) -> OpenCircuit:

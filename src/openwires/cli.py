@@ -432,8 +432,9 @@ def _cmd_sfg_equiv(args) -> int:
 
     first = load_term(args.first)
     second = load_term(args.second)
-    if term_type(first) != term_type(second):
-        raise ValueError(f"terms have different types {term_type(first)} vs {term_type(second)}")
+    first_type, second_type = term_type(first), term_type(second)
+    if first_type != second_type:
+        raise ValueError(f"terms have different types {first_type} vs {second_type}")
     equivalent = behaviour_eq(
         behaviour_rep(sfg_denote(first)), behaviour_rep(sfg_denote(second))
     )

@@ -97,18 +97,6 @@ class DirichletForm(_Record):
             out.append(acc)
         return out
 
-    def add(self, other: "DirichletForm") -> "DirichletForm":
-        if other.size != self.size or other.field != self.field:
-            raise ValueError("forms must share index set and field")
-        return DirichletForm(
-            self.field,
-            self.size,
-            tuple(
-                tuple(self.coeff[i][j] + other.coeff[i][j] for j in range(self.size))
-                for i in range(self.size)
-            ),
-        )
-
 
 def extended_power(c: OpenCircuit) -> DirichletForm:
     """P(phi) = 1/2 sum_e (1/Z(e)) (phi(t(e)) - phi(s(e)))^2 on all nodes.

@@ -259,26 +259,9 @@ class Subspace(_Record):
     def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
         return Subspace(field, ambient_dim, _rref(field, rows, ambient_dim)[1])
 
-    @staticmethod
-    def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, ())
-
-    @staticmethod
-    def full(field: Field, ambient_dim: int) -> "Subspace":
-        rows = []
-        for k in range(ambient_dim):
-            row = [field.zero] * ambient_dim
-            row[k] = field.one
-            rows.append(tuple(row))
-        return Subspace(field, ambient_dim, tuple(rows))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector: Sequence) -> bool:
-        """The vector adds nothing to the rank of the basis."""
-        return len(_rref(self.field, [*self.basis, vector], self.ambient_dim)[0]) == self.dim
 
     def constraints(self) -> "Subspace":
         """The annihilator: functionals vanishing on this subspace."""

@@ -489,14 +489,6 @@ class Polynomial(_IntegerPoly):
             return self._reduced(0, [-n for n in nums], -lead)
         return self._reduced(0, nums, lead)
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by s^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("polynomial shift must be nonnegative")
-        if not self.nums:
-            return self
-        return _new(Polynomial, 0, (0,) * k + self.nums, self.den)
-
 
 Polynomial._zero = _new(Polynomial, 0, (), 1)
 _P_ONE = _new(Polynomial, 0, (1,), 1)
@@ -648,11 +640,6 @@ class RationalFunction:
             return NotImplemented
         return other / self
 
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return _rf(*_over_monic(self.den, self.num))
-
     def __repr__(self) -> str:
         return f"RationalFunction({format_rational_function(self)!r})"
 
@@ -773,13 +760,6 @@ class LaurentPoly(_IntegerPoly):
         return _new(LaurentPoly, offset, nums, den)
 
     @staticmethod
-    def monomial(coeff, exponent: int) -> "LaurentPoly":
-        q = _as_fraction(coeff)
-        if not q:
-            return LaurentPoly._zero
-        return _new(LaurentPoly, exponent, (q.numerator,), q.denominator)
-
-    @staticmethod
     def variable() -> "LaurentPoly":
         return _new(LaurentPoly, 1, (1,), 1)
 
@@ -793,12 +773,6 @@ class LaurentPoly(_IntegerPoly):
     def deg_spread(self) -> int:
         """Top exponent minus bottom exponent; -1 for the zero value."""
         return len(self.nums) - 1
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by s^k."""
-        if not self.nums:
-            return self
-        return _new(LaurentPoly, self.offset + k, self.nums, self.den)
 
     def divides(self, other: "LaurentPoly") -> bool:
         if self.is_zero():
@@ -888,15 +862,11 @@ def _format_terms(terms: dict[int, Fraction]) -> str:
     return "".join(parts)
 
 
-def format_polynomial(p: Polynomial) -> str:
-    return _format_terms({i: c for i, c in enumerate(p.coeffs) if c != 0})
-
-
 def format_rational_function(f: RationalFunction) -> str:
-    num = format_polynomial(f.num)
+    num = str(f.num)
     if f.den.degree == 0:
         return num
-    den = format_polynomial(f.den)
+    den = str(f.den)
     if f.num.degree > 0 or "/" in num:
         num = f"({num})"
     if len([c for c in f.den.coeffs if c != 0]) > 1:

@@ -2,16 +2,20 @@
 
 Terms are built from adders, duplicators, scalar amplifiers, one-step
 delays, their mirror images, identity and twist, closed under sequential
-(;) and parallel (+) composition with the usual typing discipline.
+(;) and parallel (+) composition with the usual typing discipline.  One
+table defines each generator: its type and its equations A·left =
+B·right as rows (A, B), where the delay's entry is s and that of x its
+value.  A ``co-`` generator is its base with the two sides exchanged.
 
-Denotationally a term presents an LTI behaviour: every generator maps to a
-small cospan of matrices over Q[s, s^-1] and composition follows the
+Denotationally a term presents an LTI behaviour: every generator maps to
+the cospan (A, B) of its rows over Q[s, s^-1] and composition follows the
 cospan algebra, so ``denote`` lands in a kernel representation without
 ever materializing streams.
 
 Operationally a term is a synchronous network: per tick, every wire
-carries a rational, each generator constrains its adjacent wires, and each
-delay reads out its register and stores its other side for the next tick.
+carries a rational and each generator's rows constrain its adjacent
+wires.  An entry s stores its wire in a register for the next tick, and
+the equation reads the register's output in its place.
 The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
 extends to a trace that is infinite in both directions.  Each term has
@@ -91,22 +95,36 @@ class Par(_Record):
 
 Term = Union[Gen, Seq, Par]
 
-GENERATOR_TYPES: dict[str, tuple[int, int]] = {
-    "add": (2, 1),
-    "zero": (0, 1),
-    "copy": (1, 2),
-    "discard": (1, 0),
-    "delay": (1, 1),
-    "x": (1, 1),
-    "co-add": (1, 2),
-    "co-zero": (1, 0),
-    "co-copy": (2, 1),
-    "co-discard": (0, 1),
-    "co-delay": (1, 1),
-    "co-x": (1, 1),
-    "id": (1, 1),
-    "tw": (2, 2),
+# The base generators, each one definition: (arity, coarity, rows), one
+# row (A, B) per equation A·left = B·right on its port values.  ``_S`` is
+# the delay and ``_VALUE`` stands for the value of x.
+_VALUE = object()
+_BASE = {
+    "add": (2, 1, (((1, 1), (1,)),)),
+    "zero": (0, 1, (((), (1,)),)),
+    "copy": (1, 2, (((1,), (1, 0)), ((1,), (0, 1)))),
+    "discard": (1, 0, ()),
+    "delay": (1, 1, (((_S,), (1,)),)),
+    "x": (1, 1, (((_VALUE,), (1,)),)),
+    "id": (1, 1, (((1,), (1,)),)),
+    "tw": (2, 2, (((0, 1), (1, 0)), ((1, 0), (0, 1)))),
 }
+
+
+def _exchanged(m: int, n: int, rows: tuple) -> tuple:
+    """A ``co-`` generator: its base with the two sides exchanged."""
+    return n, m, tuple((b, a) for a, b in rows)
+
+
+# id and tw are their own mirror images
+_MIRRORED = ("add", "zero", "copy", "discard", "delay", "x")
+_GENERATORS = {
+    **{name: _BASE[name] for name in _MIRRORED},
+    **{"co-" + name: _exchanged(*_BASE[name]) for name in _MIRRORED},
+    "id": _BASE["id"],
+    "tw": _BASE["tw"],
+}
+GENERATOR_TYPES: dict[str, tuple[int, int]] = {name: d[:2] for name, d in _GENERATORS.items()}
 
 
 def _fold(term: Term, leaf, seq, par):
@@ -177,38 +195,28 @@ def count_registers(term: Term) -> int:
 # -- denotational semantics --------------------------------------------------
 
 
+# each table entry as a Laurent polynomial, but for x's value
+_LAURENT = {0: LaurentPoly(), 1: LaurentPoly.constant(1), _S: _S}
+
+
 def _generator_cospan(gen: Gen) -> MatCospan:
-    name = gen.name
-    if name == "add":
-        return MatCospan(PolyMatrix.from_lists([[1, 1]]), PolyMatrix.identity(1))
-    if name == "zero":
-        return MatCospan(PolyMatrix.zeros(1, 0), PolyMatrix.identity(1))
-    if name == "copy":
-        return MatCospan(PolyMatrix.from_lists([[1], [1]]), PolyMatrix.identity(2))
-    if name == "discard":
-        return MatCospan(PolyMatrix.zeros(0, 1), PolyMatrix.zeros(0, 0))
-    if name == "delay":
-        return MatCospan(PolyMatrix.from_lists([[_S]]), PolyMatrix.identity(1))
-    if name == "x":
-        return MatCospan(PolyMatrix.from_lists([[gen.value]]), PolyMatrix.identity(1))
-    if name == "id":
-        return MatCospan.identity(1)
-    if name == "tw":
-        swap = PolyMatrix.from_lists([[0, 1], [1, 0]])
-        return MatCospan(swap, PolyMatrix.identity(2))
-    if name.startswith("co-"):
-        return _generator_cospan(Gen(name[3:], gen.value)).converse()
-    raise SfgTypeError(f"unknown generator {name!r}")
+    """The rows (A, B) of a generator's definition as the cospan (A, B)."""
+    m, n, rows = _GENERATORS[gen.name]
+    laurent = _LAURENT
+    if gen.value is not None:
+        laurent = {**_LAURENT, _VALUE: LaurentPoly.constant(gen.value)}
+    a, b = (tuple(tuple(map(laurent.__getitem__, row[side])) for row in rows) for side in (0, 1))
+    return MatCospan(PolyMatrix(len(rows), m, a), PolyMatrix(len(rows), n, b))
+
+
+def _compose(first: MatCospan, second: MatCospan) -> MatCospan:
+    _check_composable(first.cod, second.dom)
+    return compose_mat_cospans(first, second)
 
 
 def denote_cospan(term: Term) -> MatCospan:
-    """The raw cospan presentation (apex not reduced)."""
-    term_type(term)
-    return _denote(term)
-
-
-def _denote(term: Term) -> MatCospan:
-    return _fold(term, _generator_cospan, compose_mat_cospans, tensor_mat_cospans)
+    """The raw cospan presentation (apex not reduced), typed as it is built."""
+    return _fold(term, _generator_cospan, _compose, tensor_mat_cospans)
 
 
 def sfg_denote(term: Term) -> MatCospan:
@@ -224,10 +232,13 @@ class _Network:
     one traversal that checks the types.
 
     Every variable is a wire, numbered 0..size-1, and each equation
-    {wire: coefficient} must sum to zero.  A delay's register ends are two
-    more wires: ``rin[k]``, the value register k reads out this tick, and
-    ``rout[k]``, the value it stores for the next, with registers numbered
-    in traversal order.  ``left`` and ``right`` are the port wires.
+    {wire: coefficient} must sum to zero: a generator's rows (A, B) are
+    A·left - B·right.  A register's ends are two more wires, after its
+    generator's ports: ``rin[k]``, the value register k reads out this
+    tick, and ``rout[k]``, the value it stores for the next, with
+    registers numbered in traversal order.  An entry s stores its wire,
+    rout = wire, and the equation reads rin in its place.  ``left`` and
+    ``right`` are the port wires.
     """
 
     __slots__ = ("size", "rin", "rout", "left", "right", "equations")
@@ -252,38 +263,24 @@ class _Network:
         return left1, right2
 
     def _generator(self, gen: Gen) -> tuple[list[int], list[int]]:
-        """A ``co-`` generator is its generator with the two sides
-        exchanged."""
-        m, n = GENERATOR_TYPES[gen.name]
-        left, right = self._wires(m), self._wires(n)
-        a, b = (right, left) if gen.name.startswith("co-") else (left, right)
-        name = gen.name.removeprefix("co-")
-        equate = self.equations.append
-        if name == "add":
-            equate({a[0]: 1, a[1]: 1, b[0]: -1})
-        elif name == "zero":
-            equate({b[0]: 1})
-        elif name == "copy":
-            equate({a[0]: 1, b[0]: -1})
-            equate({a[0]: 1, b[1]: -1})
-        elif name == "x":
-            equate({a[0]: gen.value, b[0]: -1})
-        elif name == "id":
-            equate({a[0]: 1, b[0]: -1})
-        elif name == "tw":
-            equate({a[0]: 1, b[1]: -1})
-            equate({a[1]: 1, b[0]: -1})
-        elif name == "delay":
-            rin, rout = self._wires(2)
-            self.rin.append(rin)
-            self.rout.append(rout)
-            # the right wire shows the stored value and the left wire is stored,
-            # or the other way round for co-delay
-            equate({b[0]: 1, rin: -1})
-            equate({rout: 1, a[0]: -1})
-        elif name != "discard":
-            raise SfgTypeError(f"unknown generator {gen.name!r}")
-        return left, right
+        m, n, rows = _GENERATORS[gen.name]
+        ports = self._wires(m + n)
+        for a, b in rows:
+            equation = {}
+            for k, coeff in enumerate(a + b):
+                if coeff:
+                    wire = ports[k]
+                    if coeff is _S:
+                        rin, rout = self._wires(2)
+                        self.rin.append(rin)
+                        self.rout.append(rout)
+                        self.equations.append({rout: 1, wire: -1})
+                        wire, coeff = rin, 1
+                    elif coeff is _VALUE:
+                        coeff = gen.value
+                    equation[wire] = coeff if k < m else -coeff
+            self.equations.append(equation)
+        return ports[:m], ports[m:]
 
 
 INFEASIBLE = "infeasible"
@@ -609,13 +606,13 @@ def _affine_solve(rows, nvars):
     return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
 
 
-def _sample(solved, rng: random.Random, spread: int = 3) -> list:
-    """The particular solution plus a random integer combination of the
-    homogeneous basis rows."""
+def _sample(solved, rng: random.Random) -> list:
+    """The particular solution plus a random combination of the
+    homogeneous basis rows, with integer coefficients in -3..3."""
     particular, homogeneous = solved
     point = list(particular)
     for row in homogeneous.basis:
-        coeff = Fraction(rng.randint(-spread, spread))
+        coeff = Fraction(rng.randint(-3, 3))
         if coeff:
             point = [p + coeff * r if r else p for p, r in zip(point, row)]
     return point

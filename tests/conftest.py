@@ -15,7 +15,7 @@ from openwires.circuit import (
 )
 from openwires.dirichlet import DirichletForm, extended_power
 from openwires.finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
-from openwires.linalg import Subspace, kernel_of_matrix
+from openwires.linalg import Subspace, _rref, kernel_of_matrix
 from openwires.lti import MatCospan, PolyMatrix, cospans_equivalent, pullback_span, span_to_cospan
 from openwires.scalars import (
     _ONE,
@@ -27,7 +27,6 @@ from openwires.scalars import (
     RationalFunction,
     _as_fraction,
     _format_terms,
-    format_polynomial,
     format_rational_function,
     parse_scalar_expression,
 )
@@ -365,6 +364,11 @@ def rand_linear_system(rng: random.Random):
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+def format_polynomial(p) -> str:
+    """The printed form of a polynomial, read from its coefficient list."""
+    return _format_terms({i: c for i, c in enumerate(p.coeffs) if c != 0})
 
 
 class ReferencePolynomial:
@@ -961,12 +965,12 @@ class _ReferenceAffineSet:
 
     @staticmethod
     def full(dim: int):
-        return _ReferenceAffineSet([Fraction(0)] * dim, Subspace.full(QQ, dim))
+        return _ReferenceAffineSet([Fraction(0)] * dim, full_subspace(QQ, dim))
 
     @staticmethod
     def point(values):
         values = [Fraction(v) for v in values]
-        return _ReferenceAffineSet(values, Subspace.zero(QQ, len(values)))
+        return _ReferenceAffineSet(values, Subspace(QQ, len(values), ()))
 
     def is_empty(self) -> bool:
         return self.particular is None
@@ -1461,6 +1465,32 @@ def pushforward_form(q: DirichletForm, node_map, new_size: int) -> DirichletForm
     return DirichletForm(q.field, new_size, tuple(tuple(row) for row in matrix))
 
 
+def form_sum(a: DirichletForm, b: DirichletForm) -> DirichletForm:
+    """The form a + b, coefficient by coefficient."""
+    if b.size != a.size or b.field != a.field:
+        raise ValueError("forms must share index set and field")
+    return DirichletForm(
+        a.field,
+        a.size,
+        tuple(tuple(a.coeff[i][j] + b.coeff[i][j] for j in range(a.size)) for i in range(a.size)),
+    )
+
+
+def full_subspace(field, ambient_dim: int) -> Subspace:
+    """The whole space, with the standard basis."""
+    rows = []
+    for k in range(ambient_dim):
+        row = [field.zero] * ambient_dim
+        row[k] = field.one
+        rows.append(tuple(row))
+    return Subspace(field, ambient_dim, tuple(rows))
+
+
+def subspace_contains(space: Subspace, vector) -> bool:
+    """The vector adds nothing to the rank of the basis."""
+    return len(_rref(space.field, [*space.basis, vector], space.ambient_dim)[0]) == space.dim
+
+
 def _check_compatible(a: Subspace, b: Subspace):
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("subspaces live in different ambient spaces")
@@ -1511,6 +1541,11 @@ def laurent_from_map(terms: Mapping[int, Union[Fraction, int]]) -> LaurentPoly:
         return LaurentPoly()
     lo = min(terms)
     return LaurentPoly(lo, [terms.get(e, 0) for e in range(lo, max(terms) + 1)])
+
+
+def laurent_monomial(coeff, exponent: int) -> LaurentPoly:
+    """coeff * s^exponent."""
+    return LaurentPoly(exponent, [coeff])
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

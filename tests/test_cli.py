@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import format_term, ladder, rand_term
+from conftest import form_sum, format_term, ladder, rand_term
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from openwires import circuit, cli, dirichlet, lti, sfg
@@ -699,7 +699,7 @@ class TestCircuitOracle:
 
         def doubled(c):
             q = power_functional(c)
-            return q.add(q)
+            return form_sum(q, q)
 
         monkeypatch.setattr(dirichlet, "power_functional", doubled)
         self._assert_internal_error(capsys, ["circuit", "power", fixture("series11.json")])

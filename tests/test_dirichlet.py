@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     REFERENCE_CORPORA,
     evaluate_form,
+    form_sum,
     gauss_solve,
     ladder,
     oracle_min_coefficients,
@@ -439,8 +440,9 @@ class TestCompositionCompatibility:
             direct = power_functional(composite)
 
             cospan, inject_a, inject_b = pushout_composition(a.cospan, b.cospan)
-            pushed = pushforward_form(extended_power(a), inject_a, cospan.apex_size).add(
-                pushforward_form(extended_power(b), inject_b, cospan.apex_size)
+            pushed = form_sum(
+                pushforward_form(extended_power(a), inject_a, cospan.apex_size),
+                pushforward_form(extended_power(b), inject_b, cospan.apex_size),
             )
             glued = minimize(pushed, boundary(composite))
             assert direct == glued

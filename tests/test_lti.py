@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import (
     laurent_gcd,
+    laurent_monomial,
     laurent_to_rational_function,
     is_zero_matrix,
     neg_matrix,
@@ -234,7 +235,7 @@ class TestBehaviour:
         for _ in range(30):
             m = rand_poly_matrix(rng, 2, 3, 2)
             rep = BehaviourRep(2, 1, m)
-            unit = LaurentPoly.monomial(F(rng.randint(1, 3)), rng.randint(-2, 2))
+            unit = laurent_monomial(F(rng.randint(1, 3)), rng.randint(-2, 2))
             scaled = BehaviourRep(
                 2,
                 1,
@@ -265,7 +266,7 @@ class TestBehaviour:
         rng = random.Random(14)
         for _ in range(20):
             m = rand_poly_matrix(rng, 2, 3, 2)
-            unit = LaurentPoly.monomial(F(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(-1, 1))
+            unit = laurent_monomial(F(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(-1, 1))
             scaled = PolyMatrix(
                 2, 3, tuple(tuple(unit * e for e in row) for row in m.entries)
             )

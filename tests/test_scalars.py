@@ -13,6 +13,7 @@ from conftest import (
     ReferenceRationalFunction,
     laurent_from_map,
     laurent_gcd,
+    laurent_monomial,
     laurent_to_rational_function,
     parse_laurent,
     rational_function_to_laurent,
@@ -92,7 +93,7 @@ class TestRationalFunction:
     @given(rational_functions())
     def test_multiplicative_inverse(self, x):
         if not x.is_zero():
-            assert x * x.inverse() == QS.one
+            assert x * (1 / x) == QS.one
 
     @given(rational_functions(), rational_functions(), rational_functions())
     @settings(max_examples=40)
@@ -196,7 +197,7 @@ class TestLaurent:
         assert rep.coeffs[-1] == 1
 
     def test_unit_inverse(self):
-        u = LaurentPoly.monomial(Fraction(3, 2), -2)
+        u = laurent_monomial(Fraction(3, 2), -2)
         assert u * u.unit_inverse() == LaurentPoly.constant(1)
         with pytest.raises(ValueError):
             parse_laurent("s+1").unit_inverse()
@@ -294,7 +295,7 @@ class TestHashAgreesWithEquality:
         assert RationalFunction(p) == p and hash(RationalFunction(p)) == hash(p)
 
     def test_nonconstant_values_stay_apart_from_rationals(self):
-        assert {LaurentPoly.monomial(2, 1): 1}.get(2) is None
+        assert {laurent_monomial(2, 1): 1}.get(2) is None
         assert {Polynomial([2, 1]): 1}.get(2) is None
         assert {parse_scalar_expression("2/s"): 1}.get(2) is None
 
@@ -373,7 +374,7 @@ class TestLaurentAgainstReference:
             _assert_matches(laurent_from_map(ref.terms()), ReferenceLaurent.from_map(ref.terms()))
             c, k = _rand_operand(rng), rng.randint(-5, 5)
             _assert_matches(LaurentPoly.constant(c), ReferenceLaurent.constant(c))
-            _assert_matches(LaurentPoly.monomial(c, k), ReferenceLaurent.monomial(c, k))
+            _assert_matches(laurent_monomial(c, k), ReferenceLaurent.monomial(c, k))
         _assert_matches(LaurentPoly.variable(), ReferenceLaurent.variable())
         _assert_matches(LaurentPoly(), ReferenceLaurent())
 
@@ -387,7 +388,7 @@ class TestLaurentAgainstReference:
             _assert_matches(a * b, ra * rb)
             _assert_matches(-a, -ra)
             k = rng.randint(-5, 5)
-            _assert_matches(a.shift(k), ra.shift(k))
+            _assert_matches(a * laurent_monomial(1, k), ra.shift(k))
             f = _rand_operand(rng)
             _assert_matches(a.scale(f), ra.scale(f))
 
@@ -592,7 +593,7 @@ class TestPolynomialAgainstReference:
             f = _rand_operand(rng)
             _assert_poly_matches(a.scale(f), ra.scale(f))
             k = rng.randint(0, 4)
-            _assert_poly_matches(a.shift(k), ra.shift(k))
+            _assert_poly_matches(a * Polynomial.variable() ** k, ra.shift(k))
             e = rng.randint(0, 3)
             _assert_poly_matches(a ** e, ra ** e)
 
@@ -707,10 +708,10 @@ class TestRationalFunctionAgainstReference:
                 with pytest.raises(ZeroDivisionError):
                     a / b
                 with pytest.raises(ZeroDivisionError):
-                    b.inverse()
+                    1 / b
             else:
                 _assert_rf_matches(a / b, ra / rb)
-                _assert_rf_matches(b.inverse(), rb.inverse())
+                _assert_rf_matches(1 / b, rb.inverse())
 
     def test_shared_factors_and_cancellation(self):
         rng = random.Random(603)
@@ -732,7 +733,7 @@ class TestRationalFunctionAgainstReference:
             if not rb.is_zero():
                 _assert_rf_matches(a_g * (g / b), ra_g * (rg / rb))
                 _assert_rf_matches((a * b) / b, (ra * rb) / rb)
-                _assert_rf_matches(b * b.inverse(), rb * rb.inverse())
+                _assert_rf_matches(b * (1 / b), rb * rb.inverse())
 
     def test_plain_operands_on_either_side(self):
         rng = random.Random(604)

@@ -30,6 +30,7 @@ from openwires.lti import (
 )
 from openwires.scalars import QQ, LaurentPoly
 from openwires.sfg import (
+    GENERATOR_TYPES,
     INFEASIBLE,
     NONDETERMINATE,
     Gen,
@@ -40,9 +41,11 @@ from openwires.sfg import (
     _extendable_states,
     _swap_state_blocks,
     _tick_constraints,
+    _tick_system,
     check_trace,
     check_trace_unrolled,
     count_registers,
+    denote_cospan,
     par,
     sample_biinfinite_window,
     seq,
@@ -65,6 +68,32 @@ class TestTyping:
     def test_mismatch_rejected(self):
         with pytest.raises(SfgTypeError):
             term_type(Seq(Gen("add"), Gen("add")))
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (Seq(Gen("add"), Gen("add")), "coarity 1 with one of arity 2"),
+            (Par(Gen("id"), Seq(Gen("copy"), Gen("delay"))), "coarity 2 with one of arity 1"),
+            # the first mismatch in traversal order is the one reported
+            (
+                Seq(Seq(Gen("zero"), Gen("tw")), Seq(Gen("co-add"), Gen("x", 2))),
+                "coarity 1 with one of arity 2",
+            ),
+            (
+                Seq(Gen("id"), Seq(Gen("co-discard"), Gen("co-zero"))),
+                "coarity 1 with one of arity 0",
+            ),
+        ],
+    )
+    def test_denotation_reports_the_typing_error(self, term, message):
+        """``denote_cospan`` checks the types as it composes, with the
+        message of ``term_type``."""
+        errors = []
+        for check in (term_type, denote_cospan):
+            with pytest.raises(SfgTypeError) as caught:
+                check(term)
+            errors.append(str(caught.value))
+        assert errors == [f"cannot compose a term of {message}"] * 2
 
     def test_scalar_requires_value(self):
         with pytest.raises(SfgTypeError):
@@ -137,6 +166,87 @@ class TestDenotation:
             lhs = sfg_denote(Par(t1, t2))
             rhs = mat_corelation(tensor_mat_cospans(sfg_denote(t1), sfg_denote(t2)))
             assert cospans_equivalent(lhs, rhs)
+
+
+def _matrix(cols: int, rows):
+    """A matrix over Q[s, s^-1] with the given width, entries given as
+    rationals or as S."""
+    entries = tuple(tuple(e if e is S else LaurentPoly.constant(e) for e in row) for row in rows)
+    return PolyMatrix(len(rows), cols, entries)
+
+
+# Every generator by hand: its cospan (A, B) with A·left = B·right, and
+# its reduced tick system (pivots, rows, inner, d, m, n), whose columns are
+# regs_in, left, right and regs_out.
+GENERATOR_PINS = [
+    (Gen("add"), _matrix(2, [[1, 1]]), _matrix(1, [[1]]), ((0,), [[1, 1, -1]], 0, 0, 2, 1)),
+    (Gen("zero"), _matrix(0, [[]]), _matrix(1, [[1]]), ((0,), [[1]], 0, 0, 0, 1)),
+    (
+        Gen("copy"),
+        _matrix(1, [[1], [1]]),
+        _matrix(2, [[1, 0], [0, 1]]),
+        ((0, 1), [[1, 0, -1], [0, 1, -1]], 0, 0, 1, 2),
+    ),
+    (Gen("discard"), _matrix(1, []), _matrix(0, []), ((), [], 0, 0, 1, 0)),
+    # r0 = rin and rout = l0
+    (
+        Gen("delay"),
+        _matrix(1, [[S]]),
+        _matrix(1, [[1]]),
+        ((0, 1), [[1, 0, -1, 0], [0, 1, 0, -1]], 0, 1, 1, 1),
+    ),
+    (Gen("x", 0), _matrix(1, [[0]]), _matrix(1, [[1]]), ((1,), [[0, 1]], 0, 0, 1, 1)),
+    (Gen("x", 2), _matrix(1, [[2]]), _matrix(1, [[1]]), ((0,), [[2, -1]], 0, 0, 1, 1)),
+    (Gen("x", F(-3, 2)), _matrix(1, [[F(-3, 2)]]), _matrix(1, [[1]]), ((0,), [[3, 2]], 0, 0, 1, 1)),
+    (Gen("co-add"), _matrix(1, [[1]]), _matrix(2, [[1, 1]]), ((0,), [[1, -1, -1]], 0, 0, 1, 2)),
+    (Gen("co-zero"), _matrix(1, [[1]]), _matrix(0, [[]]), ((0,), [[1]], 0, 0, 1, 0)),
+    (
+        Gen("co-copy"),
+        _matrix(2, [[1, 0], [0, 1]]),
+        _matrix(1, [[1], [1]]),
+        ((0, 1), [[1, 0, -1], [0, 1, -1]], 0, 0, 2, 1),
+    ),
+    (Gen("co-discard"), _matrix(0, []), _matrix(1, []), ((), [], 0, 0, 0, 1)),
+    # l0 = rin and rout = r0
+    (
+        Gen("co-delay"),
+        _matrix(1, [[1]]),
+        _matrix(1, [[S]]),
+        ((0, 2), [[1, -1, 0, 0], [0, 0, 1, -1]], 0, 1, 1, 1),
+    ),
+    (Gen("co-x", 0), _matrix(1, [[1]]), _matrix(1, [[0]]), ((0,), [[1, 0]], 0, 0, 1, 1)),
+    (Gen("co-x", 2), _matrix(1, [[1]]), _matrix(1, [[2]]), ((0,), [[1, -2]], 0, 0, 1, 1)),
+    (
+        Gen("co-x", F(-3, 2)),
+        _matrix(1, [[1]]),
+        _matrix(1, [[F(-3, 2)]]),
+        ((0,), [[2, 3]], 0, 0, 1, 1),
+    ),
+    (Gen("id"), _matrix(1, [[1]]), _matrix(1, [[1]]), ((0,), [[1, -1]], 0, 0, 1, 1)),
+    (
+        Gen("tw"),
+        _matrix(2, [[0, 1], [1, 0]]),
+        _matrix(2, [[1, 0], [0, 1]]),
+        ((0, 1), [[1, 0, 0, -1], [0, 1, -1, 0]], 0, 0, 2, 2),
+    ),
+]
+
+
+class TestGenerators:
+    @pytest.mark.parametrize(
+        "gen, a, b, tick",
+        GENERATOR_PINS,
+        ids=[
+            gen.name if gen.value is None else f"{gen.name}({gen.value})"
+            for gen, *_ in GENERATOR_PINS
+        ],
+    )
+    def test_cospan_and_tick_system(self, gen, a, b, tick):
+        assert denote_cospan(gen) == MatCospan(a, b)
+        assert _tick_system(gen) == tick
+
+    def test_every_generator_is_pinned(self):
+        assert {gen.name for gen, *_ in GENERATOR_PINS} == set(GENERATOR_TYPES)
 
 
 def _bridge(a: int, b: int):

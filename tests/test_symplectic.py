@@ -9,6 +9,7 @@ from conftest import (
     Category,
     add_subspaces,
     check_category_laws,
+    full_subspace,
     image_of_matrix,
     intersect_subspaces,
     rand_circuit,
@@ -18,6 +19,7 @@ from conftest import (
     reference_compose_lagrangian,
     reference_corpus,
     reference_fast_box,
+    subspace_contains,
 )
 from openwires.circuit import (
     LabelledGraph,
@@ -91,8 +93,8 @@ class TestSubspace:
 
     def test_membership(self):
         v = Subspace.span(QQ, 3, [[F(1), F(2), F(0)], [F(0), F(0), F(1)]])
-        assert v.contains([F(2), F(4), F(-5)])
-        assert not v.contains([F(1), F(0), F(0)])
+        assert subspace_contains(v, [F(2), F(4), F(-5)])
+        assert not subspace_contains(v, [F(1), F(0), F(0)])
 
     def test_sum_and_intersection_dims(self):
         rng = random.Random(5)
@@ -115,8 +117,8 @@ class TestSubspace:
 class TestComplement:
     def test_zero_complement_is_everything(self):
         space = SymplecticSpace(QQ, 3)
-        zero = Subspace.zero(QQ, 6)
-        assert symplectic_complement(zero, space) == Subspace.full(QQ, 6)
+        zero = Subspace(QQ, 6, ())
+        assert symplectic_complement(zero, space) == full_subspace(QQ, 6)
 
     def test_potentials_subspace_is_lagrangian(self):
         space = SymplecticSpace(QQ, 2)
@@ -178,8 +180,8 @@ class TestGraphOfDQ:
         q = eliminate_node(p, 1)
         graph = graph_of_dQ(q)
         # current at the ends is +-(psi_C - psi_A)/2
-        assert graph.contains([F(1), F(0), F(1, 2), F(-1, 2)])
-        assert graph.contains([F(0), F(1), F(-1, 2), F(1, 2)])
+        assert subspace_contains(graph, [F(1), F(0), F(1, 2), F(-1, 2)])
+        assert subspace_contains(graph, [F(0), F(1), F(-1, 2), F(1, 2)])
 
     def test_always_lagrangian(self):
         rng = random.Random(9)
@@ -377,9 +379,9 @@ class TestSymplectify:
         )
         rel = symplectify(f)
         # potentials pulled back: phi_a = phi_b = phi_c; currents pushed: i_c = i_a + i_b
-        assert rel.space.contains([F(1), F(1), F(1), F(0), F(0), F(0)])
-        assert rel.space.contains([F(0), F(0), F(0), F(1), F(0), F(1)])
-        assert rel.space.contains([F(0), F(0), F(0), F(0), F(1), F(1)])
+        assert subspace_contains(rel.space, [F(1), F(1), F(1), F(0), F(0), F(0)])
+        assert subspace_contains(rel.space, [F(0), F(0), F(0), F(1), F(0), F(1)])
+        assert subspace_contains(rel.space, [F(0), F(0), F(0), F(0), F(1), F(1)])
         assert rel.space.dim == 3
         assert rel.is_lagrangian()
 
@@ -422,8 +424,8 @@ class TestTwist:
 
     def test_flips_current(self):
         t = twist(1)
-        assert t.space.contains([F(1), F(1), F(0), F(0)])
-        assert t.space.contains([F(0), F(0), F(1), F(-1)])
+        assert subspace_contains(t.space, [F(1), F(1), F(0), F(0)])
+        assert subspace_contains(t.space, [F(0), F(0), F(1), F(-1)])
 
     def test_preserves_lagrangian(self):
         rng = random.Random(21)
@@ -516,9 +518,7 @@ class TestOverQs:
         rhs = black_box(resistor(total, field=QS))
         assert lhs.space == rhs.space
         assert lhs.is_lagrangian()
-        assert lhs.space.contains(
-            [QS.one, QS.zero, -QS.one / total, -QS.one / total]
-        )
+        assert subspace_contains(lhs.space, [QS.one, QS.zero, -QS.one / total, -QS.one / total])
 
 
 class TestMinimizationByComposition:
