@@ -411,8 +411,31 @@ def _add(a: _IntegerPoly, b: _IntegerPoly, sign: int) -> _IntegerPoly:
 
 
 def _mul(a: _IntegerPoly, b: _IntegerPoly) -> _IntegerPoly:
-    """The product of two nonzero values of one class."""
-    return a._reduced(a.offset + b.offset, _convolve(a.nums, b.nums), a.den * b.den)
+    """The product of two nonzero values of one class.
+
+    When a factor has one term, the product is canonical once two gcds
+    are divided out: that factor's denominator against the other's
+    numerators, and the other's denominator against its numerator.  Both
+    factors are canonical, so no other prime is shared and the ends stay
+    nonzero.
+    """
+    if len(a.nums) != 1:
+        if len(b.nums) != 1:
+            return a._reduced(a.offset + b.offset, _convolve(a.nums, b.nums), a.den * b.den)
+        a, b = b, a
+    (n,), d = a.nums, a.den
+    nums, den = b.nums, b.den
+    if d != 1:
+        g = gcd(d, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            d //= g
+    if den != 1:
+        g = gcd(den, n)
+        if g != 1:
+            n //= g
+            den //= g
+    return _new(a.__class__, a.offset + b.offset, tuple([x * n for x in nums]), d * den)
 
 
 def _unit_inverse(p: _IntegerPoly) -> _IntegerPoly:

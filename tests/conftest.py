@@ -26,6 +26,7 @@ from openwires.scalars import (
     QS,
     RationalFunction,
     _as_fraction,
+    _axpy,
     _format_terms,
     format_rational_function,
     parse_scalar_expression,
@@ -906,6 +907,155 @@ def reference_is_controllable(c: MatCospan) -> bool:
     out again, has the same behaviour."""
     r, s = pullback_span(c)
     return cospans_equivalent(span_to_cospan(r, s), c)
+
+
+class ReferenceEliminator:
+    """The Smith elimination with its working rows unscaled: every stored
+    row and column is the true one.  ``reference_eliminate`` takes the
+    arguments of ``lti._eliminate`` and returns one of these, with the
+    same ``d``, ``u``, ``v``, ``rank``, ``right``, ``below`` and
+    ``factors``, so patching it in for ``lti._eliminate`` gives the
+    reference answer of every operation built on the elimination."""
+
+    def __init__(self, m: PolyMatrix, right, below, mirror: bool):
+        if right is None:
+            right = PolyMatrix.zeros(m.rows, 0)
+        self.rows = m.rows
+        self.cols = m.cols
+        self.width = right.cols
+        self.d = [[*row, *more] for row, more in zip(m.entries, right.entries)]
+        if below is not None:
+            self.d += map(list, below.entries)
+        self.u = _reference_identity_rows(m.rows) if mirror else [[] for _ in range(m.rows)]
+        self.v = _reference_identity_rows(m.cols) if mirror else [[] for _ in range(m.cols)]
+        self.rank = 0
+
+    def swap_rows(self, a: int, b: int):
+        if a == b:
+            return
+        self.d[a], self.d[b] = self.d[b], self.d[a]
+        self.u[a], self.u[b] = self.u[b], self.u[a]
+
+    def add_row(self, src: int, dst: int, factor: LaurentPoly, sign: int):
+        if factor.is_zero():
+            return
+        self.d[dst] = [_axpy(a, factor, b, sign) for a, b in zip(self.d[dst], self.d[src])]
+        self.u[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.u[src], self.u[dst])]
+
+    def scale_row(self, idx: int, unit: LaurentPoly):
+        inv = unit.unit_inverse()
+        self.d[idx] = [inv * e for e in self.d[idx]]
+        self.u[idx] = [unit * e for e in self.u[idx]]
+
+    def swap_cols(self, a: int, b: int):
+        if a == b:
+            return
+        for row in self.d:
+            row[a], row[b] = row[b], row[a]
+        self.v[a], self.v[b] = self.v[b], self.v[a]
+
+    def add_col(self, src: int, dst: int, factor: LaurentPoly, sign: int):
+        if factor.is_zero():
+            return
+        for row in self.d:
+            row[dst] = _axpy(row[dst], factor, row[src], sign)
+        self.v[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.v[src], self.v[dst])]
+
+    def factors(self) -> list[LaurentPoly]:
+        return [self.d[k][k] for k in range(self.rank)]
+
+    def right(self, keep: range) -> PolyMatrix:
+        rows = tuple(tuple(self.d[i][self.cols :]) for i in keep)
+        return PolyMatrix(len(rows), self.width, rows)
+
+    def below(self) -> PolyMatrix:
+        rows = tuple(map(tuple, self.d[self.rows :]))
+        return PolyMatrix(len(rows), self.cols, rows)
+
+
+def _reference_identity_rows(n: int) -> list[list[LaurentPoly]]:
+    one, zero = LaurentPoly.constant(1), LaurentPoly()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def reference_eliminate(m: PolyMatrix, right=None, below=None, mirror: bool = False):
+    """The Smith elimination of m on unscaled rows: the pivot of least
+    degree spread (first by position), Euclidean steps that clear its row
+    and column, the first row holding an entry it does not divide added
+    to its row, and each nonzero pivot made canonical at the end."""
+    work = ReferenceEliminator(m, right, below, mirror)
+    one = LaurentPoly.constant(1)
+    pos = 0
+    size = min(m.rows, m.cols)
+    while pos < size:
+        pivot = _reference_find_pivot(work, pos)
+        if pivot is None:
+            break
+        work.swap_rows(pos, pivot[0])
+        work.swap_cols(pos, pivot[1])
+        while True:
+            if _reference_reduce_once(work, pos):
+                continue
+            offender = _reference_offender(work, pos)
+            if offender is None:
+                break
+            work.add_row(offender, pos, one, 1)
+        pos += 1
+    while work.rank < size and not work.d[work.rank][work.rank].is_zero():
+        unit, _ = work.d[work.rank][work.rank].canonical()
+        if not unit.is_one():
+            work.scale_row(work.rank, unit)
+        work.rank += 1
+    return work
+
+
+def _reference_find_pivot(work: ReferenceEliminator, pos: int):
+    best = None
+    best_spread = None
+    for i in range(pos, work.rows):
+        for j in range(pos, work.cols):
+            e = work.d[i][j]
+            if e.is_zero():
+                continue
+            if best_spread is None or e.deg_spread < best_spread:
+                best, best_spread = (i, j), e.deg_spread
+                if best_spread == 0:
+                    return best
+    return best
+
+
+def _reference_reduce_once(work: ReferenceEliminator, pos: int) -> bool:
+    pivot = work.d[pos][pos]
+    for i in range(pos + 1, work.rows):
+        e = work.d[i][pos]
+        if e.is_zero():
+            continue
+        q, r = divmod(e, pivot)
+        work.add_row(pos, i, q, -1)
+        if not r.is_zero():
+            work.swap_rows(pos, i)
+            return True
+    for j in range(pos + 1, work.cols):
+        e = work.d[pos][j]
+        if e.is_zero():
+            continue
+        q, r = divmod(e, pivot)
+        work.add_col(pos, j, q, -1)
+        if not r.is_zero():
+            work.swap_cols(pos, j)
+            return True
+    return False
+
+
+def _reference_offender(work: ReferenceEliminator, pos: int):
+    pivot = work.d[pos][pos]
+    if pivot.is_unit():
+        return None
+    for i in range(pos + 1, work.rows):
+        for j in range(pos + 1, work.cols):
+            if not pivot.divides(work.d[i][j]):
+                return i
+    return None
 
 
 def _dense_wire_rows(network, rhs=()):

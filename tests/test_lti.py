@@ -14,9 +14,12 @@ from conftest import (
     rand_laurent,
     rand_poly_matrix,
     rand_term,
+    ReferenceEliminator,
+    reference_eliminate,
     reference_is_controllable,
     stack_matrices,
 )
+from openwires import lti
 from openwires.cli import load_term
 from openwires.lti import (
     _eliminate,
@@ -31,6 +34,7 @@ from openwires.lti import (
     controllable_part,
     is_controllable,
     kernel_basis,
+    kernel_representation,
     mat_corelation,
     pullback_span,
     snf,
@@ -39,7 +43,7 @@ from openwires.lti import (
     tensor_mat_cospans,
 )
 from openwires.scalars import LaurentPoly, QS
-from openwires.sfg import Gen, Par, Seq, sfg_denote, term_type
+from openwires.sfg import Gen, Par, Seq, denote_cospan, sfg_denote, term_type
 from openwires.linalg import Subspace, kernel_of_matrix
 
 S = LaurentPoly.variable()
@@ -520,3 +524,114 @@ class TestSolveLeft:
     )
     def test_unsolvable_pairs(self, m, n):
         assert solve_left(pm(m), pm(n)) is None
+
+
+def _criterion_8_matrices():
+    rng = random.Random(108)
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        yield rand_poly_matrix(rng, rows, cols, max_spread=3)
+
+
+def _answers(matrices, cospans):
+    """The answer of every operation built on the one Smith elimination:
+    ``snf`` (its five factors and rank), ``kernel_basis``, ``solve_left``
+    on a solvable and a (mostly) unsolvable target, ``controllability``
+    with its witness, ``mat_corelation`` and ``compose_mat_cospans``."""
+    draws = random.Random(309)
+    out = []
+    for m in matrices:
+        split = draws.randint(0, m.cols)
+        cospan = MatCospan(m.take_cols(range(split)), m.take_cols(range(split, m.cols)))
+        x = rand_poly_matrix(draws, draws.randint(0, 2), m.rows, 2)
+        target = rand_poly_matrix(draws, 1, m.cols, 2)
+        out.append(
+            (
+                snf(m),
+                kernel_basis(m),
+                solve_left(m, x.mul(m)),
+                solve_left(m, target),
+                controllability(cospan),
+                mat_corelation(cospan),
+                compose_mat_cospans(cospan, cospan.converse()),
+            )
+        )
+    for cospan in cospans:
+        out.append(
+            (
+                mat_corelation(cospan),
+                compose_mat_cospans(cospan, cospan.converse()),
+                controllability(cospan),
+                kernel_basis(kernel_representation(cospan)),
+            )
+        )
+    return out
+
+
+def _recording_peak(cls, add_row, peaks: dict):
+    """``add_row`` that records in ``peaks[cls]`` the largest coefficient
+    in any working row, in bits of numerator and denominator."""
+
+    def recorded(work, *args):
+        add_row(work, *args)
+        bits = max(
+            c.numerator.bit_length() + c.denominator.bit_length()
+            for row in work.d
+            for e in row
+            for c in e.coeffs
+        )
+        peaks[cls] = max(peaks.get(cls, 0), bits)
+
+    return recorded
+
+
+class TestScaledRows:
+    """The elimination keeps its working rows primitive, with one unit per
+    row and column divided out at the end; ``reference_eliminate`` runs it
+    on the true rows.  Every answer must be equal, field for field, and
+    LaurentPoly == compares the fields a value prints from."""
+
+    def test_answers_match_unscaled_reference(self, monkeypatch):
+        rng = random.Random(71)
+        cospans = [denote_cospan(rand_term(rng, 12)) for _ in range(200)]
+        matrices = list(_criterion_8_matrices())
+        answers = _answers(matrices, cospans)
+        monkeypatch.setattr(lti, "_eliminate", reference_eliminate)
+        assert answers == _answers(matrices, cospans)
+        assert sum(a[3] is None for a in answers[:1000]) >= 500
+
+    def test_worst_input_stays_small(self, monkeypatch):
+        # the behaviours SNF input of seed 3 whose working coefficients grew
+        # to 3925 bits on unscaled rows; its invariant factors are all 1
+        rows = (
+            ("0", "-2*s", "3*s^5+3*s^4-2*s^3-4*s^2", "3*s^-1-s^-2"),
+            ("-3*s", "-s-1", "s^-2", "-s^3+2*s^2"),
+            ("s^-1", "s^5-4*s^4+s^3+s^2", "-2*s^-1", "-3*s^-1+2*s^-2"),
+            ("-s^3-3*s^2", "4*s^4+s^3-4*s^2-s", "3*s-3", "-4*s^-1"),
+            ("s^2-4*s+4-4*s^-1", "-2*s", "-3*s^-2", "-s^4+4*s^3-s^2"),
+        )
+        m = pm([[parse_laurent(text) for text in row] for row in rows])
+        peaks = {}
+        for cls in (lti._Eliminator, ReferenceEliminator):
+            monkeypatch.setattr(cls, "add_row", _recording_peak(cls, cls.add_row, peaks))
+        result = snf(m)
+        monkeypatch.setattr(lti, "_eliminate", reference_eliminate)
+        assert result == snf(m) and result.diagonal == [ONE] * 4
+        assert peaks[ReferenceEliminator] == 3925 and peaks[lti._Eliminator] < 1000
+
+    def test_offender_added_after_a_rescale(self, monkeypatch):
+        # row 1 is over 2^33, so its first update rescales it; s + 1 does
+        # not divide its s + 2, so the true row 1 is then added to row 0
+        m = pm([[S + 1, 0], [S * S + S, (S + 2) * LaurentPoly.constant(F(1, 2**33))]])
+        units = []
+        add_true_row = lti._Eliminator.add_true_row
+
+        def recorded(work, src, dst):
+            units.append(work.row_units and (work.row_units[src], work.row_units[dst]))
+            add_true_row(work, src, dst)
+
+        monkeypatch.setattr(lti._Eliminator, "add_true_row", recorded)
+        result = snf(m)
+        assert units == [(LaurentPoly.constant(2**33), ONE)]
+        monkeypatch.setattr(lti, "_eliminate", reference_eliminate)
+        assert result == snf(m)

@@ -379,7 +379,9 @@ class TestLaurentAgainstReference:
         _assert_matches(LaurentPoly(), ReferenceLaurent())
 
     def test_ring_operations(self):
-        rng = random.Random(402)
+        # monomials, which multiply by their own route, are drawn apart so
+        # that the other operands stay those of seed 402
+        rng, monomials = random.Random(402), random.Random(412)
         for _ in range(400):
             a, ra = _rand_laurent_pair(rng)
             b, rb = _rand_laurent_pair(rng)
@@ -389,6 +391,10 @@ class TestLaurentAgainstReference:
             _assert_matches(-a, -ra)
             k = rng.randint(-5, 5)
             _assert_matches(a * laurent_monomial(1, k), ra.shift(k))
+            c, k = _rand_nonzero_coefficient(monomials), monomials.randint(-5, 5)
+            m, rm = laurent_monomial(c, k), ReferenceLaurent.monomial(c, k)
+            _assert_matches(a * m, ra * rm)
+            _assert_matches(m * a, rm * ra)
             f = _rand_operand(rng)
             _assert_matches(a.scale(f), ra.scale(f))
 
