@@ -25,18 +25,29 @@ nonzero coefficient is dropped; a node whose nonzero coefficients sum to
 zero (possible over Q(s), where impedances cancel unchecked) raises
 ``DegenerateFormError``: the minimum over it is a constraint on the
 boundary, not a Dirichlet form.
+
+Over Q the loop holds each coefficient as a reduced pair (num, den) of
+ints, den > 0, never zero.  Henrici's formulas (J. ACM 3(1), 1956), which
+``Fraction`` also uses, keep every sum and product the one reduced pair
+of its value, and ``_reduce`` builds one ``Fraction`` per kept pair at
+the end: the same answer as ``Fraction`` arithmetic throughout, without
+its operator dispatch and object construction at every step.
+``_KERNELS`` holds the arithmetic of each field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .circuit import OpenCircuit, _terminal_positions, boundary
 from .finset import cospan_to_corelation
 from .linalg import _solve
-from .scalars import Field, QQ, _Record
+from .scalars import Field, QQ, QS, _Record
 
 
 class DegenerateFormError(ValueError):
@@ -149,36 +160,81 @@ def power_functional(c: OpenCircuit) -> DirichletForm:
 def _edge_adjacency(c: OpenCircuit) -> dict[int, dict[int, object]]:
     """The nonzero coefficients of the extended power functional, read
     straight off the edges: 1/(2 Z(e)) summed over the edges of each pair."""
-    zero = c.field.zero
-    half = c.field.from_fraction(Fraction(1, 2))
+    add, _, _, nonzero, conductance = _KERNELS[c.field.name]
     adjacency: dict[int, dict[int, object]] = {n: {} for n in range(c.graph.num_nodes)}
     for src, tgt, z in c.graph.edges:
         if src == tgt:
             continue
-        value = adjacency[src].get(tgt, zero) + half / z
-        _set_pair(adjacency, src, tgt, value)
+        value = conductance(z)
+        if tgt in adjacency[src]:
+            value = add(adjacency[src][tgt], value)
+        _set_pair(adjacency, src, tgt, value, nonzero)
     return adjacency
 
 
 def _adjacency(q: DirichletForm) -> dict[int, dict[int, object]]:
-    """The nonzero coefficients of q, row by row."""
+    """The nonzero coefficients of q, row by row, over Q as reduced pairs."""
+    if q.field.name == "Q":
+        return {
+            i: {j: (c.numerator, c.denominator) for j, c in enumerate(row) if c}
+            for i, row in enumerate(q.coeff)
+        }
     return {i: {j: c for j, c in enumerate(row) if c} for i, row in enumerate(q.coeff)}
 
 
-def _set_pair(adjacency: dict, i: int, j: int, value) -> None:
+def _set_pair(adjacency: dict, i: int, j: int, value, nonzero) -> None:
     """Store c_ij = c_ji = value, removing the pair when it vanishes."""
-    if value:
+    if nonzero(value):
         adjacency[i][j] = adjacency[j][i] = value
     else:
         adjacency[i].pop(j, None)
         adjacency[j].pop(i, None)
 
 
+def _pair_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a + b on reduced pairs by Henrici's split gcds: the sum is reduced."""
+    (na, da), (nb, db) = a, b
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return (t, s * db) if g2 == 1 else (t // g2, s * (db // g2))
+
+
+def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a * b on reduced pairs, the two cross gcds cancelled first."""
+    (na, da), (nb, db) = a, b
+    g1, g2 = gcd(na, db), gcd(nb, da)
+    return (na // g1) * (nb // g2), (da // g2) * (db // g1)
+
+
+def _pair_inverse(a: tuple[int, int]) -> tuple[int, int]:
+    """1/a on a reduced nonzero pair, the denominator kept positive."""
+    num, den = a
+    return (den, num) if num > 0 else (-den, -num)
+
+
+def _pair_conductance(z: Fraction) -> tuple[int, int]:
+    """1/(2 z) as a reduced pair: (1, 2) times (z.den, z.num), as z > 0."""
+    return _pair_mul((1, 2), (z.denominator, z.numerator))
+
+
+# The arithmetic of the Kron loop by field name: add, multiply, inverse,
+# the nonzero test and an edge's conductance 1/(2 Z).
+_KERNELS = {
+    "Q": (_pair_add, _pair_mul, _pair_inverse, itemgetter(0), _pair_conductance),
+    "Q(s)": (add, mul, QS.one.__truediv__, bool, QS.from_fraction(Fraction(1, 2)).__truediv__),
+}
+
+
 def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> dict:
     """Eliminate in place every index outside ``keep``, each time the one
     with the fewest nonzero coefficients (the lowest index on a tie), and
-    return ``adjacency``, now the coefficients on ``keep``.  Each elimination
-    re-pushes its interior neighbours; a stale heap entry is skipped."""
+    return ``adjacency``, now the coefficients on ``keep`` in the field's
+    own values.  Each elimination re-pushes its interior neighbours; a stale
+    heap entry is skipped."""
     kept = set(keep)
     heap = [(len(row), n) for n, row in adjacency.items() if n not in kept]
     heapify(heap)
@@ -189,6 +245,11 @@ def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> dict:
             _eliminate(field, adjacency, n)
             for m in neighbours:
                 heappush(heap, (len(adjacency[m]), m))
+    if field.name == "Q":
+        for i, row in adjacency.items():
+            for j, pair in row.items():
+                if i < j:
+                    row[j] = adjacency[j][i] = Fraction(*pair)
     return adjacency
 
 
@@ -202,22 +263,29 @@ def _form(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
 
 def _eliminate(field: Field, adjacency: dict, n: int) -> None:
     """One Kron step: remove n and update only the pairs of its neighbours,
-    c'_ij = c_ij + c_in c_jn / total."""
+    c'_ij = c_ij + c_in c_jn / total, in the arithmetic ``_KERNELS`` holds
+    for the field."""
+    add, mul, inverse, nonzero, _ = _KERNELS[field.name]
     neighbours = list(adjacency.pop(n).items())
     if not neighbours:
         return
-    total = sum((c for _, c in neighbours), field.zero)
-    if not total:
+    total = reduce(add, [c for _, c in neighbours])
+    if not nonzero(total):
         raise DegenerateFormError(
             "an interior node's coefficients sum to zero, so the power functional "
             "is degenerate; over Q(s) this happens when unchecked impedances cancel"
         )
     for i, _ in neighbours:
         del adjacency[i][n]
+    over = inverse(total)
     for a, (i, c_in) in enumerate(neighbours[:-1]):
-        scaled = c_in / total
+        scaled = mul(c_in, over)
+        row = adjacency[i]
         for j, c_jn in neighbours[a + 1 :]:
-            _set_pair(adjacency, i, j, adjacency[i].get(j, field.zero) + scaled * c_jn)
+            value = mul(scaled, c_jn)
+            if j in row:
+                value = add(row[j], value)
+            _set_pair(adjacency, i, j, value, nonzero)
 
 
 def realizable_extension(

@@ -1106,6 +1106,9 @@ def parse_scalar_expression(text: str) -> RationalFunction:
 
 
 def parse_rational(text: str) -> Fraction:
+    if text.isdecimal():
+        # what the grammar's ``atom`` reads from a lone run of digits
+        return Fraction(int(text))
     value = parse_scalar_expression(text)
     if value.den.degree > 0 or value.num.degree > 0:
         raise ScalarParseError(text, 0, "expected a plain rational, found s")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
@@ -13,7 +14,7 @@ from openwires.circuit import (
     compose_circuits,
     tensor_circuits,
 )
-from openwires.dirichlet import DirichletForm, extended_power
+from openwires.dirichlet import DegenerateFormError, DirichletForm, extended_power
 from openwires.finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
 from openwires.linalg import Subspace, _rref, kernel_of_matrix
 from openwires.lti import MatCospan, PolyMatrix, cospans_equivalent, pullback_span, span_to_cospan
@@ -1277,6 +1278,67 @@ def reference_minimize(q: DirichletForm, keep) -> DirichletForm:
     for count, node in enumerate(drop):
         current = _reference_eliminate_node(current, node - count)
     return current
+
+
+def reference_edge_adjacency(c: OpenCircuit) -> dict:
+    """The nonzero coefficients 1/(2 Z(e)) off the edges, summed per pair,
+    in the field's own values: ``Fraction`` over Q."""
+    zero = c.field.zero
+    half = c.field.from_fraction(Fraction(1, 2))
+    adjacency: dict = {n: {} for n in range(c.graph.num_nodes)}
+    for src, tgt, z in c.graph.edges:
+        if src != tgt:
+            _reference_set_pair(adjacency, src, tgt, adjacency[src].get(tgt, zero) + half / z)
+    return adjacency
+
+
+def reference_adjacency(q: DirichletForm) -> dict:
+    """The nonzero coefficients of q, row by row, as they are."""
+    return {i: {j: c for j, c in enumerate(row) if c} for i, row in enumerate(q.coeff)}
+
+
+def _reference_set_pair(adjacency: dict, i: int, j: int, value) -> None:
+    if value:
+        adjacency[i][j] = adjacency[j][i] = value
+    else:
+        adjacency[i].pop(j, None)
+        adjacency[j].pop(i, None)
+
+
+def reference_kron(field, adjacency: dict, keep) -> dict:
+    """``dirichlet._reduce`` in the field's own arithmetic, ``Fraction``
+    over Q: the same minimum-degree order (a heap of (degree, node), ties
+    to the lowest index), one Kron step c'_ij = c_ij + c_in c_jn / total
+    per node."""
+    kept = set(keep)
+    heap = [(len(row), n) for n, row in adjacency.items() if n not in kept]
+    heapq.heapify(heap)
+    while heap:
+        degree, n = heapq.heappop(heap)
+        if n not in adjacency or len(adjacency[n]) != degree:
+            continue
+        neighbours = list(adjacency.pop(n).items())
+        for i, _ in neighbours:
+            del adjacency[i][n]
+        total = sum((c for _, c in neighbours), field.zero)
+        if neighbours and not total:
+            raise DegenerateFormError("an interior node's coefficients sum to zero")
+        for a, (i, c_in) in enumerate(neighbours):
+            for j, c_jn in neighbours[a + 1 :]:
+                value = adjacency[i].get(j, field.zero) + c_in / total * c_jn
+                _reference_set_pair(adjacency, i, j, value)
+        for i, _ in neighbours:
+            if i not in kept:
+                heapq.heappush(heap, (len(adjacency[i]), i))
+    return adjacency
+
+
+def reference_kron_form(field, adjacency: dict, keep) -> DirichletForm:
+    """The form on ``keep`` that ``reference_kron`` leaves."""
+    position = {node: k for k, node in enumerate(keep)}
+    pairs = reference_kron(field, adjacency, keep)
+    entries = {(position[i], position[j]): c for i in keep for j, c in pairs[i].items() if i < j}
+    return DirichletForm.from_entries(len(keep), entries, field)
 
 
 def reference_fast_box(c: OpenCircuit) -> LagrangianRelation:

@@ -17,7 +17,11 @@ from conftest import (
     rand_linear_system,
     pushforward_form,
     rand_positive_fraction,
+    reference_adjacency,
     reference_corpus,
+    reference_edge_adjacency,
+    reference_kron,
+    reference_kron_form,
     reference_minimize,
 )
 from openwires.circuit import (
@@ -30,7 +34,7 @@ from openwires.circuit import (
     resistor,
     series,
 )
-from openwires import dirichlet
+from openwires import dirichlet, symplectic
 from openwires.dirichlet import (
     DegenerateFormError,
     DirichletForm,
@@ -272,6 +276,87 @@ class TestMinimumDegreeOrder:
         c, impedance = ladder(random.Random(61), 200)
         q = power_functional(c)
         assert q.size == 2 and q.coeff[0][1] == 1 / (2 * impedance)
+
+
+def rand_pair_circuit(rng: random.Random) -> OpenCircuit:
+    """2 to 25 nodes over Q, some of them isolated, with at least one
+    doubled edge and one self-loop; impedances up to 60/60, so that the
+    pair kernel cancels large and small gcds."""
+    nodes = rng.randint(2, 25)
+    used = rng.sample(range(nodes), rng.randint(2, nodes))
+    edges = [
+        (rng.choice(used), rng.choice(used), F(rng.randint(1, 60), rng.randint(1, 60)))
+        for _ in range(rng.randint(3, 2 * len(used) + 2))
+    ]
+    a, b = rng.sample(used, 2)
+    edges[0], edges[1] = (a, b, edges[0][2]), (b, a, edges[1][2])
+    edges[2] = (a, a, edges[2][2])
+    x, y = rng.randint(0, 3), rng.randint(0, 3)
+    return OpenCircuit(
+        QQ,
+        LabelledGraph(nodes, tuple(edges)),
+        FinCospan(rand_fin_function(rng, x, nodes), rand_fin_function(rng, y, nodes)),
+    )
+
+
+def as_pair(value: F) -> tuple[int, int]:
+    return value.numerator, value.denominator
+
+
+def all_fractions(rows) -> bool:
+    return all(type(v) is F for row in rows for v in row)
+
+
+class TestPairKernel:
+    """The Kron loop over Q runs on reduced integer pairs; its answers are
+    the ``Fraction`` step's, with ``==`` and entry types alike."""
+
+    def circuits(self):
+        rng = random.Random(419)
+        return [rand_pair_circuit(rng) for _ in range(60)] + [ladder(rng, 200)[0]]
+
+    def test_pair_arithmetic_is_fractions(self):
+        rng = random.Random(421)
+        values = [F(rng.randint(-90, 90) or 1, rng.randint(1, 90)) for _ in range(60)]
+        values += [F(2**61 - 1, 6), F(-(3**40), 2**50), F(1), F(-1)]
+        for a in values:
+            assert dirichlet._pair_inverse(as_pair(a)) == as_pair(1 / a)
+            for b in values:
+                assert dirichlet._pair_add(as_pair(a), as_pair(b)) == as_pair(a + b)
+                assert dirichlet._pair_mul(as_pair(a), as_pair(b)) == as_pair(a * b)
+
+    def test_power_functional_and_extended_power(self):
+        for c in self.circuits():
+            q = power_functional(c)
+            assert q == reference_kron_form(QQ, reference_edge_adjacency(c), boundary(c))
+            assert all_fractions(q.coeff)
+            p = extended_power(c)
+            nodes = range(c.graph.num_nodes)
+            assert p == reference_kron_form(QQ, reference_edge_adjacency(c), nodes)
+            assert all_fractions(p.coeff)
+
+    def test_minimize_and_eliminate_node(self):
+        rng = random.Random(431)
+        for c in self.circuits():
+            p = extended_power(c)
+            keep = sorted(rng.sample(range(p.size), rng.randint(0, p.size)))
+            q = minimize(p, keep)
+            assert q == reference_kron_form(QQ, reference_adjacency(p), keep)
+            n = rng.randrange(p.size)
+            r = eliminate_node(p, n)
+            rest = [i for i in range(p.size) if i != n]
+            assert r == reference_kron_form(QQ, reference_adjacency(p), rest)
+            assert all_fractions(q.coeff) and all_fractions(r.coeff)
+
+    def test_fast_black_box(self, monkeypatch):
+        for c in self.circuits():
+            with monkeypatch.context() as patched:
+                patched.setattr(symplectic, "_reduce", reference_kron)
+                patched.setattr(symplectic, "_edge_adjacency", reference_edge_adjacency)
+                expected = black_box(c)
+            relation = black_box(c)
+            assert relation == expected
+            assert all_fractions(relation.space.basis)
 
 
 class TestDegeneratePivot:

@@ -28,6 +28,7 @@ from openwires.lti import (
     PolyMatrix,
     behaviour_eq,
     behaviour_leq,
+    behaviour_rep,
     compose_mat_cospans,
     controllability,
     cospans_equivalent,
@@ -218,6 +219,25 @@ class TestCorelationReduction:
         c = MatCospan(pm([[1], [0]]), pm([[2], [0]]))
         reduced = mat_corelation(c)
         assert reduced.apex == 1
+
+    def test_second_run_keeps_the_behaviour(self):
+        """``mat_corelation`` is not idempotent: on this cospan a second run
+        reorders and rewrites the rows of the first.  So ``behaviour_rep``
+        cannot skip its own run on a reduced cospan, until a canonical form
+        makes the two runs equal; the behaviour is the same either way."""
+        rows = [
+            ["-s^4+s^2", "0", "0", "s^5-3*s^4+4*s^3+3*s^2", "s^3+3*s^2"],
+            ["-2*s+1-4*s^-1", "0", "-3*s^5-4*s^4+s^3-s^2", "0", "0"],
+            ["0", "-3*s^3+3*s^2-3*s", "s^4-2*s^3", "0", "0"],
+        ]
+        m = [[parse_laurent(text) for text in row] for row in rows]
+        c = MatCospan(
+            PolyMatrix(3, 4, tuple(tuple(row[:4]) for row in m)),
+            PolyMatrix(3, 1, tuple(tuple(row[4:]) for row in m)),
+        )
+        once = mat_corelation(c)
+        twice = mat_corelation(once)
+        assert behaviour_eq(behaviour_rep(once), behaviour_rep(twice))
 
 
 class TestBehaviour:

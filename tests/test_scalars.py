@@ -228,6 +228,23 @@ class TestParsing:
         with pytest.raises(ScalarParseError):
             parse_rational("s+1")
 
+    @pytest.mark.parametrize(
+        "text", ["7", "00", "٣", "9" * 5000, " 7", "+7", "1_000", "", "12/8", "-3"]
+    )
+    def test_plain_integers_read_as_the_grammar_reads_them(self, text):
+        """A text of decimal digits skips the grammar: the same Fraction,
+        or the same exception with the same text, as the grammar gives."""
+        try:
+            expected = parse_scalar_expression(text)
+        except ValueError as err:
+            with pytest.raises(type(err)) as caught:
+                parse_rational(text)
+            assert str(caught.value) == str(err)
+            return
+        value = parse_rational(text)
+        assert type(value) is Fraction
+        assert RationalFunction.from_fraction(value) == expected
+
     def test_negative_exponent_only_on_s(self):
         assert parse_scalar_expression("s^-3") == RationalFunction(
             Polynomial([1]), Polynomial([0, 0, 0, 1])
