@@ -7,10 +7,10 @@ the glued apex; tensor is disjoint union.  Ideal wires are never edges:
 zero impedance is rejected at construction, and perfect conduction is
 expressed by the Frobenius generators (node gluing) instead.
 
-Over Q, impedances must be strictly positive.  Over Q(s), positivity of
-an impedance has no implemented decision procedure; nonzero values are
-accepted and ``OpenCircuit.positivity_verified`` is False to record that
-the claim is unchecked.
+The field rules which impedances are allowed (``Field.fault``): over Q
+strictly positive rationals.  Over Q(s) positivity has no implemented
+decision procedure, nonzero rational functions are accepted, and
+``OpenCircuit.positivity_verified`` is False to record that the claim is unchecked.
 """
 
 from __future__ import annotations
@@ -62,15 +62,8 @@ class OpenCircuit(_Record):
         if cospan.apex_size != graph.num_nodes:
             raise ValueError("cospan apex must be the node set of the graph")
         for src, tgt, z in graph.edges:
-            positive = field.is_positive(z)
-            if positive is False:
-                if field == QQ:
-                    raise ImpedanceError(
-                        f"impedance on edge ({src}, {tgt}) must be positive over Q"
-                    )
-                raise ImpedanceError(
-                    f"impedance on edge ({src}, {tgt}) must be nonzero"
-                )
+            if fault := field.fault(z):
+                raise ImpedanceError(f"impedance on edge ({src}, {tgt}) must be {fault}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "cospan", cospan)

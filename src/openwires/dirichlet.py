@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 from typing import Sequence
 
 from .circuit import OpenCircuit, _terminal_positions, boundary
@@ -68,6 +68,8 @@ class DirichletForm(_Record):
     def __init__(self, field: Field, size: int, coeff: tuple[tuple[object, ...], ...]):
         if len(coeff) != size or any(len(row) != size for row in coeff):
             raise ValueError("coefficient matrix must be size x size")
+        if not all(isinstance(c, field.members) for row in coeff for c in row):
+            raise ValueError(f"coefficients over {field.name} must be {field.noun}s")
         zero = field.zero
         for i in range(size):
             if coeff[i][i] != zero:
@@ -160,7 +162,7 @@ def power_functional(c: OpenCircuit) -> DirichletForm:
 def _edge_adjacency(c: OpenCircuit) -> dict[int, dict[int, object]]:
     """The nonzero coefficients of the extended power functional, read
     straight off the edges: 1/(2 Z(e)) summed over the edges of each pair."""
-    add, _, _, nonzero, conductance = _KERNELS[c.field.name]
+    add, _, _, nonzero, conductance, _, _ = _KERNELS[c.field]
     adjacency: dict[int, dict[int, object]] = {n: {} for n in range(c.graph.num_nodes)}
     for src, tgt, z in c.graph.edges:
         if src == tgt:
@@ -173,13 +175,9 @@ def _edge_adjacency(c: OpenCircuit) -> dict[int, dict[int, object]]:
 
 
 def _adjacency(q: DirichletForm) -> dict[int, dict[int, object]]:
-    """The nonzero coefficients of q, row by row, over Q as reduced pairs."""
-    if q.field.name == "Q":
-        return {
-            i: {j: (c.numerator, c.denominator) for j, c in enumerate(row) if c}
-            for i, row in enumerate(q.coeff)
-        }
-    return {i: {j: c for j, c in enumerate(row) if c} for i, row in enumerate(q.coeff)}
+    """The nonzero coefficients of q, row by row, in the Kron loop's values."""
+    into = _KERNELS[q.field][5]
+    return {i: {j: into(c) for j, c in enumerate(row) if c} for i, row in enumerate(q.coeff)}
 
 
 def _set_pair(adjacency: dict, i: int, j: int, value, nonzero) -> None:
@@ -221,11 +219,14 @@ def _pair_conductance(z: Fraction) -> tuple[int, int]:
     return _pair_mul((1, 2), (z.denominator, z.numerator))
 
 
-# The arithmetic of the Kron loop by field name: add, multiply, inverse,
-# the nonzero test and an edge's conductance 1/(2 Z).
+# The Kron loop of each field: add, multiply, inverse, the nonzero test, an
+# edge's conductance 1/(2 Z), and a coefficient's conversions into and out
+# of the loop's values.
 _KERNELS = {
-    "Q": (_pair_add, _pair_mul, _pair_inverse, itemgetter(0), _pair_conductance),
-    "Q(s)": (add, mul, QS.one.__truediv__, bool, QS.from_fraction(Fraction(1, 2)).__truediv__),
+    QQ: (_pair_add, _pair_mul, _pair_inverse, itemgetter(0), _pair_conductance,
+         attrgetter("numerator", "denominator"), lambda pair: Fraction(*pair)),
+    QS: (add, mul, QS.one.__truediv__, bool, QS.from_fraction(Fraction(1, 2)).__truediv__,
+         lambda value: value, lambda value: value),
 }
 
 
@@ -245,11 +246,11 @@ def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> dict:
             _eliminate(field, adjacency, n)
             for m in neighbours:
                 heappush(heap, (len(adjacency[m]), m))
-    if field.name == "Q":
-        for i, row in adjacency.items():
-            for j, pair in row.items():
-                if i < j:
-                    row[j] = adjacency[j][i] = Fraction(*pair)
+    out = _KERNELS[field][6]
+    for i, row in adjacency.items():
+        for j, value in row.items():
+            if i < j:
+                row[j] = adjacency[j][i] = out(value)
     return adjacency
 
 
@@ -265,7 +266,7 @@ def _eliminate(field: Field, adjacency: dict, n: int) -> None:
     """One Kron step: remove n and update only the pairs of its neighbours,
     c'_ij = c_ij + c_in c_jn / total, in the arithmetic ``_KERNELS`` holds
     for the field."""
-    add, mul, inverse, nonzero, _ = _KERNELS[field.name]
+    add, mul, inverse, nonzero, _, _, _ = _KERNELS[field]
     neighbours = list(adjacency.pop(n).items())
     if not neighbours:
         return

@@ -32,6 +32,10 @@ User text has one reader here, ``_Scanner``, which the scalar parser and
 ``cli``'s term parser subclass, and one quoting rule for error messages,
 ``_quoted``.
 
+The engine's two fields are ``QQ`` and ``QS``, the only ``Field`` objects,
+which hold what differs between them: constants, reader, printer and
+value rule.  Only ``linalg._rref`` asks which field it has.
+
 The value types of the other modules (cospans, circuits, subspaces,
 matrices, terms) are records on one base here, ``_Record``, which keeps
 the rule the scalars follow: fields in ``__slots__``, set once in
@@ -240,10 +244,7 @@ class _IntegerPoly:
 
     __slots__ = ("offset", "nums", "den")
 
-    def __setattr__(self, *args):
-        raise AttributeError(f"{self.__class__.__name__} is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def __reduce__(self):
         """Copies and pickles are rebuilt from the canonical fields: the
@@ -581,10 +582,7 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *args):
-        raise AttributeError("RationalFunction is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def __reduce__(self):
         """Rebuilt from the canonical fields, as ``_IntegerPoly`` is."""
@@ -1119,67 +1117,56 @@ def parse_rational(text: str) -> Fraction:
 
 
 class Field:
-    """One of the two scalar fields the engine computes over.
+    """One of the two scalar fields the engine computes over: ``QQ``, the
+    rationals, or ``QS``, the rational functions Q(s).
 
-    ``QQ`` is the rationals; ``QS`` is the rational functions Q(s).  A
-    field bundles the zero/one constants with parsing, formatting and the
-    positivity test.  Over Q positivity is decidable (value > 0); over
-    Q(s) no decision procedure is implemented and ``is_positive`` returns
-    None, meaning "claimed positive, unchecked".
+    Its slots hold what differs between the two: the constants, the reader
+    ``parse``, the printer ``format`` and the value rule.  The elements are
+    the instances of ``members``, named ``noun`` in error text.  Over Q
+    ``is_positive`` decides value > 0; over Q(s) no decision procedure is
+    implemented, and it returns False for zero and None, meaning "claimed
+    positive, unchecked", otherwise; ``positive_rule`` says what passes it.
+    ``QQ`` and ``QS`` are the only fields: they refuse assignment, and a
+    copy or a pickle of one is the field itself.
     """
 
-    def __init__(self, name: str):
-        self.name = name
-        if name == "Q":
-            self.zero = _ZERO
-            self.one = _ONE
-        elif name == "Q(s)":
-            self.zero = _RF_ZERO
-            self.one = RationalFunction.from_fraction(1)
-        else:
-            raise ValueError(f"unknown field {name!r}")
+    __slots__ = ("name", "zero", "one", "from_fraction", "parse", "format", "members", "noun",
+                 "is_positive", "positive_rule")
 
-    def from_fraction(self, q: Fraction):
-        if self.name == "Q":
-            return q
-        return RationalFunction.from_fraction(q)
+    def __init__(self, **slots):
+        for name in self.__slots__:
+            object.__setattr__(self, name, slots[name])
 
-    def parse(self, text: str):
-        if self.name == "Q":
-            return parse_rational(text)
-        return parse_scalar_expression(text)
+    __setattr__ = __delattr__ = _Record.__setattr__
 
-    def format(self, value) -> str:
-        if self.name == "Q":
-            return str(value)
-        return format_rational_function(value)
-
-    def is_positive(self, value):
-        """True/False over Q; None (unchecked) for nonzero values over Q(s)."""
-        if self.name == "Q":
-            return value > 0
-        if value.is_zero():
-            return False
-        return None
+    def __reduce__(self):
+        return field_by_name, (self.name,)
 
     def __repr__(self) -> str:
         return f"Field({self.name!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and self.name == other.name
+    def fault(self, value) -> str:
+        """'' when ``value`` may be an impedance, else what it must be."""
+        if not isinstance(value, self.members):
+            return f"a {self.noun}, not {type(value).__name__}"
+        return "" if self.is_positive(value) is not False else self.positive_rule
 
-    def __hash__(self):
-        return hash(("Field", self.name))
 
-
-QQ = Field("Q")
-QS = Field("Q(s)")
+QQ = Field(
+    name="Q", zero=_ZERO, one=_ONE, from_fraction=Fraction, parse=parse_rational, format=str,
+    members=(int, Fraction), noun="rational", is_positive=lambda value: value > 0,
+    positive_rule="positive over Q",
+)
+QS = Field(
+    name="Q(s)", zero=_RF_ZERO, one=RationalFunction.from_fraction(1),
+    from_fraction=RationalFunction.from_fraction, parse=parse_scalar_expression,
+    format=format_rational_function, members=(RationalFunction,), noun="rational function",
+    is_positive=lambda value: False if value.is_zero() else None, positive_rule="nonzero",
+)
 
 
 def field_by_name(name: str) -> Field:
-    lowered = name.strip().lower()
-    if lowered in ("q", "qq"):
-        return QQ
-    if lowered in ("q(s)", "qs"):
-        return QS
-    raise ValueError(f"unknown field {_quoted(name)} (expected 'Q' or 'Q(s)')")
+    field = {"q": QQ, "qq": QQ, "q(s)": QS, "qs": QS}.get(name.strip().lower())
+    if field is None:
+        raise ValueError(f"unknown field {_quoted(name)} (expected 'Q' or 'Q(s)')")
+    return field

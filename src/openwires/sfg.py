@@ -71,8 +71,8 @@ class Gen(_Record):
             raise SfgTypeError(f"unknown generator {name!r}")
         if (name in ("x", "co-x")) != (value is not None):
             raise SfgTypeError("scalar generators take exactly one rational value")
-        if value is not None and not isinstance(value, (int, Fraction)):
-            raise SfgTypeError(f"scalar value must be rational, not {type(value).__name__}")
+        if value is not None and not isinstance(value, QQ.members):
+            raise SfgTypeError(f"scalar value must be {QQ.noun}, not {type(value).__name__}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "value", value)
 
@@ -520,8 +520,8 @@ def check_trace_unrolled(
     window: Sequence[tuple[Sequence, Sequence]],
     init: Optional[Sequence] = None,
 ) -> bool:
-    """``check_trace`` by one forward elimination over the unrolled window, the
-    cross-check of ``sfg check-trace --oracle``.
+    """``check_trace`` by one forward elimination over the unrolled window of
+    ``_unmerged_constraints``, the cross-check of ``sfg check-trace --oracle``.
 
     The states r_0 .. r_{T+2d} are linked by d free ticks, the T observed
     ticks and d more free ticks, and ``init`` pins r_d.  A chain of images
@@ -529,7 +529,7 @@ def check_trace_unrolled(
     has an infinite one, and r_{d+T} likewise a future: the window is
     realizable iff this one system is consistent.
     """
-    annihilator, d, m, n = _tick_constraints(term)
+    annihilator, d, m, n = _unmerged_constraints(term)
     io = m + n
     ticks = [None] * d + list(window) + [None] * d
     free = d * (len(ticks) + 1)  # the free ticks' boundary columns follow the states
@@ -554,6 +554,23 @@ def check_trace_unrolled(
         row[d * d + k], row[-1] = 1, Fraction(value)
         rows.append(row)
     return _consistent(rows, width - 1)
+
+
+def _unmerged_constraints(term: Term):
+    """``_tick_constraints`` from the raw ``_Network`` equations, sharing no
+    reduction with it: one ``_integer_rref`` over all wires, none merged,
+    the inner ones first, whose rows past them are the same annihilator."""
+    network = _Network(term)
+    ends = [*network.rin, *network.left, *network.right, *network.rout]
+    inner = sorted(set(range(network.size)).difference(ends))
+    column = {wire: k for k, wire in enumerate(inner + ends)}
+    rows = [[0] * network.size for _ in network.equations]
+    for row, eq in zip(rows, network.equations):
+        for wire, coeff in eq.items():
+            row[column[wire]] = coeff
+    pivots, reduced = _integer_rref(rows, network.size)
+    annihilator = [row[len(inner) :] for col, row in zip(pivots, reduced) if col >= len(inner)]
+    return annihilator, len(network.rin), len(network.left), len(network.right)
 
 
 def step_unmerged(term: Term, state: Sequence, boundary: tuple[Sequence, Sequence]):

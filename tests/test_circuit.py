@@ -21,19 +21,36 @@ from openwires.scalars import QQ, QS
 
 
 def test_zero_impedance_rejected():
-    with pytest.raises(ImpedanceError):
+    with pytest.raises(ImpedanceError, match=r"^impedance on edge \(0, 1\) must be positive over Q$"):
         resistor(F(0))
-    with pytest.raises(ImpedanceError):
+    with pytest.raises(ImpedanceError, match=r"^impedance on edge \(0, 1\) must be nonzero$"):
         resistor(QS.zero, field=QS)
 
 
 def test_negative_impedance_rejected_over_q_only():
-    with pytest.raises(ImpedanceError):
+    with pytest.raises(ImpedanceError, match=r"^impedance on edge \(0, 1\) must be positive over Q$"):
         resistor(F(-1))
     # over Q(s) positivity is unchecked metadata
     c = resistor(QS.parse("-s"), field=QS)
     assert not c.positivity_verified
     assert resistor(F(2)).positivity_verified
+
+
+@pytest.mark.parametrize(
+    "impedances, field, message",
+    [
+        ([0.5, 2.0], QQ, "(0, 1) must be a rational, not float"),
+        ([F(1), "2"], QQ, "(1, 2) must be a rational, not str"),
+        ([1, 2], QS, "(0, 1) must be a rational function, not int"),
+        ([QS.one, F(2)], QS, "(1, 2) must be a rational function, not Fraction"),
+    ],
+)
+def test_impedance_outside_the_field_rejected(impedances, field, message):
+    """Only the field's own values label edges: a float would make the
+    answer inexact, and a rational over Q(s) has no ``is_zero``."""
+    with pytest.raises(ImpedanceError) as caught:
+        series(impedances, field)
+    assert str(caught.value) == f"impedance on edge {message}"
 
 
 def test_two_resistor_gluing():

@@ -625,6 +625,21 @@ class TestSfgOracle:
         capsys.readouterr()
         self._assert_internal_error(capsys, argv + ["--oracle"])
 
+    def test_check_trace_oracle_reads_no_tick_system(self, capsys, monkeypatch):
+        # a faulty reduction that loses the equality rows tying the ends of
+        # one class, so that ``id`` relates any left value to any right value
+        tick_system = sfg._tick_system
+
+        def without_rows(term):
+            _, _, inner, d, m, n = tick_system(term)
+            return (), [], inner, d, m, n
+
+        monkeypatch.setattr(sfg, "_tick_system", without_rows)
+        argv = ["sfg", "check-trace", fixture("wire.sfg"), "--window", "[[[2],[3]]]"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        self._assert_internal_error(capsys, argv + ["--oracle"])
+
     def test_controllable_pullback_disagreement(self, capsys, monkeypatch):
         pullback_span = lti.pullback_span
 
@@ -634,6 +649,32 @@ class TestSfgOracle:
 
         monkeypatch.setattr(lti, "pullback_span", wrong_span)
         self._assert_internal_error(capsys, ["sfg", "controllable", "--oracle", fixture("splusone.sfg")])
+
+
+def _equations() -> list[tuple[str, str, str]]:
+    """The ``lhs | rhs | verdict`` lines of the equation corpus."""
+    with open(fixture("laws.txt")) as handle:
+        lines = [line.strip() for line in handle]
+    laws = [line for line in lines if line and not line.startswith("#")]
+    return [tuple(part.strip() for part in line.split("|")) for line in laws]
+
+
+@pytest.mark.parametrize("lhs, rhs, verdict", _equations(), ids=lambda part: part)
+def test_equation_corpus(capsys, tmp_path, lhs, rhs, verdict):
+    """Each law of the corpus gives its verdict through ``behaviour_eq``
+    and through ``sfg equiv``, with and without ``--oracle``."""
+    assert verdict in ("holds", "fails")
+    first, second = parse_term(lhs), parse_term(rhs)
+    equal = lti.behaviour_eq(
+        lti.behaviour_rep(sfg.sfg_denote(first)), lti.behaviour_rep(sfg.sfg_denote(second))
+    )
+    assert equal == (verdict == "holds")
+    paths = [tmp_path / "lhs.sfg", tmp_path / "rhs.sfg"]
+    for path, text in zip(paths, (lhs, rhs)):
+        path.write_text(text + "\n")
+    for extra in ([], ["--oracle"]):
+        assert main(["sfg", "equiv", *map(str, paths), *extra]) == (0 if equal else 1)
+        assert capsys.readouterr() == (f"equivalent: {str(equal).lower()}\n", "")
 
 
 def test_sfg_controllable_computes_one_pullback_span(capsys, monkeypatch):

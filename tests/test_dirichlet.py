@@ -88,6 +88,24 @@ class TestExtendedPower:
         assert extended_power(c).coeff[0][1] == F(1, 4)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DirichletForm.from_entries(3, {(0, 1): 0.5}), "coefficients over Q must be rationals"),
+        # a float that equals its rational mirror image
+        (lambda: DirichletForm(QQ, 2, ((F(0), 2.0), (F(2), F(0)))), "coefficients over Q must be rationals"),
+        (
+            lambda: DirichletForm(QS, 2, ((QS.zero, F(1)), (F(1), QS.zero))),
+            "coefficients over Q(s) must be rational functions",
+        ),
+    ],
+)
+def test_coefficient_outside_the_field_rejected(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 class TestElimination:
     def test_series_rule(self):
         r1, r2 = F(3), F(4)

@@ -292,6 +292,9 @@ class TestParsing:
         assert QQ.is_positive(Fraction(-1)) is False
         assert QS.is_positive(QS.zero) is False
         assert QS.is_positive(QS.parse("s")) is None
+        with pytest.raises(AttributeError):
+            QQ.zero = 5
+        assert QQ.zero == 0 and QQ.zero == Fraction(0)
 
 
 class TestHashAgreesWithEquality:
@@ -927,6 +930,8 @@ SCALAR_VALUES = [
     (_RATIONAL_FUNCTION, ("num", "den")),
     (PolyMatrix.from_lists([[LaurentPoly(-1, [1, 1]), Fraction(1, 2)]]), PolyMatrix.__slots__),
     (Subspace(QS, 2, ((QS.one, _RATIONAL_FUNCTION),)), Subspace.__slots__),
+    (QQ, ("name", "zero", "one", "parse")),
+    (QS, ("name", "zero", "one", "parse")),
 ]
 
 

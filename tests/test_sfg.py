@@ -42,6 +42,7 @@ from openwires.sfg import (
     _swap_state_blocks,
     _tick_constraints,
     _tick_system,
+    _unmerged_constraints,
     check_trace,
     check_trace_unrolled,
     count_registers,
@@ -100,7 +101,7 @@ class TestTyping:
             Gen("x")
         with pytest.raises(SfgTypeError):
             Gen("add", F(1))
-        with pytest.raises(SfgTypeError):
+        with pytest.raises(SfgTypeError, match="^scalar value must be rational, not float$"):
             Gen("x", 0.5)
 
     def test_register_count_traversal(self):
@@ -411,6 +412,8 @@ class TestTickRelationOracle:
         # rows with positive pivots, each the reference's row times its pivot
         annihilator, d, m, n = _tick_constraints(term)
         assert (m, n) == term_type(term) and d == count_registers(term)
+        # the unrolled oracle's rows, from the unmerged wires, are the same
+        assert _unmerged_constraints(term) == (annihilator, d, m, n)
         scaled = []
         for row in annihilator:
             pivot = next(v for v in row if v)
