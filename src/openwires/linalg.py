@@ -245,7 +245,10 @@ class Subspace(_Record):
 
     Rows are basis vectors; pivot columns strictly increase and every
     pivot is 1 with zeros above and below, so equal subspaces have equal
-    representations.
+    representations.  The constructor checks none of this, nor that the
+    entries are elements of ``field``: it serves callers that write a
+    reduced basis themselves, the fast black box on the ``circuits`` hot
+    path among them.  ``span`` refuses any entry that is not an element.
     """
 
     __slots__ = ("field", "ambient_dim", "basis")
@@ -257,6 +260,8 @@ class Subspace(_Record):
 
     @staticmethod
     def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
+        if not all(isinstance(x, field.members) for row in rows for x in row):
+            raise ValueError(f"entries over {field.name} must be {field.noun}s")
         return Subspace(field, ambient_dim, _rref(field, rows, ambient_dim)[1])
 
     @property

@@ -1,11 +1,11 @@
-"""Matrices over Q[s, s^-1]: Smith normal form, cospans, behaviours, control.
+"""Matrices over Q[s, s^-1]: Smith and Hermite forms, cospans, behaviours, control.
 
 A morphism m -> n is an n x m matrix of Laurent polynomials.  The ring is a
 Euclidean domain (degree = spread between top and bottom exponent), so every
 matrix has a Smith normal form M = U D V with U, V invertible and the
-diagonal divisibility-ordered; everything else here is built on that:
+diagonal divisibility-ordered, and a row Hermite normal form, canonical
+for its row module.  The Smith form serves:
 
-* epi/split-mono factorization, and the jointly-epic reduction of cospans;
 * pushout composition of cospans, with torsion killed by saturating the
   glued image (the categorical pushout among free modules);
 * behaviour inclusion ker(theta M) <= ker(theta N) decided by solving
@@ -13,6 +13,11 @@ diagonal divisibility-ordered; everything else here is built on that:
 * kernels (pullback spans);
 * controllability, read off the invariant factors of [A -B]: it holds iff
   every nonzero one is a unit, and those that are not are the witness.
+
+The Hermite form serves the jointly-epic reduction of cospans and the
+presentation of behaviours.  Two kernels over F^Z are equal iff the row
+modules of their matrices are, so equal behaviours have equal forms and
+print the same text.
 
 There is one Smith elimination.  Each operation runs it once, passing
 the blocks its answer is read from: a block to the right of M takes the
@@ -45,7 +50,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence
 
-from .scalars import LaurentPoly, _axpy, _new, _Record
+from .scalars import LaurentPoly, _axpy, _new, _pseudo_divmod, _Record
 
 _L0 = LaurentPoly()
 _L1 = LaurentPoly.constant(1)
@@ -532,6 +537,87 @@ def solve_left(m: PolyMatrix, target: PolyMatrix):
     return y.mul(work.right(range(m.rows)))
 
 
+def hermite(m: PolyMatrix) -> PolyMatrix:
+    """The row Hermite normal form of m over Q[s, s^-1], zero rows dropped.
+
+    The rows are in echelon form.  Each pivot is canonical (offset 0 and
+    monic, as ``LaurentPoly.canonical`` makes it), the entries below it
+    are zero, and each entry above it is its unique remainder modulo the
+    pivot p: a polynomial in s of degree below deg p.  That remainder is
+    well defined because Q[s, s^-1]/(p) is Q[s]/(p) when p(0) != 0.  So
+    the form depends on the row module of m alone (Kannan and Bachem,
+    SIAM J. Comput. 8(4), 1979): two matrices are equal up to invertible
+    row operations iff their forms are equal.
+
+    Each column is cleared below its pivot by Euclid's algorithm on the
+    rows not yet placed.  Those rows are kept primitive: their rational
+    content is a unit, so dividing it out leaves the module unchanged.
+    """
+    rows = [list(row) for row in m.entries if any(row)]
+    top = 0
+    for j in range(m.cols):
+        if not _column_gcd(rows, top, j):
+            continue
+        row = rows[top]
+        unit, pivot = row[j].canonical()
+        if not unit.is_one():
+            inverse = unit.unit_inverse()
+            row = rows[top] = [inverse * e for e in row]
+        for i in range(top):
+            e = rows[i][j]
+            if e:
+                q = e if pivot.is_one() else (e - _remainder(e, pivot)) // pivot
+                rows[i] = [_axpy(a, q, b, -1) for a, b in zip(rows[i], row)]
+        top += 1
+    return _matrix(top, m.cols, tuple(map(tuple, rows[:top])))
+
+
+def _column_gcd(rows: list, top: int, j: int) -> bool:
+    """Euclid's algorithm on column j of rows[top:]: afterwards rows[top]
+    holds the only nonzero entry there, the gcd of the column up to a
+    unit.  False if the column is zero there."""
+    while True:
+        live = [i for i in range(top, len(rows)) if rows[i][j]]
+        if not live:
+            return False
+        best = min(live, key=lambda i: rows[i][j].deg_spread)
+        if len(live) == 1:
+            rows[top], rows[best] = rows[best], rows[top]
+            return True
+        src = rows[best]
+        p = src[j]
+        for i in live:
+            if i != best:
+                q = rows[i][j] // p
+                row = [_axpy(a, q, b, -1) for a, b in zip(rows[i], src)]
+                rows[i] = row if p.is_unit() else _primitive_row(row)
+
+
+def _primitive_row(row: list) -> list:
+    """The row divided by its rational content, a unit of the ring."""
+    num = gcd(*[n for e in row for n in e.nums])
+    den = lcm(*[e.den for e in row])
+    if num in (0, 1) and den == 1:
+        return row
+    unit = _new(LaurentPoly, 0, (den,), num)
+    return [unit * e for e in row]
+
+
+def _remainder(e: LaurentPoly, p: LaurentPoly) -> LaurentPoly:
+    """The remainder of e modulo a canonical non-unit p: the polynomial of
+    degree below deg p that is congruent to e.  Each term of negative
+    exponent is cleared from the bottom by a multiple of s^k p, which
+    p(0) != 0 allows, and the rest is divided by p as in Q[s]."""
+    inverse = LaurentPoly(0, p.coeffs[:1]).unit_inverse()
+    while e.offset < 0:
+        e = _axpy(e, LaurentPoly(e.offset, e.coeffs[:1]) * inverse, p, -1)
+    nums, den = [0] * e.offset + list(e.nums), e.den
+    if len(nums) >= len(p.nums):
+        _, nums, scale = _pseudo_divmod(nums, p.nums)
+        den *= scale
+    return e._reduced(0, nums, den)
+
+
 class MatCospan(_Record):
     """A cospan m -> d <- n of Laurent-polynomial matrices."""
 
@@ -590,14 +676,12 @@ def tensor_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
 
 
 def mat_corelation(c: MatCospan) -> MatCospan:
-    """The jointly-epic representative: the epi part D_r V_r of the
-    copairing [A B] = U D V.  The copairing rides along to its own right,
-    ending as U^-1 [A B] = D V, whose first rank rows are D_r V_r (the
-    split mono U is not built)."""
-    copairing = c.left.hstack(c.right)
-    work = _eliminate(copairing, copairing)
-    epi = work.right(range(work.rank))
-    return MatCospan(epi.take_cols(range(c.dom)), epi.take_cols(range(c.dom, c.dom + c.cod)))
+    """The jointly-epic representative: the Hermite form of the copairing
+    [A B], split into two legs.  Its rows span the row module of [A B], so
+    the behaviour is unchanged, and it is canonical: cospans with one
+    corelation give equal cospans, and a second run changes nothing."""
+    form = hermite(c.left.hstack(c.right))
+    return MatCospan(form.take_cols(range(c.dom)), form.take_cols(range(c.dom, c.dom + c.cod)))
 
 
 class BehaviourRep(_Record):
@@ -629,8 +713,8 @@ def kernel_representation(c: MatCospan) -> PolyMatrix:
 
 
 def behaviour_rep(c: MatCospan) -> BehaviourRep:
-    reduced = mat_corelation(c)
-    return BehaviourRep(reduced.dom, reduced.cod, kernel_representation(reduced))
+    """ker [A -B], presented by the Hermite form of [A -B]."""
+    return BehaviourRep(c.dom, c.cod, hermite(kernel_representation(c)))
 
 
 def behaviour_leq(a: BehaviourRep, b: BehaviourRep) -> bool:
@@ -641,7 +725,13 @@ def behaviour_leq(a: BehaviourRep, b: BehaviourRep) -> bool:
 
 
 def behaviour_eq(a: BehaviourRep, b: BehaviourRep) -> bool:
-    return behaviour_leq(a, b) and behaviour_leq(b, a)
+    """Kernels over F^Z are equal iff the row modules of their matrices
+    are (Oberst's duality), that is iff their Hermite forms are equal.
+    Equal matrices, as two ``behaviour_rep``s of one behaviour are, need
+    no form."""
+    if (a.m, a.n) != (b.m, b.n):
+        raise ValueError("behaviours have different boundary types")
+    return a.kernel_matrix == b.kernel_matrix or hermite(a.kernel_matrix) == hermite(b.kernel_matrix)
 
 
 def cospans_equivalent(a: MatCospan, b: MatCospan) -> bool:

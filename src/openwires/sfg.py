@@ -7,21 +7,28 @@ table defines each generator: its type and its equations A·left =
 B·right as rows (A, B), where the delay's entry is s and that of x its
 value.  A ``co-`` generator is its base with the two sides exchanged.
 
-Denotationally a term presents an LTI behaviour: every generator maps to
-the cospan (A, B) of its rows over Q[s, s^-1] and composition follows the
-cospan algebra, so ``denote`` lands in a kernel representation without
-ever materializing streams.
+One wire system serves both semantics.  A term is a network of wires,
+and each generator's rows constrain its adjacent wires.  An entry s
+stores its wire in a register, whose two ends are two more wires: rout,
+the value stored, and rin, the value read out, which the equation reads
+in the entry's place.  Equal wires are merged, and each semantics keeps
+its ends, the other wires being inner: the ports for the denotation, the
+ports and the register ends per tick.
 
-Operationally a term is a synchronous network: per tick, every wire
-carries a rational and each generator's rows constrain its adjacent
-wires.  An entry s stores its wire in a register for the next tick, and
-the equation reads the register's output in its place.
+Denotationally a term presents an LTI behaviour: each register is read
+as rin = s·rout over Q[s, s^-1], and one elimination of the inner wires
+leaves the behaviour's rows on the ports, printed in Hermite form, so
+``denote`` lands in a kernel representation without ever materializing
+streams.  ``denote_cospan`` is the pairwise fold instead: each generator
+maps to the cospan (A, B) of its rows and each ``;`` is a pushout.
+
+Operationally the network is synchronous: per tick, every wire carries a
+rational, and a register hands the value stored at one tick to the next.
 The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
 extends to a trace that is infinite in both directions.  Each term has
-one reduced system per tick: register ends are wires, equal wires are
-merged, and one elimination with the inner wires first reduces the rest.
-``step`` substitutes the registers and the boundary into it, and its rows
+one reduced system per tick: one elimination of the wire system over Q,
+the inner wires first.  ``step`` substitutes the registers and the boundary into it, and its rows
 past the inner wires are the tick relation's annihilator, which
 ``check_trace`` and the sampler read.  ``check_trace`` scans the window
 in constraint form: a set of register states is its reduced rows [E | e],
@@ -41,8 +48,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .finset import UnionFind
 from .linalg import (
@@ -53,8 +61,10 @@ from .linalg import (
     _solve,
     kernel_of_matrix,
 )
-from .lti import MatCospan, PolyMatrix, compose_mat_cospans, mat_corelation, tensor_mat_cospans
-from .scalars import LaurentPoly, QQ, _Record
+from .scalars import LaurentPoly, QQ, _axpy, _Record
+
+if TYPE_CHECKING:
+    from .lti import MatCospan
 
 _S = LaurentPoly.variable()
 
@@ -192,44 +202,12 @@ def count_registers(term: Term) -> int:
     return _fold(term, lambda gen: int(gen.name in ("delay", "co-delay")), int.__add__, int.__add__)
 
 
-# -- denotational semantics --------------------------------------------------
-
-
-# each table entry as a Laurent polynomial, but for x's value
-_LAURENT = {0: LaurentPoly(), 1: LaurentPoly.constant(1), _S: _S}
-
-
-def _generator_cospan(gen: Gen) -> MatCospan:
-    """The rows (A, B) of a generator's definition as the cospan (A, B)."""
-    m, n, rows = _GENERATORS[gen.name]
-    laurent = _LAURENT
-    if gen.value is not None:
-        laurent = {**_LAURENT, _VALUE: LaurentPoly.constant(gen.value)}
-    a, b = (tuple(tuple(map(laurent.__getitem__, row[side])) for row in rows) for side in (0, 1))
-    return MatCospan(PolyMatrix(len(rows), m, a), PolyMatrix(len(rows), n, b))
-
-
-def _compose(first: MatCospan, second: MatCospan) -> MatCospan:
-    _check_composable(first.cod, second.dom)
-    return compose_mat_cospans(first, second)
-
-
-def denote_cospan(term: Term) -> MatCospan:
-    """The raw cospan presentation (apex not reduced), typed as it is built."""
-    return _fold(term, _generator_cospan, _compose, tensor_mat_cospans)
-
-
-def sfg_denote(term: Term) -> MatCospan:
-    """The behaviour of a term as a jointly-epic cospan."""
-    return mat_corelation(denote_cospan(term))
-
-
-# -- operational semantics ---------------------------------------------------
+# -- the wire network --------------------------------------------------------
 
 
 class _Network:
-    """Wire-level constraint view of a term for one clock tick, built by
-    one traversal that checks the types.
+    """Wire-level constraint view of a term, built by one traversal that
+    checks the types.
 
     Every variable is a wire, numbered 0..size-1, and each equation
     {wire: coefficient} must sum to zero: a generator's rows (A, B) are
@@ -237,8 +215,8 @@ class _Network:
     generator's ports: ``rin[k]``, the value register k reads out this
     tick, and ``rout[k]``, the value it stores for the next, with
     registers numbered in traversal order.  An entry s stores its wire,
-    rout = wire, and the equation reads rin in its place.  ``left`` and
-    ``right`` are the port wires.
+    rout = wire, and the equation reads rin in its place; the denotation
+    reads rin = s·rout.  ``left`` and ``right`` are the port wires.
     """
 
     __slots__ = ("size", "rin", "rout", "left", "right", "equations")
@@ -283,23 +261,16 @@ class _Network:
         return ports[:m], ports[m:]
 
 
-INFEASIBLE = "infeasible"
-NONDETERMINATE = "nondeterminate"
-
-
-def _tick_system(term: Term):
-    """The reduced tick system of a term: (pivots, rows, inner, d, m, n).
+def _wire_system(network: _Network, ends: list[int]):
+    """The network's equations with equal wires merged, as sparse rows.
 
     Equations x = y between wires are merged first.  The columns are then
-    the ``inner`` classes that hold no register end and no port, followed
-    by regs_in, left, right and regs_out, one column each.  A class
-    holding several of those is represented by the first and tied to the
-    others by equality rows.  The rows are the ``_integer_rref`` of the
-    remaining equations and the equality rows, with their pivots.  Every
-    inner class is a column, one that no equation constrains too, so that
-    ``step`` finds it undetermined.
+    the ``inner`` classes that hold none of ``ends``, followed by one
+    column per end.  A class holding several ends is represented by the
+    first and tied to the others by equality rows.  Returns (rows, inner,
+    column): the rows {column: coefficient} of the remaining equations and
+    the equality rows, and the column of each wire.
     """
-    network = _Network(term)
     classes = UnionFind(network.size)
     equations = []
     for eq in network.equations:
@@ -309,25 +280,174 @@ def _tick_system(term: Term):
                 classes.union(a, b)
                 continue
         equations.append(eq)
-    ends = [*network.rin, *network.left, *network.right, *network.rout]
-    roots = [classes.find(x) for x in ends]
-    first = {r: p for p, r in reversed(list(enumerate(roots)))}  # earliest column per class
-    internal = sorted({classes.find(x) for x in range(network.size)} - first.keys())
+    roots = [classes.find(x) for x in range(network.size)]
+    end_roots = [roots[x] for x in ends]
+    first = {r: p for p, r in reversed(list(enumerate(end_roots)))}  # earliest column per class
+    internal = sorted(set(roots) - first.keys())
     inner = len(internal)
-    width = inner + len(ends)
-    column = {root: k for k, root in enumerate(internal)}
-    column.update((root, inner + position) for root, position in first.items())
+    at = {root: k for k, root in enumerate(internal)}
+    at.update((root, inner + position) for root, position in first.items())
+    column = [at[root] for root in roots]
     rows = []
     for eq in equations:
-        row = [0] * width
+        row = {}
         for x, coeff in eq.items():
-            row[column[classes.find(x)]] += coeff
-        rows.append(row)
-    for position, root in enumerate(roots):
+            row[column[x]] = row.get(column[x], 0) + coeff
+        rows.append({k: coeff for k, coeff in row.items() if coeff})
+    for position, root in enumerate(end_roots):
         if first[root] != position:
-            row = [0] * width
-            row[column[root]], row[inner + position] = 1, -1
-            rows.append(row)
+            rows.append({at[root]: 1, inner + position: -1})
+    return rows, inner, column
+
+
+# -- denotational semantics --------------------------------------------------
+
+
+# each table entry as a Laurent polynomial, but for x's value
+_LAURENT = {0: LaurentPoly(), 1: LaurentPoly.constant(1), _S: _S}
+
+
+def denote_cospan(term: Term) -> MatCospan:
+    """The raw cospan presentation by the pairwise fold, typed as it is
+    built: each generator's rows (A, B) as the cospan (A, B), one pushout
+    per ``;`` and the apex not reduced.  ``--oracle`` checks
+    ``sfg_denote`` against it."""
+    from .lti import MatCospan, PolyMatrix, compose_mat_cospans, tensor_mat_cospans
+
+    def generator(gen: Gen) -> MatCospan:
+        m, n, rows = _GENERATORS[gen.name]
+        laurent = _LAURENT
+        if gen.value is not None:
+            laurent = {**_LAURENT, _VALUE: LaurentPoly.constant(gen.value)}
+        a, b = (tuple(tuple(map(laurent.__getitem__, row[side])) for row in rows) for side in (0, 1))
+        return MatCospan(PolyMatrix(len(rows), m, a), PolyMatrix(len(rows), n, b))
+
+    def compose(first: MatCospan, second: MatCospan) -> MatCospan:
+        _check_composable(first.cod, second.dom)
+        return compose_mat_cospans(first, second)
+
+    return _fold(term, generator, compose, tensor_mat_cospans)
+
+
+def sfg_denote(term: Term) -> MatCospan:
+    """The behaviour of a term as a jointly-epic cospan in Hermite form,
+    equal to ``mat_corelation(denote_cospan(term))``, from one elimination
+    of its wire network.
+
+    The rows are those of ``_wire_system`` with the ports as the ends,
+    and each register is read symbolically, rin = s·rout.  Over Q[s, s^-1] they cut out the behaviour once the
+    inner wires are eliminated.  ``_eliminate_units`` takes every inner
+    column that holds a unit.  The rows left go through ``hermite``, with
+    the few inner columns that held none first and the right ports
+    negated into [A B]; its rows past those columns are the legs.
+    """
+    from .lti import MatCospan, PolyMatrix, hermite
+
+    zero, one = _LAURENT[0], _LAURENT[1]
+    network = _Network(term)
+    m, n = len(network.left), len(network.right)
+    rows, inner, column = _wire_system(network, [*network.left, *network.right])
+    rows = [{k: LaurentPoly.constant(c) for k, c in row.items()} for row in rows]
+    for rin, rout in zip(network.rin, network.rout):
+        row = {column[rin]: one}
+        row[column[rout]] = row.get(column[rout], zero) - _S
+        rows.append(row)
+    rows = _eliminate_units(rows, inner)
+    order = sorted({k for row in rows for k in row if k < inner})
+    matrix = tuple(
+        tuple(row.get(k, zero) for k in order)
+        + tuple(row.get(inner + p, zero) for p in range(m))
+        + tuple(-row.get(inner + p, zero) for p in range(m, m + n))
+        for row in rows
+    )
+    lead = len(order)
+    form = hermite(PolyMatrix(len(matrix), lead + m + n, matrix))
+    legs = [row[lead:] for row in form.entries if not any(row[:lead])]
+    return MatCospan(
+        PolyMatrix(len(legs), m, tuple(row[:m] for row in legs)),
+        PolyMatrix(len(legs), n, tuple(row[m:] for row in legs)),
+    )
+
+
+def _eliminate_units(rows: list, inner: int) -> list:
+    """The sparse rows {column: LaurentPoly} left once every inner column
+    (below ``inner``) that some row holds as a unit is eliminated.
+
+    A row holding a unit at column k solves for it: every other row that
+    holds k takes away the multiple that clears it, and the row is
+    dropped.  That row spans a free summand that no vector vanishing at k
+    meets, so the rows left span the module's vectors that vanish on the
+    eliminated columns.  The column with the fewest rows is taken first,
+    from a heap, and solved by its shortest row with a unit there, which
+    keeps the rows sparse.  A column with no unit is passed over, and
+    taken up again when a step changes its rows.
+    """
+    live = dict(enumerate(rows))
+    users = [set() for _ in range(inner)]
+    for i, row in live.items():
+        for k in row:
+            if k < inner:
+                users[k].add(i)
+    heap = [(len(holders), k) for k, holders in enumerate(users)]
+    heapify(heap)
+    while heap:
+        count, k = heappop(heap)
+        holders = users[k]
+        if count != len(holders):
+            continue
+        units = [i for i in holders if live[i][k].is_unit()]
+        if not units:
+            continue
+        pivot = min(units, key=lambda i: (len(live[i]), i))
+        src = live.pop(pivot)
+        for c in src:
+            if c < inner:
+                users[c].discard(pivot)
+        inverse = src[k].unit_inverse()
+        for i in list(holders):
+            row = live[i]
+            factor = row[k] * inverse
+            for c, b in src.items():
+                e = _axpy(row.get(c, _LAURENT[0]), factor, b, -1)
+                if e:
+                    if c < inner and c not in row:
+                        users[c].add(i)
+                    row[c] = e
+                else:
+                    del row[c]
+                    if c < inner:
+                        users[c].discard(i)
+        for c in src:
+            if c < inner:
+                heappush(heap, (len(users[c]), c))
+    return list(live.values())
+
+
+# -- operational semantics ---------------------------------------------------
+
+
+INFEASIBLE = "infeasible"
+NONDETERMINATE = "nondeterminate"
+
+
+def _tick_system(term: Term):
+    """The reduced tick system of a term: (pivots, rows, inner, d, m, n).
+
+    The columns are those of ``_wire_system`` with regs_in, left, right
+    and regs_out as the ends, and the rows are the ``_integer_rref`` of
+    its rows, with their pivots.  Every inner class is a column, one that
+    no equation constrains too, so that ``step`` finds it undetermined.
+    """
+    network = _Network(term)
+    ends = [*network.rin, *network.left, *network.right, *network.rout]
+    sparse, inner, _ = _wire_system(network, ends)
+    width = inner + len(ends)
+    rows = []
+    for eq in sparse:
+        row = [0] * width
+        for k, coeff in eq.items():
+            row[k] = coeff
+        rows.append(row)
     pivots, reduced = _integer_rref(rows, width)
     return pivots, reduced, inner, len(network.rin), len(network.left), len(network.right)
 

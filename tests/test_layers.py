@@ -92,6 +92,13 @@ def run_child(*args: str) -> tuple[str, set[str], set[str]]:
     [
         (["sfg", "denote", str(FIXTURES / "splusone.sfg")], SIGNAL_FLOW_HALF),
         (["circuit", "power", str(FIXTURES / "series11.json")], CIRCUIT_HALF - {"symplectic"}),
+        # the operational commands read the tick network alone: sfg loads
+        # lti only inside its denotation functions
+        (
+            ["sfg", "step", str(FIXTURES / "splusone.sfg"), "--state", "[0,1]", "--left", "[1]", "--right", "[0]"],
+            {"sfg"},
+        ),
+        (["sfg", "check-trace", str(FIXTURES / "wire.sfg"), "--window", "[[[2],[2]]]"], {"sfg"}),
     ],
 )
 def test_a_command_loads_only_its_half(argv, half):
@@ -122,7 +129,7 @@ def test_import_is_lazy():
     )
     out, loaded, _ = run_child("-c", code)
     assert out.split("\n")[:2] == ["[]", "openwires.circuit openwires.sfg"]
-    assert loaded == {"scalars", "finset", "linalg", "circuit", "lti", "sfg"}
+    assert loaded == {"scalars", "finset", "linalg", "circuit", "sfg"}
 
 
 def test_every_public_name_resolves():

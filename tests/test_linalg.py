@@ -9,8 +9,8 @@ from math import gcd, lcm
 import pytest
 
 from conftest import reference_rref
-from openwires.linalg import _consistent, _integer_rref, _null_vectors, _rref
-from openwires.scalars import QQ, QS, LaurentPoly, _axpy
+from openwires.linalg import Subspace, _consistent, _integer_rref, _null_vectors, _rref
+from openwires.scalars import QQ, QS, LaurentPoly, RationalFunction, _axpy
 
 CORPUS_SEED = 9091
 CORPUS_SIZE = 600
@@ -171,6 +171,19 @@ def test_wrong_row_length_raises(rows, width):
         _rref(QQ, rows, width)
     with pytest.raises(ValueError):
         _consistent(rows, width - 1)
+
+
+@pytest.mark.parametrize(
+    "field, rows, message",
+    [
+        (QQ, [[0.5, 1.0]], "entries over Q must be rationals"),
+        (QQ, [[Fraction(1), RationalFunction.from_fraction(1)]], "entries over Q must be rationals"),
+        (QS, [[RationalFunction.from_fraction(1), 1]], "entries over Q\\(s\\) must be rational functions"),
+    ],
+)
+def test_span_refuses_what_is_not_an_element(field, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Subspace.span(field, 2, rows)
 
 
 def _rand_rational_function(rng):

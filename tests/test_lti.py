@@ -33,6 +33,7 @@ from openwires.lti import (
     controllability,
     cospans_equivalent,
     controllable_part,
+    hermite,
     is_controllable,
     kernel_basis,
     kernel_representation,
@@ -221,10 +222,10 @@ class TestCorelationReduction:
         assert reduced.apex == 1
 
     def test_second_run_keeps_the_behaviour(self):
-        """``mat_corelation`` is not idempotent: on this cospan a second run
-        reorders and rewrites the rows of the first.  So ``behaviour_rep``
-        cannot skip its own run on a reduced cospan, until a canonical form
-        makes the two runs equal; the behaviour is the same either way."""
+        """A reduction read off the Smith form is not idempotent on this
+        cospan: a second run reorders and rewrites its rows.  The Hermite
+        form is canonical, so a second run of ``mat_corelation`` changes
+        nothing."""
         rows = [
             ["-s^4+s^2", "0", "0", "s^5-3*s^4+4*s^3+3*s^2", "s^3+3*s^2"],
             ["-2*s+1-4*s^-1", "0", "-3*s^5-4*s^4+s^3-s^2", "0", "0"],
@@ -237,7 +238,64 @@ class TestCorelationReduction:
         )
         once = mat_corelation(c)
         twice = mat_corelation(once)
-        assert behaviour_eq(behaviour_rep(once), behaviour_rep(twice))
+        assert once == twice
+
+
+def _assert_hermite_shape(h: PolyMatrix):
+    """Echelon rows, each pivot canonical (offset 0, monic) and each entry
+    above it a polynomial of lower degree."""
+    last = -1
+    for i, row in enumerate(h.entries):
+        j = next(k for k, e in enumerate(row) if not e.is_zero())
+        assert j > last
+        last = j
+        pivot = row[j]
+        assert pivot.canonical() == (ONE, pivot)
+        for above in h.entries[:i]:
+            e = above[j]
+            assert e.is_zero() or (e.offset >= 0 and e.offset + e.deg_spread < pivot.deg_spread)
+
+
+class TestHermite:
+    def test_criterion_8_corpus(self):
+        """Idempotent, of the canonical shape, and spanning the input's
+        row module, checked by ``solve_left`` both ways."""
+        for m in _criterion_8_matrices():
+            h = hermite(m)
+            assert hermite(h) == h
+            _assert_hermite_shape(h)
+            if h.rows:
+                assert solve_left(h, m) is not None and solve_left(m, h) is not None
+            else:
+                assert is_zero_matrix(m)
+
+    def test_invariant_under_row_operations(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            m = rand_poly_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 2)
+            rows = [list(row) for row in m.entries]
+            for _ in range(4):
+                i, j = rng.sample(range(len(rows)), 2) if len(rows) > 1 else (0, 0)
+                if i != j:
+                    factor = rand_laurent(rng, 2)
+                    rows[i] = [a + factor * b for a, b in zip(rows[i], rows[j])]
+                unit = laurent_monomial(F(rng.choice([-3, -1, 2])), rng.randint(-2, 2))
+                rows[j] = [unit * e for e in rows[j]]
+                rng.shuffle(rows)
+            assert hermite(pm(rows + [[LaurentPoly()] * m.cols])) == hermite(m)
+
+    def test_remainders_are_polynomials_of_lower_degree(self):
+        # s = 2 modulo s - 2, so s^-2 reduces to 1/4
+        h = hermite(pm([[1, LaurentPoly(-2, [1])], [0, S - 2]]))
+        assert h == pm([[1, F(1, 4)], [0, S - 2]])
+        # s^2 = 2*s - 4 modulo s^2 - 2*s + 4, so s^3 = -8; both pivots are
+        # made monic first
+        h = hermite(pm([[2, 2 * S * S * S], [0, 3 * (S * S - 2 * S + 4)]]))
+        assert h == pm([[1, -8], [0, S * S - 2 * S + 4]])
+
+    def test_zero_rows_are_dropped(self):
+        assert hermite(pm([[0, 0], [0, 0]])) == PolyMatrix(0, 2, ())
+        assert hermite(pm([[0, S], [0, 2 * S]])) == pm([[0, 1]])
 
 
 class TestBehaviour:

@@ -169,6 +169,39 @@ class TestDenotation:
             assert cospans_equivalent(lhs, rhs)
 
 
+class TestNetworkDenotation:
+    """``sfg_denote`` eliminates the wire network once; its cospan is the
+    pairwise fold's corelation, field for field."""
+
+    @pytest.mark.parametrize("seed, count", [(3, 300), (71, 200)])
+    def test_random_terms(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            term = rand_term(rng, 12)
+            assert sfg_denote(term) == mat_corelation(denote_cospan(term))
+
+    def test_feedback_chains(self):
+        for cells in range(1, 65):
+            term = feedback_chain(cells)
+            assert sfg_denote(term) == mat_corelation(denote_cospan(term))
+
+    def test_long_identity_chain(self):
+        term = seq(*[Gen("id")] * 5000)
+        assert sfg_denote(term) == mat_corelation(denote_cospan(term)) == MatCospan.identity(1)
+
+    def test_a_register_fed_back_to_itself(self):
+        # the delay's output is wired back to its input, so rin and rout
+        # share one column, whose register row is (1 - s) x = 0.  Inner,
+        # no unit solves it, and ``hermite`` drops the row with its pivot
+        # there; tied to the ports, it constrains them
+        loop = seq(Gen("co-discard"), Gen("copy"), par(Gen("delay"), Gen("id")), Gen("co-copy"), Gen("discard"))
+        term = par(Gen("id"), loop)
+        assert sfg_denote(term) == mat_corelation(denote_cospan(term)) == MatCospan.identity(1)
+        term = seq(Gen("copy"), par(Gen("id"), Gen("delay")), Gen("co-copy"))
+        assert sfg_denote(term) == mat_corelation(denote_cospan(term))
+        assert behaviour_rep(sfg_denote(term)).kernel_matrix == PolyMatrix.from_lists([[1, -1], [0, S - 1]])
+
+
 def _matrix(cols: int, rows):
     """A matrix over Q[s, s^-1] with the given width, entries given as
     rationals or as S."""
