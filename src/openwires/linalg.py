@@ -11,7 +11,10 @@ with its reduction.  ``_null_vectors`` reads a kernel basis off it.
 ``Subspace`` holds a subspace as its reduced basis, and
 ``kernel_of_matrix`` is the subspace that the rows of a matrix annihilate.
 ``_consistent`` decides only whether [A | b] over Q has a solution, by
-forward elimination, with no back-substitution.
+forward elimination, with no back-substitution.  ``_Factored`` reduces
+a fixed integer block A once, with its row multipliers and left kernel,
+so that each later [A | b] is read off by substitution instead of a
+second elimination.
 
 Both fields run one Gauss-Jordan sweep, ``_sweep``, with their own pivot
 rule and row update.  Over Q the rows are integers: each is scaled to
@@ -221,6 +224,55 @@ def _consistent(rows: Sequence[Sequence], nvars: int) -> bool:
     return True
 
 
+class _Factored:
+    """[A | b] over Q reduced for every right-hand side b at the cost of
+    one reduction of the integer block A, for systems whose coefficients
+    stay fixed while b changes.
+
+    One ``_integer_rref`` of [A | I] leaves each row with its pivot among
+    A's columns as [a_i | t_i], where t_i·A = a_i, and each other row as a
+    y with y·A = 0, these y spanning every such y.  So [A | b] is
+    consistent iff every y·b = 0, and then the rows [a_i | t_i·b] lie in
+    its row space, have its rank and A's reduced rows in front: they are
+    its reduced form, which is unique, so ``solve`` returns the rows
+    ``_integer_rref`` would.
+    """
+
+    __slots__ = ("width", "pivots", "rows", "multipliers", "kernel")
+
+    def __init__(self, rows: Sequence[Sequence[int]], width: int):
+        count = len(rows)
+        augmented = [[*row, *[int(i == k) for k in range(count)]] for i, row in enumerate(rows)]
+        pivots, reduced = _integer_rref(augmented, width + count)
+        rank = sum(col < width for col in pivots)
+        self.width = width
+        self.pivots = pivots[:rank]
+        self.rows = [row[:width] for row in reduced[:rank]]
+        self.multipliers = [row[width:] for row in reduced[:rank]]
+        self.kernel = [row[width:] for row in reduced[rank:]]
+
+    def solve(self, nums: Sequence[int], den: int) -> Optional[list[list[int]]]:
+        """The ``_integer_rref`` rows of [A | b], b = nums / den with den
+        positive, or None when the system is inconsistent."""
+        if any(_dot(y, nums) for y in self.kernel):
+            return None
+        solved = []
+        for col, row, t in zip(self.pivots, self.rows, self.multipliers):
+            rhs = _dot(t, nums)
+            solved.append(_primitive_pivot([*row, rhs] if den == 1 else [v * den for v in row] + [rhs], col))
+        return solved
+
+    def null_space(self) -> Subspace:
+        """{x : A·x = 0}, as ``kernel_of_matrix`` gives it."""
+        zero = QQ.zero
+        rows = [_fraction_row(row, row[col], zero) for col, row in zip(self.pivots, self.rows)]
+        return _null_space(QQ, (self.pivots, rows), self.width)
+
+
+def _dot(row: Sequence[int], values: Sequence[int]) -> int:
+    return sum([v * x for v, x in zip(row, values) if v])
+
+
 def _null_vectors(field: Field, reduced: tuple, width: int) -> list[list]:
     """One kernel vector per free column among the first ``width`` of an
     ``_rref`` result (pivots, rows), which may reduce [A | b]."""
@@ -280,5 +332,9 @@ class Subspace(_Record):
 
 def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
     """Null space {x : A x = 0} of a matrix given by rows."""
-    reduced = _rref(field, rows, width)
+    return _null_space(field, _rref(field, rows, width), width)
+
+
+def _null_space(field: Field, reduced: tuple, width: int) -> Subspace:
+    """The null space of the first ``width`` columns of an ``_rref`` result."""
     return Subspace(field, width, _rref(field, _null_vectors(field, reduced, width), width)[1])

@@ -34,9 +34,13 @@ past the inner wires are the tick relation's annihilator, which
 in constraint form: a set of register states is its reduced rows [E | e],
 kept as primitive integer rows, and each tick's image is one elimination
 of the annihilator, with the observed boundary substituted, stacked on
-those rows.  The padding horizons stop at the first repeated
-image, within one step per register, which makes the biinfinite condition
-finitely checkable.
+those rows.  The coefficients of a tick are the same at every tick, so
+from a set of one state, the tick is a substitution instead: the
+annihilator's regs_out block is factored once per call (``_Factored``),
+and the state and the boundary give only the right-hand side.  The
+sampler factors its tick block once per call in the same way.  The
+padding horizons stop at the first repeated image, within one step per
+register, which makes the biinfinite condition finitely checkable.
 
 Registers are numbered in left-to-right traversal order of the term;
 both delays and mirrored delays hold one register each.  Terms are typed,
@@ -56,6 +60,8 @@ from .finset import UnionFind
 from .linalg import (
     Subspace,
     _consistent,
+    _dot,
+    _Factored,
     _integer_rref,
     _null_vectors,
     _solve,
@@ -460,9 +466,9 @@ def step(
     Returns the forced next register assignment, or INFEASIBLE when the
     boundary values are not in the one-step behaviour, or NONDETERMINATE
     when internal wires (or the next registers) are underdetermined.  The
-    current registers and the boundary are substituted into the reduced
-    tick system, and one elimination over the inner classes and regs_out
-    decides.
+    current registers and the boundary, rationals, are substituted into
+    the reduced tick system, and one elimination over the inner classes
+    and regs_out decides.
     """
     _, reduced, inner, d, m, n = _tick_system(term)
     u, v = boundary
@@ -470,6 +476,7 @@ def step(
         raise ValueError("boundary dimensions do not match the term")
     if len(state) != d:
         raise ValueError("register state has wrong length")
+    _check_rationals("register and boundary values", (*state, *u, *v))
     rows = _substituted(reduced, inner, inner + d + m + n, (*state, *u, *v))
     pivots, solved = _integer_rref(rows, inner + d + 1)
     if pivots and pivots[-1] == inner + d:
@@ -477,6 +484,12 @@ def step(
     if len(pivots) < inner + d:
         return NONDETERMINATE
     return [Fraction(row[-1], row[col]) for col, row in zip(pivots[inner:], solved[inner:])]
+
+
+def _check_rationals(what: str, values) -> None:
+    """Refuse any value that is not an element of Q."""
+    if not all(isinstance(x, QQ.members) for x in values):
+        raise ValueError(f"{what} over {QQ.name} must be {QQ.noun}s")
 
 
 def _tick_constraints(term: Term):
@@ -525,14 +538,18 @@ def _substituted(rows, lo: int, hi: int, values) -> list:
     equations row · x = 0 once x[lo:hi] = values is substituted.  The
     values are brought to a common denominator, so integer rows stay
     integer but for an rhs over that denominator."""
+    nums, den = _rhs(rows, lo, values)
+    return [[*row[:lo], *row[hi:], b if den == 1 else Fraction(b, den)] for row, b in zip(rows, nums)]
+
+
+def _rhs(rows, lo: int, values) -> tuple[list[int], int]:
+    """(nums, den): the right-hand side -row[lo:lo+k] · values of each
+    row, for k values, as nums[i] / den over the values' least common
+    denominator."""
     values = [x if type(x) is Fraction else Fraction(x) for x in values]
     den = lcm(*[x.denominator for x in values])
     nums = [x.numerator * (den // x.denominator) for x in values]
-    out = []
-    for row in rows:
-        rhs = -sum(c * x for c, x in zip(row[lo:hi], nums) if c)
-        out.append([*row[:lo], *row[hi:], rhs if den == 1 else Fraction(rhs, den)])
-    return out
+    return [-_dot(row[lo:], nums) for row in rows], den
 
 
 def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
@@ -561,6 +578,17 @@ def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
     if pivots and pivots[-1] == out + d:
         return None
     return tuple(tuple(row[out:]) for col, row in zip(pivots, reduced) if col >= out)
+
+
+def _point_image(regs_out: _Factored, annihilator, d: int, state, boundary):
+    """``_relation_image`` of a set of one state, its d rows (den·e_k |
+    num), from the factored regs_out block C_out of the annihilator: the
+    state and the boundary are substituted into the rest of each row,
+    which leaves [C_out | b], and ``regs_out`` reads off its reduced rows,
+    the image, with no elimination."""
+    values = [Fraction(row[d], row[k]) for k, row in enumerate(state)]
+    image = regs_out.solve(*_rhs(annihilator, 0, [*values, *boundary[0], *boundary[1]]))
+    return None if image is None else tuple(map(tuple, image))
 
 
 def _swap_state_blocks(annihilator, d: int, m: int, n: int) -> list:
@@ -612,9 +640,13 @@ def check_trace(
     into the past and the future with free boundary values.  The scan
     keeps each state set as its constraint rows: the states with an
     infinite past (the stabilized image of every state), met with
-    ``init``, then one elimination per observed tick, and at the end a
+    ``init``, then the image of each observed tick, and at the end a
     meet with the states that have an infinite future.  No basis is
-    built.
+    built.  A tick from a set of more than one state is one elimination;
+    a tick from a single state, its d rows, as after ``init`` or once
+    the window has pinned the registers, substitutes it into the regs_out
+    block, factored the first time it is needed.  Values must be
+    rationals, ``int`` or ``Fraction``.
     """
     if not window:
         raise ValueError("window must be nonempty")
@@ -622,13 +654,21 @@ def check_trace(
     for u, v in window:
         if len(u) != m or len(v) != n:
             raise ValueError("window entry dimensions do not match the term")
+        _check_rationals("window values", (*u, *v))
     states = _extendable_states(annihilator, d, m, n)
     if init is not None:
         if len(init) != d:
             raise ValueError("register state has wrong length")
+        _check_rationals("register values", init)
         states = _intersect(_point(init), states, d)
+    regs_out = None  # the factored regs_out block, once the states are one point
     for u, v in window:
-        states = _relation_image(annihilator, d, m, n, states, (u, v))
+        if states is not None and len(states) == d:
+            if regs_out is None:
+                regs_out = _Factored([row[d + m + n :] for row in annihilator], d)
+            states = _point_image(regs_out, annihilator, d, states, (u, v))
+        else:
+            states = _relation_image(annihilator, d, m, n, states, (u, v))
         if states is None:
             return False
     future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
@@ -767,11 +807,19 @@ def sample_biinfinite_window(
     with any biinfinite trace the initial registers are resampled from
     the certified set instead.  The certified states are found in
     constraint form, as in ``check_trace``; only the sets sampled from
-    are solved for a particular point and a basis.  Each tick substitutes
-    the current state into the annihilator and samples (left, right,
-    regs_out) among the values whose next state has an infinite future.
+    are solved for a particular point and a basis.  Each tick samples
+    (left, right, regs_out) among the values that the current state
+    allows and whose next state has an infinite future: the block of
+    those columns of the annihilator, stacked on the future rows, is
+    factored once per call, with its homogeneous solutions, so a tick
+    substitutes the state into the right-hand side and reads off the
+    particular solution.  ``init`` must hold rationals.
     """
     annihilator, d, m, n = _tick_constraints(term)
+    if init is not None:
+        if len(init) != d:
+            raise ValueError("register state has wrong length")
+        _check_rationals("register values", init)
     future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
     certified = _intersect(_extendable_states(annihilator, d, m, n), future_ok, d)
     if certified is None:
@@ -784,14 +832,20 @@ def sample_biinfinite_window(
     state = _sample(_affine_solve([(row[:d], row[d]) for row in start], d), rng)
     initial = list(state)
     io = m + n
-    future = [([0] * io + list(row[:d]), row[d]) for row in future_ok]
+    block = _Factored(
+        [row[d:] for row in annihilator] + [[0] * io + list(row[:d]) for row in future_ok], io + d
+    )
+    homogeneous = block.null_space()
     window = []
     for _ in range(ticks):
-        rows = [(row[:-1], row[-1]) for row in _substituted(annihilator, 0, d, state)]
-        solved = _affine_solve(rows + future, io + d)
+        nums, den = _rhs(annihilator, 0, state)
+        solved = block.solve(nums + [row[d] * den for row in future_ok], den)
         if solved is None:
             return None
-        chosen = _sample(solved, rng)
+        particular = [QQ.zero] * (io + d)
+        for col, row in zip(block.pivots, solved):
+            particular[col] = Fraction(row[-1], row[col])
+        chosen = _sample((particular, homogeneous), rng)
         window.append((chosen[:m], chosen[m:io]))
         state = chosen[io:]
     return window, initial

@@ -293,6 +293,33 @@ class TestHermite:
         h = hermite(pm([[2, 2 * S * S * S], [0, 3 * (S * S - 2 * S + 4)]]))
         assert h == pm([[1, -8], [0, S * S - 2 * S + 4]])
 
+    def test_a_form_up_to_units_is_returned_as_it_is(self, monkeypatch):
+        """A matrix that is a Hermite form once each row is scaled by a
+        unit, as a denoted term's [A -B] is, runs no Euclid step, and its
+        form is the one that a repeated row forces through the elimination."""
+        calls = Counter()
+        column_gcd = lti._column_gcd
+
+        def counted(*args):
+            calls["euclid"] += 1
+            return column_gcd(*args)
+
+        monkeypatch.setattr(lti, "_column_gcd", counted)
+        rng = random.Random(53)
+        terms = [rand_term(rng, 12) for _ in range(80)]
+        terms += [load_term(os.path.join(FIXTURES, name)) for name in ("splusone.sfg", "generators.sfg")]
+        assert hermite(pm([[2, 3], [0, 2 - S]])) == pm([[1, F(3, 2)], [0, S - 2]])
+        assert not calls
+        for t in terms:
+            cospan = sfg_denote(t)
+            calls.clear()
+            h = behaviour_rep(cospan).kernel_matrix
+            assert not calls
+            m = kernel_representation(cospan)
+            if m.rows:
+                repeated = hermite(PolyMatrix(m.rows + 1, m.cols, m.entries[:1] + m.entries))
+                assert calls["euclid"] > 0 and repeated == h
+
     def test_zero_rows_are_dropped(self):
         assert hermite(pm([[0, 0], [0, 0]])) == PolyMatrix(0, 2, ())
         assert hermite(pm([[0, S], [0, 2 * S]])) == pm([[0, 1]])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -16,8 +17,9 @@ from conftest import (
     reference_tick_relation,
     run_chain,
 )
+from openwires import linalg, sfg
 from openwires.cli import parse_term
-from openwires.linalg import kernel_of_matrix
+from openwires.linalg import _Factored, kernel_of_matrix
 from openwires.lti import (
     MatCospan,
     PolyMatrix,
@@ -39,6 +41,9 @@ from openwires.sfg import (
     SfgTypeError,
     _affine_solve,
     _extendable_states,
+    _point,
+    _point_image,
+    _relation_image,
     _swap_state_blocks,
     _tick_constraints,
     _tick_system,
@@ -602,3 +607,117 @@ class TestTraceScanReference:
                     window = [([value] * m, [value] * n), ([F(0)] * m, [F(0)] * n)]
                     self.assert_verdicts_match(term, window, init)
                 self.assert_samples_match(term, 3, 5, [value])
+
+
+class TestFactoredTicks:
+    """Ticks from one register state, read off a block factored once per
+    call, against the per-tick elimination they replace."""
+
+    def test_point_image_matches_relation_image(self):
+        rng = random.Random(89)
+        terms = [rand_term(rng, 12) for _ in range(200)]
+        # co-discard feeds its register a free value: a point's image is a line
+        terms += [parse_term("co-discard ; delay ; discard"), parse_term("id"), feedback_chain(3)]
+        outcomes = Counter()
+        for term in terms:
+            annihilator, d, m, n = _tick_constraints(term)
+            regs_out = _Factored([row[d + m + n :] for row in annihilator], d)
+            sampled = sample_biinfinite_window(term, 1, rng)
+            ticks = [] if sampled is None else [(sampled[1], sampled[0][0])]
+            for _ in range(2):
+                init = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+                boundary = tuple([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)] for k in (m, n))
+                ticks.append((init, boundary))
+            for init, boundary in ticks:
+                state = _point(init)
+                image = _point_image(regs_out, annihilator, d, state, boundary)
+                assert image == _relation_image(annihilator, d, m, n, state, boundary)
+                if image is None:
+                    outcomes["infeasible"] += 1
+                else:
+                    assert all(type(v) is int for row in image for v in row)
+                    outcomes["no registers" if d == 0 else "point" if len(image) == d else "not a point"] += 1
+        assert set(outcomes) == {"infeasible", "no registers", "point", "not a point"}
+
+    def test_eliminations_do_not_grow_with_the_window(self, monkeypatch):
+        calls = Counter()
+        integer_rref = linalg._integer_rref
+
+        def counted(*args):
+            calls["rref"] += 1
+            return integer_rref(*args)
+
+        monkeypatch.setattr(linalg, "_integer_rref", counted)
+        monkeypatch.setattr(sfg, "_integer_rref", counted)
+
+        def eliminations(run) -> int:
+            calls.clear()
+            assert run()
+            return calls["rref"]
+
+        for term in (parse_term(SPLUSONE), feedback_chain(3), rand_term(random.Random(7), 12)):
+            counts = {
+                eliminations(lambda: sample_biinfinite_window(term, ticks, random.Random(5)))
+                for ticks in (8, 64)
+            }
+            assert len(counts) == 1
+        rng = random.Random(97)
+        term = feedback_chain(4)
+        init = [F(rng.randint(-3, 3)) for _ in range(4)]
+        counts = set()
+        for ticks in (8, 64):
+            x = [F(rng.randint(-3, 3)) for _ in range(ticks)]
+            window = [([u], [v]) for u, v in zip(x, run_chain(init, x))]
+            counts.add(eliminations(lambda: check_trace(term, window, init)))
+        assert len(counts) == 1
+
+    def test_the_references_share_nothing_with_the_factored_reader(self, monkeypatch):
+        rng = random.Random(101)
+        term = feedback_chain(3)
+        init = [F(rng.randint(-3, 3)) for _ in range(3)]
+        x = [F(rng.randint(-3, 3)) for _ in range(8)]
+        window = [([u], [v]) for u, v in zip(x, run_chain(init, x))]
+        sampled = repr(sample_biinfinite_window(term, 6, random.Random(3), init))
+
+        def refused(*args):
+            raise AssertionError("the factored reader was called")
+
+        monkeypatch.setattr(linalg, "_Factored", refused)
+        monkeypatch.setattr(sfg, "_Factored", refused)
+        for run in (
+            lambda: check_trace(term, window, init),
+            lambda: sample_biinfinite_window(term, 6, random.Random(3), init),
+        ):
+            with pytest.raises(AssertionError, match="factored reader"):
+                run()
+        assert reference_check_trace(term, window, init)
+        assert check_trace_unrolled(term, window, init)
+        assert repr(reference_sample_biinfinite_window(term, 6, random.Random(3), init)) == sampled
+
+
+class TestTickValuesAreRationals:
+    @pytest.mark.parametrize("bad", [0.1, "1", 1j])
+    def test_values_outside_q_are_refused(self, bad):
+        chain = feedback_chain(1)
+        one = F(1)
+        with pytest.raises(ValueError, match="^window values over Q must be rationals$"):
+            check_trace(chain, [([one], [one]), ([bad], [one])])
+        with pytest.raises(ValueError, match="^window values over Q must be rationals$"):
+            check_trace(chain, [([one], [bad])])
+        with pytest.raises(ValueError, match="^register values over Q must be rationals$"):
+            check_trace(chain, [([one], [one])], [bad])
+        with pytest.raises(ValueError, match="^register values over Q must be rationals$"):
+            sample_biinfinite_window(chain, 2, random.Random(1), [bad])
+        for state, u, v in (([bad], [one], [one]), ([one], [bad], [one]), ([one], [one], [bad])):
+            with pytest.raises(ValueError, match="^register and boundary values over Q must be rationals$"):
+                step(chain, state, (u, v))
+
+    def test_a_sampled_init_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="^register state has wrong length$"):
+            sample_biinfinite_window(feedback_chain(2), 2, random.Random(1), [F(1)])
+
+    def test_ints_and_fractions_are_values(self):
+        chain = feedback_chain(1)
+        assert check_trace(chain, [([1], [F(3)])], [2])
+        assert step(chain, [2], ([1], [F(3)])) == [F(1)]
+        assert sample_biinfinite_window(chain, 2, random.Random(1), [2]) is not None
