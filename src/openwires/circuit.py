@@ -44,14 +44,6 @@ class LabelledGraph(_Record):
         object.__setattr__(self, "num_nodes", num_nodes)
         object.__setattr__(self, "edges", edges)
 
-    def relabel(self, node_map: FinFunction) -> "LabelledGraph":
-        if node_map.domain_size != self.num_nodes:
-            raise ValueError("relabelling map has wrong domain")
-        return LabelledGraph(
-            node_map.codomain_size,
-            tuple((node_map(s), node_map(t), z) for s, t, z in self.edges),
-        )
-
 
 class OpenCircuit(_Record):
     """A labelled graph decorating a cospan X -> N <- Y."""
@@ -93,20 +85,45 @@ def _terminal_positions(c: OpenCircuit) -> list[int]:
     return [position[node] for node in c.cospan.left.table + c.cospan.right.table]
 
 
+_set_num_nodes = LabelledGraph.num_nodes.__set__
+_set_edges = LabelledGraph.edges.__set__
+_set_field = OpenCircuit.field.__set__
+_set_graph = OpenCircuit.graph.__set__
+_set_cospan = OpenCircuit.cospan.__set__
+
+
+def _circuit(field: Field, num_nodes: int, edges: tuple, cospan: FinCospan) -> OpenCircuit:
+    """An OpenCircuit on a graph whose endpoints lie in range and whose
+    impedances pass ``field.fault`` by construction, made without the
+    checks of ``LabelledGraph(...)`` and ``OpenCircuit(...)``: the slots
+    are set on bare instances through their descriptors."""
+    graph = object.__new__(LabelledGraph)
+    _set_num_nodes(graph, num_nodes)
+    _set_edges(graph, edges)
+    c = object.__new__(OpenCircuit)
+    _set_field(c, field)
+    _set_graph(c, graph)
+    _set_cospan(c, cospan)
+    return c
+
+
 def compose_circuits(a: OpenCircuit, b: OpenCircuit) -> OpenCircuit:
     """Glue b onto a along the shared boundary.
 
     Every edge of both circuits appears exactly once in the composite,
-    a's edges first, with endpoints relabelled through the pushout.
+    a's edges first, with endpoints relabelled through the pushout.  This
+    is a trusted construction: both operands' impedances have passed
+    ``Field.fault`` over their shared field, and the pushout's injections
+    land in its apex, so the composite is built without checking either
+    again.
     """
     if a.field != b.field:
         raise ValueError("circuits must share a scalar field")
     cospan, inject_a, inject_b = pushout_composition(a.cospan, b.cospan)
-    graph = LabelledGraph(
-        cospan.apex_size,
-        a.graph.relabel(inject_a).edges + b.graph.relabel(inject_b).edges,
-    )
-    return OpenCircuit(a.field, graph, cospan)
+    ta, tb = inject_a.table, inject_b.table
+    edges = [(ta[s], ta[t], z) for s, t, z in a.graph.edges]
+    edges += [(tb[s], tb[t], z) for s, t, z in b.graph.edges]
+    return _circuit(a.field, cospan.apex_size, tuple(edges), cospan)
 
 
 def tensor_circuits(a: OpenCircuit, b: OpenCircuit) -> OpenCircuit:

@@ -18,8 +18,9 @@ ladder's detour nodes go before the main nodes they bypass and the form
 stays sparse; a heap of (degree, node) entries makes each choice.  The
 result does not depend on the order; the fill-in and the size of the
 intermediate fractions do.  ``_reduce`` leaves the coefficient map on the
-kept nodes, which the fast black box reads as it is, and ``_form`` builds
-a ``DirichletForm`` from it.  Over Q the coefficients stay nonnegative;
+kept nodes in the loop's own values; the fast black box computes its
+currents from it in the same arithmetic, and ``_form`` writes a
+``DirichletForm`` from it.  Over Q the coefficients stay nonnegative;
 over Q(s) the same formal calculus applies verbatim.  A node with no
 nonzero coefficient is dropped; a node whose nonzero coefficients sum to
 zero (possible over Q(s), where impedances cancel unchecked) raises
@@ -29,10 +30,12 @@ boundary, not a Dirichlet form.
 Over Q the loop holds each coefficient as a reduced pair (num, den) of
 ints, den > 0, never zero.  Henrici's formulas (J. ACM 3(1), 1956), which
 ``Fraction`` also uses, keep every sum and product the one reduced pair
-of its value, and ``_reduce`` builds one ``Fraction`` per kept pair at
-the end: the same answer as ``Fraction`` arithmetic throughout, without
-its operator dispatch and object construction at every step.
-``_KERNELS`` holds the arithmetic of each field.
+of its value, and ``_reduce`` returns the pairs as they are.  Each of its
+consumers builds one ``Fraction`` per entry it writes, with the field's
+``out``: the same answer as ``Fraction`` arithmetic throughout, without
+its operator dispatch and object construction at every step.  Over Q(s)
+the loop's values are the rational functions themselves.  ``_KERNELS``
+holds the arithmetic of each field.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Sequence
 from .circuit import OpenCircuit, _terminal_positions, boundary
 from .finset import cospan_to_corelation
 from .linalg import _solve
-from .scalars import Field, QQ, QS, _Record
+from .scalars import Field, QQ, QS, RationalFunction, _Record, _over_monic, _rf
 
 
 class DegenerateFormError(ValueError):
@@ -219,23 +222,33 @@ def _pair_conductance(z: Fraction) -> tuple[int, int]:
     return _pair_mul((1, 2), (z.denominator, z.numerator))
 
 
+_HALF = Fraction(1, 2)
+
+
+def _rf_conductance(z: RationalFunction) -> RationalFunction:
+    """1/(2 z) for z = a/b in Q(s): b/(2a), over the monic multiple of a.
+    a and b are coprime, so this is reduced with no gcd taken."""
+    num, den = _over_monic(z.den, z.num)
+    return _rf(num.scale(_HALF), den)
+
+
 # The Kron loop of each field: add, multiply, inverse, the nonzero test, an
 # edge's conductance 1/(2 Z), and a coefficient's conversions into and out
 # of the loop's values.
 _KERNELS = {
     QQ: (_pair_add, _pair_mul, _pair_inverse, itemgetter(0), _pair_conductance,
          attrgetter("numerator", "denominator"), lambda pair: Fraction(*pair)),
-    QS: (add, mul, QS.one.__truediv__, bool, QS.from_fraction(Fraction(1, 2)).__truediv__,
-         lambda value: value, lambda value: value),
+    QS: (add, mul, QS.one.__truediv__, bool, _rf_conductance, lambda value: value, lambda value: value),
 }
 
 
 def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> dict:
     """Eliminate in place every index outside ``keep``, each time the one
     with the fewest nonzero coefficients (the lowest index on a tie), and
-    return ``adjacency``, now the coefficients on ``keep`` in the field's
-    own values.  Each elimination re-pushes its interior neighbours; a stale
-    heap entry is skipped."""
+    return ``adjacency``, now the coefficients on ``keep`` in the Kron
+    loop's values, for the caller to convert with the field's ``out``.
+    Each elimination re-pushes its interior neighbours; a stale heap entry
+    is skipped."""
     kept = set(keep)
     heap = [(len(row), n) for n, row in adjacency.items() if n not in kept]
     heapify(heap)
@@ -246,20 +259,22 @@ def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> dict:
             _eliminate(field, adjacency, n)
             for m in neighbours:
                 heappush(heap, (len(adjacency[m]), m))
-    out = _KERNELS[field][6]
-    for i, row in adjacency.items():
-        for j, value in row.items():
-            if i < j:
-                row[j] = adjacency[j][i] = out(value)
     return adjacency
 
 
 def _form(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
-    """The one form on ``keep`` that ``_reduce`` leaves, built and validated."""
+    """The one form on ``keep`` that ``_reduce`` leaves, its matrix written
+    with each coefficient converted once, and validated."""
+    out = _KERNELS[field][6]
     position = {node: k for k, node in enumerate(keep)}
     pairs = _reduce(field, adjacency, keep)
-    entries = {(position[i], position[j]): c for i in keep for j, c in pairs[i].items() if i < j}
-    return DirichletForm.from_entries(len(keep), entries, field)
+    matrix = [[field.zero] * len(position) for _ in position]
+    for i, k in position.items():
+        row = matrix[k]
+        for j, value in pairs[i].items():
+            if i < j:
+                row[position[j]] = matrix[position[j]][k] = out(value)
+    return DirichletForm(field, len(position), tuple(map(tuple, matrix)))
 
 
 def _eliminate(field: Field, adjacency: dict, n: int) -> None:

@@ -24,6 +24,11 @@ Gaussian elimination", Math. Comp. 22, 1968), and ``Fraction`` values are
 built once, when each pivot row is divided by its pivot.  Over Q(s) each
 pivot row is scaled to a unit pivot and cleared by field arithmetic.  Both
 give the same rows, since the reduced form of a row space is unique.
+``_SWEEPS`` holds each field's entry into the sweep: the conversion of a
+row into its values, the pivot rule, the row update and the conversion
+back.  It is the one place that tells the fields apart, so a caller such
+as ``symplectic`` can run its own rows through the sweep, integers over Q,
+without asking which field it has.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from .scalars import QQ, Field, _Record
+from .scalars import QQ, QS, Field, _Record
 
+_ZERO = QQ.zero
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
@@ -51,13 +57,10 @@ def _rref(
     ``Fraction`` (zero is ``field.zero``), whatever mix of ``int`` and
     ``Fraction`` came in.  A row of the wrong length raises ValueError.
     """
-    if field == QQ:
-        pivots, reduced = _integer_rref(rows, width)
-        zero = field.zero
-        return pivots, tuple([_fraction_row(r, r[col], zero) for col, r in zip(pivots, reduced)])
-    matrix = [list(r) for r in _nonzero_rows(rows, width)]
-    pivots, reduced = _sweep(matrix, width, partial(_unit_pivot, field.one), _eliminate)
-    return pivots, tuple(map(tuple, reduced))
+    _, into, normalise, eliminate, out = _SWEEPS[field]
+    matrix = [into(r) for r in _nonzero_rows(rows, width)]
+    pivots, reduced = _sweep(matrix, width, normalise, eliminate)
+    return pivots, tuple([out(r, r[col]) for col, r in zip(pivots, reduced)])
 
 
 def _integer_rref(rows: Sequence[Sequence], width: int) -> tuple[tuple[int, ...], list[list]]:
@@ -149,11 +152,17 @@ def _primitive_pivot(row: list, col: int) -> list:
     return [v // content for v in row]
 
 
-def _fraction_row(row: list, p: int, zero: Fraction) -> tuple:
+def _fraction_row(row: Sequence[int], p: int) -> tuple:
     """row / p as Fractions, p > 0."""
+    zero = _ZERO
     if p == 1:
         return tuple([Fraction(v) if v else zero for v in row])
     return tuple([Fraction(v, p) if v else zero for v in row])
+
+
+def _field_row(row: list, p) -> tuple:
+    """A row of field elements with a unit pivot, as it is."""
+    return tuple(row)
 
 
 def _eliminate_integer(row: list, col: int, support) -> bool:
@@ -179,6 +188,18 @@ def _eliminate_integer(row: list, col: int, support) -> bool:
             if v:
                 row[k] = v // content
     return True
+
+
+# How ``_sweep`` runs over each field: the zero of its row values, ``into``
+# (a row of field elements to those values: over Q the row scaled to
+# integers, over Q(s) the elements themselves), the pivot rule and row
+# update, and ``out`` (a swept row and its pivot to the reduced row in
+# field elements).  A caller that builds its own sweep input, such as a
+# relational composite, reads its rows through this table.
+_SWEEPS = {
+    QQ: (0, _integer_row, _primitive_pivot, _eliminate_integer, _fraction_row),
+    QS: (QS.zero, list, partial(_unit_pivot, QS.one), _eliminate, _field_row),
+}
 
 
 def _solve(field: Field, rows: Sequence[Sequence], nvars: int) -> Optional[tuple[list, tuple]]:
@@ -264,8 +285,7 @@ class _Factored:
 
     def null_space(self) -> Subspace:
         """{x : A·x = 0}, as ``kernel_of_matrix`` gives it."""
-        zero = QQ.zero
-        rows = [_fraction_row(row, row[col], zero) for col, row in zip(self.pivots, self.rows)]
+        rows = [_fraction_row(row, row[col]) for col, row in zip(self.pivots, self.rows)]
         return _null_space(QQ, (self.pivots, rows), self.width)
 
 

@@ -34,7 +34,9 @@ User text has one reader here, ``_Scanner``, which the scalar parser and
 
 The engine's two fields are ``QQ`` and ``QS``, the only ``Field`` objects,
 which hold what differs between them: constants, reader, printer and
-value rule.  Only ``linalg._rref`` asks which field it has.
+value rule.  No code branches on which field it has: two tables keyed by
+the field, ``linalg._SWEEPS`` and ``dirichlet._KERNELS``, hold each
+field's row-reduction and Kron-loop arithmetic.
 
 The value types of the other modules (cospans, circuits, subspaces,
 matrices, terms) are records on one base here, ``_Record``, which keeps

@@ -16,24 +16,36 @@ agree on the shared boundary.  Currents are recorded flowing *through*:
 the domain-side conjugation means that what leaves one relation enters
 the next, which is the same physics as requiring outward currents of
 glued parts to cancel (i + i' = 0) when both are recorded outward.
+Composition and the Lagrangian test read each basis row in the values
+of ``linalg``'s sweep, integers over Q, so no ``Fraction`` arithmetic
+runs in them; ``Fraction`` entries are built only for the composite.
 
 ``black_box`` sends an open circuit to its behaviour two ways: the oracle
 route pairs the graph of the extended power functional with the
 symplectified boundary corelation; the fast route minimizes the Dirichlet
 form onto the boundary nodes by sparse elimination and writes down the
-relation's reduced basis with no row reduction.  The two agree exactly;
-on a degenerate minimization (impedances cancelling over Q(s)) the fast
-route answers by the oracle.
+relation's reduced basis with no row reduction, computing its currents
+in the Kron loop's own values and converting each entry once.  The two
+agree exactly; on a degenerate minimization (impedances cancelling over
+Q(s)) the fast route answers by the oracle.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .circuit import OpenCircuit
-from .dirichlet import DegenerateFormError, DirichletForm, _edge_adjacency, _reduce, extended_power
+from .dirichlet import (
+    _KERNELS,
+    DegenerateFormError,
+    DirichletForm,
+    _edge_adjacency,
+    _reduce,
+    extended_power,
+)
 from .finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
-from .linalg import Subspace, _rref, kernel_of_matrix
+from .linalg import _SWEEPS, Subspace, _sweep, kernel_of_matrix
 from .scalars import Field, QQ, _Record
 
 
@@ -133,11 +145,17 @@ class LagrangianRelation(_Record):
         return self.cod.n
 
     def is_lagrangian(self) -> bool:
+        """Half the dimension, and omega zero on every pair of basis rows.
+
+        omega is evaluated on the rows as the sweep reads them, integers
+        over Q: each row is a nonzero multiple of its basis row and omega
+        is bilinear, so each value is zero exactly when omega is zero on
+        the basis rows themselves."""
         if self.space.dim != self.dom.n + self.cod.n:
             return False
-        zero = self.field.zero
+        zero, into, _, _, _ = _SWEEPS[self.field]
         pairs = _relation_omega_pairs(self.dom, self.cod)
-        basis = self.space.basis
+        basis = [into(row) for row in self.space.basis]
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
                 if _omega_eval(pairs, basis[a], basis[b], zero) != zero:
@@ -182,26 +200,32 @@ def compose_lagrangian(
     A combination vanishes on V exactly when its two parts agree there, so
     the reduced rows that pivot past V are the composite's reduced basis.
     This holds for any two linear relations, Lagrangian or not.
+
+    The rows are built in the sweep's own values (``linalg._SWEEPS``):
+    over Q each basis row is scaled to integers once and negated as
+    integers, and ``Fraction`` entries are built only for the composite's
+    rows.
     """
     if first.field != second.field:
         raise ValueError("relations must share a scalar field")
     if first.cod != second.dom:
         raise ValueError("relations are not composable")
     field = first.field
+    zero, into, normalise, eliminate, out = _SWEEPS[field]
     u, v, w = first.dom_n, first.cod_n, second.cod_n
     # the first relation lives on the terminals U + V, the second on V + W
     first_v, first_u = _columns(range(u, u + v), u + v), _columns(range(u), u + v)
     second_v, second_w = _columns(range(v), v + w), _columns(range(v, v + w), v + w)
-    pad_u, pad_w = [field.zero] * u, [field.zero] * w
+    pad_u, pad_w = [zero] * u, [zero] * w
     rows = []
-    for a in first.space.basis:
+    for a in map(into, first.space.basis):
         left = [a[p] for p in first_u]
         rows.append([a[p] for p in first_v] + left[:u] + pad_w + left[u:] + pad_w)
-    for b in second.space.basis:
+    for b in map(into, second.space.basis):
         right = [b[q] for q in second_w]
         rows.append([-b[q] for q in second_v] + pad_u + right[:w] + pad_u + right[w:])
-    pivots, reduced = _rref(field, rows, 2 * (u + v + w))
-    basis = tuple(row[2 * v :] for col, row in zip(pivots, reduced) if col >= 2 * v)
+    pivots, reduced = _sweep(rows, 2 * (u + v + w), normalise, eliminate)
+    basis = tuple(out(row[2 * v :], row[col]) for col, row in zip(pivots, reduced) if col >= 2 * v)
     return LagrangianRelation(field, first.dom, second.cod, Subspace(field, 2 * (u + w), basis))
 
 
@@ -360,9 +384,17 @@ def _fast_boundary_space(c: OpenCircuit) -> Subspace:
     against its block's last.  Node rows pivot at their block's first
     potential and wire rows at their own current, which no other row
     touches, so in pivot order the rows are already reduced.
+
+    The currents are computed from ``_reduce``'s coefficients in the Kron
+    loop's arithmetic (reduced integer pairs over Q), each one product with
+    the factor 2 or -2 that carries its sign, and converted to a field
+    element once, as it is written.
     """
     field = c.field
     zero, one = field.zero, field.one
+    add, mul, _, _, _, into, out = _KERNELS[field]
+    plus, minus = into(field.from_fraction(2)), into(field.from_fraction(-2))
+    inputs = c.num_inputs
     ends = c.cospan.left.table + c.cospan.right.table
     total = len(ends)
     blocks: dict[int, list[int]] = {}  # node -> its terminals, by first terminal
@@ -374,11 +406,15 @@ def _fast_boundary_space(c: OpenCircuit) -> Subspace:
         row = [zero] * (2 * total)
         for t in block:
             row[t] = one
-        currents = {other: -2 * c_kj for other, c_kj in coeff[node].items()}
-        currents[node] = 2 * sum(coeff[node].values(), zero)
-        for other, current in currents.items():
-            last = blocks[other][-1]
-            row[total + last] = -current if last < c.num_inputs else current
+        row_coeff = coeff[node]
+        if row_coeff:
+            # -2 c_kj at each other node, 2 sum_j c_kj at k, negated at an input
+            for other, c_kj in row_coeff.items():
+                last = blocks[other][-1]
+                row[total + last] = out(mul(c_kj, plus if last < inputs else minus))
+            last = block[-1]
+            current = reduce(add, row_coeff.values())
+            row[total + last] = out(mul(current, minus if last < inputs else plus))
         rows.append(row)
-    rows += _wire_current_rows(list(blocks.values()), c.num_inputs, total, field)
+    rows += _wire_current_rows(list(blocks.values()), inputs, total, field)
     return Subspace(field, 2 * total, tuple(map(tuple, rows)))

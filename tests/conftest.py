@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
@@ -1331,6 +1332,25 @@ def reference_kron(field, adjacency: dict, keep) -> dict:
             if i not in kept:
                 heapq.heappush(heap, (len(adjacency[i]), i))
     return adjacency
+
+
+def _as_is(value):
+    return value
+
+
+# ``dirichlet._KERNELS[QQ]`` in ``Fraction`` arithmetic: the loop's values
+# are the field's own, so conversions are the identity.  Patched in, every
+# Kron step and every current of the fast black box is a ``Fraction``
+# operation.
+FRACTION_KERNEL = (
+    operator.add,
+    operator.mul,
+    lambda total: 1 / total,
+    bool,
+    lambda z: Fraction(1, 2) / z,
+    _as_is,
+    _as_is,
+)
 
 
 def reference_kron_form(field, adjacency: dict, keep) -> DirichletForm:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import canonical_form, rand_circuit
+from conftest import canonical_form, rand_circuit, rand_qs_circuit
 from openwires.circuit import (
     ImpedanceError,
     LabelledGraph,
@@ -16,7 +16,7 @@ from openwires.circuit import (
     series,
     tensor_circuits,
 )
-from openwires.finset import FinCospan, FinFunction
+from openwires.finset import FinCospan, FinFunction, pushout_composition
 from openwires.scalars import QQ, QS
 
 
@@ -97,6 +97,22 @@ def test_textbook_two_graph_gluing():
     glued = composite.cospan.right.table[1]
     new_edges = [e for e in composite.graph.edges if e[2] in (F(17, 10), F(3, 10))]
     assert all(src == glued for src, _, _ in new_edges)
+
+
+@pytest.mark.parametrize("field", [QQ, QS])
+def test_composite_is_the_checked_construction(field):
+    """The composite is built without checking its edges again; it equals
+    the circuit that the checking constructors build from the pushout."""
+    rng = random.Random(8)
+    draw = rand_circuit if field == QQ else rand_qs_circuit
+    for _ in range(60):
+        y = rng.randint(0, 3)
+        a, b = draw(rng, rng.randint(0, 3), y), draw(rng, y, rng.randint(0, 3))
+        cospan, inject_a, inject_b = pushout_composition(a.cospan, b.cospan)
+        edges = [(inject_a(s), inject_a(t), z) for s, t, z in a.graph.edges]
+        edges += [(inject_b(s), inject_b(t), z) for s, t, z in b.graph.edges]
+        checked = OpenCircuit(field, LabelledGraph(cospan.apex_size, tuple(edges)), cospan)
+        assert compose_circuits(a, b) == checked
 
 
 def test_identity_is_neutral():

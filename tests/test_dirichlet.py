@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    FRACTION_KERNEL,
     REFERENCE_CORPORA,
     evaluate_form,
     form_sum,
@@ -369,12 +370,45 @@ class TestPairKernel:
     def test_fast_black_box(self, monkeypatch):
         for c in self.circuits():
             with monkeypatch.context() as patched:
+                patched.setitem(dirichlet._KERNELS, QQ, FRACTION_KERNEL)
                 patched.setattr(symplectic, "_reduce", reference_kron)
                 patched.setattr(symplectic, "_edge_adjacency", reference_edge_adjacency)
                 expected = black_box(c)
             relation = black_box(c)
             assert relation == expected
-            assert all_fractions(relation.space.basis)
+            assert all_fractions(relation.space.basis) and all_fractions(expected.space.basis)
+
+
+class TestRationalConductance:
+    """Over Q(s) an edge's conductance 1/(2z), z = a/b, is written as b/(2a)
+    over the monic multiple of a, with no gcd: a and b are coprime."""
+
+    def impedances(self):
+        rng = random.Random(433)
+        s = QS.parse("s")
+        values = []
+        for _ in range(40):
+            r = rand_positive_fraction(rng)
+            values += [QS.from_fraction(r), r * s, 1 / (r * s)]
+        texts = [
+            "-3*s^2 + 1",
+            "(2*s + 3)/(-5*s^2 + s)",
+            "-1/(7*s^3 - 2)",
+            "(4*s^2 - 6)/(6*s + 9)",
+            "-2/3",
+            "(s - 1)/(-(3/4)*s + 2)",
+            "(-6*s^2 + 4)/(9*s^2 - 3*s)",
+        ]
+        return values + [QS.parse(text) for text in texts]
+
+    def test_conductance_is_the_quotient_field_for_field(self):
+        conductance = dirichlet._KERNELS[QS][4]
+        half = QS.from_fraction(F(1, 2))
+        for z in self.impedances():
+            got, want = conductance(z), half / z
+            for mine, theirs in ((got.num, want.num), (got.den, want.den)):
+                assert (mine.offset, mine.nums, mine.den) == (theirs.offset, theirs.nums, theirs.den)
+            assert got.den.nums[-1] == got.den.den
 
 
 class TestDegeneratePivot:

@@ -640,15 +640,15 @@ class TestFactoredTicks:
         assert set(outcomes) == {"infeasible", "no registers", "point", "not a point"}
 
     def test_eliminations_do_not_grow_with_the_window(self, monkeypatch):
+        # every elimination, through ``_integer_rref`` or ``_rref``, is one ``_sweep``
         calls = Counter()
-        integer_rref = linalg._integer_rref
+        sweep = linalg._sweep
 
         def counted(*args):
             calls["rref"] += 1
-            return integer_rref(*args)
+            return sweep(*args)
 
-        monkeypatch.setattr(linalg, "_integer_rref", counted)
-        monkeypatch.setattr(sfg, "_integer_rref", counted)
+        monkeypatch.setattr(linalg, "_sweep", counted)
 
         def eliminations(run) -> int:
             calls.clear()

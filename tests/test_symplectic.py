@@ -45,7 +45,7 @@ from openwires.finset import (
     cospan_to_corelation,
 )
 from openwires.linalg import Subspace, kernel_of_matrix
-from openwires.scalars import QQ, QS
+from openwires.scalars import QQ, QS, RationalFunction
 from openwires.symplectic import (
     LagrangianRelation,
     SymplecticSpace,
@@ -151,6 +151,48 @@ class TestComplement:
         assert not LagrangianRelation(
             QQ, SymplecticSpace(QQ, 0), space, coisotropic
         ).is_lagrangian()
+
+
+class TestLagrangianTest:
+    """``is_lagrangian`` evaluates omega on each basis row scaled to the
+    sweep's values, integers over Q.  Rows with different denominators
+    scale by different factors; the verdict is that of the rows."""
+
+    def graph(self, field, dom, cod, matrix):
+        """The rows (e_k, M e_k) on dom + cod terminals."""
+        n = dom + cod
+        zero, one = field.zero, field.one
+        rows = [[one if j == k else zero for j in range(n)] + list(matrix[k]) for k in range(n)]
+        space = Subspace.span(field, 2 * n, rows)
+        return LagrangianRelation(field, SymplecticSpace(field, dom), SymplecticSpace(field, cod), space)
+
+    def matrices(self, field):
+        """(symmetric, antisymmetric off the diagonal), with a different
+        denominator in each row."""
+        if field == QQ:
+            a, b, c = F(1, 2), F(1, 3), F(2, 5)
+        else:
+            s = QS.parse("s")
+            a, b, c = s / 2, 1 / (3 * s), QS.parse("2/(5*s + 1)")
+        return [[a, b], [b, c]], [[a, b], [-b, c]]
+
+    @pytest.mark.parametrize("field", [QQ, QS])
+    def test_lagrangian_rows_needing_different_scalings(self, field):
+        symmetric, antisymmetric = self.matrices(field)
+        # omega on 0 + 2 terminals is i'(phi) - i(phi'), zero when M is symmetric;
+        # on 1 + 1 the domain enters conjugated, so M01 = -M10 makes it zero
+        for dom, cod, matrix in ((0, 2, symmetric), (1, 1, antisymmetric)):
+            relation = self.graph(field, dom, cod, matrix)
+            assert relation.space.dim == 2
+            assert relation.is_lagrangian()
+
+    @pytest.mark.parametrize("field", [QQ, QS])
+    def test_not_isotropic_with_the_right_dimension(self, field):
+        symmetric, antisymmetric = self.matrices(field)
+        for dom, cod, matrix in ((0, 2, antisymmetric), (1, 1, symmetric)):
+            relation = self.graph(field, dom, cod, matrix)
+            assert relation.space.dim == dom + cod
+            assert not relation.is_lagrangian()
 
 
 class TestGraphOfDQ:
@@ -274,7 +316,9 @@ class TestSpanComposition:
             if first.cod != second.dom:
                 continue
             expected = reference_compose_lagrangian(first, second)
-            assert compose_lagrangian(first, second).space.basis == expected.space.basis
+            got = compose_lagrangian(first, second)
+            assert got.space.basis == expected.space.basis
+            assert _elements_only(got.space)
             composed += 1
         assert composed >= len(boxes) // 3
 
@@ -297,7 +341,15 @@ class TestSpanComposition:
             got = compose_lagrangian(*relations)
             assert (got.dom, got.cod) == (expected.dom, expected.cod)
             assert got.space.basis == expected.space.basis
+            assert _elements_only(got.space)
         assert {(True, False, False), (False, True, False), (True, False, True)} <= shapes
+
+
+def _elements_only(space: Subspace) -> bool:
+    """Every entry is a ``Fraction`` over Q, where an ``int`` would pass
+    ``==``, and a ``RationalFunction`` over Q(s)."""
+    element = F if space.field == QQ else RationalFunction
+    return all(type(v) is element for row in space.basis for v in row)
 
 
 def _entry_types(space: Subspace) -> list:
