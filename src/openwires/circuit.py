@@ -41,8 +41,7 @@ class LabelledGraph(_Record):
         for src, tgt, _ in edges:
             if not (0 <= src < num_nodes and 0 <= tgt < num_nodes):
                 raise ValueError(f"edge ({src}, {tgt}) outside node range")
-        object.__setattr__(self, "num_nodes", num_nodes)
-        object.__setattr__(self, "edges", edges)
+        _Record.__init__(self, num_nodes, edges)
 
 
 class OpenCircuit(_Record):
@@ -56,9 +55,7 @@ class OpenCircuit(_Record):
         for src, tgt, z in graph.edges:
             if fault := field.fault(z):
                 raise ImpedanceError(f"impedance on edge ({src}, {tgt}) must be {fault}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "cospan", cospan)
+        _Record.__init__(self, field, graph, cospan)
 
     @property
     def num_inputs(self) -> int:
@@ -85,28 +82,6 @@ def _terminal_positions(c: OpenCircuit) -> list[int]:
     return [position[node] for node in c.cospan.left.table + c.cospan.right.table]
 
 
-_set_num_nodes = LabelledGraph.num_nodes.__set__
-_set_edges = LabelledGraph.edges.__set__
-_set_field = OpenCircuit.field.__set__
-_set_graph = OpenCircuit.graph.__set__
-_set_cospan = OpenCircuit.cospan.__set__
-
-
-def _circuit(field: Field, num_nodes: int, edges: tuple, cospan: FinCospan) -> OpenCircuit:
-    """An OpenCircuit on a graph whose endpoints lie in range and whose
-    impedances pass ``field.fault`` by construction, made without the
-    checks of ``LabelledGraph(...)`` and ``OpenCircuit(...)``: the slots
-    are set on bare instances through their descriptors."""
-    graph = object.__new__(LabelledGraph)
-    _set_num_nodes(graph, num_nodes)
-    _set_edges(graph, edges)
-    c = object.__new__(OpenCircuit)
-    _set_field(c, field)
-    _set_graph(c, graph)
-    _set_cospan(c, cospan)
-    return c
-
-
 def compose_circuits(a: OpenCircuit, b: OpenCircuit) -> OpenCircuit:
     """Glue b onto a along the shared boundary.
 
@@ -123,7 +98,8 @@ def compose_circuits(a: OpenCircuit, b: OpenCircuit) -> OpenCircuit:
     ta, tb = inject_a.table, inject_b.table
     edges = [(ta[s], ta[t], z) for s, t, z in a.graph.edges]
     edges += [(tb[s], tb[t], z) for s, t, z in b.graph.edges]
-    return _circuit(a.field, cospan.apex_size, tuple(edges), cospan)
+    graph = LabelledGraph._trusted(cospan.apex_size, tuple(edges))
+    return OpenCircuit._trusted(a.field, graph, cospan)
 
 
 def tensor_circuits(a: OpenCircuit, b: OpenCircuit) -> OpenCircuit:

@@ -82,9 +82,7 @@ class DirichletForm(_Record):
                     raise ValueError("coefficient matrix must be symmetric")
                 if field.is_positive(coeff[i][j]) is False and coeff[i][j] != zero:
                     raise ValueError("coefficients over Q must be nonnegative")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "coeff", coeff)
+        _Record.__init__(self, field, size, coeff)
 
     @staticmethod
     def from_entries(
@@ -218,8 +216,10 @@ def _pair_inverse(a: tuple[int, int]) -> tuple[int, int]:
 
 
 def _pair_conductance(z: Fraction) -> tuple[int, int]:
-    """1/(2 z) as a reduced pair: (1, 2) times (z.den, z.num), as z > 0."""
-    return _pair_mul((1, 2), (z.denominator, z.numerator))
+    """1/(2 z) as a reduced pair for z = n/d > 0 in lowest terms: (d, 2n),
+    halved to (d/2, n) when d is even, since gcd(d, 2n) = gcd(d, 2)."""
+    n, d = z.numerator, z.denominator
+    return (d, 2 * n) if d & 1 else (d >> 1, n)
 
 
 _HALF = Fraction(1, 2)
@@ -264,7 +264,10 @@ def _reduce(field: Field, adjacency: dict, keep: Sequence[int]) -> dict:
 
 def _form(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
     """The one form on ``keep`` that ``_reduce`` leaves, its matrix written
-    with each coefficient converted once, and validated."""
+    with each coefficient converted once.  It is built with no checks: the
+    matrix is symmetric with a zero diagonal as written, its entries are
+    the field's elements, and over Q a Kron step keeps nonnegative
+    coefficients nonnegative."""
     out = _KERNELS[field][6]
     position = {node: k for k, node in enumerate(keep)}
     pairs = _reduce(field, adjacency, keep)
@@ -274,7 +277,7 @@ def _form(field: Field, adjacency: dict, keep: Sequence[int]) -> DirichletForm:
         for j, value in pairs[i].items():
             if i < j:
                 row[position[j]] = matrix[position[j]][k] = out(value)
-    return DirichletForm(field, len(position), tuple(map(tuple, matrix)))
+    return DirichletForm._trusted(field, len(position), tuple(map(tuple, matrix)))
 
 
 def _eliminate(field: Field, adjacency: dict, n: int) -> None:

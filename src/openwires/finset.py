@@ -70,9 +70,7 @@ class FinFunction(_Record):
         for value in table:
             if not 0 <= value < codomain_size:
                 raise ValueError(f"table entry {value} outside codomain")
-        object.__setattr__(self, "domain_size", domain_size)
-        object.__setattr__(self, "codomain_size", codomain_size)
-        object.__setattr__(self, "table", table)
+        _Record.__init__(self, domain_size, codomain_size, table)
 
     @staticmethod
     def identity(n: int) -> "FinFunction":
@@ -118,8 +116,7 @@ class FinCospan(_Record):
     def __init__(self, left: FinFunction, right: FinFunction):
         if left.codomain_size != right.codomain_size:
             raise ValueError("cospan legs must share their codomain")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _Record.__init__(self, left, right)
 
     @property
     def apex_size(self) -> int:
@@ -209,10 +206,7 @@ class Corelation(_Record):
                 seen[block] = len(seen)
         if len(seen) != num_classes:
             raise ValueError("num_classes does not match the labelling")
-        object.__setattr__(self, "left_size", left_size)
-        object.__setattr__(self, "right_size", right_size)
-        object.__setattr__(self, "class_of", class_of)
-        object.__setattr__(self, "num_classes", num_classes)
+        _Record.__init__(self, left_size, right_size, class_of, num_classes)
 
     @staticmethod
     def from_labels(left_size: int, right_size: int, labels: Sequence[int]) -> "Corelation":
@@ -232,6 +226,8 @@ class Corelation(_Record):
         labels = [-1] * (left_size + right_size)
         for i, block in enumerate(blocks):
             for element in block:
+                if not 0 <= element < len(labels):
+                    raise ValueError(f"block element {element} outside 0..{len(labels) - 1}")
                 if labels[element] != -1:
                     raise ValueError("blocks overlap")
                 labels[element] = i

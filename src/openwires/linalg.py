@@ -325,11 +325,6 @@ class Subspace(_Record):
 
     __slots__ = ("field", "ambient_dim", "basis")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: tuple[tuple[object, ...], ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
     @staticmethod
     def span(field: Field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
         if not all(isinstance(x, field.members) for row in rows for x in row):

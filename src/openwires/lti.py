@@ -68,9 +68,7 @@ class PolyMatrix(_Record):
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[LaurentPoly, ...], ...]):
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError("entry grid does not match the declared shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _Record.__init__(self, rows, cols, entries)
 
     @staticmethod
     def from_lists(rows: Sequence[Sequence]) -> "PolyMatrix":
@@ -110,12 +108,12 @@ class PolyMatrix(_Record):
                     acc = acc + a * b
                 row.append(acc)
             out.append(tuple(row))
-        return _matrix(self.rows, other.cols, tuple(out))
+        return PolyMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return _matrix(
+        return PolyMatrix._trusted(
             self.rows,
             self.cols + other.cols,
             tuple(ra + rb for ra, rb in zip(self.entries, other.entries)),
@@ -123,7 +121,7 @@ class PolyMatrix(_Record):
 
     def block_diag(self, other: "PolyMatrix") -> "PolyMatrix":
         pad_right, pad_left = (_L0,) * other.cols, (_L0,) * self.cols
-        return _matrix(
+        return PolyMatrix._trusted(
             self.rows + other.rows,
             self.cols + other.cols,
             tuple(row + pad_right for row in self.entries)
@@ -131,12 +129,10 @@ class PolyMatrix(_Record):
         )
 
     def take_rows(self, indices: Sequence[int]) -> "PolyMatrix":
-        return _matrix(
-            len(indices), self.cols, tuple(self.entries[i] for i in indices)
-        )
+        return PolyMatrix._trusted(len(indices), self.cols, tuple(self.entries[i] for i in indices))
 
     def take_cols(self, indices: Sequence[int]) -> "PolyMatrix":
-        return _matrix(
+        return PolyMatrix._trusted(
             self.rows,
             len(indices),
             tuple(tuple(row[j] for j in indices) for row in self.entries),
@@ -150,35 +146,10 @@ class PolyMatrix(_Record):
         )
 
 
-_set_rows = PolyMatrix.rows.__set__
-_set_cols = PolyMatrix.cols.__set__
-_set_entries = PolyMatrix.entries.__set__
-
-
-def _matrix(rows: int, cols: int, entries: tuple) -> PolyMatrix:
-    """A PolyMatrix whose entry grid has the declared shape by construction,
-    made without the shape check of ``PolyMatrix(...)``: its three slots
-    are set on a bare instance through their descriptors, which is about
-    twice as fast as ``object.__setattr__``."""
-    m = object.__new__(PolyMatrix)
-    _set_rows(m, rows)
-    _set_cols(m, cols)
-    _set_entries(m, entries)
-    return m
-
-
 class SnfResult(_Record):
     """M = u . d . v with u, v invertible, and their inverses."""
 
     __slots__ = ("u", "d", "v", "u_inv", "v_inv", "rank")
-
-    def __init__(self, u, d, v, u_inv, v_inv, rank):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u_inv", u_inv)
-        object.__setattr__(self, "v_inv", v_inv)
-        object.__setattr__(self, "rank", rank)
 
     @property
     def diagonal(self) -> list[LaurentPoly]:
@@ -352,12 +323,12 @@ class _Eliminator:
     def right(self, keep: range) -> PolyMatrix:
         """Rows ``keep`` of U^-1 . right."""
         rows = tuple(tuple(self.d[i][self.cols :]) for i in keep)
-        return _matrix(len(rows), self.width, rows)
+        return PolyMatrix._trusted(len(rows), self.width, rows)
 
     def below(self) -> PolyMatrix:
         """below . V^-1."""
         rows = tuple(map(tuple, self.d[self.rows :]))
-        return _matrix(len(rows), self.cols, rows)
+        return PolyMatrix._trusted(len(rows), self.cols, rows)
 
 
 # A Euclidean step by a non-unit pivot leaves the updated row's
@@ -396,12 +367,14 @@ def snf(m: PolyMatrix) -> SnfResult:
     """
     work = _eliminate(m, PolyMatrix.identity(m.rows), PolyMatrix.identity(m.cols), True)
     return SnfResult(
-        u=_matrix(m.rows, m.rows, tuple(zip(*work.u))),
-        d=_matrix(m.rows, m.cols, tuple(tuple(row[: m.cols]) for row in work.d[: m.rows])),
-        v=_matrix(m.cols, m.cols, tuple(map(tuple, work.v))),
-        u_inv=work.right(range(m.rows)),
-        v_inv=work.below(),
-        rank=work.rank,
+        PolyMatrix._trusted(m.rows, m.rows, tuple(zip(*work.u))),
+        PolyMatrix._trusted(
+            m.rows, m.cols, tuple(tuple(row[: m.cols]) for row in work.d[: m.rows])
+        ),
+        PolyMatrix._trusted(m.cols, m.cols, tuple(map(tuple, work.v))),
+        work.right(range(m.rows)),
+        work.below(),
+        work.rank,
     )
 
 
@@ -533,7 +506,7 @@ def solve_left(m: PolyMatrix, target: PolyMatrix):
         for i in range(target.rows):
             if not transformed.entries[i][j].is_zero():
                 return None
-    y = _matrix(target.rows, m.rows, tuple(rows))
+    y = PolyMatrix._trusted(target.rows, m.rows, tuple(rows))
     return y.mul(work.right(range(m.rows)))
 
 
@@ -557,7 +530,7 @@ def hermite(m: PolyMatrix) -> PolyMatrix:
     """
     rows = [list(row) for row in m.entries if any(row)]
     if _scaled_to_hermite(rows):
-        return _matrix(len(rows), m.cols, tuple(map(tuple, rows)))
+        return PolyMatrix._trusted(len(rows), m.cols, tuple(map(tuple, rows)))
     top = 0
     for j in range(m.cols):
         if not _column_gcd(rows, top, j):
@@ -573,7 +546,7 @@ def hermite(m: PolyMatrix) -> PolyMatrix:
                 q = e if pivot.is_one() else (e - _remainder(e, pivot)) // pivot
                 rows[i] = [_axpy(a, q, b, -1) for a, b in zip(rows[i], row)]
         top += 1
-    return _matrix(top, m.cols, tuple(map(tuple, rows[:top])))
+    return PolyMatrix._trusted(top, m.cols, tuple(map(tuple, rows[:top])))
 
 
 def _scaled_to_hermite(rows: list) -> bool:
@@ -654,8 +627,7 @@ class MatCospan(_Record):
     def __init__(self, left: PolyMatrix, right: PolyMatrix):
         if left.rows != right.rows:
             raise ValueError("cospan legs must share their codomain")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _Record.__init__(self, left, right)
 
     @property
     def dom(self) -> int:
@@ -691,7 +663,7 @@ def compose_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
     if a.cod != b.dom:
         raise ValueError("cospan feet do not match")
     d1, d2 = a.apex, b.apex
-    glue = _matrix(
+    glue = PolyMatrix._trusted(
         d1 + d2, a.cod, a.right.entries + tuple(tuple(-e for e in row) for row in b.left.entries)
     )
     work = _eliminate(glue, a.left.block_diag(b.right))
@@ -725,15 +697,13 @@ class BehaviourRep(_Record):
     def __init__(self, m: int, n: int, kernel_matrix: PolyMatrix):
         if kernel_matrix.cols != m + n:
             raise ValueError("kernel matrix must have m + n columns")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kernel_matrix", kernel_matrix)
+        _Record.__init__(self, m, n, kernel_matrix)
 
 
 def kernel_representation(c: MatCospan) -> PolyMatrix:
     """[A -B] for the cospan A, B, whose kernel is the behaviour; B's
     entries are negated as they are stacked."""
-    return _matrix(
+    return PolyMatrix._trusted(
         c.apex,
         c.dom + c.cod,
         tuple(ra + tuple(-e for e in rb) for ra, rb in zip(c.left.entries, c.right.entries)),

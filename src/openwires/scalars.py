@@ -40,10 +40,13 @@ field's row-reduction and Kron-loop arithmetic.
 
 The value types of the other modules (cospans, circuits, subspaces,
 matrices, terms) are records on one base here, ``_Record``, which keeps
-the rule the scalars follow: fields in ``__slots__``, set once in
-``__init__``, and an error on any later assignment.  A record compares
-and hashes by its fields and prints as ``Name(field=value, ...)``, and
-no code is generated for it when its class is made.
+the rule the scalars follow: fields in ``__slots__``, set once, and an
+error on any later assignment.  ``_Record`` alone sets the slots: a
+record's own ``__init__`` only checks its arguments, and ``_trusted``
+builds one with no checks from values that hold the class's invariants
+by construction.  A record compares and hashes by its fields and prints
+as ``Name(field=value, ...)``, and no code is generated for it when its
+class is made.
 """
 
 from __future__ import annotations
@@ -186,15 +189,23 @@ def _primitive(nums):
 # -- immutable records ---------------------------------------------------------
 
 
+_new_object = object.__new__
+
+
 class _Record:
     """An immutable value made of named fields, compared field by field.
 
-    A subclass lists its fields, two or more, in order, as ``__slots__``
-    and sets them in its own ``__init__`` with ``object.__setattr__``.
-    Two records are equal when they are of one class with equal fields, a
-    record hashes as the tuple of its fields, and its repr is
-    ``Name(field=value, ...)``.  ``_values`` reads that tuple; it is an
-    ``attrgetter``, several times faster than a loop over the slots.
+    A subclass lists its fields, two or more, in order, as ``__slots__``.
+    ``_Record.__init__`` takes one value per field, in that order, and
+    sets the slots through their descriptors, kept in ``_setters``; a
+    subclass whose values need checking defines an ``__init__`` that
+    checks them and then calls it.  The classmethod ``_trusted`` builds a
+    record from the same values with no checks, for producers whose
+    output holds the class's invariants by construction.  Two records are
+    equal when they are of one class with equal fields, a record hashes
+    as the tuple of its fields, and its repr is ``Name(field=value,
+    ...)``.  ``_values`` reads that tuple; it is an ``attrgetter``,
+    several times faster than a loop over the slots.
     """
 
     __slots__ = ()
@@ -202,6 +213,23 @@ class _Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._values = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            name = self.__class__.__name__
+            raise TypeError(f"{name} takes {len(setters)} values, not {len(values)}")
+        for set_slot, value in zip(setters, values):
+            set_slot(self, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of ``values``, set without the checks of ``cls(...)``."""
+        record = _new_object(cls)
+        for set_slot, value in zip(cls._setters, values):
+            set_slot(record, value)
+        return record
 
     def __setattr__(self, *args):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
@@ -385,7 +413,6 @@ class _IntegerPoly:
         return _format_terms(self.terms())
 
 
-_new_object = object.__new__
 _set_offset = _IntegerPoly.offset.__set__
 _set_nums = _IntegerPoly.nums.__set__
 _set_den = _IntegerPoly.den.__set__

@@ -28,16 +28,17 @@ The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
 extends to a trace that is infinite in both directions.  Each term has
 one reduced system per tick: one elimination of the wire system over Q,
-the inner wires first.  ``step`` substitutes the registers and the boundary into it, and its rows
-past the inner wires are the tick relation's annihilator, which
-``check_trace`` and the sampler read.  ``check_trace`` scans the window
-in constraint form: a set of register states is its reduced rows [E | e],
-kept as primitive integer rows, and each tick's image is one elimination
-of the annihilator, with the observed boundary substituted, stacked on
-those rows.  The coefficients of a tick are the same at every tick, so
-from a set of one state, the tick is a substitution instead: the
-annihilator's regs_out block is factored once per call (``_Factored``),
-and the state and the boundary give only the right-hand side.  The
+the inner wires first.  Its rows past the inner wires are the tick
+relation's annihilator, which ``step``, ``check_trace`` and the sampler
+read.  ``check_trace`` scans the window in constraint form: a set of
+register states is its reduced rows [E | e], kept as primitive integer
+rows, and each tick's image is one elimination of the annihilator, with
+the observed boundary substituted, stacked on those rows; ``step`` is
+one such image, of its one state.  The coefficients of a tick are the
+same at every tick, so within a window, from a set of one state, the
+tick is a substitution instead: the annihilator's regs_out block is
+factored once per call (``_Factored``), and the state and the boundary
+give only the right-hand side.  The
 sampler factors its tick block once per call in the same way.  The
 padding horizons stop at the first repeated image, within one step per
 register, which makes the biinfinite condition finitely checkable.
@@ -89,24 +90,15 @@ class Gen(_Record):
             raise SfgTypeError("scalar generators take exactly one rational value")
         if value is not None and not isinstance(value, QQ.members):
             raise SfgTypeError(f"scalar value must be {QQ.noun}, not {type(value).__name__}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "value", value)
+        _Record.__init__(self, name, value)
 
 
 class Seq(_Record):
     __slots__ = ("first", "second")
 
-    def __init__(self, first: "Term", second: "Term"):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
 
 class Par(_Record):
     __slots__ = ("first", "second")
-
-    def __init__(self, first: "Term", second: "Term"):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
 
 
 Term = Union[Gen, Seq, Par]
@@ -466,24 +458,25 @@ def step(
     Returns the forced next register assignment, or INFEASIBLE when the
     boundary values are not in the one-step behaviour, or NONDETERMINATE
     when internal wires (or the next registers) are underdetermined.  The
-    current registers and the boundary, rationals, are substituted into
-    the reduced tick system, and one elimination over the inner classes
-    and regs_out decides.
+    tick is the image of the one current state under the tick relation,
+    as ``check_trace`` takes it: empty is INFEASIBLE, and fewer than d
+    rows, or an inner class that is no pivot of the reduced tick system,
+    NONDETERMINATE.
     """
-    _, reduced, inner, d, m, n = _tick_system(term)
+    pivots, reduced, inner, d, m, n = _tick_system(term)
     u, v = boundary
     if len(u) != m or len(v) != n:
         raise ValueError("boundary dimensions do not match the term")
     if len(state) != d:
         raise ValueError("register state has wrong length")
     _check_rationals("register and boundary values", (*state, *u, *v))
-    rows = _substituted(reduced, inner, inner + d + m + n, (*state, *u, *v))
-    pivots, solved = _integer_rref(rows, inner + d + 1)
-    if pivots and pivots[-1] == inner + d:
+    annihilator = [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
+    image = _relation_image(annihilator, d, m, n, _point(state), boundary)
+    if image is None:
         return INFEASIBLE
-    if len(pivots) < inner + d:
+    if len(pivots) - len(annihilator) < inner or len(image) < d:
         return NONDETERMINATE
-    return [Fraction(row[-1], row[col]) for col, row in zip(pivots[inner:], solved[inner:])]
+    return [Fraction(row[d], row[k]) for k, row in enumerate(image)]
 
 
 def _check_rationals(what: str, values) -> None:

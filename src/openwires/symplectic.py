@@ -61,9 +61,7 @@ class SymplecticSpace(_Record):
     def __init__(self, field: Field, n: int, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sign", sign)
+        _Record.__init__(self, field, n, sign)
 
     @property
     def dim(self) -> int:
@@ -131,10 +129,7 @@ class LagrangianRelation(_Record):
     def __init__(self, field: Field, dom: SymplecticSpace, cod: SymplecticSpace, space: Subspace):
         if space.ambient_dim != 2 * (dom.n + cod.n):
             raise ValueError("relation subspace has wrong ambient dimension")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "space", space)
+        _Record.__init__(self, field, dom, cod, space)
 
     @property
     def dom_n(self) -> int:

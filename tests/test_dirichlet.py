@@ -597,3 +597,15 @@ class TestOverQs:
         r1, r2 = QS.parse("s"), QS.parse("s^2")
         q = power_functional(series([r1, r2], field=QS))
         assert q.coeff[0][1] == QS.one / (2 * (r1 + r2))
+
+
+def test_pair_conductance_is_the_reduced_half_inverse():
+    """Over Q an edge's conductance 1/(2z) is read off z = n/d with no gcd:
+    (d, 2n) for odd d, (d/2, n) for even d, the pair of the Fraction."""
+    conductance = dirichlet._KERNELS[QQ][4]
+    for n in range(1, 25):
+        for d in range(1, 25):
+            z = F(n, d)
+            half_inverse = 1 / (2 * z)
+            assert conductance(z) == (half_inverse.numerator, half_inverse.denominator)
+    assert conductance(3) == (1, 6)

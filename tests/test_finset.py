@@ -112,6 +112,11 @@ class TestCorelations:
         composite = compose_corelations(alpha, beta)
         assert composite == Corelation.from_blocks(2, 1, [[0, 2], [1]])
 
+    @pytest.mark.parametrize("blocks", [[[0], [-1]], [[0], [2]], [[0, 1], [5]]])
+    def test_from_blocks_refuses_elements_outside_x_plus_y(self, blocks):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            Corelation.from_blocks(1, 1, blocks)
+
     def test_identity_unit(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -16,15 +16,27 @@ from conftest import (
     laurent_monomial,
     laurent_to_rational_function,
     parse_laurent,
+    rand_circuit,
+    rand_poly_matrix,
+    rand_qs_circuit,
+    rand_term,
     rational_function_to_laurent,
     reference_poly_gcd,
 )
 
-from openwires.circuit import LabelledGraph, OpenCircuit
-from openwires.dirichlet import DirichletForm
+from openwires.circuit import LabelledGraph, OpenCircuit, compose_circuits
+from openwires.dirichlet import DirichletForm, power_functional
 from openwires.finset import Corelation, FinCospan, FinFunction
 from openwires.linalg import Subspace
-from openwires.lti import BehaviourRep, MatCospan, PolyMatrix, snf
+from openwires.lti import (
+    BehaviourRep,
+    MatCospan,
+    PolyMatrix,
+    compose_mat_cospans,
+    hermite,
+    snf,
+    span_to_cospan,
+)
 from openwires.scalars import (
     LaurentPoly,
     Polynomial,
@@ -39,7 +51,7 @@ from openwires.scalars import (
     parse_scalar_expression,
     poly_gcd,
 )
-from openwires.sfg import Gen, Par, Seq
+from openwires.sfg import Gen, Par, Seq, sfg_denote
 from openwires.symplectic import LagrangianRelation, SymplecticSpace
 
 fractions_st = st.builds(
@@ -918,6 +930,49 @@ def test_records_are_frozen_values(make, text):
     with pytest.raises(AttributeError):
         record.extra = None
     assert repr(record) == text
+
+
+def test_a_record_takes_one_value_per_field():
+    with pytest.raises(TypeError, match="Seq takes 2 values, not 1"):
+        Seq(Gen("id"))
+    with pytest.raises(TypeError, match="Subspace takes 3 values, not 4"):
+        Subspace(QQ, 0, (), ())
+
+
+def test_trusted_records_pass_their_public_constructor(monkeypatch):
+    """Every record built with ``_Record._trusted``, with no checks, is one
+    that its checking constructor accepts and rebuilds equal: the forms of
+    ``power_functional`` and the composites of ``compose_circuits``, with
+    their graphs, over Q and Q(s), and the matrices of ``snf``,
+    ``compose_mat_cospans``, ``hermite`` and ``sfg_denote``."""
+    built = []
+    trusted = _Record._trusted.__func__
+
+    def recorded(cls, *values):
+        built.append(trusted(cls, *values))
+        return built[-1]
+
+    monkeypatch.setattr(_Record, "_trusted", classmethod(recorded))
+    rng = random.Random(30)
+    for draw in (rand_circuit, rand_qs_circuit):
+        for _ in range(40):
+            y = rng.randint(0, 3)
+            a, b = draw(rng, rng.randint(0, 3), y), draw(rng, y, rng.randint(0, 3))
+            power_functional(compose_circuits(a, b))
+    for _ in range(40):
+        m = rand_poly_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), max_spread=3)
+        snf(m)
+        hermite(m)
+        d, e, x, y, z = (rng.randint(1, 2) for _ in range(5))
+        first = span_to_cospan(rand_poly_matrix(rng, x, d, 2), rand_poly_matrix(rng, y, d, 2))
+        second = span_to_cospan(rand_poly_matrix(rng, y, e, 2), rand_poly_matrix(rng, z, e, 2))
+        compose_mat_cospans(first, second)
+        sfg_denote(rand_term(rng))
+    assert {type(record) for record in built} == {
+        DirichletForm, LabelledGraph, OpenCircuit, PolyMatrix
+    }
+    for record in built:
+        assert type(record)(*record._values(record)) == record
 
 
 
