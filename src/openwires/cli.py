@@ -549,7 +549,7 @@ def _vector_option(text: str | None, what: str) -> list[Fraction] | None:
 
 
 def _cmd_sfg_check_trace(args) -> int:
-    from .sfg import check_trace, check_trace_unrolled, term_type
+    from .sfg import _check_trace_scan, check_trace, check_trace_unrolled, term_type
 
     term = load_term(args.term)
     m, n = term_type(term)
@@ -567,8 +567,14 @@ def _cmd_sfg_check_trace(args) -> int:
         window.append((u, v))
     init = _vector_option(args.init, "init")
     realizable = check_trace(term, window, init)
-    if args.oracle and check_trace_unrolled(term, window, init) != realizable:
-        return _internal_error("trace verdict disagrees with the unrolled window")
+    # a window with no init is decided by the denotation, which shares
+    # nothing with the state scan; one with init by the scan itself
+    if init is None:
+        oracle, route = _check_trace_scan, "the state scan"
+    else:
+        oracle, route = check_trace_unrolled, "the unrolled window"
+    if args.oracle and oracle(term, window, init) != realizable:
+        return _internal_error(f"trace verdict disagrees with {route}")
     return _verdict("realizable", realizable, args.json)
 
 

@@ -83,7 +83,8 @@ class FinFunction(_Record):
         """self followed by `then`."""
         if self.codomain_size != then.domain_size:
             raise ValueError("codomain/domain mismatch in composition")
-        return FinFunction(
+        # then's table lands in its codomain, so the composite's does
+        return FinFunction._trusted(
             self.domain_size, then.codomain_size, tuple(then.table[v] for v in self.table)
         )
 
@@ -162,9 +163,10 @@ def pushout_composition(
     for y in range(a.right_size):
         uf.union(a.right(y), n + b.left(y))
     labels, count = uf.canonical_labels()
-    inject_a = FinFunction(n, count, tuple(labels[:n]))
-    inject_b = FinFunction(m, count, tuple(labels[n:]))
-    composite = FinCospan(a.left.compose(inject_a), b.right.compose(inject_b))
+    # the labels number the count classes, and both legs land in them
+    inject_a = FinFunction._trusted(n, count, tuple(labels[:n]))
+    inject_b = FinFunction._trusted(m, count, tuple(labels[n:]))
+    composite = FinCospan._trusted(a.left.compose(inject_a), b.right.compose(inject_b))
     return composite, inject_a, inject_b
 
 

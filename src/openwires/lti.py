@@ -17,7 +17,10 @@ for its row module.  The Smith form serves:
 The Hermite form serves the jointly-epic reduction of cospans and the
 presentation of behaviours.  Two kernels over F^Z are equal iff the row
 modules of their matrices are, so equal behaviours have equal forms and
-print the same text.
+print the same text.  ``shortest_lag`` rewrites a presentation's rows
+so that their leading and trailing coefficient matrices have full row
+rank; then the rows that fit in a finite window cut out the behaviour's
+restrictions to it, which is how ``sfg.check_trace`` reads a window.
 
 There is one Smith elimination.  Each operation runs it once, passing
 the blocks its answer is read from: a block to the right of M takes the
@@ -50,6 +53,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence
 
+from .linalg import _Factored
 from .scalars import LaurentPoly, _axpy, _new, _pseudo_divmod, _Record
 
 _L0 = LaurentPoly()
@@ -617,6 +621,84 @@ def _remainder(e: LaurentPoly, p: LaurentPoly) -> LaurentPoly:
         _, nums, scale = _pseudo_divmod(nums, p.nums)
         den *= scale
     return e._reduced(0, nums, den)
+
+
+def lag_rows(m: PolyMatrix) -> list[list[list[int]]]:
+    """Each nonzero row of m as its coefficient vectors [R_0, ..., R_L]:
+    R_k is the coefficient of s^k once the row is shifted to offset 0, so
+    that R_0 and R_L are nonzero and L is the row's lag, and the row is
+    scaled to primitive integers.  Both are units, so the rows present
+    the same module."""
+    out = []
+    for row in m.entries:
+        live = [e for e in row if e]
+        if not live:
+            continue
+        lo = min(e.offset for e in live)
+        den = lcm(*[e.den for e in live])
+        vectors = [[0] * m.cols for _ in range(max(e.offset + len(e.nums) for e in live) - lo)]
+        for j, e in enumerate(row):
+            scale = den // e.den
+            for k, c in enumerate(e.nums, e.offset - lo):
+                vectors[k][j] = c * scale
+        out.append(_primitive_vectors(vectors))
+    return out
+
+
+def shortest_lag(rows: list[list[list[int]]]) -> list[list[list[int]]]:
+    """Rows as ``lag_rows`` gives them, made row-reduced at both ends by
+    operations that keep their module: the leading coefficient matrix,
+    of the rows' top vectors R_{i,L_i}, and the trailing one, of their
+    R_{i,0}, both get full row rank.  Fraction-free: every row stays a
+    primitive integer row.
+
+    Wolovich's step (Wolovich, "Linear Multivariable Systems", Springer,
+    1974) runs until neither end matrix has a left kernel.
+    Take a != 0 in the left kernel of one end matrix, from ``linalg``'s
+    integer sweep, and the row j of largest lag in a's support.  Row j
+    becomes the sum of a_i times row i, each row aligned at that end:
+    at the top, row i is multiplied by s^(L_j - L_i), a polynomial.  The
+    end vector of the sum is a's combination of the end vectors, zero,
+    so once shifted to offset 0 the new row is shorter than row j.  The
+    step is invertible, since a_j is a unit, so the module is kept, and
+    the total lag falls at each step.  A row that vanishes lay in the
+    module of the others and is dropped.
+    """
+    if len(rows) < 2:  # a single row's end vectors are nonzero, so independent
+        return rows
+    rows = list(rows)
+    width = len(rows[0][0])
+    while True:
+        for top in (True, False):
+            kernel = _Factored([row[-1] if top else row[0] for row in rows], width).kernel
+            if kernel:
+                break
+        else:
+            return rows
+        a = kernel[0]
+        support = [i for i, c in enumerate(a) if c]
+        j = max(support, key=lambda i: len(rows[i]))
+        combined = [[0] * width for _ in rows[j]]
+        for i in support:
+            shift = len(rows[j]) - len(rows[i]) if top else 0
+            for k, vector in enumerate(rows[i], shift):
+                target = combined[k]
+                for col, v in enumerate(vector):
+                    if v:
+                        target[col] += a[i] * v
+        live = [k for k, vector in enumerate(combined) if any(vector)]
+        if live:
+            rows[j] = _primitive_vectors(combined[live[0] : live[-1] + 1])
+        else:
+            del rows[j]
+
+
+def _primitive_vectors(vectors: list[list[int]]) -> list[list[int]]:
+    """The vectors divided by the gcd of all their entries."""
+    content = gcd(*[v for vector in vectors for v in vector])
+    if content == 1:
+        return vectors
+    return [[v // content for v in vector] for vector in vectors]
 
 
 class MatCospan(_Record):

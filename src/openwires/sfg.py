@@ -26,22 +26,30 @@ Operationally the network is synchronous: per tick, every wire carries a
 rational, and a register hands the value stored at one tick to the next.
 The per-tick constraint system is linear, so a whole window of ticks is
 one exact feasibility problem; ``check_trace`` decides whether a window
-extends to a trace that is infinite in both directions.  Each term has
-one reduced system per tick: one elimination of the wire system over Q,
-the inner wires first.  Its rows past the inner wires are the tick
-relation's annihilator, which ``step``, ``check_trace`` and the sampler
-read.  ``check_trace`` scans the window in constraint form: a set of
-register states is its reduced rows [E | e], kept as primitive integer
-rows, and each tick's image is one elimination of the annihilator, with
-the observed boundary substituted, stacked on those rows; ``step`` is
-one such image, of its one state.  The coefficients of a tick are the
-same at every tick, so within a window, from a set of one state, the
-tick is a substitution instead: the annihilator's regs_out block is
-factored once per call (``_Factored``), and the state and the boundary
-give only the right-hand side.  The
-sampler factors its tick block once per call in the same way.  The
-padding horizons stop at the first repeated image, within one step per
-register, which makes the biinfinite condition finitely checkable.
+extends to a trace that is infinite in both directions.  With no initial
+registers that is a question about the ports alone: is the window the
+restriction of a stream in the denoted behaviour?  The behaviour's rows,
+made row-reduced at both ends (``lti.shortest_lag``), cut out exactly
+those restrictions by the equations that fit in the window, so one
+denotation and one banded check decide it (``_trace_violation``), and
+the first equation broken is the witness.
+
+With initial registers, the registers are latent in the behaviour, and
+the window is scanned tick by tick.  Each term has one reduced system
+per tick: one elimination of the wire system over Q, the inner wires
+first.  Its rows past the inner wires are the tick relation's
+annihilator, which ``step``, the scan and the sampler read.  The scan
+keeps a set of register states as its reduced rows [E | e], kept as
+primitive integer rows, and each tick's image is one elimination of the
+annihilator, with the observed boundary substituted, stacked on those
+rows; ``step`` is one such image, of its one state.  The coefficients of
+a tick are the same at every tick, so within a window, from a set of one
+state, the tick is a substitution instead: the annihilator's regs_out
+block is factored once per call (``_Factored``), and the state and the
+boundary give only the right-hand side.  The sampler factors its tick
+block once per call in the same way.  The padding horizons stop at the
+first repeated image, within one step per register, which makes the
+biinfinite condition finitely checkable.
 
 Registers are numbered in left-to-right traversal order of the term;
 both delays and mirrored delays hold one register each.  Terms are typed,
@@ -630,24 +638,96 @@ def check_trace(
 
     ``init`` fixes the register assignment at the start of the window;
     None quantifies it existentially.  The trace must extend infinitely
-    into the past and the future with free boundary values.  The scan
-    keeps each state set as its constraint rows: the states with an
-    infinite past (the stabilized image of every state), met with
-    ``init``, then the image of each observed tick, and at the end a
-    meet with the states that have an infinite future.  No basis is
-    built.  A tick from a set of more than one state is one elimination;
-    a tick from a single state, its d rows, as after ``init`` or once
-    the window has pinned the registers, substitutes it into the regs_out
-    block, factored the first time it is needed.  Values must be
-    rationals, ``int`` or ``Fraction``.
+    into the past and the future with free boundary values.  With no
+    ``init`` the question is about the ports alone, and the window is
+    checked against the shortest-lag rows of the denotation
+    (``_trace_violation``).  With ``init`` the registers are latent in
+    the behaviour, so the state sets are scanned (``_check_trace_scan``).
+    Values must be rationals, ``int`` or ``Fraction``.
     """
+    if init is None:
+        return _trace_violation(term, window) is None
+    return _check_trace_scan(term, window, init)
+
+
+def _check_window(window, m: int, n: int) -> None:
+    """Refuse an empty window, a tick of the wrong dimensions or a value
+    outside Q."""
     if not window:
         raise ValueError("window must be nonempty")
-    annihilator, d, m, n = _tick_constraints(term)
     for u, v in window:
         if len(u) != m or len(v) != n:
             raise ValueError("window entry dimensions do not match the term")
         _check_rationals("window values", (*u, *v))
+
+
+def _trace_violation(term: Term, window: Sequence[tuple[Sequence, Sequence]]):
+    """The first violation (row i, tick tau, residual) of the window by the
+    shortest-lag rows of the term's behaviour, earliest tick first, or None
+    when the window is the t = 0..T-1 part of a trajectory in it.
+
+    The behaviour is ker R over Q[s, s^-1], R = [A -B] of ``sfg_denote``,
+    acting on biinfinite streams w of (left, right) values with s the
+    delay: (s^k w)(t) = w(t - k).  ``lti.shortest_lag`` makes R's rows,
+    each shifted to offset 0 with lag L_i, row-reduced at both ends, and
+    the window is checked against every row that fits in it:
+
+        sum_k R_{i,k} w(tau - k) = 0 for L_i <= tau < T.
+
+    The lemma (Z time axis): if both the leading matrix, of the R_{i,L_i},
+    and the trailing matrix, of the R_{i,0}, have full row rank, these
+    equations cut out exactly the behaviour's restrictions to [0, T).  A
+    window satisfying them extends forward one tick at a time: at tick t
+    the rows that reach it constrain w(t) by R_{i,0} w(t) = (known
+    values), and independent rows can always be met.  It then extends
+    backward alike, through the leading matrix, each row now met at every
+    tick.  The biinfinite stream satisfies every equation, so it lies in
+    ker R (Willems, "From time series to linear system, Part I",
+    Automatica 22(5), 1986; Markovsky, Willems, Van Huffel and De Moor,
+    "Exact and Approximate Modeling of Linear Systems", SIAM, 2006).
+    Without the reduction at either end a row of R's module can fit in
+    the window while no row of R does, and the check is too weak.
+
+    The window is brought to one common denominator, so each residual is
+    an integer until the witness divides it back.
+    """
+    from .lti import kernel_representation, lag_rows, shortest_lag
+
+    cospan = sfg_denote(term)
+    _check_window(window, cospan.dom, cospan.cod)
+    rows = shortest_lag(lag_rows(kernel_representation(cospan)))
+    values = [(*u, *v) for u, v in window]
+    den = lcm(*[x.denominator for tick in values for x in tick])
+    ticks = [[x.numerator * (den // x.denominator) for x in tick] for tick in values]
+    for tau in range(len(ticks)):
+        for i, row in enumerate(rows):
+            if len(row) <= tau + 1:
+                residual = sum(_dot(vector, ticks[tau - k]) for k, vector in enumerate(row))
+                if residual:
+                    return i, tau, Fraction(residual, den)
+    return None
+
+
+def _check_trace_scan(
+    term: Term,
+    window: Sequence[tuple[Sequence, Sequence]],
+    init: Optional[Sequence] = None,
+) -> bool:
+    """``check_trace`` by a scan of the register states, with or without
+    ``init``: the route for windows with ``init``, and the cross-check of
+    ``sfg check-trace --oracle`` for windows without.
+
+    The scan keeps each state set as its constraint rows: the states with
+    an infinite past (the stabilized image of every state), met with
+    ``init``, then the image of each observed tick, and at the end a meet
+    with the states that have an infinite future.  No basis is built.  A
+    tick from a set of more than one state is one elimination; a tick
+    from a single state, its d rows, as after ``init`` or once the window
+    has pinned the registers, substitutes it into the regs_out block,
+    factored the first time it is needed.
+    """
+    annihilator, d, m, n = _tick_constraints(term)
+    _check_window(window, m, n)
     states = _extendable_states(annihilator, d, m, n)
     if init is not None:
         if len(init) != d:
@@ -674,7 +754,8 @@ def check_trace_unrolled(
     init: Optional[Sequence] = None,
 ) -> bool:
     """``check_trace`` by one forward elimination over the unrolled window of
-    ``_unmerged_constraints``, the cross-check of ``sfg check-trace --oracle``.
+    ``_unmerged_constraints``, the cross-check of ``sfg check-trace --oracle``
+    for windows with ``--init``.
 
     The states r_0 .. r_{T+2d} are linked by d free ticks, the T observed
     ticks and d more free ticks, and ``init`` pins r_d.  A chain of images

@@ -657,7 +657,8 @@ class TestSfgOracle:
 
     def test_check_trace_oracle_reads_no_tick_system(self, capsys, monkeypatch):
         # a faulty reduction that loses the equality rows tying the ends of
-        # one class, so that ``id`` relates any left value to any right value
+        # one class, so that ``id`` relates any left value to any right
+        # value: a window with --init is decided by the scan, which reads it
         tick_system = sfg._tick_system
 
         def without_rows(term):
@@ -665,8 +666,36 @@ class TestSfgOracle:
             return (), [], inner, d, m, n
 
         monkeypatch.setattr(sfg, "_tick_system", without_rows)
-        argv = ["sfg", "check-trace", fixture("wire.sfg"), "--window", "[[[2],[3]]]"]
+        argv = ["sfg", "check-trace", fixture("wire.sfg"), "--init", "[]", "--window", "[[[2],[3]]]"]
         assert main(argv) == 0
+        capsys.readouterr()
+        self._assert_internal_error(capsys, argv + ["--oracle"])
+
+    @pytest.mark.parametrize(
+        "fault, text, window, verdict",
+        [
+            # s read as an advance, w(t + 1) in place of w(t - 1)
+            ("advance", "delay", "[[[1],[0]],[[2],[1]]]", 1),
+            # no end reduction: both rows of co-copy ; delay have lag 1, and
+            # their difference, x1 = x2, is missed in a one-tick window
+            ("unreduced", "co-copy ; delay", "[[[1,2],[0]]]", 0),
+        ],
+    )
+    def test_check_trace_oracle_reads_no_denotation(
+        self, capsys, monkeypatch, tmp_path, fault, text, window, verdict
+    ):
+        # a window with no --init is decided by the denotation's
+        # shortest-lag rows, and the scan checks it
+        shortest_lag = lti.shortest_lag
+        faults = {
+            "advance": lambda rows: [row[::-1] for row in shortest_lag(rows)],
+            "unreduced": lambda rows: rows,
+        }
+        monkeypatch.setattr(lti, "shortest_lag", faults[fault])
+        path = tmp_path / "term.sfg"
+        path.write_text(text + "\n")
+        argv = ["sfg", "check-trace", str(path), "--window", window]
+        assert main(argv) == verdict
         capsys.readouterr()
         self._assert_internal_error(capsys, argv + ["--oracle"])
 

@@ -20,6 +20,7 @@ from openwires.finset import (
     cospan_to_corelation,
     empty_corelation,
     epi_mono_factor,
+    pushout_composition,
     tensor_corelations,
 )
 
@@ -89,6 +90,20 @@ class TestCospans:
             pairs = [(a.right(k), b.left(k)) for k in range(y)]
             classes = brute_force_pushout_classes(a.apex_size, b.apex_size, pairs)
             assert composite.apex_size == len(classes)
+
+    def test_unchecked_results_pass_their_checks(self):
+        """The pushout's injections and composite, and each composite
+        function, are built with no checks: each equals its checked rebuild."""
+        rng = random.Random(5)
+        for _ in range(200):
+            y = rng.randint(0, 3)
+            a = rand_fin_cospan(rng, rng.randint(0, 3), y)
+            b = rand_fin_cospan(rng, y, rng.randint(0, 3))
+            composite, inject_a, inject_b = pushout_composition(a, b)
+            results = [composite, composite.left, composite.right, inject_a, inject_b]
+            results += [a.left.compose(inject_a), b.right.compose(inject_b)]
+            for r in results:
+                assert type(r)(*r._values(r)) == r
 
 
 class TestCorelations:

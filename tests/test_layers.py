@@ -98,7 +98,9 @@ def run_child(*args: str) -> tuple[str, set[str], set[str]]:
             ["sfg", "step", str(FIXTURES / "splusone.sfg"), "--state", "[0,1]", "--left", "[1]", "--right", "[0]"],
             {"sfg"},
         ),
-        (["sfg", "check-trace", str(FIXTURES / "wire.sfg"), "--window", "[[[2],[2]]]"], {"sfg"}),
+        (["sfg", "check-trace", str(FIXTURES / "wire.sfg"), "--init", "[]", "--window", "[[[2],[2]]]"], {"sfg"}),
+        # with no --init a window is checked against the denotation
+        (["sfg", "check-trace", str(FIXTURES / "wire.sfg"), "--window", "[[[2],[2]]]"], {"sfg", "lti"}),
     ],
 )
 def test_a_command_loads_only_its_half(argv, half):

@@ -2,6 +2,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from conftest import (
@@ -14,6 +15,7 @@ from conftest import (
     rand_laurent,
     rand_poly_matrix,
     rand_term,
+    reference_rref,
     ReferenceEliminator,
     reference_eliminate,
     reference_is_controllable,
@@ -44,7 +46,7 @@ from openwires.lti import (
     span_to_cospan,
     tensor_mat_cospans,
 )
-from openwires.scalars import LaurentPoly, QS
+from openwires.scalars import LaurentPoly, QQ, QS
 from openwires.sfg import Gen, Par, Seq, denote_cospan, sfg_denote, term_type
 from openwires.linalg import Subspace, kernel_of_matrix
 
@@ -323,6 +325,47 @@ class TestHermite:
     def test_zero_rows_are_dropped(self):
         assert hermite(pm([[0, 0], [0, 0]])) == PolyMatrix(0, 2, ())
         assert hermite(pm([[0, S], [0, 2 * S]])) == pm([[0, 1]])
+
+
+def _from_lag_rows(rows, cols: int) -> PolyMatrix:
+    """The matrix whose row i is sum_k rows[i][k] s^k."""
+    return PolyMatrix(
+        len(rows),
+        cols,
+        tuple(tuple(LaurentPoly(0, [vector[j] for vector in row]) for j in range(cols)) for row in rows),
+    )
+
+
+class TestShortestLag:
+    def test_reduced_at_both_ends_with_the_same_module(self):
+        """The rows are primitive, of offset 0, and both end matrices have
+        full row rank, checked by the reference elimination; the module
+        is the input's, by equal Hermite forms.  Random matrices need not
+        have full row rank, so some rows vanish and are dropped."""
+        rng = random.Random(17)
+        matrices = [rand_poly_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 3) for _ in range(80)]
+        matrices += [kernel_representation(sfg_denote(rand_term(rng, 16))) for _ in range(80)]
+        changed = dropped = 0
+        for m in matrices:
+            rows = lti.lag_rows(m)
+            assert hermite(_from_lag_rows(rows, m.cols)) == hermite(m)
+            reduced = lti.shortest_lag(rows)
+            assert hermite(_from_lag_rows(reduced, m.cols)) == hermite(m)
+            for row in reduced:
+                assert any(row[0]) and any(row[-1])
+                assert gcd(*[v for vector in row for v in vector]) == 1
+            for end in (0, -1):
+                assert len(reference_rref(QQ, [row[end] for row in reduced], m.cols)) == len(reduced)
+            changed += reduced != rows
+            dropped += len(reduced) < len(rows)
+        assert changed and dropped
+
+    def test_each_end_is_reduced(self):
+        # y = s·x1 and y = s·x2 share their trailing vector, x1 = s·y and
+        # x2 = s·y their leading one: either way x1 = x2 is a row of lag 0
+        x1, x2, y = [1, 0, 0], [0, 1, 0], [0, 0, -1]
+        assert lti.shortest_lag([[y, x1], [y, x2]]) == [[[1, -1, 0]], [y, x2]]
+        assert lti.shortest_lag([[x1, y], [x2, y]]) == [[[1, -1, 0]], [x2, y]]
 
 
 class TestBehaviour:

@@ -943,7 +943,8 @@ def test_trusted_records_pass_their_public_constructor(monkeypatch):
     """Every record built with ``_Record._trusted``, with no checks, is one
     that its checking constructor accepts and rebuilds equal: the forms of
     ``power_functional`` and the composites of ``compose_circuits``, with
-    their graphs, over Q and Q(s), and the matrices of ``snf``,
+    their graphs and their pushout's cospans and functions, over Q and
+    Q(s), and the matrices of ``snf``,
     ``compose_mat_cospans``, ``hermite`` and ``sfg_denote``."""
     built = []
     trusted = _Record._trusted.__func__
@@ -969,7 +970,7 @@ def test_trusted_records_pass_their_public_constructor(monkeypatch):
         compose_mat_cospans(first, second)
         sfg_denote(rand_term(rng))
     assert {type(record) for record in built} == {
-        DirichletForm, LabelledGraph, OpenCircuit, PolyMatrix
+        DirichletForm, FinCospan, FinFunction, LabelledGraph, OpenCircuit, PolyMatrix
     }
     for record in built:
         assert type(record)(*record._values(record)) == record

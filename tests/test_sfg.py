@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -17,7 +17,7 @@ from conftest import (
     reference_tick_relation,
     run_chain,
 )
-from openwires import linalg, sfg
+from openwires import linalg, lti, sfg
 from openwires.cli import parse_term
 from openwires.linalg import _Factored, kernel_of_matrix
 from openwires.lti import (
@@ -40,6 +40,7 @@ from openwires.sfg import (
     Seq,
     SfgTypeError,
     _affine_solve,
+    _check_trace_scan,
     _extendable_states,
     _point,
     _point_image,
@@ -47,6 +48,7 @@ from openwires.sfg import (
     _swap_state_blocks,
     _tick_constraints,
     _tick_system,
+    _trace_violation,
     _unmerged_constraints,
     check_trace,
     check_trace_unrolled,
@@ -607,6 +609,114 @@ class TestTraceScanReference:
                     window = [([value] * m, [value] * n), ([F(0)] * m, [F(0)] * n)]
                     self.assert_verdicts_match(term, window, init)
                 self.assert_samples_match(term, 3, 5, [value])
+
+
+class TestShortestLagWindows:
+    """Windows with no ``init``, decided by the denotation's shortest-lag
+    rows, against the state scan and the unrolled window."""
+
+    def assert_verdicts_match(self, term, window, unrolled=True):
+        verdict = check_trace(term, window)
+        assert verdict == _check_trace_scan(term, window)
+        if unrolled:
+            assert verdict == check_trace_unrolled(term, window)
+        return verdict
+
+    @pytest.mark.parametrize("seed", [3, 11, 23, 71])
+    def test_random_terms(self, seed):
+        """Windows of 1 to 10 ticks: sampled, sampled with one value
+        moved, and of random values."""
+        rng = random.Random(seed)
+        outcomes = Counter()
+        for i in range(150):
+            term = rand_term(rng, 16)
+            ticks = rng.randint(1, 10)
+            if i % 5 == 0:
+                m, n = term_type(term)
+                window = [
+                    ([F(rng.randint(-2, 2)) for _ in range(m)], [F(rng.randint(-2, 2)) for _ in range(n)])
+                    for _ in range(ticks)
+                ]
+            else:
+                window, _ = sample_biinfinite_window(term, ticks, rng)
+                if i % 2:
+                    window = _perturbed(window, rng)
+            outcomes[self.assert_verdicts_match(term, window, unrolled=i % 3 == 0)] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_criterion_10(self):
+        window = [([F((-1) ** k)], [F(0)]) for k in range(6)]
+        assert self.assert_verdicts_match(parse_term(SPLUSONE), window)
+        assert not self.assert_verdicts_match(Gen("id"), window)
+
+    def test_feedback_chains(self):
+        """Chains of 1 to 64 cells, whose lag is their length, with windows
+        four ticks longer: simulated, with an output moved before the lag,
+        which free registers still make, and with one moved after it.  The
+        scan is run up to 16 cells and at 32 and 64, the unrolled window up
+        to 6."""
+        rng = random.Random(67)
+        for cells in range(1, 65):
+            term = feedback_chain(cells)
+            x = [F(rng.randint(-3, 3)) for _ in range(cells + 4)]
+            y = run_chain([F(rng.randint(-3, 3)) for _ in range(cells)], x)
+            early, late = list(y), list(y)
+            early[rng.randrange(cells)] += 1
+            late[rng.randrange(cells, cells + 4)] += 1
+            for outputs, realizable in ((y, True), (early, True), (late, False)):
+                window = [([u], [v]) for u, v in zip(x, outputs)]
+                if cells <= 16 or cells in (32, 64):
+                    assert self.assert_verdicts_match(term, window, unrolled=cells <= 6) is realizable
+                else:
+                    assert check_trace(term, window) is realizable
+
+    @pytest.mark.parametrize(
+        "text, window",
+        [
+            # x1 = s·y and x2 = s·y share their leading vector, that of y
+            ("co-copy ; co-delay", [([F(1), F(2)], [F(0)])]),
+            # y = s·x1 and y = s·x2 share their trailing vector, that of y
+            ("co-copy ; delay", [([F(1), F(2)], [F(0)])]),
+        ],
+    )
+    def test_unreduced_rows_miss_a_row_of_lower_lag(self, monkeypatch, text, window):
+        """Both rows have lag 1, and their difference, x1 = x2, lag 0.  The
+        Hermite rows, without the reduction at the leading (first) or the
+        trailing (second) end, let a one-tick window with x1 != x2
+        through."""
+        term = parse_term(text)
+        assert not self.assert_verdicts_match(term, window)
+        monkeypatch.setattr(lti, "shortest_lag", lambda rows: rows)
+        assert check_trace(term, window)
+
+    def test_s_is_the_delay(self, monkeypatch):
+        """y(t) = x(t - 1) on the delay; read as an advance, the window
+        fails."""
+        window = [([F(1)], [F(0)]), ([F(2)], [F(1)])]
+        assert self.assert_verdicts_match(Gen("delay"), window)
+        shortest_lag = lti.shortest_lag
+        monkeypatch.setattr(lti, "shortest_lag", lambda rows: [row[::-1] for row in shortest_lag(rows)])
+        assert not check_trace(Gen("delay"), window)
+
+    def test_witness(self):
+        """The 16-cell chain has the one row [(1 + s)^16, -1].  With output
+        20 of a simulated window moved by one, it fails first at tick 20,
+        where it reads -1."""
+        x = [F(t % 5 + 1) for t in range(24)]
+        y = [sum(comb(16, j) * x[t - j] for j in range(min(t, 16) + 1)) for t in range(24)]
+        term = feedback_chain(16)
+        assert _trace_violation(term, [([u], [v]) for u, v in zip(x, y)]) is None
+        y[20] += 1
+        assert _trace_violation(term, [([u], [v]) for u, v in zip(x, y)]) == (0, 20, F(-1))
+
+    @pytest.mark.parametrize("init", [None, [F(0)]])
+    def test_window_checks(self, init):
+        chain = feedback_chain(1)
+        for run in (check_trace, _check_trace_scan):
+            with pytest.raises(ValueError, match="^window must be nonempty$"):
+                run(chain, [], init)
+            with pytest.raises(ValueError, match="^window entry dimensions do not match the term$"):
+                run(chain, [([F(1)], [F(1)]), ([F(1)], [])], init)
 
 
 class TestFactoredTicks:
