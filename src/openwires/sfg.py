@@ -7,65 +7,51 @@ table defines each generator: its type and its equations A·left =
 B·right as rows (A, B), where the delay's entry is s and that of x its
 value.  A ``co-`` generator is its base with the two sides exchanged.
 
-One wire system serves both semantics.  A term is a network of wires,
-and each generator's rows constrain its adjacent wires.  An entry s
-stores its wire in a register, whose two ends are two more wires: rout,
-the value stored, and rin, the value read out, which the equation reads
-in the entry's place.  Equal wires are merged, and each semantics keeps
-its ends, the other wires being inner: the ports for the denotation, the
-ports and the register ends per tick.
+Both semantics read their rows off one forward pass over the term
+(``_forward``).  A port carries a multiple of one variable, and a
+variable is made only where a value is born: at the boundary, at a
+register end, or where no row of a generator names an output.  Moving a
+value makes no equation, and a second name for a value is a merge.
+Denotationally s is the delay and the rows hold over Q[s, s^-1]; one
+elimination of the inner variables leaves the behaviour's rows on the
+ports, printed in Hermite form.  ``denote_cospan`` is the pairwise fold
+instead: each generator maps to the cospan (A, B) of its rows and each
+``;`` is a pushout.  Per tick, an entry s is a register, whose ends rout,
+the value stored, and rin, the value read out, are variables; the tick
+relation's annihilator is what one elimination over Q, the inner
+variables first, leaves on the ends.  ``_Network`` keeps the raw wire
+equations for the oracles, which share no reduction with the pass.
 
-Denotationally a term presents an LTI behaviour: each register is read
-as rin = s·rout over Q[s, s^-1], and one elimination of the inner wires
-leaves the behaviour's rows on the ports, printed in Hermite form, so
-``denote`` lands in a kernel representation without ever materializing
-streams.  ``denote_cospan`` is the pairwise fold instead: each generator
-maps to the cospan (A, B) of its rows and each ``;`` is a pushout.
+``check_trace`` decides whether a window extends to a trace that is
+infinite in both directions.  With no initial registers that is a
+question about the ports alone: the behaviour's rows, made row-reduced
+at both ends (``lti.shortest_lag``), cut out exactly the restrictions of
+its streams by the equations that fit in the window, and the first one
+broken is the witness (``_trace_violation``).  With initial registers
+the window is scanned tick by tick.  A set of register states is kept as
+its reduced rows [E | e], primitive integer rows, and a tick's image is
+one elimination of the annihilator, with the observed boundary
+substituted, stacked on them; ``step`` is one such image, of its one
+state.  From a set of one state a tick is a substitution instead: the
+regs_out block is factored once per call (``_Factored``), as is the
+sampler's tick block.  The padding horizons stop at the first repeated
+image, within one step per register, which makes the biinfinite
+condition finitely checkable.
 
-Operationally the network is synchronous: per tick, every wire carries a
-rational, and a register hands the value stored at one tick to the next.
-The per-tick constraint system is linear, so a whole window of ticks is
-one exact feasibility problem; ``check_trace`` decides whether a window
-extends to a trace that is infinite in both directions.  With no initial
-registers that is a question about the ports alone: is the window the
-restriction of a stream in the denoted behaviour?  The behaviour's rows,
-made row-reduced at both ends (``lti.shortest_lag``), cut out exactly
-those restrictions by the equations that fit in the window, so one
-denotation and one banded check decide it (``_trace_violation``), and
-the first equation broken is the witness.
-
-With initial registers, the registers are latent in the behaviour, and
-the window is scanned tick by tick.  Each term has one reduced system
-per tick: one elimination of the wire system over Q, the inner wires
-first.  Its rows past the inner wires are the tick relation's
-annihilator, which ``step``, the scan and the sampler read.  The scan
-keeps a set of register states as its reduced rows [E | e], kept as
-primitive integer rows, and each tick's image is one elimination of the
-annihilator, with the observed boundary substituted, stacked on those
-rows; ``step`` is one such image, of its one state.  The coefficients of
-a tick are the same at every tick, so within a window, from a set of one
-state, the tick is a substitution instead: the annihilator's regs_out
-block is factored once per call (``_Factored``), and the state and the
-boundary give only the right-hand side.  The sampler factors its tick
-block once per call in the same way.  The padding horizons stop at the
-first repeated image, within one step per register, which makes the
-biinfinite condition finitely checkable.
-
-Registers are numbered in left-to-right traversal order of the term;
-both delays and mirrored delays hold one register each.  Terms are typed,
-denoted and wired with an explicit stack, so their depth is not bounded
-by the interpreter's recursion limit.
+Registers are numbered in left-to-right traversal order of the term.
+Terms are typed, denoted and evaluated with an explicit stack, so their
+depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .finset import UnionFind
 from .linalg import (
     Subspace,
     _consistent,
@@ -76,7 +62,7 @@ from .linalg import (
     _solve,
     kernel_of_matrix,
 )
-from .scalars import LaurentPoly, QQ, _axpy, _Record
+from .scalars import LaurentPoly, QQ, _axpy, _new, _Record
 
 if TYPE_CHECKING:
     from .lti import MatCospan
@@ -145,11 +131,9 @@ GENERATOR_TYPES: dict[str, tuple[int, int]] = {name: d[:2] for name, d in _GENER
 
 def _fold(term: Term, leaf, seq, par):
     """Combine a term bottom-up without recursion, so deep terms do not
-    exhaust the stack.  Generators are visited left to right and each
-    composite once both its operands are done, first before second: the
-    order of the recursive definition."""
-    done = []
-    stack = [term]
+    exhaust the stack: generators left to right, and each composite once
+    both its operands are done, in the order of the recursive definition."""
+    done, stack = [], [term]
     while stack:
         node = stack.pop()
         if node is _SEQ_DONE or node is _PAR_DONE:
@@ -191,17 +175,11 @@ def term_type(term: Term) -> tuple[int, int]:
 
 
 def seq(*terms: Term) -> Term:
-    out = terms[0]
-    for t in terms[1:]:
-        out = Seq(out, t)
-    return out
+    return reduce(Seq, terms)
 
 
 def par(*terms: Term) -> Term:
-    out = terms[0]
-    for t in terms[1:]:
-        out = Par(out, t)
-    return out
+    return reduce(Par, terms)
 
 
 def count_registers(term: Term) -> int:
@@ -212,26 +190,17 @@ def count_registers(term: Term) -> int:
 
 
 class _Network:
-    """Wire-level constraint view of a term, built by one traversal that
-    checks the types.
-
-    Every variable is a wire, numbered 0..size-1, and each equation
-    {wire: coefficient} must sum to zero: a generator's rows (A, B) are
-    A·left - B·right.  A register's ends are two more wires, after its
-    generator's ports: ``rin[k]``, the value register k reads out this
-    tick, and ``rout[k]``, the value it stores for the next, with
-    registers numbered in traversal order.  An entry s stores its wire,
-    rout = wire, and the equation reads rin in its place; the denotation
-    reads rin = s·rout.  ``left`` and ``right`` are the port wires.
-    """
+    """The raw wire equations of a term, which the oracles read: a wire
+    per port, numbered 0..size-1, each equation {wire: coefficient} summing
+    to zero, a generator's rows (A, B) as A·left - B·right and each ``;``
+    tying two wires.  An entry s stores its wire in register k, whose
+    wires ``rin[k]`` and ``rout[k]`` hold the value read out this tick and
+    the one stored for the next: rout = wire, and rin takes its place."""
 
     __slots__ = ("size", "rin", "rout", "left", "right", "equations")
 
     def __init__(self, term: Term):
-        self.size = 0
-        self.rin: list[int] = []
-        self.rout: list[int] = []
-        self.equations: list[dict] = []
+        self.size, self.rin, self.rout, self.equations = 0, [], [], []
         self.left, self.right = _fold(term, self._generator, self._glue, _side_by_side)
 
     def _wires(self, count: int) -> list[int]:
@@ -239,8 +208,6 @@ class _Network:
         return list(range(self.size - count, self.size))
 
     def _glue(self, first, second) -> tuple[list[int], list[int]]:
-        """Sequential composition: the first term's right ports meet the
-        second's left ports."""
         (left1, right1), (left2, right2) = first, second
         _check_composable(len(right1), len(left2))
         self.equations += [{a: 1, b: -1} for a, b in zip(right1, left2)]
@@ -267,43 +234,174 @@ class _Network:
         return ports[:m], ports[m:]
 
 
-def _wire_system(network: _Network, ends: list[int]):
-    """The network's equations with equal wires merged, as sparse rows.
+# -- the forward pass ---------------------------------------------------------
 
-    Equations x = y between wires are merged first.  The columns are then
-    the ``inner`` classes that hold none of ``ends``, followed by one
-    column per end.  A class holding several ends is represented by the
-    first and tied to the others by equality rows.  Returns (rows, inner,
-    column): the rows {column: coefficient} of the remaining equations and
-    the equality rows, and the column of each wire.
+
+def _forward(term: Term, registers: bool):
+    """The rows of a term from one forward pass: (rows, inner, d, m, n),
+    each row {(column, k): c} the equation sum c·s^k·x_column = 0.
+
+    A port carries a reference (v, c, k) to the value c·s^k·x_v, or None
+    for zero, which each generator maps by its ``_plan``.  A relation of
+    two terms is a merge: a weighted union-find attaches an inner variable
+    under the other class, and only two ends, or a class met again under
+    another weight, leave a row.  The columns are the inner classes, then
+    the ends regs_in, left, right, regs_out.  Ports are read with a cursor.
     """
-    classes = UnionFind(network.size)
-    equations = []
-    for eq in network.equations:
-        if len(eq) == 2:
-            (a, ca), (b, cb) = eq.items()
-            if ca == -cb:
-                classes.union(a, b)
+    parent, weight, end, rows, ends, plans = [], {}, [], [], ([], [], [], []), _PLANS[registers]
+
+    def fresh(kind=0):  # 0 inner, else an end: 1 rin, 2 left, 3 right, 4 rout
+        v = len(parent)
+        parent.append(v)
+        end.append(kind)
+        if kind:
+            ends[kind - 1].append(v)
+        return v, 1, 0
+
+    def find(v):  # (root, c, k) with x_v = c·s^k·x_root
+        if parent[v] == v:
+            return v, 1, 0
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        c, k = 1, 0
+        for u in reversed(path):
+            c, k = weight[u][0] * c, weight[u][1] + k
+            parent[u], weight[u] = v, (c, k)
+        return v, c, k
+
+    def relate(terms):
+        if None in terms:
+            terms = [t for t in terms if t]
+        if len(terms) == 2:
+            (v1, c1, k1), (v2, c2, k2) = terms
+            (r1, w1, e1), (r2, w2, e2) = find(v1), find(v2)
+            a, i, b, j = c1 * w1, k1 + e1, c2 * w2, k2 + e2
+            if r1 == r2 and a + b == 0 and i == j:
+                return
+            if r1 != r2 and not (end[r1] and end[r2]):
+                if end[r1]:
+                    r1, a, i, r2, b, j = r2, b, j, r1, a, i
+                parent[r1], weight[r1] = r2, (_over(-b, a), j - i)
+                return
+        if terms:
+            rows.append(terms)
+
+    frames, collected, stack = [[[], 0]], [[]], [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Gen):
+            name, value = node.name, node.value
+            m, born, outs, relations = plans[name] if value is None else _plan(name, value, registers)
+            refs, cursor = frame = frames[-1]
+            frame[1] = top = cursor + m
+            if top > len(refs):
+                if len(frames) > 1:
+                    _type_error(term)
+                refs += [fresh(2) for _ in range(top - len(refs))]
+            env = refs[cursor:top]
+            if born:
+                env += [fresh(kind) for kind in born]
+            for relation in relations:
+                relate([_scaled(env[t], c, k) for t, c, k in relation])
+            collected[-1] += [ref and _scaled(env[ref[0]], ref[1], ref[2]) for ref in outs]
+        elif isinstance(node, Seq):
+            collected.append([])
+            stack += (_SEQ_DONE, node.second, _SEQ_MID, node.first)
+        elif node is _SEQ_MID:
+            frames.append([collected.pop(), 0])
+        elif node is _SEQ_DONE:
+            refs, cursor = frames.pop()
+            if cursor != len(refs):
+                _type_error(term)
+        elif isinstance(node, Par):
+            stack += (node.second, node.first)
+        else:
+            _type_error(term)
+    for ref in collected[0]:
+        relate([ref, (fresh(3)[0], -1, 0)])
+    inner = [v for v, p in enumerate(parent) if p == v and not end[v]]
+    column = {v: col for col, v in enumerate(inner + [v for kind in ends for v in kind])}
+    resolved = [{} for _ in rows]
+    for row, terms in zip(resolved, rows):
+        for v, c, k in terms:
+            r, w, e = find(v)
+            key = column[r], k + e
+            row[key] = row.get(key, 0) + c * w
+    return resolved, len(inner), len(ends[0]), len(ends[1]), len(ends[2])
+
+
+_SEQ_MID = object()  # on the stack of ``_forward``: the first operand is done
+
+
+def _plan(name: str, value, registers: bool):
+    """A generator's forward rule, derived from its rows: (m, born,
+    outs, relations) over tokens, its m inputs and then the variables it
+    makes, of the kinds in ``born``.  A row with one open right entry and
+    at most one other term names that port, (token, c, k) or None for
+    zero.  Any other row is a relation, terms (token, c, k) summing to
+    zero, over fresh variables for the right ports it leaves open, and a
+    port no row names is fresh.  With ``registers`` an entry s makes a
+    register, whose rout meets the value stored and whose rin the row
+    reads in its place; without, s scales the reference."""
+    m, n, table = _GENERATORS[name]
+    born, relations, outs = [], [], [False] * n  # False: not yet named
+
+    def token(kind):
+        born.append(kind)
+        return m + len(born) - 1, 1, 0
+
+    for a, b in table:
+        terms, open_ = [], []
+        for p, coeff in enumerate(a + b):
+            c, k = (value, 0) if coeff is _VALUE else (1, 1) if coeff is _S else (coeff, 0)
+            if not c:
                 continue
-        equations.append(eq)
-    roots = [classes.find(x) for x in range(network.size)]
-    end_roots = [roots[x] for x in ends]
-    first = {r: p for p, r in reversed(list(enumerate(end_roots)))}  # earliest column per class
-    internal = sorted(set(roots) - first.keys())
-    inner = len(internal)
-    at = {root: k for k, root in enumerate(internal)}
-    at.update((root, inner + position) for root, position in first.items())
-    column = [at[root] for root in roots]
-    rows = []
-    for eq in equations:
-        row = {}
-        for x, coeff in eq.items():
-            row[column[x]] = row.get(column[x], 0) + coeff
-        rows.append({k: coeff for k, coeff in row.items() if coeff})
-    for position, root in enumerate(end_roots):
-        if first[root] != position:
-            rows.append({at[root]: 1, inner + position: -1})
-    return rows, inner, column
+            ref, sign = ((p, 1, 0), 1) if p < m else (outs[p - m], -1)
+            if coeff is _S and registers:
+                reads, stores = token(1), token(4)
+                if ref is False:
+                    outs[p - m] = stores
+                else:
+                    relations.append([ref, (stores[0], -1, 0)])
+                ref, k = reads, 0
+            if ref is False:
+                open_.append((p - m, c, k))
+            elif ref:
+                terms.append((ref[0], sign * c * ref[1], k + ref[2]))
+        if len(open_) == 1 and len(terms) <= 1:
+            j, c, k = open_[0]
+            outs[j] = (terms[0][0], _over(terms[0][1], c), terms[0][2] - k) if terms else None
+            continue
+        for j, c, k in open_:
+            outs[j] = token(0)
+            terms.append((outs[j][0], -c, k))
+        relations.append(terms)
+    return m, born, [token(0) if ref is False else ref for ref in outs], relations
+
+
+def _scaled(ref, c, k):
+    """The reference c·s^k·ref."""
+    return ref if c == 1 and not k else ref and (ref[0], ref[1] * c, ref[2] + k)
+
+
+def _over(c, b):
+    """c / b for nonzero rationals, in integers when b is a sign."""
+    return c * b if b == 1 or b == -1 else Fraction(c) / b
+
+
+def _type_error(term: Term):
+    """Raise the error of ``term_type``, on a term whose ports do not match."""
+    term_type(term)
+    raise AssertionError("a term that types reads every port it is given")
+
+
+# per semantics, the plan of each generator but the scalars, whose plans depend on their values
+_PLANS = {
+    registers: {name: _plan(name, None, registers) for name in _GENERATORS if name not in ("x", "co-x")}
+    for registers in (False, True)
+}
 
 
 # -- denotational semantics --------------------------------------------------
@@ -337,27 +435,24 @@ def denote_cospan(term: Term) -> MatCospan:
 
 def sfg_denote(term: Term) -> MatCospan:
     """The behaviour of a term as a jointly-epic cospan in Hermite form,
-    equal to ``mat_corelation(denote_cospan(term))``, from one elimination
-    of its wire network.
-
-    The rows are those of ``_wire_system`` with the ports as the ends,
-    and each register is read symbolically, rin = s·rout.  Over Q[s, s^-1] they cut out the behaviour once the
-    inner wires are eliminated.  ``_eliminate_units`` takes every inner
-    column that holds a unit.  The rows left go through ``hermite``, with
-    the few inner columns that held none first and the right ports
+    equal to ``mat_corelation(denote_cospan(term))``.  The rows of
+    ``_forward``, s the delay, cut it out over Q[s, s^-1] once the inner
+    columns are eliminated: ``_eliminate_units`` takes each that holds a
+    unit, and ``hermite`` the few left, first, with the right ports
     negated into [A B]; its rows past those columns are the legs.
     """
     from .lti import MatCospan, PolyMatrix, hermite
 
-    zero, one = _LAURENT[0], _LAURENT[1]
-    network = _Network(term)
-    m, n = len(network.left), len(network.right)
-    rows, inner, column = _wire_system(network, [*network.left, *network.right])
-    rows = [{k: LaurentPoly.constant(c) for k, c in row.items()} for row in rows]
-    for rin, rout in zip(network.rin, network.rout):
-        row = {column[rin]: one}
-        row[column[rout]] = row.get(column[rout], zero) - _S
-        rows.append(row)
+    zero = _LAURENT[0]
+    forward, inner, _, m, n = _forward(term, False)
+    rows = []
+    for row in forward:
+        polys = {}
+        for (k, e), c in row.items():
+            if c:
+                monomial = _new(LaurentPoly, e, (c.numerator,), c.denominator)
+                polys[k] = polys[k] + monomial if k in polys else monomial
+        rows.append({k: poly for k, poly in polys.items() if poly})
     rows = _eliminate_units(rows, inner)
     order = sorted({k for row in rows for k in row if k < inner})
     matrix = tuple(
@@ -380,13 +475,11 @@ def _eliminate_units(rows: list, inner: int) -> list:
     (below ``inner``) that some row holds as a unit is eliminated.
 
     A row holding a unit at column k solves for it: every other row that
-    holds k takes away the multiple that clears it, and the row is
-    dropped.  That row spans a free summand that no vector vanishing at k
-    meets, so the rows left span the module's vectors that vanish on the
-    eliminated columns.  The column with the fewest rows is taken first,
-    from a heap, and solved by its shortest row with a unit there, which
-    keeps the rows sparse.  A column with no unit is passed over, and
-    taken up again when a step changes its rows.
+    holds k takes away the multiple that clears it, and the row, which
+    spans a free summand that no vector vanishing at k meets, is dropped.
+    The column with the fewest rows is taken first, from a heap, and
+    solved by its shortest row with a unit there, which keeps the rows
+    sparse; a column with no unit waits until a step changes its rows.
     """
     live = dict(enumerate(rows))
     users = [set() for _ in range(inner)]
@@ -437,39 +530,27 @@ NONDETERMINATE = "nondeterminate"
 
 
 def _tick_system(term: Term):
-    """The reduced tick system of a term: (pivots, rows, inner, d, m, n).
-
-    The columns are those of ``_wire_system`` with regs_in, left, right
-    and regs_out as the ends, and the rows are the ``_integer_rref`` of
-    its rows, with their pivots.  Every inner class is a column, one that
-    no equation constrains too, so that ``step`` finds it undetermined.
-    """
-    network = _Network(term)
-    ends = [*network.rin, *network.left, *network.right, *network.rout]
-    sparse, inner, _ = _wire_system(network, ends)
-    width = inner + len(ends)
-    rows = []
-    for eq in sparse:
-        row = [0] * width
-        for k, coeff in eq.items():
-            row[k] = coeff
-        rows.append(row)
+    """The reduced tick system of a term: (pivots, rows, inner, d, m, n),
+    the ``_integer_rref`` of the rows of ``_forward`` with registers over
+    its columns.  Every inner class is a column, one that no row
+    constrains too, so that ``step`` finds it undetermined."""
+    forward, inner, d, m, n = _forward(term, True)
+    width = inner + 2 * d + m + n
+    rows = [[0] * width for _ in forward]
+    for row, eq in zip(rows, forward):
+        for (k, _), c in eq.items():
+            row[k] = c
     pivots, reduced = _integer_rref(rows, width)
-    return pivots, reduced, inner, len(network.rin), len(network.left), len(network.right)
+    return pivots, reduced, inner, d, m, n
 
 
-def step(
-    term: Term, state: Sequence[Fraction], boundary: tuple[Sequence, Sequence]
-):
-    """One clock tick with both boundaries observed.
-
-    Returns the forced next register assignment, or INFEASIBLE when the
-    boundary values are not in the one-step behaviour, or NONDETERMINATE
-    when internal wires (or the next registers) are underdetermined.  The
-    tick is the image of the one current state under the tick relation,
-    as ``check_trace`` takes it: empty is INFEASIBLE, and fewer than d
-    rows, or an inner class that is no pivot of the reduced tick system,
-    NONDETERMINATE.
+def step(term: Term, state: Sequence[Fraction], boundary: tuple[Sequence, Sequence]):
+    """One clock tick with both boundaries observed: the forced next
+    register assignment, INFEASIBLE when the boundary values are not in
+    the one-step behaviour, or NONDETERMINATE when inner values or the
+    next registers are underdetermined.  The tick is the image of the one
+    state under the tick relation: empty is INFEASIBLE, and fewer than d
+    rows, or an inner class that is no pivot, NONDETERMINATE.
     """
     pivots, reduced, inner, d, m, n = _tick_system(term)
     u, v = boundary
@@ -495,36 +576,29 @@ def _check_rationals(what: str, values) -> None:
 
 def _tick_constraints(term: Term):
     """The tick relation's annihilator over (regs_in, left, right,
-    regs_out) in reduced form, as primitive integer rows with positive
-    pivots, with (d, m, n): the rows of the reduced tick system whose
-    pivot lies past the inner classes, which vanish on every inner column,
-    sliced to the boundary columns.
-    """
+    regs_out), with (d, m, n): the rows of ``_tick_system`` whose pivot
+    lies past the inner classes, as primitive integer rows."""
     pivots, reduced, inner, d, m, n = _tick_system(term)
     annihilator = [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
     return annihilator, d, m, n
 
 
 def tick_relation(term: Term) -> Subspace:
-    """The one-tick relation over (regs_in, left, right, regs_out): the
-    kernel of the annihilator rows of ``_tick_constraints``."""
+    """The one-tick relation over (regs_in, left, right, regs_out)."""
     annihilator, d, m, n = _tick_constraints(term)
     return kernel_of_matrix(QQ, annihilator, 2 * d + m + n)
 
 
 # -- window checks in constraint form -----------------------------------------
 #
-# A set of register states is held as its constraint rows [E | e]: the
-# reduced row echelon form of any consistent system cutting it out, each
-# row as the primitive integer multiple with a positive pivot that
-# ``_integer_rref`` gives.  That form depends on the set alone, so equal
-# sets have equal rows, and no ``Fraction`` is built until a caller reads
-# a value.  () is every state and None the empty set.
+# A set of register states is held as its constraint rows [E | e], the
+# ``_integer_rref`` of any consistent system cutting it out, which depends
+# on the set alone: equal sets have equal rows.  () is every state and
+# None the empty set.
 
 
 def _point(values: Sequence) -> tuple:
-    """The rows (den·e_k | num) of the single state whose k-th value is
-    num/den."""
+    """The rows (den·e_k | num) of the state whose k-th value is num/den."""
     rows = []
     for k, value in enumerate(values):
         q = Fraction(value)
@@ -532,15 +606,6 @@ def _point(values: Sequence) -> tuple:
         row[k], row[-1] = q.denominator, q.numerator
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _substituted(rows, lo: int, hi: int, values) -> list:
-    """The rows [coefficients outside columns lo..hi-1 | rhs] of the
-    equations row · x = 0 once x[lo:hi] = values is substituted.  The
-    values are brought to a common denominator, so integer rows stay
-    integer but for an rhs over that denominator."""
-    nums, den = _rhs(rows, lo, values)
-    return [[*row[:lo], *row[hi:], b if den == 1 else Fraction(b, den)] for row, b in zip(rows, nums)]
 
 
 def _rhs(rows, lo: int, values) -> tuple[list[int], int]:
@@ -556,13 +621,11 @@ def _rhs(rows, lo: int, values) -> tuple[list[int], int]:
 def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
     """The rows of {r' : exists r in states, (r, u, v, r') in the relation}.
 
-    ``annihilator`` holds the relation's constraint rows over (regs_in,
-    left, right, regs_out).  An observed boundary is substituted, which
+    An observed boundary is substituted into the annihilator's rows, which
     leaves [C_in | C_out | -C_w b]; a free one keeps its columns, to be
-    eliminated with regs_in.  The state rows [E | 0 | e] go below, and
-    one elimination leaves the image as the primitive integer rows whose
-    pivot falls among regs_out, already reduced.  A pivot in the rhs
-    column means that no state is reachable.
+    eliminated with regs_in.  The state rows [E | 0 | e] go below, and one
+    elimination leaves the image as the rows whose pivot falls among
+    regs_out.  A pivot in the rhs column means no state is reachable.
     """
     if states is None:
         return None
@@ -572,7 +635,10 @@ def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
         rows = [[*row, 0] for row in annihilator]
     else:
         out = d
-        rows = _substituted(annihilator, d, d + io, (*boundary[0], *boundary[1]))
+        # the rows stay integer but for an rhs over the values' common denominator
+        nums, den = _rhs(annihilator, d, (*boundary[0], *boundary[1]))
+        rhs = [b if den == 1 else Fraction(b, den) for b in nums]
+        rows = [[*row[:d], *row[d + io :], b] for row, b in zip(annihilator, rhs)]
     pad = [0] * out
     rows += [[*row[:d], *pad, row[d]] for row in states]
     pivots, reduced = _integer_rref(rows, out + d + 1)
@@ -583,10 +649,8 @@ def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
 
 def _point_image(regs_out: _Factored, annihilator, d: int, state, boundary):
     """``_relation_image`` of a set of one state, its d rows (den·e_k |
-    num), from the factored regs_out block C_out of the annihilator: the
-    state and the boundary are substituted into the rest of each row,
-    which leaves [C_out | b], and ``regs_out`` reads off its reduced rows,
-    the image, with no elimination."""
+    num): the state and the boundary substituted into the annihilator
+    leave [C_out | b], whose reduced rows ``regs_out`` reads off."""
     values = [Fraction(row[d], row[k]) for k, row in enumerate(state)]
     image = regs_out.solve(*_rhs(annihilator, 0, [*values, *boundary[0], *boundary[1]]))
     return None if image is None else tuple(map(tuple, image))
@@ -594,21 +658,14 @@ def _point_image(regs_out: _Factored, annihilator, d: int, state, boundary):
 
 def _swap_state_blocks(annihilator, d: int, m: int, n: int) -> list:
     """The relation's rows with regs_in and regs_out interchanged."""
-    perm = (
-        list(range(d + m + n, 2 * d + m + n))
-        + list(range(d, d + m + n))
-        + list(range(d))
-    )
+    perm = [*range(d + m + n, 2 * d + m + n), *range(d, d + m + n), *range(d)]
     return [[row[p] for p in perm] for row in annihilator]
 
 
 def _extendable_states(annihilator, d: int, m: int, n: int):
     """States reachable from arbitrarily far back: the stabilized image.
-
     A descending chain of subspaces of F^d stabilizes within d steps, and
-    at the fixpoint every member has a predecessor in the fixpoint, so
-    membership is equivalent to having an infinite history.
-    """
+    at the fixpoint every member has a predecessor in it."""
     states = ()
     for _ in range(d + 1):
         advanced = _relation_image(annihilator, d, m, n, states)
@@ -630,24 +687,26 @@ def _intersect(a, b, d: int):
 
 
 def check_trace(
-    term: Term,
-    window: Sequence[tuple[Sequence, Sequence]],
-    init: Optional[Sequence] = None,
+    term: Term, window: Sequence[tuple[Sequence, Sequence]], init: Optional[Sequence] = None
 ) -> bool:
     """Is the window the t = 0..T-1 part of a biinfinite trace?
 
     ``init`` fixes the register assignment at the start of the window;
-    None quantifies it existentially.  The trace must extend infinitely
-    into the past and the future with free boundary values.  With no
-    ``init`` the question is about the ports alone, and the window is
-    checked against the shortest-lag rows of the denotation
-    (``_trace_violation``).  With ``init`` the registers are latent in
-    the behaviour, so the state sets are scanned (``_check_trace_scan``).
+    None quantifies it existentially, and the window is then checked
+    against the shortest-lag rows of the denotation (``_trace_violation``).
+    With ``init`` the state sets are scanned (``_check_trace_scan``).
     Values must be rationals, ``int`` or ``Fraction``.
     """
     if init is None:
         return _trace_violation(term, window) is None
     return _check_trace_scan(term, window, init)
+
+
+def _check_init(init, d: int) -> None:
+    """Refuse an ``init`` of the wrong length or with a value outside Q."""
+    if len(init) != d:
+        raise ValueError("register state has wrong length")
+    _check_rationals("register values", init)
 
 
 def _check_window(window, m: int, n: int) -> None:
@@ -677,19 +736,15 @@ def _trace_violation(term: Term, window: Sequence[tuple[Sequence, Sequence]]):
     The lemma (Z time axis): if both the leading matrix, of the R_{i,L_i},
     and the trailing matrix, of the R_{i,0}, have full row rank, these
     equations cut out exactly the behaviour's restrictions to [0, T).  A
-    window satisfying them extends forward one tick at a time: at tick t
-    the rows that reach it constrain w(t) by R_{i,0} w(t) = (known
-    values), and independent rows can always be met.  It then extends
-    backward alike, through the leading matrix, each row now met at every
-    tick.  The biinfinite stream satisfies every equation, so it lies in
-    ker R (Willems, "From time series to linear system, Part I",
-    Automatica 22(5), 1986; Markovsky, Willems, Van Huffel and De Moor,
-    "Exact and Approximate Modeling of Linear Systems", SIAM, 2006).
-    Without the reduction at either end a row of R's module can fit in
-    the window while no row of R does, and the check is too weak.
-
-    The window is brought to one common denominator, so each residual is
-    an integer until the witness divides it back.
+    window satisfying them extends forward one tick at a time, since at
+    tick t the rows that reach it constrain w(t) by R_{i,0} w(t) = (known
+    values) and independent rows can always be met, then backward alike
+    through the leading matrix; the biinfinite stream meets every
+    equation, so it lies in ker R (Willems, Automatica 22(5), 1986;
+    Markovsky, Willems, Van Huffel and De Moor, SIAM, 2006).  Without the
+    reduction at either end a row of R's module can fit in the window
+    while no row of R does, and the check is too weak.  The window is
+    brought to one common denominator, so residuals are integers.
     """
     from .lti import kernel_representation, lag_rows, shortest_lag
 
@@ -709,30 +764,22 @@ def _trace_violation(term: Term, window: Sequence[tuple[Sequence, Sequence]]):
 
 
 def _check_trace_scan(
-    term: Term,
-    window: Sequence[tuple[Sequence, Sequence]],
-    init: Optional[Sequence] = None,
+    term: Term, window: Sequence[tuple[Sequence, Sequence]], init: Optional[Sequence] = None
 ) -> bool:
-    """``check_trace`` by a scan of the register states, with or without
-    ``init``: the route for windows with ``init``, and the cross-check of
-    ``sfg check-trace --oracle`` for windows without.
-
-    The scan keeps each state set as its constraint rows: the states with
-    an infinite past (the stabilized image of every state), met with
-    ``init``, then the image of each observed tick, and at the end a meet
-    with the states that have an infinite future.  No basis is built.  A
-    tick from a set of more than one state is one elimination; a tick
-    from a single state, its d rows, as after ``init`` or once the window
-    has pinned the registers, substitutes it into the regs_out block,
-    factored the first time it is needed.
+    """``check_trace`` by a scan of the register states: the route for
+    windows with ``init``, and the cross-check of ``sfg check-trace
+    --oracle`` for windows without.  Each state set is its constraint
+    rows: the states with an infinite past, met with ``init``, then the
+    image of each observed tick, and last a meet with the states that have
+    an infinite future.  A tick from many states is one elimination; from
+    a single state, its d rows, it is a substitution into the regs_out
+    block, factored the first time it is needed.
     """
     annihilator, d, m, n = _tick_constraints(term)
     _check_window(window, m, n)
     states = _extendable_states(annihilator, d, m, n)
     if init is not None:
-        if len(init) != d:
-            raise ValueError("register state has wrong length")
-        _check_rationals("register values", init)
+        _check_init(init, d)
         states = _intersect(_point(init), states, d)
     regs_out = None  # the factored regs_out block, once the states are one point
     for u, v in window:
@@ -749,19 +796,15 @@ def _check_trace_scan(
 
 
 def check_trace_unrolled(
-    term: Term,
-    window: Sequence[tuple[Sequence, Sequence]],
-    init: Optional[Sequence] = None,
+    term: Term, window: Sequence[tuple[Sequence, Sequence]], init: Optional[Sequence] = None
 ) -> bool:
-    """``check_trace`` by one forward elimination over the unrolled window of
-    ``_unmerged_constraints``, the cross-check of ``sfg check-trace --oracle``
-    for windows with ``--init``.
-
-    The states r_0 .. r_{T+2d} are linked by d free ticks, the T observed
-    ticks and d more free ticks, and ``init`` pins r_d.  A chain of images
-    stabilizes within d steps, so r_d has a d-step past exactly when it
-    has an infinite one, and r_{d+T} likewise a future: the window is
-    realizable iff this one system is consistent.
+    """``check_trace`` by one elimination over the unrolled window of
+    ``_unmerged_constraints``, the cross-check of ``sfg check-trace
+    --oracle`` for windows with ``--init``.  The states r_0 .. r_{T+2d} are
+    linked by d free ticks, the T observed ticks and d more free ticks,
+    and ``init`` pins r_d.  Images stabilize within d steps, so r_d has a
+    d-step past exactly when it has an infinite one, and r_{d+T} likewise
+    a future: the window is realizable iff this one system is consistent.
     """
     annihilator, d, m, n = _unmerged_constraints(term)
     io = m + n
@@ -808,20 +851,16 @@ def _unmerged_constraints(term: Term):
 
 
 def step_unmerged(term: Term, state: Sequence, boundary: tuple[Sequence, Sequence]):
-    """``step`` on the raw wire equations, sharing no reduction with it:
-    the cross-check of ``sfg step --oracle``.  Every equation of
-    ``_Network`` with no classes merged, one pin row per regs_in, left and
-    right wire, and one ``_integer_rref`` over all wires: a pivot in the
-    rhs is INFEASIBLE, fewer than ``size`` pivots NONDETERMINATE, and
-    otherwise regs_out is read off the reduced rows.  The cost grows with
-    the square of the number of wires, since every row spans them all.
+    """``step`` on the raw ``_Network`` equations, sharing no reduction
+    with it: the cross-check of ``sfg step --oracle``.  One pin row per
+    regs_in, left and right wire, and one ``_integer_rref`` over all
+    wires: a pivot in the rhs is INFEASIBLE, fewer than ``size`` pivots
+    NONDETERMINATE, and otherwise regs_out is read off the reduced rows.
     """
     network = _Network(term)
     size = network.size
-    # the pin rows come first, so that along a chain of wires each pivot
-    # is a pinned value and back-substitution touches no earlier row: on
-    # a 500-id chain 0.5 s, against 11 s with the equations first (Python
-    # 3.11, 2 cores)
+    # the pin rows first, so that back-substitution along a chain of wires
+    # touches no earlier row: a 500-id chain in 0.5 s, not 11 s
     rows = []
     pinned = [*network.rin, *network.left, *network.right]
     for wire, value in zip(pinned, [*state, *boundary[0], *boundary[1]], strict=True):
@@ -845,11 +884,8 @@ def step_unmerged(term: Term, state: Sequence, boundary: tuple[Sequence, Sequenc
 
 
 def _affine_solve(rows, nvars):
-    """Solve [coeffs | rhs] exactly: None, or (particular, homogeneous).
-
-    The particular solution pins free variables to 0.  Both are functions
-    of the solution set alone.
-    """
+    """Solve [coeffs | rhs] exactly: None, or (particular, homogeneous),
+    the particular solution with the free variables 0."""
     solved = _solve(QQ, [[*coeffs, rhs] for coeffs, rhs in rows], nvars)
     if solved is None:
         return None
@@ -857,43 +893,23 @@ def _affine_solve(rows, nvars):
     return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
 
 
-def _sample(solved, rng: random.Random) -> list:
-    """The particular solution plus a random combination of the
-    homogeneous basis rows, with integer coefficients in -3..3."""
-    particular, homogeneous = solved
-    point = list(particular)
-    for row in homogeneous.basis:
-        coeff = Fraction(rng.randint(-3, 3))
-        if coeff:
-            point = [p + coeff * r if r else p for p, r in zip(point, row)]
-    return point
-
-
 def sample_biinfinite_window(
-    term: Term,
-    ticks: int,
-    rng: random.Random,
-    init: Optional[Sequence] = None,
+    term: Term, ticks: int, rng: random.Random, init: Optional[Sequence] = None
 ):
     """A random window of a biinfinite trace, or None if none exists.
 
     Returns (window, initial_registers); when ``init`` is not compatible
     with any biinfinite trace the initial registers are resampled from
-    the certified set instead.  The certified states are found in
-    constraint form, as in ``check_trace``; only the sets sampled from
-    are solved for a particular point and a basis.  Each tick samples
-    (left, right, regs_out) among the values that the current state
-    allows and whose next state has an infinite future: the block of
-    those columns of the annihilator, stacked on the future rows, is
-    factored once per call, with its homogeneous solutions, so a tick
-    substitutes the state into the right-hand side and reads off the
-    particular solution.  ``init`` must hold rationals.
+    the certified set instead.  A point is a particular solution plus a
+    combination of the homogeneous basis with integer coefficients in
+    -3..3.  Each tick samples (left, right, regs_out) among the values
+    that the state allows and whose next state has an infinite future:
+    that block of the annihilator, stacked on the future rows, is factored
+    once per call, and a tick substitutes the state into its rhs.
     """
     annihilator, d, m, n = _tick_constraints(term)
     if init is not None:
-        if len(init) != d:
-            raise ValueError("register state has wrong length")
-        _check_rationals("register values", init)
+        _check_init(init, d)
     future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
     certified = _intersect(_extendable_states(annihilator, d, m, n), future_ok, d)
     if certified is None:
@@ -903,23 +919,39 @@ def sample_biinfinite_window(
         pinned = _intersect(_point(init), certified, d)
         if pinned is not None:
             start = pinned
-    state = _sample(_affine_solve([(row[:d], row[d]) for row in start], d), rng)
+    state, homogeneous = _affine_solve([(row[:d], row[d]) for row in start], d)
+    for row in homogeneous.basis:
+        coeff = rng.randint(-3, 3)
+        if coeff:
+            state = [p + coeff * r if r else p for p, r in zip(state, row)]
     initial = list(state)
     io = m + n
     block = _Factored(
         [row[d:] for row in annihilator] + [[0] * io + list(row[:d]) for row in future_ok], io + d
     )
-    homogeneous = block.null_space()
+    # the homogeneous basis as integer rows over one denominator, so that
+    # a tick's point stays integer until it is written into the window
+    basis = block.null_space().basis
+    basis_den = lcm(*[x.denominator for row in basis for x in row])
+    basis = [[x.numerator * (basis_den // x.denominator) for x in row] for row in basis]
+    den = lcm(*[x.denominator for x in state])
+    nums = [x.numerator * (den // x.denominator) for x in state]
     window = []
     for _ in range(ticks):
-        nums, den = _rhs(annihilator, 0, state)
-        solved = block.solve(nums + [row[d] * den for row in future_ok], den)
+        rhs = [-_dot(row, nums) for row in annihilator] + [row[d] * den for row in future_ok]
+        solved = block.solve(rhs, den)
         if solved is None:
             return None
-        particular = [QQ.zero] * (io + d)
+        pivot_den = lcm(*[row[col] for col, row in zip(block.pivots, solved)])
+        point = [0] * (io + d)
         for col, row in zip(block.pivots, solved):
-            particular[col] = Fraction(row[-1], row[col])
-        chosen = _sample((particular, homogeneous), rng)
-        window.append((chosen[:m], chosen[m:io]))
-        state = chosen[io:]
+            point[col] = row[-1] * (pivot_den // row[col]) * basis_den
+        for row in basis:
+            coeff = rng.randint(-3, 3) * pivot_den
+            if coeff:
+                point = [p + coeff * r if r else p for p, r in zip(point, row)]
+        den = pivot_den * basis_den
+        values = [Fraction(x, den) for x in point[:io]]
+        window.append((values[:m], values[m:]))
+        nums = point[io:]
     return window, initial

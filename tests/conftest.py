@@ -5,8 +5,11 @@ from __future__ import annotations
 import heapq
 import operator
 import random
+import signal
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
+
+import pytest
 
 from openwires.circuit import (
     LabelledGraph,
@@ -55,6 +58,30 @@ from openwires.symplectic import (
     graph_of_dQ,
     symplectify,
 )
+
+
+TEST_TIME_LIMIT_S = 300
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past ``TEST_TIME_LIMIT_S`` seconds, so that a
+    fault which loops forever fails its test instead of stalling the
+    suite.  The alarm is POSIX only; elsewhere tests run unbounded."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expired(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, nonzero=False) -> Fraction:

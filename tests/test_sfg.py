@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
 from math import comb, gcd
 
 import pytest
@@ -94,14 +95,15 @@ class TestTyping:
         ],
     )
     def test_denotation_reports_the_typing_error(self, term, message):
-        """``denote_cospan`` checks the types as it composes, with the
-        message of ``term_type``."""
+        """``denote_cospan`` checks the types as it composes, and the
+        forward pass of ``sfg_denote`` and the tick system as it reads the
+        ports, each with the message of ``term_type``."""
         errors = []
-        for check in (term_type, denote_cospan):
+        for check in (term_type, denote_cospan, sfg_denote, _tick_constraints):
             with pytest.raises(SfgTypeError) as caught:
                 check(term)
             errors.append(str(caught.value))
-        assert errors == [f"cannot compose a term of {message}"] * 2
+        assert errors == [f"cannot compose a term of {message}"] * 4
 
     def test_scalar_requires_value(self):
         with pytest.raises(SfgTypeError):
@@ -176,9 +178,36 @@ class TestDenotation:
             assert cospans_equivalent(lhs, rhs)
 
 
+class TestForwardPass:
+    """Both semantics read one forward pass, which names each value once."""
+
+    def test_a_chain_has_no_inner_column(self):
+        # each add's output is stored by the next register or is the right
+        # port, so it is merged under that end and leaves no column
+        pivots, _, inner, d, m, n = _tick_system(feedback_chain(64))
+        assert (inner, d, m, n) == (0, 64, 1, 1)
+        assert len(pivots) == 65
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            seq(*[Gen("id")] * 5000),
+            reduce(lambda t, _: Seq(Gen("id"), t), range(5000), Gen("id")),
+            reduce(lambda t, _: Seq(Par(t, Gen("zero")), Gen("add")), range(2500), Gen("id")),
+        ],
+        ids=["left-nested", "right-nested", "par-in-seq"],
+    )
+    def test_deep_terms_do_not_recurse(self, term):
+        assert sfg_denote(term) == MatCospan.identity(1)
+        pivots, reduced, inner, d, m, n = _tick_system(term)
+        assert (len(pivots), inner, d, m, n) == (1, 0, 0, 1, 1)
+        assert step(term, [], ([F(3)], [F(3)])) == []
+        assert step(term, [], ([F(3)], [F(2)])) == INFEASIBLE
+
+
 class TestNetworkDenotation:
-    """``sfg_denote`` eliminates the wire network once; its cospan is the
-    pairwise fold's corelation, field for field."""
+    """``sfg_denote`` eliminates the rows of its forward pass once; its
+    cospan is the pairwise fold's corelation, field for field."""
 
     @pytest.mark.parametrize("seed, count", [(3, 300), (71, 200)])
     def test_random_terms(self, seed, count):
@@ -336,7 +365,14 @@ class TestStep:
         """``step`` against ``reference_step``, which merges no wires and
         shares no reduction with it, on random boundaries and along
         sampled windows."""
-        rng = random.Random(79)
+        self._assert_random_terms_match_the_dense_reference(79)
+
+    def test_random_terms_match_the_dense_reference_at_a_second_seed(self):
+        self._assert_random_terms_match_the_dense_reference(83)
+
+    @staticmethod
+    def _assert_random_terms_match_the_dense_reference(seed):
+        rng = random.Random(seed)
         outcomes = set()
 
         def values(k):
