@@ -23,7 +23,8 @@ Each subcommand is one row of ``_COMMANDS``.  A handler imports the
 modules it calls when it runs, so a circuit command loads no signal-flow
 code and a signal-flow command no circuit code.  Exit codes: 0 success /
 answer true, 1 answer false (equiv, controllable, check-trace, step),
-2 usage error or an ``--oracle`` disagreement, 3 parse error.  Every
+2 usage error or an ``--oracle`` disagreement, 3 parse error, 141 (128 +
+SIGPIPE) stdout closed by its reader, with nothing on stderr.  Every
 malformed input exits 3 with one ``error:`` line, JSON nested past the
 decoder's depth, a vector value with a decimal exponent above
 ``MAX_EXPONENT`` and an impedance nested past ``MAX_SCALAR_DEPTH`` included.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -46,6 +48,7 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 PARSE_ERROR = 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 # The largest decimal exponent of a vector value: Fraction("1e<k>") builds
 # 10^k in full, at a cost that grows about forty-fold per digit of k.
@@ -654,6 +657,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone; with stdout on os.devnull the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -526,15 +526,15 @@ def hermite(m: PolyMatrix) -> PolyMatrix:
     SIAM J. Comput. 8(4), 1979): two matrices are equal up to invertible
     row operations iff their forms are equal.
 
-    Rows that are already in that form once each is scaled by a unit, as
-    a denoted term's [A -B] is, are returned as they are.  Otherwise each
-    column is cleared below its pivot by Euclid's algorithm on the rows
-    not yet placed.  Those rows are kept primitive: their rational
-    content is a unit, so dividing it out leaves the module unchanged.
+    Each column is cleared below its pivot by Euclid's algorithm on the
+    rows not yet placed, and each entry above the pivot that is not yet
+    its own remainder is reduced.  So rows that are already in that form
+    once each is scaled by a unit, as a denoted term's [A -B] is, cost no
+    Euclid update.  The rows not yet placed are kept primitive: their
+    rational content is a unit, so dividing it out leaves the module
+    unchanged.
     """
     rows = [list(row) for row in m.entries if any(row)]
-    if _scaled_to_hermite(rows):
-        return PolyMatrix._trusted(len(rows), m.cols, tuple(map(tuple, rows)))
     top = 0
     for j in range(m.cols):
         if not _column_gcd(rows, top, j):
@@ -544,37 +544,15 @@ def hermite(m: PolyMatrix) -> PolyMatrix:
         if not unit.is_one():
             inverse = unit.unit_inverse()
             row = rows[top] = [inverse * e for e in row]
+        degree = pivot.deg_spread
         for i in range(top):
             e = rows[i][j]
-            if e:
+            # an entry whose exponents lie in [0, deg p) is its own remainder
+            if e and (e.offset < 0 or e.offset + len(e.nums) > degree):
                 q = e if pivot.is_one() else (e - _remainder(e, pivot)) // pivot
                 rows[i] = [_axpy(a, q, b, -1) for a, b in zip(rows[i], row)]
         top += 1
     return PolyMatrix._trusted(top, m.cols, tuple(map(tuple, rows[:top])))
-
-
-def _scaled_to_hermite(rows: list) -> bool:
-    """Whether the rows are a Hermite form once each is scaled by the
-    inverse of its leading entry's canonical unit: the pivots move right,
-    and each entry above a pivot p has its exponents in [0, deg p).  The
-    rows are scaled in place as they are reached, which keeps their
-    module either way."""
-    last = -1
-    for i, row in enumerate(rows):
-        j = next(k for k, e in enumerate(row) if e)
-        if j <= last:
-            return False
-        unit, pivot = row[j].canonical()
-        if not unit.is_one():
-            inverse = unit.unit_inverse()
-            rows[i] = [inverse * e for e in row]
-        degree = pivot.deg_spread
-        for earlier in rows[:i]:
-            e = earlier[j]
-            if e and (e.offset < 0 or e.offset + len(e.nums) > degree):
-                return False
-        last = j
-    return True
 
 
 def _column_gcd(rows: list, top: int, j: int) -> bool:
@@ -585,10 +563,10 @@ def _column_gcd(rows: list, top: int, j: int) -> bool:
         live = [i for i in range(top, len(rows)) if rows[i][j]]
         if not live:
             return False
-        best = min(live, key=lambda i: rows[i][j].deg_spread)
         if len(live) == 1:
-            rows[top], rows[best] = rows[best], rows[top]
+            rows[top], rows[live[0]] = rows[live[0]], rows[top]
             return True
+        best = min(live, key=lambda i: rows[i][j].deg_spread)
         src = rows[best]
         p = src[j]
         for i in live:

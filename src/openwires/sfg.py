@@ -19,7 +19,9 @@ instead: each generator maps to the cospan (A, B) of its rows and each
 ``;`` is a pushout.  Per tick, an entry s is a register, whose ends rout,
 the value stored, and rin, the value read out, are variables; the tick
 relation's annihilator is what one elimination over Q, the inner
-variables first, leaves on the ends.  ``_Network`` keeps the raw wire
+variables first, leaves on the ends.  ``step`` reduces once as well: its
+state and boundary substituted into the rows leave a system over the
+inner variables and regs_out alone.  ``_Network`` keeps the raw wire
 equations for the oracles, which share no reduction with the pass.
 
 ``check_trace`` decides whether a window extends to a trace that is
@@ -31,12 +33,11 @@ broken is the witness (``_trace_violation``).  With initial registers
 the window is scanned tick by tick.  A set of register states is kept as
 its reduced rows [E | e], primitive integer rows, and a tick's image is
 one elimination of the annihilator, with the observed boundary
-substituted, stacked on them; ``step`` is one such image, of its one
-state.  From a set of one state a tick is a substitution instead: the
-regs_out block is factored once per call (``_Factored``), as is the
-sampler's tick block.  The padding horizons stop at the first repeated
-image, within one step per register, which makes the biinfinite
-condition finitely checkable.
+substituted, stacked on them.  From a set of one state a tick is a
+substitution instead: the regs_out block is factored once per call
+(``_Factored``), as is the sampler's tick block.  The padding horizons
+stop at the first repeated image, within one step per register, which
+makes the biinfinite condition finitely checkable.
 
 Registers are numbered in left-to-right traversal order of the term.
 Terms are typed, denoted and evaluated with an explicit stack, so their
@@ -529,43 +530,38 @@ INFEASIBLE = "infeasible"
 NONDETERMINATE = "nondeterminate"
 
 
-def _tick_system(term: Term):
-    """The reduced tick system of a term: (pivots, rows, inner, d, m, n),
-    the ``_integer_rref`` of the rows of ``_forward`` with registers over
-    its columns.  Every inner class is a column, one that no row
-    constrains too, so that ``step`` finds it undetermined."""
-    forward, inner, d, m, n = _forward(term, True)
-    width = inner + 2 * d + m + n
-    rows = [[0] * width for _ in forward]
-    for row, eq in zip(rows, forward):
-        for (k, _), c in eq.items():
-            row[k] = c
-    pivots, reduced = _integer_rref(rows, width)
-    return pivots, reduced, inner, d, m, n
-
-
 def step(term: Term, state: Sequence[Fraction], boundary: tuple[Sequence, Sequence]):
     """One clock tick with both boundaries observed: the forced next
     register assignment, INFEASIBLE when the boundary values are not in
     the one-step behaviour, or NONDETERMINATE when inner values or the
-    next registers are underdetermined.  The tick is the image of the one
-    state under the tick relation: empty is INFEASIBLE, and fewer than d
-    rows, or an inner class that is no pivot, NONDETERMINATE.
+    next registers are underdetermined.  With the state and the boundary
+    substituted into the rows of ``_forward``, one elimination over the
+    unknowns, the inner classes then regs_out, and the rhs decides: a
+    pivot in the rhs is INFEASIBLE and an unknown with no pivot
+    NONDETERMINATE, an inner class that no row holds included.
     """
-    pivots, reduced, inner, d, m, n = _tick_system(term)
+    forward, inner, d, m, n = _forward(term, True)
     u, v = boundary
     if len(u) != m or len(v) != n:
         raise ValueError("boundary dimensions do not match the term")
     if len(state) != d:
         raise ValueError("register state has wrong length")
     _check_rationals("register and boundary values", (*state, *u, *v))
-    annihilator = [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
-    image = _relation_image(annihilator, d, m, n, _point(state), boundary)
-    if image is None:
+    known = (*state, *u, *v)  # the columns regs_in, left, right
+    unknowns = inner + d
+    rows = [[0] * (unknowns + 1) for _ in forward]
+    for row, eq in zip(rows, forward):
+        for (k, _), c in eq.items():
+            if inner <= k < unknowns + m + n:
+                row[-1] -= c * known[k - inner]
+            else:
+                row[k if k < inner else k - d - m - n] = c
+    pivots, reduced = _integer_rref(rows, unknowns + 1)
+    if pivots and pivots[-1] == unknowns:
         return INFEASIBLE
-    if len(pivots) - len(annihilator) < inner or len(image) < d:
+    if len(pivots) < unknowns:
         return NONDETERMINATE
-    return [Fraction(row[d], row[k]) for k, row in enumerate(image)]
+    return [Fraction(row[-1], row[k]) for k, row in enumerate(reduced[inner:], inner)]
 
 
 def _check_rationals(what: str, values) -> None:
@@ -576,11 +572,17 @@ def _check_rationals(what: str, values) -> None:
 
 def _tick_constraints(term: Term):
     """The tick relation's annihilator over (regs_in, left, right,
-    regs_out), with (d, m, n): the rows of ``_tick_system`` whose pivot
-    lies past the inner classes, as primitive integer rows."""
-    pivots, reduced, inner, d, m, n = _tick_system(term)
-    annihilator = [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
-    return annihilator, d, m, n
+    regs_out), with (d, m, n): the rows of the ``_integer_rref`` of the
+    rows of ``_forward`` with registers, the inner classes first, whose
+    pivot lies past the inner classes, as primitive integer rows."""
+    forward, inner, d, m, n = _forward(term, True)
+    width = inner + 2 * d + m + n
+    rows = [[0] * width for _ in forward]
+    for row, eq in zip(rows, forward):
+        for (k, _), c in eq.items():
+            row[k] = c
+    pivots, reduced = _integer_rref(rows, width)
+    return [row[inner:] for col, row in zip(pivots, reduced) if col >= inner], d, m, n
 
 
 def tick_relation(term: Term) -> Subspace:

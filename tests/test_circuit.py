@@ -185,3 +185,22 @@ def test_boundary_examples():
     )
     assert boundary(closed) == []
     assert boundary(series([F(1), F(1)])) == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LabelledGraph(2, ((0, 2, F(1)),)), "edge (0, 2) outside node range"),
+        (
+            lambda: OpenCircuit(
+                QQ, LabelledGraph(2, ()), FinCospan(FinFunction(1, 3, (0,)), FinFunction(1, 3, (1,)))
+            ),
+            "cospan apex must be the node set of the graph",
+        ),
+    ],
+    ids=["edge-out-of-range", "apex-not-the-nodes"],
+)
+def test_a_malformed_circuit_is_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -307,6 +309,33 @@ class TestCommands:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "document, window, message",
+        [
+            ([1], None, "circuit document must be a JSON object"),
+            ({**_TWO_NODES, "edges": [5]}, None, "edge #0 must be an object"),
+            ({**_TWO_NODES, "inputs": "a"}, None, "'inputs' must be a list of node names"),
+            (None, "[[[1]]]", "window ticks must be [left, right] pairs"),
+            (None, "[5]", "window ticks must be [left, right] pairs"),
+        ],
+        ids=[
+            "document-not-an-object",
+            "edge-not-an-object",
+            "inputs-not-a-list",
+            "tick-of-one",
+            "tick-not-a-list",
+        ],
+    )
+    def test_malformed_shapes(self, capsys, tmp_path, document, window, message):
+        if document is None:
+            argv, prefix = ["sfg", "check-trace", fixture("splusone.sfg"), "--window", window], ""
+        else:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(document))
+            argv, prefix = ["circuit", "power", str(path)], f"{_quoted(str(path))}: "
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
 
     def test_step(self, capsys):
         code = main(
@@ -637,17 +666,17 @@ class TestSfgOracle:
         self._assert_internal_error(capsys, argv + ["--oracle"])
 
     def test_step_oracle_reads_no_tick_system(self, capsys, monkeypatch, tmp_path):
-        # a faulty reduction that leaves out the inner classes, so that the
-        # free wire of co-discard ; discard goes unseen and ``step`` reports
-        # the empty next state instead of nondeterminate
-        tick_system = sfg._tick_system
+        # a faulty forward pass that leaves out the inner classes, so that
+        # the free wire of co-discard ; discard goes unseen and ``step``
+        # reports the empty next state instead of nondeterminate
+        forward = sfg._forward
 
-        def without_inner(term):
-            pivots, reduced, inner, d, m, n = tick_system(term)
-            kept = [(col - inner, row[inner:]) for col, row in zip(pivots, reduced) if col >= inner]
-            return tuple(col for col, _ in kept), [row for _, row in kept], 0, d, m, n
+        def without_inner(term, registers):
+            rows, inner, d, m, n = forward(term, registers)
+            kept = [{(k - inner, e): c for (k, e), c in row.items()} for row in rows if min(row)[0] >= inner]
+            return kept, 0, d, m, n
 
-        monkeypatch.setattr(sfg, "_tick_system", without_inner)
+        monkeypatch.setattr(sfg, "_forward", without_inner)
         path = tmp_path / "dangling.sfg"
         path.write_text("co-discard ; discard\n")
         argv = ["sfg", "step", str(path)]
@@ -659,13 +688,13 @@ class TestSfgOracle:
         # a faulty reduction that loses the equality rows tying the ends of
         # one class, so that ``id`` relates any left value to any right
         # value: a window with --init is decided by the scan, which reads it
-        tick_system = sfg._tick_system
+        tick_constraints = sfg._tick_constraints
 
         def without_rows(term):
-            _, _, inner, d, m, n = tick_system(term)
-            return (), [], inner, d, m, n
+            _, d, m, n = tick_constraints(term)
+            return [], d, m, n
 
-        monkeypatch.setattr(sfg, "_tick_system", without_rows)
+        monkeypatch.setattr(sfg, "_tick_constraints", without_rows)
         argv = ["sfg", "check-trace", fixture("wire.sfg"), "--init", "[]", "--window", "[[[2],[3]]]"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -821,6 +850,42 @@ class TestCircuitOracle:
         self._assert_internal_error(
             capsys, ["circuit", "compose", fixture("resistor.json"), fixture("resistor.json")]
         )
+
+
+@pytest.mark.parametrize("reader", ["closes-at-once", "gone-before-start"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, reader):
+    """A reader that closes stdout early, as ``head`` does once it has
+    read enough, ends the command with exit 141 (128 + SIGPIPE) and no
+    traceback.  A reader that closes at once gets the denotation of a
+    384-cell chain, larger than a pipe's 64 KiB buffer, so the writer meets
+    the closed pipe however the two processes are scheduled.  A pipe with
+    no reader from the start gets a short output, which only the final
+    flush writes, with stdout buffered."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "openwires.cli", "sfg", "denote"]
+    if reader == "closes-at-once":
+        path = tmp_path / "chain.sfg"
+        path.write_text(" ; ".join(["copy ; (delay (+) id) ; add"] * 384))
+        child = subprocess.Popen([*argv, str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        code = child.wait()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [*argv, fixture("generators.sfg")], stdout=write_end, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(write_end)
+        code, err = done.returncode, done.stderr
+    assert code == cli.BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_power_of_a_long_ladder(capsys, tmp_path):

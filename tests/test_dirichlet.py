@@ -609,3 +609,19 @@ def test_pair_conductance_is_the_reduced_half_inverse():
             half_inverse = 1 / (2 * z)
             assert conductance(z) == (half_inverse.numerator, half_inverse.denominator)
     assert conductance(3) == (1, 6)
+
+
+@pytest.mark.parametrize(
+    "size, coeff, message",
+    [
+        (2, ((0,), (0,)), "coefficient matrix must be size x size"),
+        (2, ((1, 0), (0, 0)), "diagonal coefficients must vanish"),
+        (2, ((0, 1), (2, 0)), "coefficient matrix must be symmetric"),
+        (2, ((0, -1), (-1, 0)), "coefficients over Q must be nonnegative"),
+    ],
+    ids=["not-square", "nonzero-diagonal", "asymmetric", "negative"],
+)
+def test_a_malformed_form_is_refused(size, coeff, message):
+    with pytest.raises(ValueError) as refused:
+        DirichletForm(QQ, size, coeff)
+    assert str(refused.value) == message

@@ -269,3 +269,21 @@ class TestFrobeniusLaws:
         )
         # cup and cap transpose each other
         assert frob("cup", 2).converse() == frob("cap", 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FinFunction(2, 3, (0,)), "table length must equal domain size"),
+        (lambda: Corelation(1, 1, (0,), 1), "partition must cover X + Y"),
+        (lambda: Corelation(1, 1, (1, 0), 2), "blocks must be numbered by first occurrence"),
+        (lambda: Corelation(1, 1, (0, 0), 2), "num_classes does not match the labelling"),
+        (lambda: Corelation.from_blocks(1, 1, [[0, 1], [1]]), "blocks overlap"),
+        (lambda: Corelation.from_blocks(1, 1, [[0]]), "blocks must cover X + Y"),
+    ],
+    ids=["table-length", "partial-partition", "block-numbering", "class-count", "overlap", "not-covering"],
+)
+def test_malformed_finite_set_data_is_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message

@@ -297,16 +297,16 @@ class TestHermite:
 
     def test_a_form_up_to_units_is_returned_as_it_is(self, monkeypatch):
         """A matrix that is a Hermite form once each row is scaled by a
-        unit, as a denoted term's [A -B] is, runs no Euclid step, and its
+        unit, as a denoted term's [A -B] is, makes no Euclid update, and its
         form is the one that a repeated row forces through the elimination."""
         calls = Counter()
-        column_gcd = lti._column_gcd
+        axpy = lti._axpy
 
         def counted(*args):
             calls["euclid"] += 1
-            return column_gcd(*args)
+            return axpy(*args)
 
-        monkeypatch.setattr(lti, "_column_gcd", counted)
+        monkeypatch.setattr(lti, "_axpy", counted)
         rng = random.Random(53)
         terms = [rand_term(rng, 12) for _ in range(80)]
         terms += [load_term(os.path.join(FIXTURES, name)) for name in ("splusone.sfg", "generators.sfg")]

@@ -43,12 +43,12 @@ from openwires.sfg import (
     _affine_solve,
     _check_trace_scan,
     _extendable_states,
+    _forward,
     _point,
     _point_image,
     _relation_image,
     _swap_state_blocks,
     _tick_constraints,
-    _tick_system,
     _trace_violation,
     _unmerged_constraints,
     check_trace,
@@ -184,9 +184,9 @@ class TestForwardPass:
     def test_a_chain_has_no_inner_column(self):
         # each add's output is stored by the next register or is the right
         # port, so it is merged under that end and leaves no column
-        pivots, _, inner, d, m, n = _tick_system(feedback_chain(64))
+        _, inner, d, m, n = _forward(feedback_chain(64), True)
         assert (inner, d, m, n) == (0, 64, 1, 1)
-        assert len(pivots) == 65
+        assert len(_tick_constraints(feedback_chain(64))[0]) == 65
 
     @pytest.mark.parametrize(
         "term",
@@ -199,8 +199,9 @@ class TestForwardPass:
     )
     def test_deep_terms_do_not_recurse(self, term):
         assert sfg_denote(term) == MatCospan.identity(1)
-        pivots, reduced, inner, d, m, n = _tick_system(term)
-        assert (len(pivots), inner, d, m, n) == (1, 0, 0, 1, 1)
+        assert _forward(term, True)[1] == 0
+        annihilator, d, m, n = _tick_constraints(term)
+        assert (len(annihilator), d, m, n) == (1, 0, 1, 1)
         assert step(term, [], ([F(3)], [F(3)])) == []
         assert step(term, [], ([F(3)], [F(2)])) == INFEASIBLE
 
@@ -246,58 +247,58 @@ def _matrix(cols: int, rows):
 
 
 # Every generator by hand: its cospan (A, B) with A·left = B·right, and
-# its reduced tick system (pivots, rows, inner, d, m, n), whose columns are
-# regs_in, left, right and regs_out.
+# its tick relation's annihilator (rows, d, m, n), whose columns are
+# regs_in, left, right and regs_out; no generator has an inner class.
 GENERATOR_PINS = [
-    (Gen("add"), _matrix(2, [[1, 1]]), _matrix(1, [[1]]), ((0,), [[1, 1, -1]], 0, 0, 2, 1)),
-    (Gen("zero"), _matrix(0, [[]]), _matrix(1, [[1]]), ((0,), [[1]], 0, 0, 0, 1)),
+    (Gen("add"), _matrix(2, [[1, 1]]), _matrix(1, [[1]]), ([[1, 1, -1]], 0, 2, 1)),
+    (Gen("zero"), _matrix(0, [[]]), _matrix(1, [[1]]), ([[1]], 0, 0, 1)),
     (
         Gen("copy"),
         _matrix(1, [[1], [1]]),
         _matrix(2, [[1, 0], [0, 1]]),
-        ((0, 1), [[1, 0, -1], [0, 1, -1]], 0, 0, 1, 2),
+        ([[1, 0, -1], [0, 1, -1]], 0, 1, 2),
     ),
-    (Gen("discard"), _matrix(1, []), _matrix(0, []), ((), [], 0, 0, 1, 0)),
+    (Gen("discard"), _matrix(1, []), _matrix(0, []), ([], 0, 1, 0)),
     # r0 = rin and rout = l0
     (
         Gen("delay"),
         _matrix(1, [[S]]),
         _matrix(1, [[1]]),
-        ((0, 1), [[1, 0, -1, 0], [0, 1, 0, -1]], 0, 1, 1, 1),
+        ([[1, 0, -1, 0], [0, 1, 0, -1]], 1, 1, 1),
     ),
-    (Gen("x", 0), _matrix(1, [[0]]), _matrix(1, [[1]]), ((1,), [[0, 1]], 0, 0, 1, 1)),
-    (Gen("x", 2), _matrix(1, [[2]]), _matrix(1, [[1]]), ((0,), [[2, -1]], 0, 0, 1, 1)),
-    (Gen("x", F(-3, 2)), _matrix(1, [[F(-3, 2)]]), _matrix(1, [[1]]), ((0,), [[3, 2]], 0, 0, 1, 1)),
-    (Gen("co-add"), _matrix(1, [[1]]), _matrix(2, [[1, 1]]), ((0,), [[1, -1, -1]], 0, 0, 1, 2)),
-    (Gen("co-zero"), _matrix(1, [[1]]), _matrix(0, [[]]), ((0,), [[1]], 0, 0, 1, 0)),
+    (Gen("x", 0), _matrix(1, [[0]]), _matrix(1, [[1]]), ([[0, 1]], 0, 1, 1)),
+    (Gen("x", 2), _matrix(1, [[2]]), _matrix(1, [[1]]), ([[2, -1]], 0, 1, 1)),
+    (Gen("x", F(-3, 2)), _matrix(1, [[F(-3, 2)]]), _matrix(1, [[1]]), ([[3, 2]], 0, 1, 1)),
+    (Gen("co-add"), _matrix(1, [[1]]), _matrix(2, [[1, 1]]), ([[1, -1, -1]], 0, 1, 2)),
+    (Gen("co-zero"), _matrix(1, [[1]]), _matrix(0, [[]]), ([[1]], 0, 1, 0)),
     (
         Gen("co-copy"),
         _matrix(2, [[1, 0], [0, 1]]),
         _matrix(1, [[1], [1]]),
-        ((0, 1), [[1, 0, -1], [0, 1, -1]], 0, 0, 2, 1),
+        ([[1, 0, -1], [0, 1, -1]], 0, 2, 1),
     ),
-    (Gen("co-discard"), _matrix(0, []), _matrix(1, []), ((), [], 0, 0, 0, 1)),
+    (Gen("co-discard"), _matrix(0, []), _matrix(1, []), ([], 0, 0, 1)),
     # l0 = rin and rout = r0
     (
         Gen("co-delay"),
         _matrix(1, [[1]]),
         _matrix(1, [[S]]),
-        ((0, 2), [[1, -1, 0, 0], [0, 0, 1, -1]], 0, 1, 1, 1),
+        ([[1, -1, 0, 0], [0, 0, 1, -1]], 1, 1, 1),
     ),
-    (Gen("co-x", 0), _matrix(1, [[1]]), _matrix(1, [[0]]), ((0,), [[1, 0]], 0, 0, 1, 1)),
-    (Gen("co-x", 2), _matrix(1, [[1]]), _matrix(1, [[2]]), ((0,), [[1, -2]], 0, 0, 1, 1)),
+    (Gen("co-x", 0), _matrix(1, [[1]]), _matrix(1, [[0]]), ([[1, 0]], 0, 1, 1)),
+    (Gen("co-x", 2), _matrix(1, [[1]]), _matrix(1, [[2]]), ([[1, -2]], 0, 1, 1)),
     (
         Gen("co-x", F(-3, 2)),
         _matrix(1, [[1]]),
         _matrix(1, [[F(-3, 2)]]),
-        ((0,), [[2, 3]], 0, 0, 1, 1),
+        ([[2, 3]], 0, 1, 1),
     ),
-    (Gen("id"), _matrix(1, [[1]]), _matrix(1, [[1]]), ((0,), [[1, -1]], 0, 0, 1, 1)),
+    (Gen("id"), _matrix(1, [[1]]), _matrix(1, [[1]]), ([[1, -1]], 0, 1, 1)),
     (
         Gen("tw"),
         _matrix(2, [[0, 1], [1, 0]]),
         _matrix(2, [[1, 0], [0, 1]]),
-        ((0, 1), [[1, 0, 0, -1], [0, 1, -1, 0]], 0, 0, 2, 2),
+        ([[1, 0, 0, -1], [0, 1, -1, 0]], 0, 2, 2),
     ),
 ]
 
@@ -313,7 +314,8 @@ class TestGenerators:
     )
     def test_cospan_and_tick_system(self, gen, a, b, tick):
         assert denote_cospan(gen) == MatCospan(a, b)
-        assert _tick_system(gen) == tick
+        assert _tick_constraints(gen) == tick
+        assert _forward(gen, True)[1] == 0
 
     def test_every_generator_is_pinned(self):
         assert {gen.name for gen, *_ in GENERATOR_PINS} == set(GENERATOR_TYPES)
@@ -360,6 +362,53 @@ class TestStep:
             v = [F(0)]
             state = step(term, state, (u, v))
             assert state not in (INFEASIBLE, NONDETERMINATE)
+
+    @pytest.mark.parametrize(
+        "state, boundary, message",
+        [
+            ([], ([F(1)], [F(1)]), "register state has wrong length"),
+            ([F(1), F(1)], ([F(1)], [F(1)]), "register state has wrong length"),
+            ([F(1)], ([F(1), F(1)], [F(1)]), "boundary dimensions do not match the term"),
+            ([F(1)], ([F(1)], []), "boundary dimensions do not match the term"),
+        ],
+        ids=["state-short", "state-long", "left-long", "right-short"],
+    )
+    def test_a_tick_of_the_wrong_shape_is_refused(self, state, boundary, message):
+        with pytest.raises(ValueError) as refused:
+            step(Gen("delay"), state, boundary)
+        assert str(refused.value) == message
+
+    def test_one_elimination_per_step(self, monkeypatch):
+        """``step`` reduces its substituted rows once, with no second
+        elimination and no image of a state set."""
+        calls = Counter()
+        integer_rref, sweep = sfg._integer_rref, linalg._sweep
+
+        def counted(name, run):
+            def wrapped(*args):
+                calls[name] += 1
+                return run(*args)
+
+            return wrapped
+
+        def no_image(*args):
+            raise AssertionError("step took the image of a state set")
+
+        monkeypatch.setattr(sfg, "_integer_rref", counted("rref", integer_rref))
+        monkeypatch.setattr(linalg, "_sweep", counted("sweep", sweep))
+        monkeypatch.setattr(sfg, "_relation_image", no_image)
+        rng = random.Random(101)
+        terms = [rand_term(rng, 12) for _ in range(60)]
+        terms += [feedback_chain(8), seq(Gen("co-discard"), Gen("discard"))]
+        outcomes = set()
+        for term in terms:
+            (m, n), d = term_type(term), count_registers(term)
+            for values in (lambda k: [F(0)] * k, lambda k: [F(rng.randint(-2, 2)) for _ in range(k)]):
+                calls.clear()
+                outcome = step(term, values(d), (values(m), values(n)))
+                assert calls == {"rref": 1, "sweep": 1}
+                outcomes.add(outcome if isinstance(outcome, str) else "state")
+        assert outcomes == {INFEASIBLE, NONDETERMINATE, "state"}
 
     def test_random_terms_match_the_dense_reference(self):
         """``step`` against ``reference_step``, which merges no wires and

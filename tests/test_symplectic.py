@@ -590,3 +590,23 @@ class TestMinimizationByComposition:
             )
             wires = symplectify(cospan_to_corelation(inclusion))
             assert apply_relation(wires, graph_of_dQ(p)) == graph_of_dQ(q)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SymplecticSpace(QQ, 1, 0), "sign must be +1 or -1"),
+        (
+            lambda: LagrangianRelation(
+                QQ, SymplecticSpace(QQ, 1), SymplecticSpace(QQ, 1), kernel_of_matrix(QQ, [], 2)
+            ),
+            "relation subspace has wrong ambient dimension",
+        ),
+        (lambda: black_box(resistor(F(1)), "magic"), "unknown black-box method 'magic'"),
+    ],
+    ids=["sign", "ambient-dimension", "black-box-method"],
+)
+def test_malformed_symplectic_data_is_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
