@@ -305,15 +305,18 @@ def _behaviour_report(rep: BehaviourRep, as_json: bool):
 
 
 def _table(title: str, key: str, columns: list, rows: list, as_json: bool):
-    """Formatted rows under their column names, right-aligned to one width,
-    or as JSON with the rows under ``key``."""
+    """Formatted rows under their column names, or as JSON with the rows
+    under ``key``."""
     if as_json:
         return json.dumps({"columns": columns, key: rows}, indent=2)
-    width = max([len(c) for c in columns] + [len(v) for row in rows for v in row] + [1])
-    lines = [title, "  " + "  ".join(c.rjust(width) for c in columns)]
-    for row in rows:
-        lines.append("  " + "  ".join(v.rjust(width) for v in row))
-    return "\n".join(lines)
+    return "\n".join([title, *_aligned([columns, *rows], "  ")])
+
+
+def _aligned(lines: list, gap: str) -> list:
+    """Indented lines of cells joined by ``gap``, each column right-aligned
+    to its own widest cell."""
+    widths = [max(1, *map(len, column)) for column in zip(*lines)]
+    return ["  " + gap.join(v.rjust(w) for v, w in zip(line, widths)) for line in lines]
 
 
 # -- subcommands -------------------------------------------------------------
@@ -392,10 +395,8 @@ def _cmd_circuit_power(args) -> int:
         print(json.dumps({"boundary": names, "coefficients": rows}, indent=2))
         return 0
     print("power functional coefficients c_ij (Q = sum c_ij (psi_i - psi_j)^2):")
-    width = max([len(n) for n in names] + [len(v) for row in rows for v in row] + [1])
-    print("  " + " ".join(n.rjust(width) for n in [""] + names))
-    for name, row in zip(names, rows):
-        print("  " + " ".join(v.rjust(width) for v in [name] + row))
+    lines = [["", *names], *[[name, *row] for name, row in zip(names, rows)]]
+    print("\n".join(_aligned(lines, " ")))
     return 0
 
 

@@ -283,11 +283,6 @@ class _Factored:
             solved.append(_primitive_pivot([*row, rhs] if den == 1 else [v * den for v in row] + [rhs], col))
         return solved
 
-    def null_space(self) -> Subspace:
-        """{x : A·x = 0}, as ``kernel_of_matrix`` gives it."""
-        rows = [_fraction_row(row, row[col]) for col, row in zip(self.pivots, self.rows)]
-        return _null_space(QQ, (self.pivots, rows), self.width)
-
 
 def _dot(row: Sequence[int], values: Sequence[int]) -> int:
     return sum([v * x for v, x in zip(row, values) if v])
@@ -348,6 +343,14 @@ class Subspace(_Record):
 def kernel_of_matrix(field: Field, rows: Sequence[Sequence], width: int) -> Subspace:
     """Null space {x : A x = 0} of a matrix given by rows."""
     return _null_space(field, _rref(field, rows, width), width)
+
+
+def _integer_null_space(rows: Sequence[Sequence[int]], width: int) -> Subspace:
+    """``kernel_of_matrix`` over Q of the first ``width`` columns of
+    ``_integer_rref`` rows, such as ``_Factored.rows``, read off them."""
+    pivots = [next(k for k, v in enumerate(row) if v) for row in rows]
+    fractions = [_fraction_row(row, row[col]) for col, row in zip(pivots, rows)]
+    return _null_space(QQ, (pivots, fractions), width)
 
 
 def _null_space(field: Field, reduced: tuple, width: int) -> Subspace:

@@ -37,7 +37,10 @@ substituted, stacked on them.  From a set of one state a tick is a
 substitution instead: the regs_out block is factored once per call
 (``_Factored``), as is the sampler's tick block.  The padding horizons
 stop at the first repeated image, within one step per register, which
-makes the biinfinite condition finitely checkable.
+makes the biinfinite condition finitely checkable.  The tick relation is
+a subspace, so the states reached by free ticks, from the past or toward
+the future, form a subspace that holds 0: never empty, and a point is
+tested against its rows by substitution (``_holds_at``), with no meet.
 
 Registers are numbered in left-to-right traversal order of the term.
 Terms are typed, denoted and evaluated with an explicit stack, so their
@@ -58,9 +61,8 @@ from .linalg import (
     _consistent,
     _dot,
     _Factored,
+    _integer_null_space,
     _integer_rref,
-    _null_vectors,
-    _solve,
     kernel_of_matrix,
 )
 from .scalars import LaurentPoly, QQ, _axpy, _new, _Record
@@ -596,7 +598,7 @@ def tick_relation(term: Term) -> Subspace:
 # A set of register states is held as its constraint rows [E | e], the
 # ``_integer_rref`` of any consistent system cutting it out, which depends
 # on the set alone: equal sets have equal rows.  () is every state and
-# None the empty set.
+# None the empty set, which only an observed tick or a meet can give.
 
 
 def _point(values: Sequence) -> tuple:
@@ -629,8 +631,6 @@ def _relation_image(annihilator, d: int, m: int, n: int, states, boundary=None):
     elimination leaves the image as the rows whose pivot falls among
     regs_out.  A pivot in the rhs column means no state is reachable.
     """
-    if states is None:
-        return None
     io = m + n
     if boundary is None:
         out = d + io
@@ -665,23 +665,25 @@ def _swap_state_blocks(annihilator, d: int, m: int, n: int) -> list:
 
 
 def _extendable_states(annihilator, d: int, m: int, n: int):
-    """States reachable from arbitrarily far back: the stabilized image.
-    A descending chain of subspaces of F^d stabilizes within d steps, and
-    at the fixpoint every member has a predecessor in it."""
+    """States reachable from arbitrarily far back: the stabilized image, a
+    subspace.  A descending chain of subspaces of F^d stabilizes within d
+    steps, and at the fixpoint every member has a predecessor in it."""
     states = ()
-    for _ in range(d + 1):
+    while True:
         advanced = _relation_image(annihilator, d, m, n, states)
         # equal sets have equal rows and equal images: the fixpoint
-        if advanced is None or advanced == states:
-            return advanced
+        if advanced == states:
+            return states
         states = advanced
-    return states
+
+
+def _holds_at(rows, values) -> bool:
+    """Do the rows [E | 0] of a subspace of states vanish at ``values``?"""
+    return not any(_rhs(rows, 0, values)[0])
 
 
 def _intersect(a, b, d: int):
-    """The rows of the meet of two state sets, by one elimination."""
-    if a is None or b is None:
-        return None
+    """The rows of the meet of two state sets, by one elimination; None if empty."""
     pivots, reduced = _integer_rref([*a, *b], d + 1)
     if pivots and pivots[-1] == d:
         return None
@@ -696,7 +698,8 @@ def check_trace(
     ``init`` fixes the register assignment at the start of the window;
     None quantifies it existentially, and the window is then checked
     against the shortest-lag rows of the denotation (``_trace_violation``).
-    With ``init`` the state sets are scanned (``_check_trace_scan``).
+    With ``init`` the state sets are scanned (``_check_trace_scan``) from
+    ``init`` alone, once substitution shows it has an infinite past.
     Values must be rationals, ``int`` or ``Fraction``.
     """
     if init is None:
@@ -771,10 +774,11 @@ def _check_trace_scan(
     """``check_trace`` by a scan of the register states: the route for
     windows with ``init``, and the cross-check of ``sfg check-trace
     --oracle`` for windows without.  Each state set is its constraint
-    rows: the states with an infinite past, met with ``init``, then the
-    image of each observed tick, and last a meet with the states that have
-    an infinite future.  A tick from many states is one elimination; from
-    a single state, its d rows, it is a substitution into the regs_out
+    rows: the states with an infinite past, or ``init`` alone when its
+    values satisfy their rows (and False when they do not), then the image
+    of each observed tick, and last a meet with the states that have an
+    infinite future.  A tick from many states is one elimination; from a
+    single state, its d rows, it is a substitution into the regs_out
     block, factored the first time it is needed.
     """
     annihilator, d, m, n = _tick_constraints(term)
@@ -782,10 +786,12 @@ def _check_trace_scan(
     states = _extendable_states(annihilator, d, m, n)
     if init is not None:
         _check_init(init, d)
-        states = _intersect(_point(init), states, d)
+        if not _holds_at(states, init):
+            return False
+        states = _point(init)
     regs_out = None  # the factored regs_out block, once the states are one point
     for u, v in window:
-        if states is not None and len(states) == d:
+        if len(states) == d:
             if regs_out is None:
                 regs_out = _Factored([row[d + m + n :] for row in annihilator], d)
             states = _point_image(regs_out, annihilator, d, states, (u, v))
@@ -885,47 +891,33 @@ def step_unmerged(term: Term, state: Sequence, boundary: tuple[Sequence, Sequenc
 # -- sampling -----------------------------------------------------------------
 
 
-def _affine_solve(rows, nvars):
-    """Solve [coeffs | rhs] exactly: None, or (particular, homogeneous),
-    the particular solution with the free variables 0."""
-    solved = _solve(QQ, [[*coeffs, rhs] for coeffs, rhs in rows], nvars)
-    if solved is None:
-        return None
-    particular, reduced = solved
-    return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
-
-
 def sample_biinfinite_window(
     term: Term, ticks: int, rng: random.Random, init: Optional[Sequence] = None
 ):
-    """A random window of a biinfinite trace, or None if none exists.
+    """A random window of a biinfinite trace, as (window, initial_registers).
 
-    Returns (window, initial_registers); when ``init`` is not compatible
-    with any biinfinite trace the initial registers are resampled from
-    the certified set instead.  A point is a particular solution plus a
-    combination of the homogeneous basis with integer coefficients in
-    -3..3.  Each tick samples (left, right, regs_out) among the values
-    that the state allows and whose next state has an infinite future:
-    that block of the annihilator, stacked on the future rows, is factored
-    once per call, and a tick substitutes the state into its rhs.
+    The initial registers are ``init`` when its values satisfy the rows of
+    the certified subspace, the states with an infinite past and future,
+    and otherwise a combination of its kernel basis with integer
+    coefficients in -3..3; the zero trace is biinfinite, so a window
+    always exists.  Each tick samples (left, right, regs_out) among the
+    values that the state allows and whose next state has an infinite
+    future: that block of the annihilator, stacked on the future rows, is
+    factored once per call, and a tick substitutes the state into its rhs.
     """
     annihilator, d, m, n = _tick_constraints(term)
     if init is not None:
         _check_init(init, d)
     future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
     certified = _intersect(_extendable_states(annihilator, d, m, n), future_ok, d)
-    if certified is None:
-        return None
-    start = certified
-    if init is not None:
-        pinned = _intersect(_point(init), certified, d)
-        if pinned is not None:
-            start = pinned
-    state, homogeneous = _affine_solve([(row[:d], row[d]) for row in start], d)
-    for row in homogeneous.basis:
-        coeff = rng.randint(-3, 3)
-        if coeff:
-            state = [p + coeff * r if r else p for p, r in zip(state, row)]
+    if init is not None and _holds_at(certified, init):
+        state = [Fraction(x) for x in init]
+    else:
+        state = [QQ.zero] * d
+        for row in _integer_null_space(certified, d).basis:
+            coeff = rng.randint(-3, 3)
+            if coeff:
+                state = [p + coeff * r if r else p for p, r in zip(state, row)]
     initial = list(state)
     io = m + n
     block = _Factored(
@@ -933,7 +925,7 @@ def sample_biinfinite_window(
     )
     # the homogeneous basis as integer rows over one denominator, so that
     # a tick's point stays integer until it is written into the window
-    basis = block.null_space().basis
+    basis = _integer_null_space(block.rows, io + d).basis
     basis_den = lcm(*[x.denominator for row in basis for x in row])
     basis = [[x.numerator * (basis_den // x.denominator) for x in row] for row in basis]
     den = lcm(*[x.denominator for x in state])
@@ -942,8 +934,6 @@ def sample_biinfinite_window(
     for _ in range(ticks):
         rhs = [-_dot(row, nums) for row in annihilator] + [row[d] * den for row in future_ok]
         solved = block.solve(rhs, den)
-        if solved is None:
-            return None
         pivot_den = lcm(*[row[col] for col, row in zip(block.pivots, solved)])
         point = [0] * (io + d)
         for col, row in zip(block.pivots, solved):

@@ -20,14 +20,17 @@ Composition and the Lagrangian test read each basis row in the values
 of ``linalg``'s sweep, integers over Q, so no ``Fraction`` arithmetic
 runs in them; ``Fraction`` entries are built only for the composite.
 
-``black_box`` sends an open circuit to its behaviour two ways: the oracle
-route pairs the graph of the extended power functional with the
-symplectified boundary corelation; the fast route minimizes the Dirichlet
-form onto the boundary nodes by sparse elimination and writes down the
-relation's reduced basis with no row reduction, computing its currents
-in the Kron loop's own values and converting each entry once.  The two
-agree exactly; on a degenerate minimization (impedances cancelling over
-Q(s)) the fast route answers by the oracle.
+``black_box`` sends an open circuit to its behaviour two ways.  The
+oracle route is one composite, decoration ; wires, as black-boxing is a
+functor: the graph of the differential of the extended power functional,
+read as a relation from S(0), composed with the symplectified boundary
+corelation by ``compose_lagrangian``'s one row reduction
+(``apply_relation``).  The fast route minimizes the Dirichlet form onto
+the boundary nodes by sparse elimination and writes down the relation's
+reduced basis with no row reduction, computing its currents in the Kron
+loop's own values and converting each entry once, so the two routes
+share no elimination.  They agree exactly; on a degenerate minimization
+(impedances cancelling over Q(s)) the fast route answers by the oracle.
 """
 
 from __future__ import annotations
@@ -303,27 +306,17 @@ def _wire_current_rows(blocks: list[list[int]], inputs: int, total: int, field: 
 
 
 def apply_relation(rel: LagrangianRelation, sub: Subspace) -> Subspace:
-    """Relational image of a subspace of S(dom) under a relation.
+    """Relational image of a subspace of S(dom) under a relation: the
+    subspace read as a relation from S(0) to S(dom), composed with it by
+    ``compose_lagrangian``'s one row reduction.
 
     This is how a decoration travels along ideal wires: the result is
     again Lagrangian when the input is.
     """
-    a, b = rel.dom_n, rel.cod_n
-    if sub.ambient_dim != 2 * a:
+    if sub.ambient_dim != 2 * rel.dom_n:
         raise ValueError("subspace does not match the relation's domain")
-    field = rel.field
-    width = 2 * (a + b)
-    dom_columns = _columns(range(a), a + b)
-    constraint_rows = []
-    for functional in sub.constraints().basis:
-        row = [field.zero] * width
-        for value, position in zip(functional, dom_columns):
-            row[position] = value
-        constraint_rows.append(row)
-    for functional in rel.space.constraints().basis:
-        constraint_rows.append(list(functional))
-    meet = kernel_of_matrix(field, constraint_rows, width)
-    return meet.project(_columns(range(a, a + b), a + b))
+    decoration = LagrangianRelation(rel.field, SymplecticSpace(rel.field, 0), rel.dom, sub)
+    return compose_lagrangian(decoration, rel).space
 
 
 def _negate_block(space: Subspace, columns: Sequence[int]) -> Subspace:
@@ -343,10 +336,11 @@ def _boundary_corelation(cospan: FinCospan) -> Corelation:
 def black_box(c: OpenCircuit, method: str = "fast") -> LagrangianRelation:
     """The behaviour of an open circuit as a Lagrangian relation.
 
-    ``oracle`` pairs the graph of the extended power functional on all
-    nodes with the symplectification of the whole boundary corelation,
-    then flips the domain-side current signs so composition is plain
-    relational composition.  ``fast`` minimizes the power functional onto
+    ``oracle`` is the composite decoration ; wires: the graph of the
+    extended power functional's differential on all nodes composed with
+    the symplectification of the whole boundary corelation
+    (``apply_relation``), then the domain-side current signs flipped so
+    composition is plain relational composition.  ``fast`` minimizes the power functional onto
     the boundary nodes and writes the relation's reduced basis directly; on
     a degenerate power functional it answers by the oracle route.
     """

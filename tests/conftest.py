@@ -20,7 +20,7 @@ from openwires.circuit import (
 )
 from openwires.dirichlet import DegenerateFormError, DirichletForm, extended_power
 from openwires.finset import Corelation, FinCospan, FinFunction, cospan_to_corelation
-from openwires.linalg import Subspace, _rref, kernel_of_matrix
+from openwires.linalg import Subspace, _null_vectors, _rref, _solve, kernel_of_matrix
 from openwires.lti import MatCospan, PolyMatrix, cospans_equivalent, pullback_span, span_to_cospan
 from openwires.scalars import (
     _ONE,
@@ -44,7 +44,6 @@ from openwires.sfg import (
     Par,
     Seq,
     _Network,
-    _affine_solve,
     _fold,
     count_registers,
     term_type,
@@ -1131,6 +1130,16 @@ def reference_step(term, state, boundary):
     return [reduced[pivots.index(wire)][size] for wire in network.rout]
 
 
+def _affine_solve(rows, nvars):
+    """Solve [coeffs | rhs] exactly: None, or (particular, homogeneous),
+    the particular solution with the free variables 0."""
+    solved = _solve(QQ, [[*coeffs, rhs] for coeffs, rhs in rows], nvars)
+    if solved is None:
+        return None
+    particular, reduced = solved
+    return particular, Subspace.span(QQ, nvars, _null_vectors(QQ, reduced, nvars))
+
+
 class _ReferenceAffineSet:
     """particular + homogeneous, or empty."""
 
@@ -1441,6 +1450,25 @@ def reference_compose_lagrangian(
     meet = kernel_of_matrix(field, constraint_rows, width)
     space = meet.project(phi_u + phi_w + i_u + i_w)
     return LagrangianRelation(field, first.dom, second.cod, space)
+
+
+def reference_apply_relation(rel: LagrangianRelation, sub: Subspace) -> Subspace:
+    """The relational image by intersect-then-project: the subspace's
+    annihilator placed on the domain columns, stacked on the relation's,
+    their joint kernel, then its image on the codomain columns."""
+    a, b = rel.dom_n, rel.cod_n
+    field = rel.field
+    width = 2 * (a + b)
+    dom_columns = list(range(a)) + list(range(a + b, 2 * a + b))
+    constraint_rows = []
+    for functional in sub.constraints().basis:
+        row = [field.zero] * width
+        for value, position in zip(functional, dom_columns):
+            row[position] = value
+        constraint_rows.append(row)
+    constraint_rows += [list(functional) for functional in rel.space.constraints().basis]
+    meet = kernel_of_matrix(field, constraint_rows, width)
+    return meet.project(list(range(a, a + b)) + list(range(2 * a + b, width)))
 
 
 def brute_force_pushout_classes(n: int, m: int, relation_pairs):

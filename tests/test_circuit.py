@@ -204,3 +204,23 @@ def test_a_malformed_circuit_is_refused(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: compose_circuits(resistor(F(1)), resistor(QS.parse("s"), field=QS)),
+            "circuits must share a scalar field",
+        ),
+        (
+            lambda: tensor_circuits(resistor(F(1)), resistor(QS.parse("s"), field=QS)),
+            "circuits must share a scalar field",
+        ),
+    ],
+    ids=["compose-fields", "tensor-fields"],
+)
+def test_circuits_over_two_fields_are_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message

@@ -222,6 +222,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "1/4" in out
 
+    def test_tables_pad_each_column_to_its_own_width(self, capsys, tmp_path):
+        tables = {
+            ("circuit", "power", "rlc.json"): [
+                "power functional coefficients c_ij (Q = sum c_ij (psi_i - psi_j)^2):",
+                "                            IN                      OUT",
+                "   IN                        0 (1/6*s)/(s^2+2/3*s+1/15)",
+                "  OUT (1/6*s)/(s^2+2/3*s+1/15)                        0",
+            ],
+            ("circuit", "blackbox", "rlc.json"): [
+                "behaviour basis (rows span the relation):",
+                "  phi_in0  phi_out0                      i_in0                     i_out0",
+                "        1         0  (-1/3*s)/(s^2+2/3*s+1/15)  (-1/3*s)/(s^2+2/3*s+1/15)",
+                "        0         1   (1/3*s)/(s^2+2/3*s+1/15)   (1/3*s)/(s^2+2/3*s+1/15)",
+            ],
+            ("sfg", "denote", "generators.sfg"): [
+                "kernel representation [A -B] (rows are equations):",
+                "     x0    y0",
+                "  s+1/2  -s-3",
+            ],
+        }
+        for (*command, name), lines in tables.items():
+            assert main([*command, fixture(name)]) == 0
+            assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        # y = (1 + s)^64 x: only the column of x holds the long entry
+        chain = tmp_path / "chain64.sfg"
+        chain.write_text(" ; ".join(["copy ; (delay (+) id) ; add"] * 64))
+        assert main(["sfg", "denote", str(chain)]) == 0
+        title, names, row = capsys.readouterr().out.splitlines()
+        x, y = row.split()
+        assert names == "  " + "x0".rjust(len(x)) + "  " + "y0"
+        assert row == f"  {x}  {y}" and y == "-1"
+
     def test_compose_then_equiv(self, capsys, tmp_path):
         assert main(
             ["circuit", "compose", fixture("series11.json"), fixture("resistor.json")]

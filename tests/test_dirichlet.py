@@ -204,6 +204,31 @@ class TestSparseElimination:
                 keep = [i for i in range(6) if i != n]
                 assert repr(eliminate_node(form, n)) == repr(reference_minimize(form, keep))
 
+    def test_a_pair_that_cancels_is_removed(self, monkeypatch):
+        """Over Q(s), i -(1/2)- n -(1/2)- j with i -(-1)- j: eliminating n
+        adds 1 to the i-j conductance of -1/2, so the pair cancels and is
+        removed, and the power functional is the zero form."""
+        half, minus_one = QS.parse("1/2"), QS.parse("-1")
+        c = OpenCircuit(
+            QS,
+            LabelledGraph(3, ((0, 1, half), (1, 2, half), (0, 2, minus_one))),
+            FinCospan(FinFunction(1, 3, (0,)), FinFunction(1, 3, (2,))),
+        )
+        removed = []
+        set_pair = dirichlet._set_pair
+
+        def recorded(adjacency, i, j, value, nonzero):
+            if not nonzero(value):
+                removed.append((i, j))
+            set_pair(adjacency, i, j, value, nonzero)
+
+        monkeypatch.setattr(dirichlet, "_set_pair", recorded)
+        q = power_functional(c)
+        assert removed == [(0, 2)]
+        assert q == DirichletForm(QS, 2, ((QS.zero, QS.zero), (QS.zero, QS.zero)))
+        assert repr(q) == repr(reference_minimize(extended_power(c), [0, 2]))
+        assert black_box(c, "fast") == black_box(c, "oracle")
+
     def test_ladder_closed_form(self):
         rng = random.Random(53)
         for sections in range(1, 11):
@@ -624,4 +649,47 @@ def test_pair_conductance_is_the_reduced_half_inverse():
 def test_a_malformed_form_is_refused(size, coeff, message):
     with pytest.raises(ValueError) as refused:
         DirichletForm(QQ, size, coeff)
+    assert str(refused.value) == message
+
+
+_PATH = DirichletForm.from_entries(3, {(0, 1): F(1), (1, 2): F(2)})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _PATH.gradient([F(1), F(0)]), "potential has wrong length"),
+        (lambda: eliminate_node(_PATH, 3), "node index out of range"),
+        (lambda: eliminate_node(_PATH, -1), "node index out of range"),
+        (lambda: minimize(_PATH, [2, 0]), "keep must be a strictly increasing index subset"),
+        (lambda: minimize(_PATH, [0, 0]), "keep must be a strictly increasing index subset"),
+        (lambda: minimize(_PATH, [0, 3]), "keep contains indices out of range"),
+        (
+            lambda: realizable_extension(_PATH, [0, 2], [F(1)]),
+            "boundary and potential lengths differ",
+        ),
+        (
+            lambda: realizable_extension(_PATH, [2, 0], [F(1), F(0)]),
+            "boundary must be a strictly increasing index subset",
+        ),
+        (
+            lambda: circuits_equivalent(resistor(F(1)), resistor(QS.parse("s"), field=QS)),
+            "circuits must share a scalar field",
+        ),
+    ],
+    ids=[
+        "gradient-length",
+        "node-past-the-end",
+        "negative-node",
+        "keep-unsorted",
+        "keep-repeated",
+        "keep-out-of-range",
+        "extension-lengths",
+        "extension-unsorted",
+        "equivalence-fields",
+    ],
+)
+def test_bad_arguments_are_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
     assert str(refused.value) == message

@@ -287,3 +287,31 @@ def test_malformed_finite_set_data_is_refused(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: FinFunction(1, 2, (0,)).compose(FinFunction(3, 1, (0, 0, 0))),
+            "codomain/domain mismatch in composition",
+        ),
+        (
+            lambda: FinCospan(FinFunction(1, 2, (0,)), FinFunction(1, 3, (0,))),
+            "cospan legs must share their codomain",
+        ),
+        (
+            lambda: pushout_composition(
+                FinCospan(FinFunction.identity(1), FinFunction.identity(1)),
+                FinCospan(FinFunction.identity(2), FinFunction.identity(2)),
+            ),
+            "shared boundary mismatch: 1 vs 2",
+        ),
+        (lambda: corel_generator("spider", 1), "unknown generator kind 'spider'"),
+    ],
+    ids=["compose", "cospan-legs", "pushout-boundary", "generator-kind"],
+)
+def test_mismatched_finite_set_maps_are_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message

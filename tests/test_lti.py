@@ -783,3 +783,47 @@ class TestScaledRows:
         assert units == [(LaurentPoly.constant(2**33), ONE)]
         monkeypatch.setattr(lti, "_eliminate", reference_eliminate)
         assert result == snf(m)
+
+
+_ONE_BY_TWO = PolyMatrix.zeros(1, 2)
+_TWO_BY_ONE = PolyMatrix.zeros(2, 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _ONE_BY_TWO.mul(_ONE_BY_TWO), "shape mismatch in matrix product"),
+        (lambda: _ONE_BY_TWO.hstack(_TWO_BY_ONE), "row mismatch in hstack"),
+        (lambda: solve_left(_ONE_BY_TWO, _TWO_BY_ONE), "column mismatch in solve_left"),
+        (lambda: MatCospan(_ONE_BY_TWO, _TWO_BY_ONE), "cospan legs must share their codomain"),
+        (
+            lambda: compose_mat_cospans(MatCospan.identity(1), MatCospan.identity(2)),
+            "cospan feet do not match",
+        ),
+        (lambda: BehaviourRep(1, 0, _ONE_BY_TWO), "kernel matrix must have m + n columns"),
+        (
+            lambda: behaviour_leq(BehaviourRep(1, 1, _ONE_BY_TWO), BehaviourRep(2, 0, _ONE_BY_TWO)),
+            "behaviours have different boundary types",
+        ),
+        (
+            lambda: behaviour_eq(BehaviourRep(1, 1, _ONE_BY_TWO), BehaviourRep(0, 2, _ONE_BY_TWO)),
+            "behaviours have different boundary types",
+        ),
+        (lambda: span_to_cospan(_ONE_BY_TWO, _TWO_BY_ONE), "span legs must share their domain"),
+    ],
+    ids=[
+        "mul",
+        "hstack",
+        "solve-left",
+        "cospan-legs",
+        "compose-feet",
+        "behaviour-columns",
+        "leq-types",
+        "eq-types",
+        "span-legs",
+    ],
+)
+def test_mismatched_shapes_are_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message

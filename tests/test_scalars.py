@@ -1002,3 +1002,26 @@ def test_scalar_values_copy_pickle_and_refuse_deletion(value, fields):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value == kept
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Polynomial.variable() ** -1, ValueError, "negative powers are not polynomials"),
+        (
+            lambda: parse_scalar_expression("1/(s-s)"),
+            ScalarParseError,
+            "division by zero at position 7 in '1/(s-s)'",
+        ),
+        (
+            lambda: parse_scalar_expression("(s+1"),
+            ScalarParseError,
+            "expected ')' at position 4 in '(s+1'",
+        ),
+    ],
+    ids=["negative-power", "division-by-zero", "unclosed-parenthesis"],
+)
+def test_bad_powers_and_expressions_are_refused(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message

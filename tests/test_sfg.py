@@ -7,6 +7,7 @@ from math import comb, gcd
 import pytest
 
 from conftest import (
+    _affine_solve,
     feedback_chain,
     gauss_solve,
     kernel_residuals,
@@ -40,10 +41,11 @@ from openwires.sfg import (
     Par,
     Seq,
     SfgTypeError,
-    _affine_solve,
     _check_trace_scan,
     _extendable_states,
     _forward,
+    _holds_at,
+    _intersect,
     _point,
     _point_image,
     _relation_image,
@@ -890,6 +892,89 @@ class TestFactoredTicks:
         assert repr(reference_sample_biinfinite_window(term, 6, random.Random(3), init)) == sampled
 
 
+class TestFreeTickStateSets:
+    """Free ticks map subspaces to subspaces, so the past, future and
+    certified sets are linear and hold 0: a point is tested against them
+    by substitution, and a window exists from every certified state."""
+
+    @staticmethod
+    def certified(term):
+        annihilator, d, m, n = _tick_constraints(term)
+        future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
+        return _intersect(_extendable_states(annihilator, d, m, n), future_ok, d), d
+
+    @staticmethod
+    def count_meets(monkeypatch):
+        calls = []
+        meet = sfg._intersect
+
+        def counted(*args):
+            calls.append(args)
+            return meet(*args)
+
+        monkeypatch.setattr(sfg, "_intersect", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [3, 11, 23])
+    def test_a_window_is_sampled_from_every_term(self, seed):
+        rng = random.Random(seed)
+        pinned = 0
+        for _ in range(60):
+            term = rand_term(rng, 14)
+            certified, d = self.certified(term)
+            assert all(row[-1] == 0 for row in certified)
+            free = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+            window, initial = sample_biinfinite_window(term, 4, rng)
+            for init in (initial, free):
+                sampled = sample_biinfinite_window(term, 4, rng, init)
+                assert sampled is not None
+                assert _holds_at(certified, sampled[1])
+                if _holds_at(certified, init):
+                    assert sampled[1] == init
+                    pinned += d > 0
+        assert pinned
+
+    def test_a_scan_with_init_meets_once(self, monkeypatch):
+        rng = random.Random(107)
+        calls = self.count_meets(monkeypatch)
+        verdicts = Counter()
+        for _ in range(80):
+            term = rand_term(rng, 12)
+            annihilator, d, m, n = _tick_constraints(term)
+            future_ok = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
+            window, initial = sample_biinfinite_window(term, 4, rng)
+            for init in (initial, [v + 1 for v in initial]):
+                calls.clear()
+                verdict = check_trace(term, window, init)
+                # at most the last meet, with the states that have an infinite future
+                assert [args[1:] for args in calls] in ([], [(future_ok, d)])
+                verdicts[verdict, len(calls)] += 1
+        assert {(True, 1), (False, 0)} <= set(verdicts)
+
+    def test_the_sampler_meets_once(self, monkeypatch):
+        rng = random.Random(109)
+        calls = self.count_meets(monkeypatch)
+        for _ in range(40):
+            term = rand_term(rng, 12)
+            d = count_registers(term)
+            for init in (None, [F(rng.randint(-3, 3)) for _ in range(d)]):
+                calls.clear()
+                sample_biinfinite_window(term, 3, rng, init)
+                assert len(calls) == 1
+
+    def test_a_point_is_tested_by_substitution(self):
+        # zero ; delay can only have held 0
+        annihilator, d, m, n = _tick_constraints(parse_term("zero ; delay"))
+        past = _extendable_states(annihilator, d, m, n)
+        assert _holds_at(past, [F(0)])
+        assert not _holds_at(past, [F(1, 3)])
+        assert _holds_at((), [F(5)])
+        # delay ; co-zero can only go on from 0
+        annihilator, d, m, n = _tick_constraints(parse_term("delay ; co-zero"))
+        future = _extendable_states(_swap_state_blocks(annihilator, d, m, n), d, m, n)
+        assert _holds_at(future, [0]) and not _holds_at(future, [-2])
+
+
 class TestTickValuesAreRationals:
     @pytest.mark.parametrize("bad", [0.1, "1", 1j])
     def test_values_outside_q_are_refused(self, bad):
@@ -916,3 +1001,17 @@ class TestTickValuesAreRationals:
         assert check_trace(chain, [([1], [F(3)])], [2])
         assert step(chain, [2], ([1], [F(3)])) == [F(1)]
         assert sample_biinfinite_window(chain, 2, random.Random(1), [2]) is not None
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Gen("amplify"), "unknown generator 'amplify'"),
+        (lambda: term_type(Seq(Gen("id"), "id")), "not a term: 'id'"),
+    ],
+    ids=["generator", "not-a-term"],
+)
+def test_what_is_not_a_term_is_refused(build, message):
+    with pytest.raises(SfgTypeError) as refused:
+        build()
+    assert str(refused.value) == message

@@ -16,6 +16,7 @@ from conftest import (
     rand_corelation,
     rand_fraction,
     rand_qs_circuit,
+    reference_apply_relation,
     reference_compose_lagrangian,
     reference_corpus,
     reference_fast_box,
@@ -49,6 +50,7 @@ from openwires.scalars import QQ, QS, RationalFunction
 from openwires.symplectic import (
     LagrangianRelation,
     SymplecticSpace,
+    _boundary_corelation,
     _fast_boundary_space,
     apply_relation,
     black_box,
@@ -345,6 +347,62 @@ class TestSpanComposition:
         assert {(True, False, False), (False, True, False), (True, False, True)} <= shapes
 
 
+class TestApplyRelation:
+    """apply_relation as one composite against intersect-then-project on
+    both annihilators."""
+
+    @pytest.mark.parametrize("field", [QQ, QS])
+    def test_black_box_decorations_match_reference(self, field):
+        rng = random.Random(421)
+        for _ in range(40):
+            make = rand_circuit if field == QQ else rand_qs_circuit
+            c = make(rng, rng.randint(0, 3), rng.randint(0, 3))
+            decorated = graph_of_dQ(extended_power(c))
+            wires = symplectify(_boundary_corelation(c.cospan), field)
+            got = apply_relation(wires, decorated)
+            assert repr(got) == repr(reference_apply_relation(wires, decorated))
+            assert _elements_only(got)
+
+    def test_general_linear_relations_match_reference(self):
+        """Not Lagrangian: any dimension from zero to full, on either side."""
+        rng = random.Random(431)
+        for _ in range(200):
+            a, b = rng.randint(0, 3), rng.randint(0, 3)
+            ambient = 2 * (a + b)
+            space = rand_subspace(rng, ambient, rng.choice([0, ambient, rng.randint(0, ambient)]))
+            rel = LagrangianRelation(QQ, SymplecticSpace(QQ, a), SymplecticSpace(QQ, b), space)
+            sub = rand_subspace(rng, 2 * a, rng.randint(0, 2 * a))
+            got = apply_relation(rel, sub)
+            assert repr(got) == repr(reference_apply_relation(rel, sub))
+            assert _elements_only(got)
+
+    def test_one_row_reduction(self, monkeypatch):
+        """One sweep, and no annihilator or kernel of either side."""
+        from openwires import linalg, symplectic
+
+        c = rand_circuit(random.Random(433), 2, 2)
+        decorated = graph_of_dQ(extended_power(c))
+        wires = symplectify(_boundary_corelation(c.cospan))
+        sweeps, sweep = [], linalg._sweep
+
+        def counted(*args):
+            sweeps.append(1)
+            return sweep(*args)
+
+        def refused(*args):
+            raise AssertionError("apply_relation took a kernel")
+
+        monkeypatch.setattr(linalg, "_sweep", counted)
+        monkeypatch.setattr(symplectic, "_sweep", counted)
+        monkeypatch.setattr(symplectic, "kernel_of_matrix", refused)
+        monkeypatch.setattr(linalg, "kernel_of_matrix", refused)
+        monkeypatch.setattr(Subspace, "constraints", refused)
+        got = apply_relation(wires, decorated)
+        assert len(sweeps) == 1
+        monkeypatch.undo()
+        assert got == reference_apply_relation(wires, decorated)
+
+
 def _elements_only(space: Subspace) -> bool:
     """Every entry is a ``Fraction`` over Q, where an ``int`` would pass
     ``==``, and a ``RationalFunction`` over Q(s)."""
@@ -607,6 +665,38 @@ class TestMinimizationByComposition:
     ids=["sign", "ambient-dimension", "black-box-method"],
 )
 def test_malformed_symplectic_data_is_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: symplectic_complement(kernel_of_matrix(QQ, [], 2), SymplecticSpace(QQ, 2)),
+            "subspace does not live in the symplectic space",
+        ),
+        (
+            lambda: compose_lagrangian(identity_relation(1), identity_relation(2)),
+            "relations are not composable",
+        ),
+        (
+            lambda: tensor_lagrangian(identity_relation(1), identity_relation(1, QS)),
+            "relations must share a scalar field",
+        ),
+        (
+            lambda: tensor_lagrangian(identity_relation(1), twist(1)),
+            "tensor requires matching conjugation on each side",
+        ),
+        (
+            lambda: apply_relation(identity_relation(2), kernel_of_matrix(QQ, [], 2)),
+            "subspace does not match the relation's domain",
+        ),
+    ],
+    ids=["complement", "compose", "tensor-fields", "tensor-conjugation", "apply"],
+)
+def test_mismatched_relations_are_refused(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
