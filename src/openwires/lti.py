@@ -30,18 +30,15 @@ its outer legs and reads the composite's legs, and the controllability
 test passes nothing.  Only the public ``snf`` also mirrors the
 operations into U and V.
 
-The elimination runs on scaled representatives of its rows.  Euclidean
-steps over Q multiply whole rows by rational constants that keep growing
-(Kannan and Bachem, SIAM J. Comput. 8(4), 1979).  A nonzero rational is a
-unit of the ring, so a row or column updated by a non-unit pivot is
-divided by its rational content, as Bareiss-style primitive rows are, and
-the factor is kept as that row's or column's unit.  Every decision is
-unit-invariant: the pivot's degree spread, whether a remainder is zero,
-divisibility and being a unit.  So the true sequence of row and column
-operations is the unscaled one, and the units are divided out once at
-the end, leaving every answer unchanged.  The content is read from M's
-block alone, so M's stored entries, and when they are rescaled, do not
-depend on what rides along.
+Euclidean steps over Q multiply whole rows by rational constants that
+keep growing (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).  A nonzero
+rational is a unit of the ring, so a row or column updated by a non-unit
+pivot is divided by its rational content, as Bareiss-style primitive rows
+are.  That division is one more elementary operation, by a unit, and the
+transforms carry it like any other.  The content is read from M's block
+alone, so M's entries, and when they are rescaled, do not depend on what
+rides along.  D, the rank and the invariant factors are canonical; the
+transforms are one valid choice among many.
 
 Behaviours are LTI systems on biinfinite streams, but streams are never
 materialized: a behaviour is always carried as a finite kernel
@@ -143,10 +140,12 @@ class PolyMatrix(_Record):
         )
 
     def __str__(self) -> str:
+        """One bracketed line per row, each column padded to its own widest
+        entry."""
         cells = [[str(e) for e in row] for row in self.entries]
-        width = max((len(c) for row in cells for c in row), default=1)
+        widths = [max(map(len, column)) for column in zip(*cells)]
         return "\n".join(
-            "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
+            "[" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]" for row in cells
         )
 
 
@@ -169,23 +168,9 @@ class _Eliminator:
     them too, so they end as below . V^-1.  Pivots are taken only inside
     M's block.  ``u`` (U transposed, so that it too takes row operations)
     and ``v`` receive the inverse operations; without ``mirror`` their
-    rows are empty and cost nothing.
-
-    The rows are stored scaled.  Each row and each column of M's block
-    has a unit of the ring, a nonzero rational, in ``row_units`` and
-    ``col_units``, and the true working matrix is diag(row_units)^-1 .
-    stored . diag(col_units)^-1: a row's unit scales its extension too,
-    and a column's unit its entries below M.  ``u`` and ``v`` hold the
-    inverse scaling, so one stored factor serves an operation and its
-    inverse.  A quotient of two stored entries is the stored factor of
-    the true Euclidean step, and the decisions read from stored entries
-    (degree spread, zero remainder, divisibility, being a unit) are those
-    of the true ones, which differ by units.  Only an operation with a
-    fixed true factor, the divisibility step that adds a whole row, has
-    to scale it: ``add_true_row``.  The content is read from M's block
-    alone, so M's stored entries are the same whatever rides along.  Both lists
-    are None, all units 1, until a row or column is first rescaled;
-    ``unscale`` divides them out once, at the end.
+    rows are empty and cost nothing.  The operations are swaps, additions
+    of a multiple of one row or column to another, and divisions by a
+    unit: a content rescale, or a pivot made canonical at the end.
     """
 
     def __init__(self, m: PolyMatrix, right, below, mirror: bool):
@@ -199,8 +184,6 @@ class _Eliminator:
             self.d += map(list, below.entries)
         self.u = _identity_rows(m.rows) if mirror else [[] for _ in range(m.rows)]
         self.v = _identity_rows(m.cols) if mirror else [[] for _ in range(m.cols)]
-        self.row_units = None
-        self.col_units = None
         self.rank = 0
 
     # D' = E D with E elementary: U absorbs E^-1 on the right (a row
@@ -211,13 +194,9 @@ class _Eliminator:
             return
         self.d[a], self.d[b] = self.d[b], self.d[a]
         self.u[a], self.u[b] = self.u[b], self.u[a]
-        units = self.row_units
-        if units is not None:
-            units[a], units[b] = units[b], units[a]
 
     def add_row(self, src: int, dst: int, factor: LaurentPoly, sign: int):
-        """row_dst += sign * factor * row_src, with sign 1 or -1, on the
-        stored rows.
+        """row_dst += sign * factor * row_src, with sign 1 or -1.
 
         Each updated entry is one ``_axpy``, so a subtraction builds no
         negated factor and no intermediate product; U absorbs the inverse
@@ -228,29 +207,18 @@ class _Eliminator:
         self.d[dst] = [_axpy(a, factor, b, sign) for a, b in zip(self.d[dst], self.d[src])]
         self.u[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.u[src], self.u[dst])]
 
-    def add_true_row(self, src: int, dst: int):
-        """row_dst += row_src in the true working matrix: the stored factor
-        is the ratio of the two rows' units."""
-        units = self.row_units
-        factor = _L1 if units is None else units[dst] * units[src].unit_inverse()
-        self.add_row(src, dst, factor, 1)
-
     def scale_row(self, idx: int, unit: LaurentPoly):
-        """Stored row_idx /= unit; U's column idx is multiplied by it."""
+        """row_idx /= unit; U's column idx is multiplied by it."""
         inv = unit.unit_inverse()
         self.d[idx] = [inv * e for e in self.d[idx]]
         self.u[idx] = [unit * e for e in self.u[idx]]
 
     def rescale_row(self, idx: int):
-        """Divide stored row idx by the content of its entries in M's
-        block, if their denominators have grown; its unit absorbs it."""
+        """Divide row idx by the content of its entries in M's block, if
+        their denominators have grown."""
         content = _large_content(self.d[idx][: self.cols])
-        if content is None:
-            return
-        self.scale_row(idx, content)
-        if self.row_units is None:
-            self.row_units = [_L1] * self.rows
-        self.row_units[idx] = self.row_units[idx] * content.unit_inverse()
+        if content is not None:
+            self.scale_row(idx, content)
 
     def swap_cols(self, a: int, b: int):
         if a == b:
@@ -258,13 +226,9 @@ class _Eliminator:
         for row in self.d:
             row[a], row[b] = row[b], row[a]
         self.v[a], self.v[b] = self.v[b], self.v[a]
-        units = self.col_units
-        if units is not None:
-            units[a], units[b] = units[b], units[a]
 
     def add_col(self, src: int, dst: int, factor: LaurentPoly, sign: int):
-        """col_dst += sign * factor * col_src, with sign 1 or -1, on the
-        stored columns.
+        """col_dst += sign * factor * col_src, with sign 1 or -1.
 
         Each updated entry is one ``_axpy``, as in ``add_row``; V absorbs
         the inverse operation, row_src -= sign * factor * row_dst.
@@ -276,49 +240,27 @@ class _Eliminator:
         self.v[src] = [_axpy(a, factor, b, -sign) for a, b in zip(self.v[src], self.v[dst])]
 
     def scale_col(self, idx: int, unit: LaurentPoly):
-        """Stored col_idx /= unit; V's row idx is multiplied by it."""
+        """col_idx /= unit; V's row idx is multiplied by it."""
         inv = unit.unit_inverse()
         for row in self.d:
             row[idx] = inv * row[idx]
         self.v[idx] = [unit * e for e in self.v[idx]]
 
     def rescale_col(self, idx: int):
-        """``rescale_row`` for stored column idx."""
+        """``rescale_row`` for column idx."""
         content = _large_content([row[idx] for row in self.d[: self.rows]])
-        if content is None:
-            return
-        self.scale_col(idx, content)
-        if self.col_units is None:
-            self.col_units = [_L1] * self.cols
-        self.col_units[idx] = self.col_units[idx] * content.unit_inverse()
+        if content is not None:
+            self.scale_col(idx, content)
 
-    def unscale(self, size: int):
-        """Divide the units out, with the canonical scaling of each pivot
-        folded into its row's unit, and set the rank: afterwards the rows
-        hold the true values and the first ``rank`` pivots are canonical.
-
-        A pivot stored as w * rep (w its canonical unit) is r * c times
-        the true one, with r and c its row's and column's units; dividing
-        its row by w / c and then its column by c leaves rep, so each row
-        and each column is multiplied once.
-        """
-        row_units = self.row_units or [_L1] * self.rows
-        col_units = self.col_units
+    def canonicalize(self, size: int):
+        """Divide each nonzero pivot's row by the pivot's canonical unit
+        and count the rank: afterwards the first ``rank`` pivots are
+        canonical."""
         while self.rank < size and not self.d[self.rank][self.rank].is_zero():
-            k = self.rank
-            unit, _ = self.d[k][k].canonical()
-            if col_units is not None:
-                unit = unit * col_units[k].unit_inverse()
-            row_units[k] = unit
-            self.rank += 1
-        for i, unit in enumerate(row_units):
+            unit, _ = self.d[self.rank][self.rank].canonical()
             if not unit.is_one():
-                self.scale_row(i, unit)
-        if col_units is not None:
-            for j, unit in enumerate(col_units):
-                if not unit.is_one():
-                    self.scale_col(j, unit)
-        self.row_units = self.col_units = None
+                self.scale_row(self.rank, unit)
+            self.rank += 1
 
     def factors(self) -> list[LaurentPoly]:
         """The nonzero invariant factors, in divisibility order."""
@@ -339,7 +281,7 @@ class _Eliminator:
 # coefficients over a denominator that grows with every step.  A row whose
 # entries in M's block reach this common denominator is divided by its
 # content; below it the content gcd is not worth computing, so small
-# eliminations keep their units at 1 and do no extra work.
+# eliminations do no extra work.
 _RESCALE_DEN = 1 << 32
 
 
@@ -367,7 +309,9 @@ def snf(m: PolyMatrix) -> SnfResult:
     which makes the computation terminate and reproducible.  Diagonal
     entries are canonicalized to offset 0 with leading coefficient 1 and
     ordered by divisibility.  U^-1 and V^-1 ride along as identities to
-    the right of and below M; U and V are mirrored.
+    the right of and below M; U and V are mirrored.  D and the rank are
+    canonical; the transforms are those of this elimination, content
+    rescales included, and other eliminations find others.
     """
     work = _eliminate(m, PolyMatrix.identity(m.rows), PolyMatrix.identity(m.cols), True)
     return SnfResult(
@@ -405,9 +349,9 @@ def _eliminate(m: PolyMatrix, right=None, below=None, mirror: bool = False) -> _
             offender = _divisibility_offender(work, pos)
             if offender is None:
                 break
-            work.add_true_row(offender, pos)
+            work.add_row(offender, pos, _L1, 1)
         pos += 1
-    work.unscale(size)
+    work.canonicalize(size)
     return work
 
 
@@ -429,8 +373,8 @@ def _find_pivot(work: _Eliminator, pos: int):
 def _reduce_once(work: _Eliminator, pos: int) -> bool:
     """One pass clearing the pivot row and column; True if the pivot moved.
 
-    The quotients are taken between stored entries, and so are the stored
-    factors; a row or column updated by a non-unit pivot is rescaled.
+    A row or column updated by a non-unit pivot is divided by its content
+    when that has grown, a unit operation like the others.
     """
     pivot = work.d[pos][pos]
     rescale = not pivot.is_unit()

@@ -938,12 +938,16 @@ def reference_is_controllable(c: MatCospan) -> bool:
 
 
 class ReferenceEliminator:
-    """The Smith elimination with its working rows unscaled: every stored
-    row and column is the true one.  ``reference_eliminate`` takes the
-    arguments of ``lti._eliminate`` and returns one of these, with the
+    """The Smith elimination with its working rows unscaled: no row or
+    column is ever divided by its content.  ``reference_eliminate`` takes
+    the arguments of ``lti._eliminate`` and returns one of these, with the
     same ``d``, ``u``, ``v``, ``rank``, ``right``, ``below`` and
-    ``factors``, so patching it in for ``lti._eliminate`` gives the
-    reference answer of every operation built on the elimination."""
+    ``factors``, so patching it in for ``lti._eliminate`` gives a reference
+    answer of every operation built on the elimination.  It is the
+    reference for the canonical parts of those answers: D, the rank, the
+    invariant factors and what is read from them.  Its transforms are
+    valid but differ from the content-rescaled ones of ``lti``, and their
+    entries grow far larger."""
 
     def __init__(self, m: PolyMatrix, right, below, mirror: bool):
         if right is None:

@@ -97,6 +97,15 @@ class TestShapeCheck:
                 assert PolyMatrix(m.rows, m.cols, m.entries) == m
 
 
+class TestPrinting:
+    def test_each_column_padded_to_its_own_width(self):
+        # a two-column span: the first column is one character wide, the
+        # second as wide as 3*s^2+1
+        span = pm([[0, 3 * S * S + 1], [0, 0], [S, -2]])
+        assert str(span) == "[0  3*s^2+1]\n[0        0]\n[s       -2]"
+        assert str(PolyMatrix.zeros(0, 2)) == "" and str(PolyMatrix.zeros(2, 0)) == "[]\n[]"
+
+
 class TestSnf:
     def test_unit_entry(self):
         res = snf(pm([[S]]))
@@ -681,72 +690,114 @@ def _criterion_8_matrices():
         yield rand_poly_matrix(rng, rows, cols, max_spread=3)
 
 
-def _answers(matrices, cospans):
-    """The answer of every operation built on the one Smith elimination:
-    ``snf`` (its five factors and rank), ``kernel_basis``, ``solve_left``
-    on a solvable and a (mostly) unsolvable target, ``controllability``
-    with its witness, ``mat_corelation`` and ``compose_mat_cospans``."""
+def _coefficient_bits(rows) -> int:
+    """The largest coefficient in ``rows``, in bits of numerator and
+    denominator."""
+    return max(
+        (
+            c.numerator.bit_length() + c.denominator.bit_length()
+            for row in rows
+            for e in row
+            for c in e.coeffs
+        ),
+        default=0,
+    )
+
+
+def _check_snf(m: PolyMatrix, res) -> None:
+    """The checks every valid Smith form passes, whichever transforms it
+    has: U.D.V = M, U.U^-1 = I and V.V^-1 = I."""
+    assert res.u.mul(res.d).mul(res.v).entries == m.entries
+    assert res.u.mul(res.u_inv).entries == PolyMatrix.identity(m.rows).entries
+    assert res.v.mul(res.v_inv).entries == PolyMatrix.identity(m.cols).entries
+
+
+def _canonical_answers(matrices, cospans, check: bool):
+    """What the operations built on the one Smith elimination answer
+    whichever valid transforms it finds: D, the rank and ``factors()``;
+    whether ``solve_left`` finds an X for a solvable and a (mostly)
+    unsolvable target; ``controllability`` with its witness; the
+    ``mat_corelation`` of the cospan; and the module that ``kernel_basis``
+    spans, as the Hermite form of its transpose.  Each comes paired with
+    the composite of the cospan and its converse, whose corelation is
+    canonical too.  With ``check``, each transform is also checked on its
+    own: U.D.V = M, U.U^-1 = I, V.V^-1 = I, m.K = 0, and X.m = target for
+    every X that ``solve_left`` returns."""
     draws = random.Random(309)
+
+    def kernel_module(m):
+        basis = kernel_basis(m)
+        if check:
+            assert is_zero_matrix(m.mul(basis))
+        return hermite(PolyMatrix(basis.cols, basis.rows, tuple(zip(*basis.entries))))
+
+    def solvable(m, target):
+        x = solve_left(m, target)
+        if check and x is not None:
+            assert x.mul(m) == target
+        return x is not None
+
     out = []
     for m in matrices:
         split = draws.randint(0, m.cols)
         cospan = MatCospan(m.take_cols(range(split)), m.take_cols(range(split, m.cols)))
         x = rand_poly_matrix(draws, draws.randint(0, 2), m.rows, 2)
         target = rand_poly_matrix(draws, 1, m.cols, 2)
-        out.append(
-            (
-                snf(m),
-                kernel_basis(m),
-                solve_left(m, x.mul(m)),
-                solve_left(m, target),
-                controllability(cospan),
-                mat_corelation(cospan),
-                compose_mat_cospans(cospan, cospan.converse()),
-            )
+        res = snf(m)
+        if check:
+            _check_snf(m, res)
+        canonical = (
+            res.d,
+            res.rank,
+            lti._eliminate(m).factors(),
+            kernel_module(m),
+            solvable(m, x.mul(m)),
+            solvable(m, target),
+            controllability(cospan),
+            mat_corelation(cospan),
         )
+        out.append((canonical, compose_mat_cospans(cospan, cospan.converse())))
     for cospan in cospans:
-        out.append(
-            (
-                mat_corelation(cospan),
-                compose_mat_cospans(cospan, cospan.converse()),
-                controllability(cospan),
-                kernel_basis(kernel_representation(cospan)),
-            )
+        canonical = (
+            mat_corelation(cospan),
+            controllability(cospan),
+            kernel_module(kernel_representation(cospan)),
         )
+        out.append((canonical, compose_mat_cospans(cospan, cospan.converse())))
     return out
 
 
 def _recording_peak(cls, add_row, peaks: dict):
     """``add_row`` that records in ``peaks[cls]`` the largest coefficient
-    in any working row, in bits of numerator and denominator."""
+    in any working row."""
 
     def recorded(work, *args):
         add_row(work, *args)
-        bits = max(
-            c.numerator.bit_length() + c.denominator.bit_length()
-            for row in work.d
-            for e in row
-            for c in e.coeffs
-        )
-        peaks[cls] = max(peaks.get(cls, 0), bits)
+        peaks[cls] = max(peaks.get(cls, 0), _coefficient_bits(work.d))
 
     return recorded
 
 
 class TestScaledRows:
-    """The elimination keeps its working rows primitive, with one unit per
-    row and column divided out at the end; ``reference_eliminate`` runs it
-    on the true rows.  Every answer must be equal, field for field, and
-    LaurentPoly == compares the fields a value prints from."""
+    """The elimination divides a row or column by its rational content
+    once that has grown, one more operation by a unit, which the
+    transforms carry like the others; ``reference_eliminate`` runs the
+    same pivots on unscaled rows.  So the transforms may differ, and what
+    is canonical must be equal, field for field: LaurentPoly == compares
+    the fields a value prints from."""
 
     def test_answers_match_unscaled_reference(self, monkeypatch):
         rng = random.Random(71)
         cospans = [denote_cospan(rand_term(rng, 12)) for _ in range(200)]
         matrices = list(_criterion_8_matrices())
-        answers = _answers(matrices, cospans)
+        answers = _canonical_answers(matrices, cospans, True)
         monkeypatch.setattr(lti, "_eliminate", reference_eliminate)
-        assert answers == _answers(matrices, cospans)
-        assert sum(a[3] is None for a in answers[:1000]) >= 500
+        reference = _canonical_answers(matrices, cospans, False)
+        assert [a for a, _ in answers] == [a for a, _ in reference]
+        # equal composites need no Hermite form, as in ``behaviour_eq``
+        for (_, ours), (_, theirs) in zip(answers, reference):
+            assert ours == theirs or mat_corelation(ours) == mat_corelation(theirs)
+        assert sum(not a[5] for a, _ in answers[:1000]) >= 500
 
     def test_worst_input_stays_small(self, monkeypatch):
         # the behaviours SNF input of seed 3 whose working coefficients grew
@@ -763,26 +814,48 @@ class TestScaledRows:
         for cls in (lti._Eliminator, ReferenceEliminator):
             monkeypatch.setattr(cls, "add_row", _recording_peak(cls, cls.add_row, peaks))
         result = snf(m)
+        _check_snf(m, result)
         monkeypatch.setattr(lti, "_eliminate", reference_eliminate)
-        assert result == snf(m) and result.diagonal == [ONE] * 4
+        reference = snf(m)
+        assert (result.d, result.rank) == (reference.d, reference.rank)
+        assert result.diagonal == [ONE] * 4
         assert peaks[ReferenceEliminator] == 3925 and peaks[lti._Eliminator] < 1000
 
+    def test_transforms_stay_small(self):
+        # each content rescale stays in the transforms as a unit operation;
+        # dividing those units back out at the end of the elimination makes
+        # coefficients of 3952 bits on this corpus
+        worst = max(
+            _coefficient_bits(part.entries)
+            for res in map(snf, _criterion_8_matrices())
+            for part in (res.u, res.v, res.u_inv, res.v_inv)
+        )
+        assert worst < 1000
+
     def test_offender_added_after_a_rescale(self, monkeypatch):
-        # row 1 is over 2^33, so its first update rescales it; s + 1 does
-        # not divide its s + 2, so the true row 1 is then added to row 0
+        # row 1 is over 2^33, so its first update divides it by its content;
+        # s + 1 does not divide its s + 2, so row 1 is then added to row 0
         m = pm([[S + 1, 0], [S * S + S, (S + 2) * LaurentPoly.constant(F(1, 2**33))]])
-        units = []
-        add_true_row = lti._Eliminator.add_true_row
+        events = []
+        scale_row, find_offender = lti._Eliminator.scale_row, lti._divisibility_offender
 
-        def recorded(work, src, dst):
-            units.append(work.row_units and (work.row_units[src], work.row_units[dst]))
-            add_true_row(work, src, dst)
+        def scaled(work, idx, unit):
+            events.append(("scale", idx, unit))
+            scale_row(work, idx, unit)
 
-        monkeypatch.setattr(lti._Eliminator, "add_true_row", recorded)
+        def found(work, pos):
+            offender = find_offender(work, pos)
+            events.append(("offender", offender))
+            return offender
+
+        monkeypatch.setattr(lti._Eliminator, "scale_row", scaled)
+        monkeypatch.setattr(lti, "_divisibility_offender", found)
         result = snf(m)
-        assert units == [(LaurentPoly.constant(2**33), ONE)]
+        assert events[:2] == [("scale", 1, LaurentPoly.constant(F(1, 2**33))), ("offender", 1)]
+        _check_snf(m, result)
         monkeypatch.setattr(lti, "_eliminate", reference_eliminate)
-        assert result == snf(m)
+        reference = snf(m)
+        assert (result.d, result.rank) == (reference.d, reference.rank)
 
 
 _ONE_BY_TWO = PolyMatrix.zeros(1, 2)

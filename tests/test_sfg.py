@@ -441,8 +441,7 @@ class TestStep:
             for _ in range(3):
                 assert_matches(term, values(d), (values(m), values(n)))
             sampled = sample_biinfinite_window(term, 4, rng)
-            if sampled is None:
-                continue
+            assert sampled is not None
             window, state = sampled
             for boundary in window:
                 state = assert_matches(term, state, boundary)
@@ -495,25 +494,21 @@ class TestCheckTrace:
 class TestOperationalDenotationalAgreement:
     def test_certified_windows_satisfy_kernel_equations(self):
         rng = random.Random(37)
-        checked = 0
-        while checked < 30:
+        for _ in range(30):
             term = rand_term(rng, 10)
             result = sample_biinfinite_window(term, 8, rng)
-            if result is None:
-                continue
+            assert result is not None
             window, _ = result
             rep = behaviour_rep(sfg_denote(term))
             combined = [list(u) + list(v) for u, v in window]
             assert all(r == 0 for r in kernel_residuals(rep, combined))
-            checked += 1
 
     def test_sampled_windows_pass_check_trace(self):
         rng = random.Random(41)
         for _ in range(10):
             term = rand_term(rng, 8)
             result = sample_biinfinite_window(term, 5, rng)
-            if result is None:
-                continue
+            assert result is not None
             window, init = result
             assert check_trace(term, window, init)
 
@@ -657,8 +652,7 @@ class TestTraceScanReference:
             d = count_registers(term)
             init = [F(rng.randint(-3, 3)) for _ in range(d)] if i % 2 else None
             sampled = self.assert_samples_match(term, 5, rng.getrandbits(32), init)
-            if sampled is None:
-                continue
+            assert sampled is not None
             window, initial = sampled
             unrolled = i % 3 == 0
             assert self.assert_verdicts_match(term, window, initial, unrolled)
@@ -820,7 +814,8 @@ class TestFactoredTicks:
             annihilator, d, m, n = _tick_constraints(term)
             regs_out = _Factored([row[d + m + n :] for row in annihilator], d)
             sampled = sample_biinfinite_window(term, 1, rng)
-            ticks = [] if sampled is None else [(sampled[1], sampled[0][0])]
+            assert sampled is not None
+            ticks = [(sampled[1], sampled[0][0])]
             for _ in range(2):
                 init = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
                 boundary = tuple([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)] for k in (m, n))
