@@ -545,20 +545,20 @@ def _remainder(e: LaurentPoly, p: LaurentPoly) -> LaurentPoly:
     return e._reduced(0, nums, den)
 
 
-def lag_rows(m: PolyMatrix) -> list[list[list[int]]]:
-    """Each nonzero row of m as its coefficient vectors [R_0, ..., R_L]:
-    R_k is the coefficient of s^k once the row is shifted to offset 0, so
-    that R_0 and R_L are nonzero and L is the row's lag, and the row is
-    scaled to primitive integers.  Both are units, so the rows present
-    the same module."""
+def lag_rows(rows) -> list[list[list[int]]]:
+    """Each nonzero row, a sequence of Laurent polynomials, as its
+    coefficient vectors [R_0, ..., R_L]: R_k is the coefficient of s^k
+    once the row is shifted to offset 0, so that R_0 and R_L are nonzero
+    and L is the row's lag, and the row is scaled to primitive integers.
+    Both are units, so the rows present the same module."""
     out = []
-    for row in m.entries:
+    for row in rows:
         live = [e for e in row if e]
         if not live:
             continue
         lo = min(e.offset for e in live)
         den = lcm(*[e.den for e in live])
-        vectors = [[0] * m.cols for _ in range(max(e.offset + len(e.nums) for e in live) - lo)]
+        vectors = [[0] * len(row) for _ in range(max(e.offset + len(e.nums) for e in live) - lo)]
         for j, e in enumerate(row):
             scale = den // e.den
             for k, c in enumerate(e.nums, e.offset - lo):

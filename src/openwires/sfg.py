@@ -13,34 +13,36 @@ variable is made only where a value is born: at the boundary, at a
 register end, or where no row of a generator names an output.  Moving a
 value makes no equation, and a second name for a value is a merge.
 Denotationally s is the delay and the rows hold over Q[s, s^-1]; one
-elimination of the inner variables leaves the behaviour's rows on the
-ports, printed in Hermite form.  ``denote_cospan`` is the pairwise fold
-instead: each generator maps to the cospan (A, B) of its rows and each
-``;`` is a pushout.  Per tick, an entry s is a register, whose ends rout,
-the value stored, and rin, the value read out, are variables; the tick
-relation's annihilator is what one elimination over Q, the inner
-variables first, leaves on the ends.  ``step`` reduces once as well: its
-state and boundary substituted into the rows leave a system over the
-inner variables and regs_out alone.  ``_Network`` keeps the raw wire
-equations for the oracles, which share no reduction with the pass.
+elimination of the inner variables leaves rows on the ports that cut the
+behaviour out (``_port_rows``), and ``sfg_denote`` prints their Hermite
+form, which depends on the behaviour alone.  ``denote_cospan`` is the
+pairwise fold instead: each generator maps to the cospan (A, B) of its
+rows and each ``;`` is a pushout.  Per tick, an entry s is a register,
+whose ends rout, the value stored, and rin, the value read out, are
+variables; the tick relation's annihilator is what one elimination over
+Q, the inner variables first, leaves on the ends.  ``step`` reduces once
+as well: its state and boundary substituted into the rows leave a system
+over the inner variables and regs_out alone.  ``_Network`` keeps the raw
+wire equations for the oracles, which share no reduction with the pass.
 
 ``check_trace`` decides whether a window extends to a trace that is
 infinite in both directions.  With no initial registers that is a
-question about the ports alone: the behaviour's rows, made row-reduced
-at both ends (``lti.shortest_lag``), cut out exactly the restrictions of
-its streams by the equations that fit in the window, and the first one
-broken is the witness (``_trace_violation``).  With initial registers
-the window is scanned tick by tick.  A set of register states is kept as
-its reduced rows [E | e], primitive integer rows, and a tick's image is
-one elimination of the annihilator, with the observed boundary
-substituted, stacked on them.  From a set of one state a tick is a
-substitution instead: the regs_out block is factored once per call
-(``_Factored``), as is the sampler's tick block.  The padding horizons
-stop at the first repeated image, within one step per register, which
-makes the biinfinite condition finitely checkable.  The tick relation is
-a subspace, so the states reached by free ticks, from the past or toward
-the future, form a subspace that holds 0: never empty, and a point is
-tested against its rows by substitution (``_holds_at``), with no meet.
+question about the ports alone: the port rows as the elimination leaves
+them, with no Hermite form, made row-reduced at both ends
+(``lti.shortest_lag``), cut out exactly the restrictions of its streams
+by the equations that fit in the window, and the first one broken is the
+witness (``_trace_violation``).  With initial registers the window is
+scanned tick by tick.  A set of register states is kept as its reduced
+rows [E | e], primitive integer rows, and a tick's image is one
+elimination of the annihilator, with the observed boundary substituted,
+stacked on them.  From a set of one state a tick is a substitution
+instead: the regs_out block is factored once per call (``_Factored``),
+as is the sampler's tick block.  The padding horizons stop at the first
+repeated image, within one step per register, which makes the biinfinite
+condition finitely checkable.  The tick relation is a subspace, so the
+states reached by free ticks, from the past or toward the future, form a
+subspace that holds 0: never empty, and a point is tested against its
+rows by substitution (``_holds_at``), with no meet.
 
 Registers are numbered in left-to-right traversal order of the term.
 Terms are typed, denoted and evaluated with an explicit stack, so their
@@ -438,16 +440,38 @@ def denote_cospan(term: Term) -> MatCospan:
 
 def sfg_denote(term: Term) -> MatCospan:
     """The behaviour of a term as a jointly-epic cospan in Hermite form,
-    equal to ``mat_corelation(denote_cospan(term))``.  The rows of
-    ``_forward``, s the delay, cut it out over Q[s, s^-1] once the inner
-    columns are eliminated: ``_eliminate_units`` takes each that holds a
-    unit, and ``hermite`` the few left, first, with the right ports
-    negated into [A B]; its rows past those columns are the legs.
+    equal to ``mat_corelation(denote_cospan(term))``: the Hermite form of
+    the port rows of ``_port_rows``, the right ports negated into [A B],
+    split into the two legs.  The form depends on the rows' module alone,
+    so any rows that cut the behaviour out give the same cospan.
     """
     from .lti import MatCospan, PolyMatrix, hermite
 
+    forward = _forward(term, False)
+    m, n = forward[3:]
+    rows = _port_rows(forward)
+    matrix = tuple(row[:m] + tuple(-e for e in row[m:]) for row in rows)
+    form = hermite(PolyMatrix(len(matrix), m + n, matrix)).entries
+    return MatCospan(
+        PolyMatrix(len(form), m, tuple(row[:m] for row in form)),
+        PolyMatrix(len(form), n, tuple(row[m:] for row in form)),
+    )
+
+
+def _port_rows(forward: tuple) -> list:
+    """Rows R = [A -B] of m + n Laurent polynomials each, whose kernel
+    over Q[s, s^-1] is the behaviour of the term with ``_forward`` rows
+    ``forward`` (without registers); not canonical.
+
+    The forward rows, s the delay, cut the behaviour out once the
+    inner columns are eliminated: ``_eliminate_units`` takes each that
+    holds a unit.  Only when a column with no unit is left does
+    ``hermite`` take those columns first, and its rows with no inner entry
+    are kept: in echelon form they span every combination that vanishes
+    on the inner columns.
+    """
     zero = _LAURENT[0]
-    forward, inner, _, m, n = _forward(term, False)
+    forward, inner, _, m, n = forward
     rows = []
     for row in forward:
         polys = {}
@@ -456,21 +480,16 @@ def sfg_denote(term: Term) -> MatCospan:
                 monomial = _new(LaurentPoly, e, (c.numerator,), c.denominator)
                 polys[k] = polys[k] + monomial if k in polys else monomial
         rows.append({k: poly for k, poly in polys.items() if poly})
-    rows = _eliminate_units(rows, inner)
-    order = sorted({k for row in rows for k in row if k < inner})
-    matrix = tuple(
-        tuple(row.get(k, zero) for k in order)
-        + tuple(row.get(inner + p, zero) for p in range(m))
-        + tuple(-row.get(inner + p, zero) for p in range(m, m + n))
-        for row in rows
-    )
-    lead = len(order)
-    form = hermite(PolyMatrix(len(matrix), lead + m + n, matrix))
-    legs = [row[lead:] for row in form.entries if not any(row[:lead])]
-    return MatCospan(
-        PolyMatrix(len(legs), m, tuple(row[:m] for row in legs)),
-        PolyMatrix(len(legs), n, tuple(row[m:] for row in legs)),
-    )
+    rows = [row for row in _eliminate_units(rows, inner) if row]
+    columns = [*sorted({k for row in rows for k in row if k < inner}), *range(inner, inner + m + n)]
+    lead = len(columns) - m - n
+    matrix = [tuple(row.get(k, zero) for k in columns) for row in rows]
+    if lead:
+        from .lti import PolyMatrix, hermite
+
+        form = hermite(PolyMatrix(len(matrix), len(columns), tuple(matrix)))
+        matrix = [row[lead:] for row in form.entries if not any(row[:lead])]
+    return matrix
 
 
 def _eliminate_units(rows: list, inner: int) -> list:
@@ -574,17 +593,24 @@ def _check_rationals(what: str, values) -> None:
 
 def _tick_constraints(term: Term):
     """The tick relation's annihilator over (regs_in, left, right,
-    regs_out), with (d, m, n): the rows of the ``_integer_rref`` of the
-    rows of ``_forward`` with registers, the inner classes first, whose
-    pivot lies past the inner classes, as primitive integer rows."""
-    forward, inner, d, m, n = _forward(term, True)
+    regs_out), with (d, m, n)."""
+    forward = _forward(term, True)
+    return _annihilator(forward), *forward[2:]
+
+
+def _annihilator(forward: tuple) -> list:
+    """The annihilator from the rows ``forward`` of ``_forward`` with
+    registers: the rows of their ``_integer_rref``, the inner classes
+    first, whose pivot lies past the inner classes, as primitive integer
+    rows."""
+    forward, inner, d, m, n = forward
     width = inner + 2 * d + m + n
     rows = [[0] * width for _ in forward]
     for row, eq in zip(rows, forward):
         for (k, _), c in eq.items():
             row[k] = c
     pivots, reduced = _integer_rref(rows, width)
-    return [row[inner:] for col, row in zip(pivots, reduced) if col >= inner], d, m, n
+    return [row[inner:] for col, row in zip(pivots, reduced) if col >= inner]
 
 
 def tick_relation(term: Term) -> Subspace:
@@ -697,7 +723,7 @@ def check_trace(
 
     ``init`` fixes the register assignment at the start of the window;
     None quantifies it existentially, and the window is then checked
-    against the shortest-lag rows of the denotation (``_trace_violation``).
+    against the shortest-lag rows of the behaviour (``_trace_violation``).
     With ``init`` the state sets are scanned (``_check_trace_scan``) from
     ``init`` alone, once substitution shows it has an infinite past.
     Values must be rationals, ``int`` or ``Fraction``.
@@ -730,7 +756,7 @@ def _trace_violation(term: Term, window: Sequence[tuple[Sequence, Sequence]]):
     shortest-lag rows of the term's behaviour, earliest tick first, or None
     when the window is the t = 0..T-1 part of a trajectory in it.
 
-    The behaviour is ker R over Q[s, s^-1], R = [A -B] of ``sfg_denote``,
+    The behaviour is ker R over Q[s, s^-1], R = [A -B] of ``_port_rows``,
     acting on biinfinite streams w of (left, right) values with s the
     delay: (s^k w)(t) = w(t - k).  ``lti.shortest_lag`` makes R's rows,
     each shifted to offset 0 with lag L_i, row-reduced at both ends, and
@@ -749,13 +775,15 @@ def _trace_violation(term: Term, window: Sequence[tuple[Sequence, Sequence]]):
     Markovsky, Willems, Van Huffel and De Moor, SIAM, 2006).  Without the
     reduction at either end a row of R's module can fit in the window
     while no row of R does, and the check is too weak.  The window is
-    brought to one common denominator, so residuals are integers.
+    brought to one common denominator, so residuals are integers.  The
+    window's shape is checked from the forward pass, before any
+    elimination.
     """
-    from .lti import kernel_representation, lag_rows, shortest_lag
+    from .lti import lag_rows, shortest_lag
 
-    cospan = sfg_denote(term)
-    _check_window(window, cospan.dom, cospan.cod)
-    rows = shortest_lag(lag_rows(kernel_representation(cospan)))
+    forward = _forward(term, False)
+    _check_window(window, *forward[3:])
+    rows = shortest_lag(lag_rows(_port_rows(forward)))
     values = [(*u, *v) for u, v in window]
     den = lcm(*[x.denominator for tick in values for x in tick])
     ticks = [[x.numerator * (den // x.denominator) for x in tick] for tick in values]
@@ -779,13 +807,17 @@ def _check_trace_scan(
     of each observed tick, and last a meet with the states that have an
     infinite future.  A tick from many states is one elimination; from a
     single state, its d rows, it is a substitution into the regs_out
-    block, factored the first time it is needed.
+    block, factored the first time it is needed.  The window and ``init``
+    are checked against the forward pass's shape before any elimination.
     """
-    annihilator, d, m, n = _tick_constraints(term)
+    forward = _forward(term, True)
+    _, _, d, m, n = forward
     _check_window(window, m, n)
-    states = _extendable_states(annihilator, d, m, n)
     if init is not None:
         _check_init(init, d)
+    annihilator = _annihilator(forward)
+    states = _extendable_states(annihilator, d, m, n)
+    if init is not None:
         if not _holds_at(states, init):
             return False
         states = _point(init)

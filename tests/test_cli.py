@@ -720,13 +720,7 @@ class TestSfgOracle:
         # a faulty reduction that loses the equality rows tying the ends of
         # one class, so that ``id`` relates any left value to any right
         # value: a window with --init is decided by the scan, which reads it
-        tick_constraints = sfg._tick_constraints
-
-        def without_rows(term):
-            _, d, m, n = tick_constraints(term)
-            return [], d, m, n
-
-        monkeypatch.setattr(sfg, "_tick_constraints", without_rows)
+        monkeypatch.setattr(sfg, "_annihilator", lambda forward: [])
         argv = ["sfg", "check-trace", fixture("wire.sfg"), "--init", "[]", "--window", "[[[2],[3]]]"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -737,9 +731,11 @@ class TestSfgOracle:
         [
             # s read as an advance, w(t + 1) in place of w(t - 1)
             ("advance", "delay", "[[[1],[0]],[[2],[1]]]", 1),
-            # no end reduction: both rows of co-copy ; delay have lag 1, and
-            # their difference, x1 = x2, is missed in a one-tick window
-            ("unreduced", "co-copy ; delay", "[[[1,2],[0]]]", 0),
+            # no end reduction: both port rows have lag 1, sharing their
+            # leading (first) or trailing (second) vector, and their sum,
+            # x = y, is missed in a one-tick window
+            ("unreduced", "copy ; (delay (+) id) ; co-copy", "[[[1],[0]]]", 0),
+            ("unreduced", "copy ; (co-delay (+) id) ; co-copy", "[[[1],[0]]]", 0),
         ],
     )
     def test_check_trace_oracle_reads_no_denotation(

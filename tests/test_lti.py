@@ -356,7 +356,7 @@ class TestShortestLag:
         matrices += [kernel_representation(sfg_denote(rand_term(rng, 16))) for _ in range(80)]
         changed = dropped = 0
         for m in matrices:
-            rows = lti.lag_rows(m)
+            rows = lti.lag_rows(m.entries)
             assert hermite(_from_lag_rows(rows, m.cols)) == hermite(m)
             reduced = lti.shortest_lag(rows)
             assert hermite(_from_lag_rows(reduced, m.cols)) == hermite(m)

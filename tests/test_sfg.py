@@ -752,20 +752,20 @@ class TestShortestLagWindows:
                     assert check_trace(term, window) is realizable
 
     @pytest.mark.parametrize(
-        "text, window",
+        "text",
         [
-            # x1 = s·y and x2 = s·y share their leading vector, that of y
-            ("co-copy ; co-delay", [([F(1), F(2)], [F(0)])]),
-            # y = s·x1 and y = s·x2 share their trailing vector, that of y
-            ("co-copy ; delay", [([F(1), F(2)], [F(0)])]),
+            # (1 - s)·x = 0 and s·x = y share their leading vector, that of x
+            "copy ; (delay (+) id) ; co-copy",
+            # (1 - s^-1)·x = 0 and s^-1·x = y share their trailing vector, that of x
+            "copy ; (co-delay (+) id) ; co-copy",
         ],
     )
-    def test_unreduced_rows_miss_a_row_of_lower_lag(self, monkeypatch, text, window):
-        """Both rows have lag 1, and their difference, x1 = x2, lag 0.  The
-        Hermite rows, without the reduction at the leading (first) or the
-        trailing (second) end, let a one-tick window with x1 != x2
-        through."""
+    def test_unreduced_rows_miss_a_row_of_lower_lag(self, monkeypatch, text):
+        """Both port rows have lag 1, and their sum, x = y, lag 0.  The port
+        rows, without the reduction at the leading (first) or the trailing
+        (second) end, let a one-tick window with x != y through."""
         term = parse_term(text)
+        window = [([F(1)], [F(0)])]
         assert not self.assert_verdicts_match(term, window)
         monkeypatch.setattr(lti, "shortest_lag", lambda rows: rows)
         assert check_trace(term, window)
@@ -798,6 +798,91 @@ class TestShortestLagWindows:
                 run(chain, [], init)
             with pytest.raises(ValueError, match="^window entry dimensions do not match the term$"):
                 run(chain, [([F(1)], [F(1)]), ([F(1)], [])], init)
+
+    def test_a_misshaped_window_is_refused_before_any_elimination(self, monkeypatch):
+        """On the 1024-cell chain, a window or an ``init`` that does not fit
+        the term is refused from its type and register count, with no
+        elimination of its rows."""
+        chain = feedback_chain(1024)
+        calls = Counter()
+        for name in ("_eliminate_units", "_integer_rref"):
+            monkeypatch.setattr(sfg, name, _counted(calls, name, getattr(sfg, name)))
+        zeros = [F(0)] * 1024
+        for run in (check_trace, _check_trace_scan):
+            for init in (None, zeros):
+                with pytest.raises(ValueError, match="^window must be nonempty$"):
+                    run(chain, [], init)
+                with pytest.raises(ValueError, match="^window entry dimensions do not match the term$"):
+                    run(chain, [([F(0)], [F(0)])] * 3 + [([F(0)], [])], init)
+            with pytest.raises(ValueError, match="^register state has wrong length$"):
+                run(chain, [([F(0)], [F(0)])] * 4, zeros[1:])
+        assert not calls
+
+
+# terms whose forward rows keep an inner column with no unit once
+# ``_eliminate_units`` is done, so that ``_port_rows`` takes a Hermite form
+LEFTOVER_INNER = (
+    "co-delay ; co-add ; id (+) co-delay ; add",
+    "co-add ; co-delay (+) x(-1/3) ; co-copy ; discard",
+    # y1 = (1 + s)·z and y2 = (1 + s)·z: only the Hermite form finds y1 = y2
+    "co-discard ; copy ; (copy ; (delay (+) id) ; add) (+) (copy ; (delay (+) id) ; add)",
+)
+
+
+def _counted(calls: Counter, name: str, function):
+    """``function``, counting its calls under ``name``."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return function(*args)
+
+    return wrapper
+
+
+class TestPortRows:
+    """The behaviour's rows on the ports, which windows with no ``init``
+    read directly and ``sfg_denote`` brings to Hermite form."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 23, 71])
+    def test_windows_match_the_scan(self, seed):
+        """With no ``init``, the verdict equals the state scan's on
+        sampled, bumped and random windows of 1 to 6 ticks, over random
+        terms and the terms with a leftover inner column."""
+        rng = random.Random(seed)
+        terms = [parse_term(text) for text in LEFTOVER_INNER] + [rand_term(rng, 8) for _ in range(100)]
+        outcomes = Counter()
+        for term in terms:
+            m, n = term_type(term)
+            ticks = rng.randint(1, 6)
+            sampled, _ = sample_biinfinite_window(term, ticks, rng)
+            drawn = [
+                ([F(rng.randint(-2, 2)) for _ in range(m)], [F(rng.randint(-2, 2)) for _ in range(n)])
+                for _ in range(ticks)
+            ]
+            for window in (sampled, _perturbed(sampled, rng), drawn):
+                verdict = check_trace(term, window)
+                assert verdict == _check_trace_scan(term, window)
+                outcomes[verdict] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_no_denotation_without_leftover_columns(self, monkeypatch):
+        """A window with no ``init`` on a term whose inner columns all go
+        by unit pivots is checked with no ``sfg_denote`` and no Hermite
+        form; a term with a leftover column takes one Hermite form."""
+        calls = Counter()
+        monkeypatch.setattr(sfg, "sfg_denote", _counted(calls, "sfg_denote", sfg.sfg_denote))
+        monkeypatch.setattr(lti, "hermite", _counted(calls, "hermite", lti.hermite))
+        window = [([F((-1) ** k)], [F(0)]) for k in range(6)]
+        for term in (parse_term(SPLUSONE), feedback_chain(6), Gen("delay")):
+            check_trace(term, window)
+        assert not calls
+        check_trace(parse_term(LEFTOVER_INNER[0]), window)
+        assert calls == {"hermite": 1}
+
+    @pytest.mark.parametrize("text", LEFTOVER_INNER)
+    def test_leftover_columns_denote_the_corelation(self, text):
+        term = parse_term(text)
+        assert sfg_denote(term) == mat_corelation(denote_cospan(term))
 
 
 class TestFactoredTicks:
