@@ -17,10 +17,19 @@ for its row module.  The Smith form serves:
 The Hermite form serves the jointly-epic reduction of cospans and the
 presentation of behaviours.  Two kernels over F^Z are equal iff the row
 modules of their matrices are, so equal behaviours have equal forms and
-print the same text.  ``shortest_lag`` rewrites a presentation's rows
-so that their leading and trailing coefficient matrices have full row
-rank; then the rows that fit in a finite window cut out the behaviour's
+print the same text.  ``shortest_lag`` rewrites a presentation's rows so
+that their leading and trailing coefficient matrices have full row rank;
+then the rows that fit in a finite window cut out the behaviour's
 restrictions to it, which is how ``sfg.check_trace`` reads a window.
+
+A network is its wire equations as sparse rows {column: LaurentPoly},
+the inner columns first and then the ports, as a signal-flow term's
+forward pass leaves them.  ``port_rows`` eliminates the inner columns,
+by unit pivots and, only for a column left with no unit, a Hermite form,
+and leaves rows on the ports that cut out the behaviour; ``corelation``
+splits the Hermite form of rows [A B] into the legs of the jointly-epic
+cospan (Fong, Rapisarda and Sobociński, LICS 2016).  Each value that
+either makes takes its class from its input.
 
 There is one Smith elimination.  Each operation runs it once, passing
 the blocks its answer is read from: a block to the right of M takes the
@@ -47,6 +56,7 @@ representation [A -B].
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Sequence
 
@@ -83,9 +93,7 @@ class PolyMatrix(_Record):
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(
-            n, n, tuple(tuple(_L1 if i == j else _L0 for j in range(n)) for i in range(n))
-        )
+        return PolyMatrix(n, n, tuple(map(tuple, _identity_rows(n))))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
@@ -94,22 +102,12 @@ class PolyMatrix(_Record):
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = _L0
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix._trusted(self.rows, other.cols, tuple(out))
+        columns = [[row[j] for row in other.entries] for j in range(other.cols)]
+        out = tuple(
+            tuple(sum((a * b for a, b in zip(row, column) if a and b), _L0) for column in columns)
+            for row in self.entries
+        )
+        return PolyMatrix._trusted(self.rows, other.cols, out)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
@@ -434,26 +432,19 @@ def solve_left(m: PolyMatrix, target: PolyMatrix):
     if m.cols != target.cols:
         raise ValueError("column mismatch in solve_left")
     work = _eliminate(m, PolyMatrix.identity(m.rows), target)
-    transformed = work.below()
     r = work.rank
+    transformed = work.d[m.rows :]
+    if any(row[j] for row in transformed for j in range(r, m.cols)):
+        return None
     rows = []
-    for i in range(target.rows):
-        row = []
-        for j in range(m.rows):
-            if j < r:
-                d = work.d[j][j]
-                entry = transformed.entries[i][j]
-                q, rem = divmod(entry, d)
-                if not rem.is_zero():
-                    return None
-                row.append(q)
-            else:
-                row.append(_L0)
-        rows.append(tuple(row))
-    for j in range(r, m.cols):
-        for i in range(target.rows):
-            if not transformed.entries[i][j].is_zero():
+    for row in transformed:
+        quotients = []
+        for j in range(r):
+            q, rem = divmod(row[j], work.d[j][j])
+            if rem:
                 return None
+            quotients.append(q)
+        rows.append((*quotients, *[_L0] * (m.rows - r)))
     y = PolyMatrix._trusted(target.rows, m.rows, tuple(rows))
     return y.mul(work.right(range(m.rows)))
 
@@ -526,7 +517,7 @@ def _primitive_row(row: list) -> list:
     den = lcm(*[e.den for e in row])
     if num in (0, 1) and den == 1:
         return row
-    unit = _new(LaurentPoly, 0, (den,), num)
+    unit = row[0]._reduced(0, [den], num)
     return [unit * e for e in row]
 
 
@@ -543,6 +534,83 @@ def _remainder(e: LaurentPoly, p: LaurentPoly) -> LaurentPoly:
         _, nums, scale = _pseudo_divmod(nums, p.nums)
         den *= scale
     return e._reduced(0, nums, den)
+
+
+def port_rows(rows: list, inner: int, ports: int) -> list:
+    """Rows of ``ports`` entries that cut out the behaviour of the network
+    ``rows``, {column: LaurentPoly} reduced in place, on its ports, the
+    columns after the first ``inner``, once those are eliminated; not canonical.
+
+    ``_eliminate_units`` takes each inner column that holds a unit.  Only
+    when a column with no unit is left does ``hermite`` take those columns
+    first, and its rows with no inner entry are kept: in echelon form they
+    span every combination that vanishes on the inner columns.  A value
+    made here, a fill-in included, takes its class from the rows' entries.
+    """
+    rows = [row for row in _eliminate_units(rows, inner) if row]
+    if not rows:
+        return rows
+    zero = next(iter(rows[0].values()))._zero
+    columns = [*sorted({k for row in rows for k in row if k < inner}), *range(inner, inner + ports)]
+    lead = len(columns) - ports
+    matrix = [tuple(row.get(k, zero) for k in columns) for row in rows]
+    if lead:
+        form = hermite(PolyMatrix(len(matrix), len(columns), tuple(matrix)))
+        matrix = [row[lead:] for row in form.entries if not any(row[:lead])]
+    return matrix
+
+
+def _eliminate_units(rows: list, inner: int) -> list:
+    """The sparse rows {column: LaurentPoly} left once every inner column
+    (below ``inner``) that some row holds as a unit is eliminated.
+
+    A row holding a unit at column k solves for it: every other row that
+    holds k takes away the multiple that clears it, and the row, which
+    spans a free summand that no vector vanishing at k meets, is dropped.
+    The column with the fewest rows is taken first, from a heap, and
+    solved by its shortest row with a unit there, which keeps the rows
+    sparse; a column with no unit waits until a step changes its rows.
+    """
+    live = dict(enumerate(rows))
+    users = [set() for _ in range(inner)]
+    for i, row in live.items():
+        for k in row:
+            if k < inner:
+                users[k].add(i)
+    heap = [(len(holders), k) for k, holders in enumerate(users)]
+    heapify(heap)
+    while heap:
+        count, k = heappop(heap)
+        holders = users[k]
+        if count != len(holders):
+            continue
+        units = [i for i in holders if live[i][k].is_unit()]
+        if not units:
+            continue
+        pivot = min(units, key=lambda i: (len(live[i]), i))
+        src = live.pop(pivot)
+        for c in src:
+            if c < inner:
+                users[c].discard(pivot)
+        inverse = src[k].unit_inverse()
+        zero = inverse._zero
+        for i in list(holders):
+            row = live[i]
+            factor = row[k] * inverse
+            for c, b in src.items():
+                e = _axpy(row.get(c, zero), factor, b, -1)
+                if e:
+                    if c < inner and c not in row:
+                        users[c].add(i)
+                    row[c] = e
+                else:
+                    del row[c]
+                    if c < inner:
+                        users[c].discard(i)
+        for c in src:
+            if c < inner:
+                heappush(heap, (len(users[c]), c))
+    return list(live.values())
 
 
 def lag_rows(rows) -> list[list[list[int]]]:
@@ -680,12 +748,20 @@ def tensor_mat_cospans(a: MatCospan, b: MatCospan) -> MatCospan:
 
 
 def mat_corelation(c: MatCospan) -> MatCospan:
-    """The jointly-epic representative: the Hermite form of the copairing
-    [A B], split into two legs.  Its rows span the row module of [A B], so
-    the behaviour is unchanged, and it is canonical: cospans with one
-    corelation give equal cospans, and a second run changes nothing."""
-    form = hermite(c.left.hstack(c.right))
-    return MatCospan(form.take_cols(range(c.dom)), form.take_cols(range(c.dom, c.dom + c.cod)))
+    """The jointly-epic representative: ``corelation`` of [A B]."""
+    return corelation(c.left.hstack(c.right).entries, c.dom, c.cod)
+
+
+def corelation(rows, m: int, n: int) -> MatCospan:
+    """The Hermite form of the rows [A B], m + n entries each, split into
+    the legs of a cospan m -> k <- n.  Its rows span the row module of
+    [A B], so the behaviour is unchanged, and it is canonical: rows with
+    one row module give equal cospans, and a second run changes nothing."""
+    form = hermite(PolyMatrix(len(rows), m + n, tuple(rows))).entries
+    return MatCospan(
+        PolyMatrix._trusted(len(form), m, tuple(row[:m] for row in form)),
+        PolyMatrix._trusted(len(form), n, tuple(row[m:] for row in form)),
+    )
 
 
 class BehaviourRep(_Record):

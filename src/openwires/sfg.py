@@ -12,23 +12,24 @@ Both semantics read their rows off one forward pass over the term
 variable is made only where a value is born: at the boundary, at a
 register end, or where no row of a generator names an output.  Moving a
 value makes no equation, and a second name for a value is a merge.
-Denotationally s is the delay and the rows hold over Q[s, s^-1]; one
-elimination of the inner variables leaves rows on the ports that cut the
-behaviour out (``_port_rows``), and ``sfg_denote`` prints their Hermite
-form, which depends on the behaviour alone.  ``denote_cospan`` is the
-pairwise fold instead: each generator maps to the cospan (A, B) of its
-rows and each ``;`` is a pushout.  Per tick, an entry s is a register,
-whose ends rout, the value stored, and rin, the value read out, are
-variables; the tick relation's annihilator is what one elimination over
-Q, the inner variables first, leaves on the ends.  ``step`` reduces once
-as well: its state and boundary substituted into the rows leave a system
-over the inner variables and regs_out alone.  ``_Network`` keeps the raw
-wire equations for the oracles, which share no reduction with the pass.
+Denotationally s is the delay, and the rows are a network over
+Q[s, s^-1] (``_laurent_rows``) whose inner variables ``lti.port_rows``
+eliminates, which leaves rows on the ports that cut the behaviour out;
+``sfg_denote`` is their ``lti.corelation``, a Hermite form that depends
+on the behaviour alone.  ``denote_cospan`` is the pairwise fold
+instead: each generator maps to the cospan (A, B) of its rows and each
+``;`` is a pushout.  Per tick, an entry s is a register, whose ends
+rout, the value stored, and rin, the value read out, are variables; the
+tick relation's annihilator is what one elimination over Q, the inner
+variables first, leaves on the ends.  ``step`` reduces once as well: its
+state and boundary substituted into the rows leave a system over the
+inner variables and regs_out alone.  ``_Network`` keeps the raw wire
+equations for the oracles, which share no reduction with the pass.
 
 ``check_trace`` decides whether a window extends to a trace that is
 infinite in both directions.  With no initial registers that is a
-question about the ports alone: the port rows as the elimination leaves
-them, with no Hermite form, made row-reduced at both ends
+question about the ports alone: the port rows as ``lti.port_rows``
+leaves them, with no Hermite form, made row-reduced at both ends
 (``lti.shortest_lag``), cut out exactly the restrictions of its streams
 by the equations that fit in the window, and the first one broken is the
 witness (``_trace_violation``).  With initial registers the window is
@@ -54,7 +55,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -67,7 +67,7 @@ from .linalg import (
     _integer_rref,
     kernel_of_matrix,
 )
-from .scalars import LaurentPoly, QQ, _axpy, _new, _Record
+from .scalars import LaurentPoly, QQ, _new, _Record
 
 if TYPE_CHECKING:
     from .lti import MatCospan
@@ -440,38 +440,22 @@ def denote_cospan(term: Term) -> MatCospan:
 
 def sfg_denote(term: Term) -> MatCospan:
     """The behaviour of a term as a jointly-epic cospan in Hermite form,
-    equal to ``mat_corelation(denote_cospan(term))``: the Hermite form of
-    the port rows of ``_port_rows``, the right ports negated into [A B],
-    split into the two legs.  The form depends on the rows' module alone,
-    so any rows that cut the behaviour out give the same cospan.
+    equal to ``mat_corelation(denote_cospan(term))``: ``lti.port_rows`` of
+    the forward rows, the right ports negated into [A B], and their
+    ``lti.corelation``.  The form depends on the rows' module alone, so
+    any rows that cut the behaviour out give the same cospan.
     """
-    from .lti import MatCospan, PolyMatrix, hermite
+    from .lti import corelation, port_rows
 
-    forward = _forward(term, False)
-    m, n = forward[3:]
-    rows = _port_rows(forward)
-    matrix = tuple(row[:m] + tuple(-e for e in row[m:]) for row in rows)
-    form = hermite(PolyMatrix(len(matrix), m + n, matrix)).entries
-    return MatCospan(
-        PolyMatrix(len(form), m, tuple(row[:m] for row in form)),
-        PolyMatrix(len(form), n, tuple(row[m:] for row in form)),
-    )
+    forward, inner, _, m, n = _forward(term, False)
+    rows = port_rows(_laurent_rows(forward), inner, m + n)
+    return corelation([row[:m] + tuple(-e for e in row[m:]) for row in rows], m, n)
 
 
-def _port_rows(forward: tuple) -> list:
-    """Rows R = [A -B] of m + n Laurent polynomials each, whose kernel
-    over Q[s, s^-1] is the behaviour of the term with ``_forward`` rows
-    ``forward`` (without registers); not canonical.
-
-    The forward rows, s the delay, cut the behaviour out once the
-    inner columns are eliminated: ``_eliminate_units`` takes each that
-    holds a unit.  Only when a column with no unit is left does
-    ``hermite`` take those columns first, and its rows with no inner entry
-    are kept: in echelon form they span every combination that vanishes
-    on the inner columns.
-    """
-    zero = _LAURENT[0]
-    forward, inner, _, m, n = forward
+def _laurent_rows(forward: list) -> list:
+    """The rows of ``_forward`` without registers, {(column, k): c}, as
+    sparse rows {column: LaurentPoly} with s the delay: the network that
+    ``lti.port_rows`` reduces to rows [A -B] on the ports."""
     rows = []
     for row in forward:
         polys = {}
@@ -480,68 +464,7 @@ def _port_rows(forward: tuple) -> list:
                 monomial = _new(LaurentPoly, e, (c.numerator,), c.denominator)
                 polys[k] = polys[k] + monomial if k in polys else monomial
         rows.append({k: poly for k, poly in polys.items() if poly})
-    rows = [row for row in _eliminate_units(rows, inner) if row]
-    columns = [*sorted({k for row in rows for k in row if k < inner}), *range(inner, inner + m + n)]
-    lead = len(columns) - m - n
-    matrix = [tuple(row.get(k, zero) for k in columns) for row in rows]
-    if lead:
-        from .lti import PolyMatrix, hermite
-
-        form = hermite(PolyMatrix(len(matrix), len(columns), tuple(matrix)))
-        matrix = [row[lead:] for row in form.entries if not any(row[:lead])]
-    return matrix
-
-
-def _eliminate_units(rows: list, inner: int) -> list:
-    """The sparse rows {column: LaurentPoly} left once every inner column
-    (below ``inner``) that some row holds as a unit is eliminated.
-
-    A row holding a unit at column k solves for it: every other row that
-    holds k takes away the multiple that clears it, and the row, which
-    spans a free summand that no vector vanishing at k meets, is dropped.
-    The column with the fewest rows is taken first, from a heap, and
-    solved by its shortest row with a unit there, which keeps the rows
-    sparse; a column with no unit waits until a step changes its rows.
-    """
-    live = dict(enumerate(rows))
-    users = [set() for _ in range(inner)]
-    for i, row in live.items():
-        for k in row:
-            if k < inner:
-                users[k].add(i)
-    heap = [(len(holders), k) for k, holders in enumerate(users)]
-    heapify(heap)
-    while heap:
-        count, k = heappop(heap)
-        holders = users[k]
-        if count != len(holders):
-            continue
-        units = [i for i in holders if live[i][k].is_unit()]
-        if not units:
-            continue
-        pivot = min(units, key=lambda i: (len(live[i]), i))
-        src = live.pop(pivot)
-        for c in src:
-            if c < inner:
-                users[c].discard(pivot)
-        inverse = src[k].unit_inverse()
-        for i in list(holders):
-            row = live[i]
-            factor = row[k] * inverse
-            for c, b in src.items():
-                e = _axpy(row.get(c, _LAURENT[0]), factor, b, -1)
-                if e:
-                    if c < inner and c not in row:
-                        users[c].add(i)
-                    row[c] = e
-                else:
-                    del row[c]
-                    if c < inner:
-                        users[c].discard(i)
-        for c in src:
-            if c < inner:
-                heappush(heap, (len(users[c]), c))
-    return list(live.values())
+    return rows
 
 
 # -- operational semantics ---------------------------------------------------
@@ -756,11 +679,12 @@ def _trace_violation(term: Term, window: Sequence[tuple[Sequence, Sequence]]):
     shortest-lag rows of the term's behaviour, earliest tick first, or None
     when the window is the t = 0..T-1 part of a trajectory in it.
 
-    The behaviour is ker R over Q[s, s^-1], R = [A -B] of ``_port_rows``,
-    acting on biinfinite streams w of (left, right) values with s the
-    delay: (s^k w)(t) = w(t - k).  ``lti.shortest_lag`` makes R's rows,
-    each shifted to offset 0 with lag L_i, row-reduced at both ends, and
-    the window is checked against every row that fits in it:
+    The behaviour is ker R over Q[s, s^-1], R = [A -B] the
+    ``lti.port_rows`` of the ``_laurent_rows``, acting on biinfinite
+    streams w of (left, right) values with s the delay: (s^k w)(t) =
+    w(t - k).  ``lti.shortest_lag`` makes R's rows, each shifted to
+    offset 0 with lag L_i, row-reduced at both ends, and the window is
+    checked against every row that fits in it:
 
         sum_k R_{i,k} w(tau - k) = 0 for L_i <= tau < T.
 
@@ -779,11 +703,11 @@ def _trace_violation(term: Term, window: Sequence[tuple[Sequence, Sequence]]):
     window's shape is checked from the forward pass, before any
     elimination.
     """
-    from .lti import lag_rows, shortest_lag
+    from .lti import lag_rows, port_rows, shortest_lag
 
-    forward = _forward(term, False)
-    _check_window(window, *forward[3:])
-    rows = shortest_lag(lag_rows(_port_rows(forward)))
+    forward, inner, _, m, n = _forward(term, False)
+    _check_window(window, m, n)
+    rows = shortest_lag(lag_rows(port_rows(_laurent_rows(forward), inner, m + n)))
     values = [(*u, *v) for u, v in window]
     den = lcm(*[x.denominator for tick in values for x in tick])
     ticks = [[x.numerator * (den // x.denominator) for x in tick] for tick in values]

@@ -659,7 +659,7 @@ class TestSfgOracle:
     def test_oracle_reads_no_wire_elimination(self, capsys, monkeypatch):
         # a faulty elimination that loses the rows left, so that the
         # denotation of the (s+1)-system constrains nothing
-        monkeypatch.setattr(sfg, "_eliminate_units", lambda rows, inner: [])
+        monkeypatch.setattr(lti, "_eliminate_units", lambda rows, inner: [])
         argv = ["sfg", "denote", fixture("splusone.sfg")]
         assert main(argv) == 0
         capsys.readouterr()

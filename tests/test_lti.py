@@ -377,6 +377,80 @@ class TestShortestLag:
         assert lti.shortest_lag([[x1, y], [x2, y]]) == [[[1, -1, 0]], [x2, y]]
 
 
+def _network(*rows):
+    """Sparse rows {column: LaurentPoly}, from entries that may be rationals."""
+    return [{k: e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e) for k, e in row.items()}
+            for row in rows]
+
+
+# (name, network, inner, ports, reference): the port rows by hand.  Inner
+# columns come first; the columns ``inner`` onwards are the ports.
+_PORT_NETWORKS = [
+    # x0 = u, 2s·x1 = x0, x2 = 2·x1 + x0, y = x2: a unit at every step,
+    # and y = (1 + s^-1)·u
+    (
+        "unit chain",
+        _network({0: 1, 3: -1}, {1: 2 * S, 0: -1}, {2: 1, 1: -2, 0: -1}, {4: 1, 2: -1}),
+        3,
+        2,
+        [[S + 1, -S]],
+    ),
+    # y1 = (1 + s)·z and y2 = (1 + s)·z: z holds no unit, and only y1 = y2 is left
+    ("shared factor", _network({0: -1 - S, 1: 1}, {0: -1 - S, 2: 1}), 1, 2, [[1, -1]]),
+    # x = p twice over and q = s·x, and q = s·p, which the others imply
+    ("dependent", _network({0: 1, 1: -1}, {0: 2, 1: -2}, {0: S, 2: -1}, {1: S, 2: -1}), 1, 2, [[S, -1]]),
+    # the same with (1 + s)·x in place of x, through the Hermite form
+    (
+        "dependent, no unit",
+        _network({0: 1 + S, 1: -1}, {0: 2 + 2 * S, 1: -2}, {0: 1 + S, 2: -1}),
+        1,
+        2,
+        [[1, -1]],
+    ),
+    ("to nothing, by a unit", _network({0: 1, 1: -1}), 1, 1, []),
+    # (1 + s)·x0 + (1 - s)·x1 = p: any p, since x0 and x1 are free
+    ("to nothing, by the Hermite form", _network({0: 1 + S, 1: 1 - S, 2: -1}), 2, 1, []),
+    ("no rows", [], 2, 1, []),
+]
+
+
+class TestPortRows:
+    """``port_rows`` on hand-built networks, with no term: its rows and a
+    reference by hand span one module, by equal Hermite forms, and
+    ``solve_left`` writes each reference row, zero on the inner columns,
+    as a combination of the network's rows."""
+
+    @pytest.mark.parametrize(
+        "network, inner, ports, reference",
+        [case[1:] for case in _PORT_NETWORKS],
+        ids=[case[0] for case in _PORT_NETWORKS],
+    )
+    def test_rows_span_the_reference(self, network, inner, ports, reference):
+        width = inner + ports
+        dense = pm([[row.get(k, 0) for k in range(width)] for row in network] or [[0] * width])
+        found = lti.port_rows([dict(row) for row in network], inner, ports)
+        assert all(len(row) == ports for row in found)
+        assert all(isinstance(e, LaurentPoly) for row in found for e in row)
+        for row in reference:
+            assert solve_left(dense, pm([[0] * inner + row])) is not None
+        # a zero row keeps the width of an empty matrix, and no form holds it
+        zero = [[0] * ports]
+        assert hermite(pm(found or zero)) == hermite(pm(reference or zero))
+
+    def test_units_take_no_hermite_form(self, monkeypatch):
+        """The shared factor leaves the one row y1 - y2, and every inner
+        column of the unit chain goes by a unit pivot, with no Hermite form."""
+        _, shared, inner, ports, _ = _PORT_NETWORKS[1]
+        assert len(lti.port_rows([dict(row) for row in shared], inner, ports)) == 1
+
+        def refused(m):
+            raise AssertionError("a Hermite form with every inner column a unit")
+
+        monkeypatch.setattr(lti, "hermite", refused)
+        _, chain, inner, ports, _ = _PORT_NETWORKS[0]
+        assert len(lti.port_rows([dict(row) for row in chain], inner, ports)) == 1
+
+
 class TestBehaviour:
     def test_reflexive(self):
         rng = random.Random(9)

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
@@ -9,6 +13,7 @@ import pytest
 from conftest import (
     _affine_solve,
     feedback_chain,
+    format_term,
     gauss_solve,
     kernel_residuals,
     rand_linear_system,
@@ -805,8 +810,8 @@ class TestShortestLagWindows:
         elimination of its rows."""
         chain = feedback_chain(1024)
         calls = Counter()
-        for name in ("_eliminate_units", "_integer_rref"):
-            monkeypatch.setattr(sfg, name, _counted(calls, name, getattr(sfg, name)))
+        for module, name in ((lti, "_eliminate_units"), (sfg, "_integer_rref")):
+            monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
         zeros = [F(0)] * 1024
         for run in (check_trace, _check_trace_scan):
             for init in (None, zeros):
@@ -820,7 +825,7 @@ class TestShortestLagWindows:
 
 
 # terms whose forward rows keep an inner column with no unit once
-# ``_eliminate_units`` is done, so that ``_port_rows`` takes a Hermite form
+# ``lti._eliminate_units`` is done, so that ``lti.port_rows`` takes a Hermite form
 LEFTOVER_INNER = (
     "co-delay ; co-add ; id (+) co-delay ; add",
     "co-add ; co-delay (+) x(-1/3) ; co-copy ; discard",
@@ -839,9 +844,69 @@ def _counted(calls: Counter, name: str, function):
     return wrapper
 
 
+# A child that imports the package, answers, then purges it from
+# ``sys.modules`` and imports ``sfg`` and ``lti`` again, as a benchmark's
+# set-up between trials does.  The first ``sfg``'s denotation functions
+# then import the second ``lti``, whose ``scalars`` has its own
+# ``LaurentPoly``; through the first modules every answer must still be
+# the same, in the first ``scalars``' class.
+_PURGED_CHILD = """
+import json, random, sys
+from openwires import lti, scalars, sfg
+from openwires.cli import parse_term
+
+terms = [parse_term(text) for text in json.load(sys.stdin)]
+rng = random.Random(7)
+windows = []
+for term in terms:
+    window, _ = sfg.sample_biinfinite_window(term, 3, rng)
+    windows += [(term, window), (term, [(u, [x + 1 for x in v]) for u, v in window])]
+reps = [lti.behaviour_rep(sfg.sfg_denote(term)) for term in terms]
+witnesses = [sfg._trace_violation(term, window) for term, window in windows]
+
+for name in [name for name in sys.modules if name.split(".")[0] == "openwires"]:
+    del sys.modules[name]
+import openwires.lti, openwires.sfg
+assert openwires.lti.LaurentPoly is not scalars.LaurentPoly
+
+for term, rep in zip(terms, reps):
+    cospan = sfg.sfg_denote(term)
+    again = lti.behaviour_rep(cospan)
+    matrices = (cospan.left, cospan.right, again.kernel_matrix)
+    for e in [e for matrix in matrices for row in matrix.entries for e in row]:
+        assert e.__class__ is scalars.LaurentPoly, (term, e)
+    assert lti.behaviour_eq(again, rep), term
+assert [sfg._trace_violation(term, window) for term, window in windows] == witnesses
+"""
+
+
 class TestPortRows:
     """The behaviour's rows on the ports, which windows with no ``init``
     read directly and ``sfg_denote`` brings to Hermite form."""
+
+    def test_answers_survive_a_second_import(self):
+        """``sfg_denote``, ``behaviour_rep`` of it and ``_trace_violation``,
+        through the modules imported first, give the answers they gave
+        before the package was purged and imported again, and make every
+        value in the first ``scalars``' class: ``lti.port_rows`` and
+        ``lti.corelation`` take each value's class from their inputs."""
+        rng = random.Random(41)
+        # the last leftover term's Hermite form divides a row by its content
+        scaled = "co-discard ; copy ; (x(2) ; copy ; (delay (+) id) ; add) (+) (copy ; (delay (+) id) ; add)"
+        terms = [*LEFTOVER_INNER, scaled, SPLUSONE, format_term(feedback_chain(4))]
+        terms += [format_term(rand_term(rng, 12)) for _ in range(40)]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(sfg.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _PURGED_CHILD],
+            input=json.dumps(terms),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("seed", [3, 11, 23, 71])
     def test_windows_match_the_scan(self, seed):
